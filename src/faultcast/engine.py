@@ -9,8 +9,9 @@ informed.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,13 +150,21 @@ class NetworkState:
         return other
 
 
+@lru_cache(maxsize=64)
+def _rational(alpha: float) -> tuple[int, int]:
+    """alpha as the exact decimal it is written as, p/q in lowest terms."""
+    ratio = Fraction(str(alpha))
+    return ratio.numerator, ratio.denominator
+
+
 def fault_budget(m: int, c: int, alpha: float) -> int:
-    """max{c-1, floor(alpha*m)} messages the adversary may destroy."""
+    """max{c-1, floor(alpha*m)} messages the adversary may destroy, in exact arithmetic."""
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha}")
     if m < 0 or c < 1:
         raise InvalidParameterError(f"need m >= 0 and c >= 1, got m={m}, c={c}")
-    return max(c - 1, math.floor(alpha * m))
+    p, q = _rational(alpha)
+    return max(c - 1, p * m // q)
 
 
 def classify_arc(state: NetworkState, arc: int) -> str:
@@ -271,6 +280,13 @@ def _deliver(state: NetworkState, batch: SendBatch, delivered_idx: np.ndarray) -
 
 _COLUMNS = ("step", "k", "h", "b", "m_sent", "m_lost", "acks", "M")
 
+# One JSONL record, byte for byte as json.dumps writes the dict of a row, and
+# the same record after its step field.
+_JSONL_ROW = "{" + ", ".join(f'"{name}": %d' for name in _COLUMNS) + "}\n"
+_JSONL_TAIL = "".join(f', "{name}": %d' for name in _COLUMNS[1:]) + "}\n"
+_JSONL_CHUNK = 1 << 16  # records formatted per write
+_BLOCK = 1024  # rows converted to int64 at a time
+
 
 @dataclass
 class Segment:
@@ -285,33 +301,51 @@ class Trace:
     One record per time step, taken after the step: k/h/b/M describe the
     post-step state, m_sent/m_lost/acks the step's traffic.  Segments let
     validators find round and loop boundaries without guessing.
+
+    An executed step stores one row; a run of fast-forwarded steps stores one
+    row for its first step plus its length in ``_runs``, so memory grows with
+    the executed steps and the inert blocks, not with the schedule.  Record
+    indices, ``len`` and the columns still count steps.
     """
 
     def __init__(self, topo: Topology, track_boundary: bool = False):
         self.topo = topo
         self.m_coeff = 2 * (topo.n - 1) if topo.kind == COMPLETE else 2 * topo.d
-        self._data = np.empty((256, len(_COLUMNS)), dtype=np.int64)
-        self._len = 0
         self.track_boundary = track_boundary
-        self._boundary = np.empty(256, dtype=np.int64) if track_boundary else None
+        self._blocks: list[np.ndarray] = []  # stored rows as int64 blocks, oldest first
+        self._pending: list[tuple] = []  # rows not yet in a block
+        self._rows = 0  # stored rows
+        self._runs: list[tuple[int, int]] = []  # (stored row, steps it stands for)
+        self._len = 0
         self.segments: list[Segment] = []
         self.summary: dict = {}
 
     def __len__(self) -> int:
         return self._len
 
-    def _grow(self, need: int) -> None:
-        cap = self._data.shape[0]
-        if self._len + need <= cap:
-            return
-        new_cap = max(cap * 2, self._len + need)
-        data = np.empty((new_cap, len(_COLUMNS)), dtype=np.int64)
-        data[:self._len] = self._data[:self._len]
-        self._data = data
-        if self._boundary is not None:
-            boundary = np.empty(new_cap, dtype=np.int64)
-            boundary[:self._len] = self._boundary[:self._len]
-            self._boundary = boundary
+    @property
+    def _data(self) -> np.ndarray:
+        """Stored rows: the columns, then the active-arc count if tracked."""
+        if self._pending:
+            self._seal()
+        if len(self._blocks) != 1:
+            self._blocks = [np.concatenate(self._blocks) if self._blocks
+                            else np.empty((0, len(_COLUMNS) + self.track_boundary),
+                                          dtype=np.int64)]
+        return self._blocks[0]
+
+    def _append(self, state: NetworkState, step: int, m_sent: int, m_lost: int,
+                acks: int) -> None:
+        k, h, b = state.counts()
+        row = (step, k, h, b, m_sent, m_lost, acks, self.m_coeff * k + h)
+        self._pending.append(row + (state.boundary(),) if self.track_boundary else row)
+        self._rows += 1
+        if len(self._pending) == _BLOCK:
+            self._seal()
+
+    def _seal(self) -> None:
+        self._blocks.append(np.array(self._pending, dtype=np.int64))
+        self._pending.clear()
 
     def mark(self, kind: str, **meta) -> Segment:
         seg = Segment(kind=kind, start=self._len, meta=meta)
@@ -319,12 +353,7 @@ class Trace:
         return seg
 
     def record(self, state: NetworkState, m_sent: int, m_lost: int, acks: int) -> None:
-        k, h, b = state.counts()
-        self._grow(1)
-        self._data[self._len] = (
-            state.step_index, k, h, b, m_sent, m_lost, acks, self.m_coeff * k + h)
-        if self._boundary is not None:
-            self._boundary[self._len] = state.boundary()
+        self._append(state, state.step_index, m_sent, m_lost, acks)
         self._len += 1
 
     def record_step(self, state: NetworkState, report: DeliveryReport) -> None:
@@ -332,37 +361,48 @@ class Trace:
 
     def record_inert(self, state: NetworkState, m_sent: int, count: int,
                      step_start: int) -> None:
-        """Bulk-append records for steps where every message is destroyed.
+        """Record ``count`` steps where every message is destroyed, as one run.
 
         Only valid when the caller has proven the steps cannot change state
         (m_sent <= c-1 and an exhaustive adversary kills the whole batch).
         """
         if count <= 0:
             return
-        k, h, b = state.counts()
-        self._grow(count)
-        rows = self._data[self._len:self._len + count]
-        rows[:] = (0, k, h, b, m_sent, m_sent, 0, self.m_coeff * k + h)
-        rows[:, 0] = np.arange(step_start + 1, step_start + count + 1)
-        if self._boundary is not None:
-            self._boundary[self._len:self._len + count] = state.boundary()
+        self._append(state, step_start + 1, m_sent, m_sent, 0)
+        self._runs.append((self._rows - 1, count))
         self._len += count
 
+    def _repeats(self) -> np.ndarray:
+        """Steps each stored row stands for."""
+        repeats = np.ones(self._data.shape[0], dtype=np.int64)
+        rows, counts = zip(*self._runs)
+        repeats[list(rows)] = counts
+        return repeats
+
     def column(self, name: str) -> np.ndarray:
-        return self._data[:self._len, _COLUMNS.index(name)]
+        col = self._data[:, _COLUMNS.index(name)]
+        if not self._runs:
+            return col
+        repeats = self._repeats()
+        col = np.repeat(col, repeats)
+        if name == "step":
+            # Each step of a run is one more than the step before it.
+            col += np.arange(self._len) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+        return col
 
     def boundary_column(self) -> np.ndarray:
-        if self._boundary is None:
+        if not self.track_boundary:
             raise InvalidParameterError("trace was not recorded with boundary tracking")
-        return self._boundary[:self._len]
+        col = self._data[:, len(_COLUMNS)]
+        return np.repeat(col, self._repeats()) if self._runs else col
 
     @property
     def final_k(self) -> int:
-        return int(self.column("k")[-1]) if self._len else self.topo.n - 1
+        return int(self._data[-1, 1]) if self._len else self.topo.n - 1
 
     @property
     def final_h(self) -> int:
-        return int(self.column("h")[-1]) if self._len else 0
+        return int(self._data[-1, 2]) if self._len else 0
 
     @property
     def total_steps(self) -> int:
@@ -370,17 +410,31 @@ class Trace:
 
     def first_complete_step(self) -> int:
         """First step index at which k reached its final value."""
-        k = self.column("k")
-        if not k.size:
+        if not self._len:
             return 0
-        hits = np.flatnonzero(k == k[-1])
-        return int(self.column("step")[hits[0]])
+        k = self._data[:, 1]
+        # The first step of a run is its stored step.
+        return int(self._data[np.flatnonzero(k == k[-1])[0], 0])
 
     def to_jsonl(self, path) -> None:
+        """One JSON line per step, then the summary line.
+
+        Stored rows are formatted a chunk at a time, and a run's constant
+        columns once for all of its steps.
+        """
+        data = self._data
         with open(path, "w") as fh:
-            for i in range(self._len):
-                row = self._data[i]
-                fh.write(json.dumps({name: int(row[j]) for j, name in enumerate(_COLUMNS)}))
-                fh.write("\n")
+            start = 0
+            for row, count in self._runs + [(data.shape[0], 0)]:
+                for i in range(start, row, _JSONL_CHUNK):
+                    chunk = data[i:min(i + _JSONL_CHUNK, row), :len(_COLUMNS)]
+                    fh.write(_JSONL_ROW * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+                if count:
+                    first, *rest = data[row, :len(_COLUMNS)].tolist()
+                    line = '{"step": %d' + _JSONL_TAIL % tuple(rest)
+                    for s in range(first, first + count, _JSONL_CHUNK):
+                        steps = range(s, min(s + _JSONL_CHUNK, first + count))
+                        fh.write(line * len(steps) % tuple(steps))
+                start = row + 1
             fh.write(json.dumps(self.summary))
             fh.write("\n")

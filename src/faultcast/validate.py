@@ -8,6 +8,7 @@ informational below those sizes (level "info"); everything else is "error".
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,11 +34,18 @@ class Violation:
 
 
 def check_budget(trace: Trace, alpha: float) -> list[Violation]:
-    """m_lost <= max{c-1, floor(alpha*m_sent)} on every recorded step."""
+    """m_lost <= max{c-1, floor(alpha*m_sent)} on every recorded step.
+
+    alpha is read as the exact decimal it is written as; the floor is taken
+    in integers, in Python ints where int64 products could overflow.
+    """
     c = trace.topo.edge_connectivity
     m_sent = trace.column("m_sent")
     m_lost = trace.column("m_lost")
-    budget = np.maximum(c - 1, np.floor(alpha * m_sent).astype(np.int64))
+    ratio = Fraction(str(alpha))
+    if ratio.numerator * int(m_sent.max(initial=0)) > np.iinfo(np.int64).max:
+        m_sent = m_sent.astype(object)
+    budget = np.maximum(c - 1, m_sent * ratio.numerator // ratio.denominator)
     bad = np.flatnonzero(m_lost > budget)
     return [Violation("budget", int(i),
                       f"lost {m_lost[i]} of {m_sent[i]} sent, budget {budget[i]}")
@@ -243,11 +251,15 @@ def check_final_bounds(trace: Trace, alpha: float, eps: float) -> list[Violation
 
 def validate_trace(trace: Trace, alpha: float | None = None,
                    eps: float | None = None) -> list[Violation]:
-    """Run every applicable check; alpha/eps default to the trace summary."""
+    """Run every applicable check; alpha/eps default to the trace summary.
+
+    Without an eps in the summary, eps defaults as in ExperimentConfig: 2 on
+    K_n and 0.5 on Q_d.
+    """
     if alpha is None:
         alpha = trace.summary["alpha"]
     if eps is None:
-        eps = trace.summary.get("eps", 2.0)
+        eps = trace.summary.get("eps", 2.0 if trace.topo.kind == COMPLETE else 0.5)
     out = []
     out += check_budget(trace, alpha)
     out += check_monotone(trace)

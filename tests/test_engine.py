@@ -1,5 +1,6 @@
 """Engine semantics: budgets, step execution, arc classification, traces."""
 
+import hashlib
 import json
 from itertools import combinations
 
@@ -12,6 +13,8 @@ from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, Trace,
                               classify_arc, execute_step, fault_budget)
 from faultcast.errors import (AdversaryViolation, InvalidParameterError,
                               PreconditionViolation)
+from faultcast.protocols import (almost_complete_kn, broadcast_hypercube, make_driver,
+                                 nosod_complete, simulate)
 from faultcast.topology import build_complete, build_hypercube
 
 
@@ -19,6 +22,9 @@ def test_fault_budget_examples():
     assert fault_budget(3, 4, 0.5) == 3  # max{3, 1}
     assert fault_budget(100, 4, 0.5) == 50  # max{3, 50}
     assert fault_budget(1, 1, 0.9) == 0  # K_2: single message always delivered
+    # Exact rationals: a float floor gives 62 and 28 (0.7*90 = 62.99999999999999).
+    assert fault_budget(90, 1, 0.7) == 63
+    assert fault_budget(100, 1, 0.29) == 29
     with pytest.raises(InvalidParameterError):
         fault_budget(3, 4, 1.0)
     with pytest.raises(InvalidParameterError):
@@ -232,3 +238,102 @@ def test_execute_step_deterministic_replay():
             log.append(report.delivered_arcs.tolist())
         runs.append(log)
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Run-length storage and JSONL export
+
+
+def _reference_jsonl(trace, path):
+    """The per-row writer Trace.to_jsonl must match byte for byte."""
+    columns = [trace.column(c) for c in engine._COLUMNS]
+    with open(path, "w") as fh:
+        for i in range(len(trace)):
+            fh.write(json.dumps({c: int(col[i]) for c, col in zip(engine._COLUMNS, columns)}))
+            fh.write("\n")
+        fh.write(json.dumps(trace.summary))
+        fh.write("\n")
+
+
+def _runs_trace():
+    """Executed stretches and inert runs, each longer than a 5-record chunk."""
+    topo = build_complete(6)
+    state = NetworkState(topo)
+    trace = Trace(topo)
+    adv = random_adversary(3)
+    for stretch in (7, 0, 12, 1):
+        for _ in range(stretch):
+            arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
+            trace.record_step(state, execute_step(state, SendBatch.uniform(arcs, INFO),
+                                                  adv, 0.5))
+        for count in (11, 1):
+            trace.record_inert(state, 1, count, state.step_index)
+            state.step_index += count
+    trace.summary = {"protocol": "test", "alpha": 0.5}
+    return trace
+
+
+@pytest.mark.parametrize("build", [
+    lambda: almost_complete_kn(16, 0.5, 2.0, random_adversary(0)),
+    _runs_trace,
+    lambda: broadcast_hypercube(5, 0.5, 0.5, random_adversary(1)),
+    lambda: Trace(build_complete(4)),
+], ids=["executed", "runs", "hypercube", "empty"])
+def test_to_jsonl_matches_per_row_writer(build, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "_JSONL_CHUNK", 5)
+    trace = build()
+    trace.to_jsonl(tmp_path / "t.jsonl")
+    _reference_jsonl(trace, tmp_path / "ref.jsonl")
+    assert (tmp_path / "t.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+def test_to_jsonl_digest_unchanged(tmp_path):
+    # The digest of the per-row json.dumps writer this format started from.
+    trace = nosod_complete(16, 0.5, 2.0, random_adversary(0))
+    trace.to_jsonl(tmp_path / "t.jsonl")
+    digest = hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
+    assert digest == "938b119e010f3674d53385618cf55dd31f96831aed718ac388ea6912ebfe8495"
+
+
+def test_inert_runs_expand_to_steps():
+    topo = build_hypercube(3)
+    state = NetworkState(topo)
+    trace = Trace(topo, track_boundary=True)
+    trace.record(state, 0, 0, 0)
+    state.informed[1] = True
+    state.version += 1
+    state.step_index = 4
+    trace.record_inert(state, 2, 3, state.step_index)
+    state.step_index += 3
+    trace.record(state, 5, 1, 2)
+    assert len(trace) == trace.total_steps == 5
+    assert trace._data.shape[0] == 3
+    assert trace.column("step").tolist() == [0, 5, 6, 7, 7]
+    assert trace.column("k").tolist() == [7, 6, 6, 6, 6]
+    assert trace.column("m_lost").tolist() == [0, 2, 2, 2, 1]
+    assert trace.boundary_column().tolist() == [3, 4, 4, 4, 4]
+    assert trace.first_complete_step() == 5
+    assert (trace.final_k, trace.final_h) == (6, 2)
+
+
+class _CountingTrace(Trace):
+    executed = inert_calls = 0
+
+    def record_step(self, state, report):
+        self.executed += 1
+        super().record_step(state, report)
+
+    def record_inert(self, state, m_sent, count, step_start):
+        self.inert_calls += 1
+        super().record_inert(state, m_sent, count, step_start)
+
+
+def test_stored_rows_grow_with_executed_steps():
+    topo = build_complete(64)
+    state = NetworkState(topo)
+    driver = make_driver("nosod-complete", topo, 0.55, 2.0, state)
+    _, trace = simulate(topo, driver, random_adversary(0), 0.55, state=state,
+                        trace=_CountingTrace(topo))
+    assert len(trace) == 1547659
+    assert trace._data.shape[0] <= trace.executed + trace.inert_calls
+    assert trace._data.shape[0] < len(trace) // 100

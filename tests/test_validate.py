@@ -7,9 +7,9 @@ import pytest
 from faultcast.adversary import AdversaryPolicy, random_adversary
 from faultcast.engine import INFO, NetworkState, SendBatch, Trace, execute_step
 from faultcast.errors import AdversaryViolation
-from faultcast.protocols import almost_complete_kn, nosod_complete
+from faultcast.protocols import almost_complete_kn, broadcast_hypercube, nosod_complete
 from faultcast import validate
-from faultcast.topology import build_complete
+from faultcast.topology import build_complete, build_hypercube
 
 
 def _doctored_trace(n=8):
@@ -24,6 +24,21 @@ def test_budget_check_fires():
     trace = _doctored_trace()
     bad = validate.check_budget(trace, 0.5)
     assert len(bad) == 1 and bad[0].check == "budget"
+
+
+@pytest.mark.parametrize("alpha,m_sent,budget", [
+    (0.7, 90, 63),  # a float floor gives 62
+    (0.29, 100, 29),  # a float floor gives 28
+    (0.1 + 0.2, 40_000_000_000, 12_000_000_000),  # p*m overflows int64
+])
+def test_budget_check_is_exact(alpha, m_sent, budget):
+    topo = build_complete(2)  # c = 1
+    trace = Trace(topo)
+    state = NetworkState(topo)
+    trace.record(state, m_sent=m_sent, m_lost=budget, acks=0)
+    trace.record(state, m_sent=m_sent, m_lost=budget + 1, acks=0)
+    bad = validate.check_budget(trace, alpha)
+    assert [v.where for v in bad] == [1]
 
 
 def test_budget_check_quiet_on_honest_run():
@@ -82,6 +97,16 @@ def test_phase2_quorum_fires():
     trace.mark("sod_phase2", qualifying=5, threshold=36, senders=5)
     bad = validate.check_phase2_quorum(trace, 0.5, 2.0)
     assert len(bad) == 1 and bad[0].level == validate.ERROR
+
+
+def test_validate_trace_default_eps_follows_topology(monkeypatch):
+    trace = broadcast_hypercube(4, 0.5, 0.5, random_adversary(0))
+    trace.summary = {}
+    seen = []
+    monkeypatch.setattr(validate, "check_qd_rounds",
+                        lambda trace, alpha, eps: seen.append(eps) or [])
+    validate.validate_trace(trace, 0.5)
+    assert seen == [0.5]  # ExperimentConfig's hypercube default, not K_n's 2.0
 
 
 def test_validate_trace_full_run_clean():
