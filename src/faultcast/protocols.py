@@ -122,6 +122,13 @@ class Driver:
         self.trace = trace
 
     def done(self) -> bool:
+        """Whether the schedule is exhausted.
+
+        Like ``at_checkpoint``, this depends on the schedule position only,
+        never on which messages were killed: with ``exhaustive=False`` every
+        ``next`` emits one batch and advances the position by one step.  The
+        search oracle settles completed states on this invariant.
+        """
         raise NotImplementedError
 
     def next(self, state: NetworkState, exhaustive: bool):
@@ -132,7 +139,8 @@ class Driver:
         pass
 
     def at_checkpoint(self) -> bool:
-        """Whether the search oracle may evaluate completion here."""
+        """Whether the search oracle may evaluate completion here; a function
+        of the schedule position only, as for ``done``."""
         return True
 
     def idle_steps(self) -> int:
@@ -201,7 +209,7 @@ class SeqDriver(Driver):
 
     def at_checkpoint(self):
         cur = self._current()
-        return True if cur is None else self.children[min(self.idx, len(self.children) - 1)].at_checkpoint()
+        return cur is None or cur.at_checkpoint()
 
     def clone(self, new_state):
         other = SeqDriver([c.clone(new_state) for c in self.children])

@@ -7,6 +7,13 @@ States are memoized after canonicalization modulo permutations of the
 non-initiator vertices, which collapses the symmetric branches that dominate
 the tree.
 
+A completed state (k == 0) between checkpoints is settled without branching.
+The drivers run a fixed schedule, so ``done()``, ``at_checkpoint()`` and the
+step index depend on the schedule position only, never on the kills.  Every
+play from such a state therefore reaches the same next checkpoint, or runs
+out of schedule or horizon, at the same step; one continuation stands for
+all of them, and its value is cached by step index.
+
 By default only maximal kill sets (size = min(m, budget)) are explored;
 ``all_sizes=True`` removes that assumption at exponential extra cost.
 """
@@ -33,7 +40,7 @@ class SearchResult:
     worst_steps: float  # max completion step, or inf when some play never completes
     horizon: int
     nodes: int
-    states: int
+    states: int  # memoized states with k > 0; completed states are settled by step index
 
     @property
     def horizon_exceeded(self) -> bool:
@@ -80,6 +87,7 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
     perms = _vertex_perms(topo.n, initiator)
     c = topo.edge_connectivity
     memo: dict = {}
+    settled: dict[int, float] = {}  # step index of a completed state -> its value
     counters = {"nodes": 0}
 
     def canonical(state: NetworkState, driver) -> tuple:
@@ -95,8 +103,29 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
                 best = key
         return best
 
+    def settle(state: NetworkState, driver) -> float:
+        """Value of a completed state that is not at a checkpoint: the step of
+        the next checkpoint, or HORIZON_EXCEEDED if the schedule or the horizon
+        ends first.  Every play gives the same value; this one kills nothing."""
+        t = state.step_index
+        if t not in settled:
+            st = state.clone()
+            dr = driver.clone(st)
+            value = HORIZON_EXCEEDED
+            while not dr.done() and st.step_index < horizon:
+                kind, batch = dr.next(st, False)
+                assert kind == BATCH
+                dr.absorb(st, execute_step(st, batch, FixedKillAdversary(()), alpha))
+                if dr.at_checkpoint():
+                    value = float(st.step_index)
+                    break
+            settled[t] = value
+        return settled[t]
+
     def expand(state: NetworkState, driver) -> float:
         counters["nodes"] += 1
+        if state.k == 0:
+            return settle(state, driver)
         if driver.done():
             return HORIZON_EXCEEDED  # schedule exhausted without completion
         if state.step_index >= horizon:
@@ -104,7 +133,8 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
         key = canonical(state, driver)
         if key in memo:
             return memo[key]
-        # Probe the deterministic batch on a throwaway clone.
+        # The batch does not depend on the kill set: build it once on a probe
+        # and clone every child from the probe after its next().
         probe_state = state.clone()
         probe = driver.clone(probe_state)
         kind, batch = probe.next(probe_state, False)
@@ -117,10 +147,8 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
         for size in sizes:
             for kills in combinations(range(m), size):
                 st = state.clone()
-                dr = driver.clone(st)
-                dr.attach(None)
-                k2, b2 = dr.next(st, False)
-                report = execute_step(st, b2, FixedKillAdversary(kills), alpha)
+                dr = probe.clone(st)
+                report = execute_step(st, batch, FixedKillAdversary(kills), alpha)
                 dr.absorb(st, report)
                 if dr.at_checkpoint() and st.k == 0:
                     value = float(st.step_index)

@@ -87,6 +87,25 @@ def test_batch_validation():
         execute_step(state, out_of_range, _kill_none(), 0.5)
 
 
+def test_batch_validation_unsorted_and_ends():
+    topo = build_complete(3)
+    state = NetworkState(topo)  # vertex 0 sends on arcs 0 and 1
+    # Unsorted batches get the full range check, not just their ends.
+    for arcs in ([1, 99, 0], [1, -1, 0], [0, 1, -5, 1], [99, 0]):
+        with pytest.raises(InvalidParameterError):
+            execute_step(state.clone(), SendBatch.uniform(np.array(arcs), INFO),
+                         _kill_none(), 0.5)
+    # Ascending batches are bounded by their ends.
+    for arcs in ([-1, 0], [0, 1, 99]):
+        with pytest.raises(InvalidParameterError):
+            execute_step(state.clone(), SendBatch.uniform(np.array(arcs), INFO),
+                         _kill_none(), 0.5)
+    # A duplicate-free unsorted batch is legal.
+    report = execute_step(state, SendBatch.uniform(np.array([1, 0]), INFO), _kill_none(), 0.5)
+    assert report.delivered_idx.tolist() == [0, 1]
+    assert state.k == 0
+
+
 def test_classify_arc():
     topo = build_complete(3)
     state = NetworkState(topo)
