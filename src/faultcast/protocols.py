@@ -182,9 +182,18 @@ class IdleDriver(Driver):
 
 
 class SeqDriver(Driver):
+    """Runs its children one after another.
+
+    ``idx`` moves past finished children only when asked for the current one
+    after a call that may have moved the schedule (``next``, ``absorb`` or
+    ``skip``), so repeated ``done`` checks within a step stay O(1) at every
+    nesting level.
+    """
+
     def __init__(self, children: list[Driver]):
         self.children = children
         self.idx = 0
+        self._moved = True  # idx may point at a finished child
         self.total_steps = sum(c.total_steps for c in children)
         self.trace = None
 
@@ -194,18 +203,23 @@ class SeqDriver(Driver):
             c.attach(trace)
 
     def _current(self):
-        while self.idx < len(self.children) and self.children[self.idx].done():
-            self.idx += 1
+        if self._moved:
+            while self.idx < len(self.children) and self.children[self.idx].done():
+                self.idx += 1
+            self._moved = False
         return self.children[self.idx] if self.idx < len(self.children) else None
 
     def done(self):
         return self._current() is None
 
     def next(self, state, exhaustive):
-        return self._current().next(state, exhaustive)
+        cur = self._current()
+        self._moved = True
+        return cur.next(state, exhaustive)
 
     def absorb(self, state, report):
         self.children[self.idx].absorb(state, report)
+        self._moved = True
 
     def at_checkpoint(self):
         cur = self._current()
@@ -214,6 +228,7 @@ class SeqDriver(Driver):
     def clone(self, new_state):
         other = SeqDriver([c.clone(new_state) for c in self.children])
         other.idx = self.idx
+        other._moved = self._moved
         return other
 
     def key_parts(self, arc_perm):
@@ -225,6 +240,7 @@ class SeqDriver(Driver):
 
     def skip(self, count):
         self._current().skip(count)
+        self._moved = True
 
 
 class MultiplexDriver(Driver):
@@ -874,8 +890,12 @@ class ExtendedRoundsDriver(Driver):
         return other
 
     def key_parts(self, arc_perm):
-        e_key = np.packbits(self.e_mask[np.argsort(arc_perm)]).tobytes()
-        p_key = np.packbits(self.p_mask[np.argsort(arc_perm)]).tobytes()
+        e_p = np.empty_like(self.e_mask)
+        e_p[arc_perm] = self.e_mask
+        p_p = np.empty_like(self.p_mask)
+        p_p[arc_perm] = self.p_mask
+        e_key = np.packbits(e_p).tobytes()
+        p_key = np.packbits(p_p).tobytes()
         sub = self.rounds_sub.key_parts(arc_perm) if self.rounds_sub is not None else ()
         return ("ext", self.i1, self.i2, self.i3, self.mode, e_key, p_key, sub)
 

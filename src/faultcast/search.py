@@ -14,18 +14,28 @@ play from such a state therefore reaches the same next checkpoint, or runs
 out of schedule or horizon, at the same step; one continuation stands for
 all of them, and its value is cached by step index.
 
+The same invariant scores the completed children of an expanded state in
+bulk.  All children of one state share the step index and the schedule
+position, so every child the step completes has one value: its step index if
+it is at a checkpoint, else its settled value.  Before building any child,
+one boolean matrix product over (kill sets x surviving messages) and
+(messages x uninformed destinations they inform) finds the kill sets after
+which every uninformed vertex still receives an INFO or INFO_CANDS message,
+the rule by which the engine informs a vertex.  Only the first such child is
+built and stepped through the validated engine; its siblings take its value.
+
 By default only maximal kill sets (size = min(m, budget)) are explored;
 ``all_sizes=True`` removes that assumption at exponential extra cost.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
 from .adversary import FixedKillAdversary
-from .engine import NetworkState, execute_step, fault_budget
+from .engine import INFO, INFO_CANDS, NetworkState, SendBatch, execute_step, fault_budget
 from .errors import TooLargeError, UnsupportedTopologyError
 from .protocols import BATCH, make_driver
 from .topology import COMPLETE, Topology, build_complete
@@ -33,13 +43,14 @@ from .topology import COMPLETE, Topology, build_complete
 HORIZON_EXCEEDED = math.inf
 
 _SIZE_CAP = 5
+_CHUNK = 4096  # kill sets classified at a time
 
 
 @dataclass
 class SearchResult:
     worst_steps: float  # max completion step, or inf when some play never completes
     horizon: int
-    nodes: int
+    nodes: int  # expand calls; completed children scored in bulk are not counted
     states: int  # memoized states with k > 0; completed states are settled by step index
 
     @property
@@ -47,15 +58,15 @@ class SearchResult:
         return not math.isfinite(self.worst_steps)
 
 
-def _vertex_perms(n: int, initiator: int):
-    """Arc-id permutations induced by vertex permutations fixing the initiator."""
+def _vertex_perms(n: int, initiator: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex and arc-id permutations induced by the vertex permutations fixing
+    the initiator, one permutation per row."""
     others = [v for v in range(n) if v != initiator]
-    arc_perms = []
+    vmaps, arc_perms = [], []
     for perm in permutations(others):
         vmap = np.empty(n, dtype=np.int64)
         vmap[initiator] = initiator
-        for old, new in zip(others, perm):
-            vmap[old] = new
+        vmap[others] = perm
         arc_perm = np.empty(n * (n - 1), dtype=np.int64)
         for u in range(n):
             for v in range(n):
@@ -64,8 +75,31 @@ def _vertex_perms(n: int, initiator: int):
                 a = u * (n - 1) + (v if v < u else v - 1)
                 pu, pv = int(vmap[u]), int(vmap[v])
                 arc_perm[a] = pu * (n - 1) + (pv if pv < pu else pv - 1)
-        arc_perms.append((vmap, arc_perm))
-    return arc_perms
+        vmaps.append(vmap)
+        arc_perms.append(arc_perm)
+    return np.array(vmaps), np.array(arc_perms)
+
+
+def _completing(state: NetworkState, batch: SendBatch, kill_sets: list) -> np.ndarray:
+    """Per kill set, whether the step leaves no vertex uninformed: each one
+    still receives a surviving INFO or INFO_CANDS message."""
+    topo = state.topo
+    kinds = batch.kinds
+    informing = (kinds == INFO) | (kinds == INFO_CANDS)
+    uninformed = np.flatnonzero(~state.informed)
+    reach = informing[:, None] & (topo.arc_dst[batch.arcs][:, None] == uninformed)
+    kills = np.array(kill_sets, dtype=np.intp).reshape(len(kill_sets), -1)
+    alive = np.ones((len(kill_sets), batch.m), dtype=bool)
+    alive[np.arange(len(kill_sets))[:, None], kills] = False
+    return (alive @ reach).all(axis=1)
+
+
+def _kill_sets(state: NetworkState, batch: SendBatch, sizes):
+    """Every kill set of the given sizes, in order, with whether it completes the step."""
+    for size in sizes:
+        combos = combinations(range(batch.m), size)
+        while chunk := list(islice(combos, _CHUNK)):
+            yield from zip(chunk, _completing(state, batch, chunk))
 
 
 def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
@@ -84,24 +118,24 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
     driver0.attach(None)
     if horizon is None:
         horizon = driver0.total_steps
-    perms = _vertex_perms(topo.n, initiator)
+    vmaps, arc_perms = _vertex_perms(topo.n, initiator)
+    # The permuted copy of an array x is x[inverse] for the inverse permutation.
+    vinv = np.argsort(vmaps, axis=1)
+    ainv = np.argsort(arc_perms, axis=1)
     c = topo.edge_connectivity
     memo: dict = {}
     settled: dict[int, float] = {}  # step index of a completed state -> its value
     counters = {"nodes": 0}
 
     def canonical(state: NetworkState, driver) -> tuple:
-        best = None
-        for vmap, arc_perm in perms:
-            inf_p = np.empty(topo.n, dtype=bool)
-            inf_p[vmap] = state.informed
-            pas_p = np.empty(topo.num_arcs, dtype=bool)
-            pas_p[arc_perm] = state.passive
-            key = (np.packbits(inf_p).tobytes(), np.packbits(pas_p).tobytes(),
-                   driver.key_parts(arc_perm))
-            if best is None or key < best:
-                best = key
-        return best
+        # Rows of the packed informed and passive arrays under every permutation;
+        # only the rows that tie for the least one need the driver's part.
+        packed = np.concatenate([np.packbits(state.informed[vinv], axis=1),
+                                 np.packbits(state.passive[ainv], axis=1)], axis=1)
+        rows = [row.tobytes() for row in packed]
+        first = min(rows)
+        return min((first, driver.key_parts(arc_perms[i]))
+                   for i, row in enumerate(rows) if row == first)
 
     def settle(state: NetworkState, driver) -> float:
         """Value of a completed state that is not at a checkpoint: the step of
@@ -144,20 +178,24 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
         ksize = min(m, budget)
         sizes = range(ksize + 1) if all_sizes else (ksize,)
         worst = 0.0
-        for size in sizes:
-            for kills in combinations(range(m), size):
+        completed = None  # value of every child the step completes
+        for kills, completes in _kill_sets(state, batch, sizes):
+            if completes and completed is not None:
+                value = completed
+            else:
                 st = state.clone()
                 dr = probe.clone(st)
                 report = execute_step(st, batch, FixedKillAdversary(kills), alpha)
                 dr.absorb(st, report)
+                assert (st.k == 0) == completes
                 if dr.at_checkpoint() and st.k == 0:
                     value = float(st.step_index)
                 else:
                     value = expand(st, dr)
-                if value > worst:
-                    worst = value
-                if not math.isfinite(worst):
-                    break
+                if completes:
+                    completed = value
+            if value > worst:
+                worst = value
             if not math.isfinite(worst):
                 break
         memo[key] = worst

@@ -57,6 +57,10 @@ def brute_force_search(n, protocol, alpha, horizon=None, eps=2.0, all_sizes=Fals
     (3, "almost-kn", {"horizon": 3}),
     (3, "almost-kn", {"horizon": 4}),
     (3, "almost-kn", {"horizon": 5}),
+    # Steps that complete most of their children, which are scored in bulk.
+    (4, "almost-kn", {}),
+    (4, "almost-kn", {"all_sizes": True}),
+    (4, "nosod-complete", {"horizon": 10}),
 ])
 def test_search_matches_brute_force(n, protocol, kwargs):
     expected = brute_force_search(n, protocol, 0.5, **kwargs)
