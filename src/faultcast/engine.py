@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .errors import AdversaryViolation, InvalidParameterError, PreconditionViolation
 from .topology import COMPLETE, Topology
 
@@ -118,10 +117,12 @@ class NetworkState:
     def _tally(self) -> tuple[int, int, int, int]:
         """(k, h, b, active arcs) of the current version."""
         if self._counts_version != self.version:
-            active, h, b = _kernels.arc_state_counts(
-                self.informed, self.passive, self.topo.arc_src, self.topo.arc_dst)
+            src_inf = self.informed[self.topo.arc_src]
+            dst_inf = self.informed[self.topo.arc_dst]
+            active = int(np.count_nonzero(src_inf & ~dst_inf))
+            h = int(np.count_nonzero(src_inf & dst_inf & ~self.passive))
             k = self.topo.n - int(np.count_nonzero(self.informed))
-            self._counts = (k, h, b, active)
+            self._counts = (k, h, int(np.count_nonzero(self.passive)), active)
             self._counts_version = self.version
         return self._counts
 
@@ -194,8 +195,8 @@ def _validate_batch(state: NetworkState, batch: SendBatch) -> None:
         raise InvalidParameterError("only informed vertices may send")
 
 
-def execute_step(state: NetworkState, batch: SendBatch, adversary, alpha: float,
-                 validate: bool = True) -> DeliveryReport:
+def execute_step(state: NetworkState, batch: SendBatch, adversary,
+                 alpha: float) -> DeliveryReport:
     """Run one synchronous step: adversary kill, delivery, bookkeeping.
 
     An adversary returning a kill set over budget or not drawn from the batch
@@ -203,8 +204,7 @@ def execute_step(state: NetworkState, batch: SendBatch, adversary, alpha: float,
     done grows with the batch size plus the degree of each newly informed
     vertex, not with the arc count.
     """
-    if validate:
-        _validate_batch(state, batch)
+    _validate_batch(state, batch)
     m = batch.m
     budget = fault_budget(m, state.topo.edge_connectivity, alpha)
     ctx = StepContext(step_index=state.step_index, topo=state.topo, state=state)

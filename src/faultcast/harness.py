@@ -16,7 +16,7 @@ from . import bounds
 from .adversary import make_adversary
 from .engine import NetworkState
 from .errors import ConfigError
-from .protocols import _finalize, make_driver, simulate
+from .protocols import _finalize, below_min, make_driver, simulate
 from .search import worst_case_search
 from .topology import COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube
 from .validate import errors_only, validate_trace
@@ -111,14 +111,6 @@ def _build_topology(config: ExperimentConfig, size: int) -> Topology:
     return build_complete(size, chordal=chordal)
 
 
-def _below_min(config: ExperimentConfig, topo: Topology, alpha: float) -> bool:
-    if topo.kind == COMPLETE and config.eps > 1.0:
-        return topo.n < bounds.n_min(alpha, config.eps)
-    if topo.kind == HYPERCUBE and 0.0 < config.eps < 1.0:
-        return topo.d < bounds.d_min(alpha, config.eps)
-    return False
-
-
 def run(config: ExperimentConfig) -> RunReport:
     problems = config.check()
     if problems:
@@ -131,9 +123,8 @@ def run(config: ExperimentConfig) -> RunReport:
 
     rows = []
     bad = []
-    topo_cache: dict[int, Topology] = {}
     for size in sorted(config.size):
-        topo = topo_cache.setdefault(size, _build_topology(config, size))
+        topo = _build_topology(config, size)
         for alpha in sorted(config.alpha):
             for adv_id in config.adversary:
                 for seed in range(config.seeds):
@@ -143,7 +134,7 @@ def run(config: ExperimentConfig) -> RunReport:
                                          state, rounds=config.horizon)
                     _, trace = simulate(topo, driver, adversary, alpha, state=state)
                     _finalize(trace, state, config.protocol, adversary, alpha,
-                              config.eps, topo, _below_min(config, topo, alpha))
+                              config.eps, topo, below_min(topo, alpha, config.eps))
                     violations = errors_only(validate_trace(trace, alpha, config.eps))
                     row = {
                         "topology": config.topology,

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from . import _kernels, bounds
+from . import bounds
 from .adversary import AdversaryPolicy
 from .engine import (ACK, INFO, INFO_CANDS, NetworkState, SendBatch, Trace,
                      execute_step)
@@ -74,7 +74,7 @@ class Session:
     def sends(self, state: NetworkState) -> np.ndarray:
         """Arcs this session floods in a step A; the caller must not modify them."""
         if self.frontier is None or (self.primary and self.synced != state.version):
-            self.frontier = _kernels.collect_sends(self.aware, self.marks, self.topo.arc_src)
+            self.frontier = np.flatnonzero(self.aware[self.topo.arc_src] & ~self.marks)
             self.synced = state.version
         return self.frontier
 
@@ -485,7 +485,7 @@ class Phase2CandidatesDriver(Driver):
 
     def next(self, state, exhaustive):
         topo = self.prev.topo
-        deg = _kernels.nonpassive_out_degrees(self.prev.marks, topo.arc_src, topo.n)
+        deg = np.bincount(topo.arc_src[~self.prev.marks], minlength=topo.n)
         qualifying_all = int(np.count_nonzero(deg <= self.threshold))
         senders = np.flatnonzero(self.prev.aware & (deg <= self.threshold))
         if self.trace is not None:
@@ -629,7 +629,7 @@ class Phase4PairsDriver(Driver):
         self.step += count
 
 
-class AllButOneDriver(Driver):
+class AllButOneDriver(SeqDriver):
     """Complete-graph broadcast with chordal sense of direction, all but one vertex.
 
     Phase 1 spreads the payload almost-completely; phase 2 gathers candidate
@@ -642,9 +642,7 @@ class AllButOneDriver(Driver):
                  payload=None, state: NetworkState = None):
         if topo.labeling is None:
             raise UnsupportedTopologyError("sense-of-direction protocols need a chordal labeling")
-        self.topo = topo
         self.ctx = SodContext()
-        self.knows = None
         r_kn = bounds.rounds_kn(topo.n, alpha)
         cap = candidate_cap(topo.n, alpha, eps)
         self.threshold = math.floor(3.0 * bounds.constants(alpha).x * (1.0 + eps))
@@ -659,33 +657,12 @@ class AllButOneDriver(Driver):
             Phase3BroadcastDriver(topo, b, self.ctx, r_kn, knows_sink=self.knows),
             Phase4PairsDriver(topo, b, self.ctx, cap * cap, knows_sink=self.knows),
         ])
-        self.inner = SeqDriver([
+        super().__init__([
             GreedyCompleteDriver(session),
             SimpleRoundsDriver(session, r_kn, label="sod_p1" if state is None else "thm2"),
             Phase2CandidatesDriver(session, self.ctx, self.threshold),
             MultiplexDriver(lane(0), lane(1)),
         ])
-        self.total_steps = self.inner.total_steps
-        self.trace = None
-
-    def attach(self, trace):
-        self.trace = trace
-        self.inner.attach(trace)
-
-    def done(self):
-        return self.inner.done()
-
-    def next(self, state, exhaustive):
-        return self.inner.next(state, exhaustive)
-
-    def absorb(self, state, report):
-        self.inner.absorb(state, report)
-
-    def idle_steps(self):
-        return self.inner.idle_steps()
-
-    def skip(self, count):
-        self.inner.skip(count)
 
     def candidate_set(self):
         """(origin, members) for whichever collector holds a candidate set."""
@@ -905,11 +882,14 @@ class ExtendedRoundsDriver(Driver):
 
 
 def simulate(topo: Topology, driver: Driver, adversary: AdversaryPolicy, alpha: float,
-             initiator: int = 0, state: NetworkState | None = None,
+             state: NetworkState | None = None,
              trace: Trace | None = None) -> tuple[NetworkState, Trace]:
-    """Execute a driver's full schedule against one adversary."""
+    """Execute a driver's full schedule against one adversary.
+
+    The run starts from ``state``, or from a fresh state informed at vertex 0.
+    """
     if state is None:
-        state = NetworkState(topo, initiator=initiator)
+        state = NetworkState(topo)
     if trace is None:
         trace = Trace(topo, track_boundary=(topo.kind == HYPERCUBE))
     driver.attach(trace)
@@ -945,19 +925,32 @@ def _finalize(trace: Trace, state: NetworkState, protocol: str, adversary, alpha
     }
 
 
+def below_min(topo: Topology, alpha: float, eps: float) -> bool:
+    """Whether the topology is below the smallest size the bound analysis covers.
+
+    False when eps lies outside the topology's analysed domain.
+    """
+    if topo.kind == COMPLETE and eps > 1.0:
+        return topo.n < bounds.n_min(alpha, eps)
+    if topo.kind == HYPERCUBE and 0.0 < eps < 1.0:
+        return topo.d < bounds.d_min(alpha, eps)
+    return False
+
+
 def greedy_init_complete(n: int, alpha: float, adversary: AdversaryPolicy,
                          port_seed: int | None = 0) -> NetworkState:
     topo = build_complete(n, port_seed=port_seed)
     state = NetworkState(topo)
-    driver = GreedyCompleteDriver(Session(topo, 0, state=state))
-    simulate(topo, driver, adversary, alpha, state=state)
+    simulate(topo, make_driver("greedy-kn", topo, alpha, 2.0, state), adversary, alpha,
+             state=state)
     return state
+
 
 def greedy_init_hypercube(d: int, alpha: float, adversary: AdversaryPolicy) -> NetworkState:
     topo = build_hypercube(d)
     state = NetworkState(topo)
-    driver = GreedyHypercubeDriver(topo, 0)
-    simulate(topo, driver, adversary, alpha, state=state)
+    simulate(topo, make_driver("greedy-qd", topo, alpha, 0.5, state), adversary, alpha,
+             state=state)
     return state
 
 
@@ -1021,39 +1014,35 @@ def _sod_complete_driver(topo: Topology, alpha: float, eps: float,
     return SeqDriver([stage_a, MultiplexDriver(lane(0), lane(1))])
 
 
-def _run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
-                  adversary: AdversaryPolicy, below_min: bool):
+def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
+                 adversary: AdversaryPolicy) -> tuple[NetworkState, Driver, Trace]:
+    """Run a protocol's full schedule from vertex 0 and write the trace summary.
+
+    eps must lie in the topology's analysed domain: eps > 1 on K_n, 0 < eps < 1
+    on Q_d.
+    """
+    if topo.kind == COMPLETE and eps <= 1.0:
+        raise InvalidParameterError(f"complete-graph eps must be > 1, got {eps}")
+    if topo.kind == HYPERCUBE and not 0.0 < eps < 1.0:
+        raise InvalidParameterError(f"hypercube eps must be in (0, 1), got {eps}")
+    below = below_min(topo, alpha, eps)
     state = NetworkState(topo)
     driver = make_driver(protocol, topo, alpha, eps, state)
-    simulate(topo, driver, adversary, alpha, state=state)
-    return state, driver
+    _, trace = simulate(topo, driver, adversary, alpha, state=state)
+    _finalize(trace, state, protocol, adversary, alpha, eps, topo, below)
+    return state, driver, trace
 
 
 def almost_complete_kn(n: int, alpha: float, eps: float, adversary: AdversaryPolicy,
                        port_seed: int | None = 0) -> Trace:
     """Theorem-2 schedule: greedy init plus R_kn(n, alpha) simple rounds."""
-    if eps <= 1.0:
-        raise InvalidParameterError(f"complete-graph eps must be > 1, got {eps}")
     topo = build_complete(n, port_seed=port_seed)
-    below = n < bounds.n_min(alpha, eps)
-    state = NetworkState(topo)
-    driver = make_driver("almost-kn", topo, alpha, eps, state)
-    _, trace = simulate(topo, driver, adversary, alpha, state=state)
-    _finalize(trace, state, "almost-kn", adversary, alpha, eps, topo, below)
-    return trace
+    return run_protocol("almost-kn", topo, alpha, eps, adversary)[2]
 
 
 def broadcast_hypercube(d: int, alpha: float, eps: float, adversary: AdversaryPolicy) -> Trace:
     """Hypercube schedule: two init steps plus T1+T2 simple rounds."""
-    if not 0.0 < eps < 1.0:
-        raise InvalidParameterError(f"hypercube eps must be in (0, 1), got {eps}")
-    topo = build_hypercube(d)
-    below = d < bounds.d_min(alpha, eps)
-    state = NetworkState(topo)
-    driver = make_driver("hypercube", topo, alpha, eps, state)
-    _, trace = simulate(topo, driver, adversary, alpha, state=state)
-    _finalize(trace, state, "hypercube", adversary, alpha, eps, topo, below)
-    return trace
+    return run_protocol("hypercube", build_hypercube(d), alpha, eps, adversary)[2]
 
 
 def sod_all_but_one(n: int, alpha: float, eps: float, adversary: AdversaryPolicy):
@@ -1063,32 +1052,18 @@ def sod_all_but_one(n: int, alpha: float, eps: float, adversary: AdversaryPolicy
     every vertex still uninformed.
     """
     topo = build_complete(n, chordal=True)
-    below = n < bounds.n_min(alpha, eps)
-    state = NetworkState(topo)
-    driver = AllButOneDriver(topo, 0, alpha, eps, state=state)
-    _, trace = simulate(topo, driver, adversary, alpha, state=state)
-    _finalize(trace, state, "sod-all-but-one", adversary, alpha, eps, topo, below)
+    _, driver, trace = run_protocol("sod-all-but-one", topo, alpha, eps, adversary)
     return trace, driver.candidate_set()
 
 
 def sod_complete(n: int, alpha: float, eps: float, adversary: AdversaryPolicy) -> Trace:
     """Complete broadcast with chordal sense of direction."""
     topo = build_complete(n, chordal=True)
-    below = n < bounds.n_min(alpha, eps)
-    state = NetworkState(topo)
-    driver = make_driver("sod-complete", topo, alpha, eps, state)
-    _, trace = simulate(topo, driver, adversary, alpha, state=state)
-    _finalize(trace, state, "sod-complete", adversary, alpha, eps, topo, below)
-    return trace
+    return run_protocol("sod-complete", topo, alpha, eps, adversary)[2]
 
 
 def nosod_complete(n: int, alpha: float, eps: float, adversary: AdversaryPolicy,
                    port_seed: int | None = 0) -> Trace:
     """Complete broadcast without sense of direction (needs 1-a-2a^2+a^3 > 0)."""
     topo = build_complete(n, port_seed=port_seed)
-    below = n < bounds.n_min(alpha, eps)
-    state = NetworkState(topo)
-    driver = make_driver("nosod-complete", topo, alpha, eps, state)
-    _, trace = simulate(topo, driver, adversary, alpha, state=state)
-    _finalize(trace, state, "nosod-complete", adversary, alpha, eps, topo, below)
-    return trace
+    return run_protocol("nosod-complete", topo, alpha, eps, adversary)[2]

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import InvalidParameterError, UnsupportedTopologyError
 
 COMPLETE = "complete"
@@ -162,7 +161,7 @@ def edge_boundary(topo: Topology, s) -> int:
         if idx.min() < 0 or idx.max() >= topo.n:
             raise InvalidParameterError("vertex set contains ids outside the topology")
         member[idx] = True
-    return int(_kernels.edge_boundary_count(member, topo.arc_src, topo.arc_dst))
+    return int(np.count_nonzero(member[topo.arc_src] & ~member[topo.arc_dst]))
 
 
 def iso_lower_bound(k: int, d: int) -> float:

@@ -136,11 +136,9 @@ def test_arc_partition_exhaustive():
             counts[classify_arc(state, a)] += 1
             total += 1
     assert sum(counts.values()) == total  # exactly one label per arc
-    from faultcast import _kernels
-    active, hyper, _ = _kernels.arc_state_counts(
-        state.informed, state.passive, topo.arc_src, topo.arc_dst)
-    assert counts[engine.ACTIVE] == active
-    assert counts[engine.HYPERACTIVE] == hyper
+    # The state has never been stepped, so counts() and boundary() scan the arrays.
+    assert counts[engine.ACTIVE] == state.boundary()
+    assert counts[engine.HYPERACTIVE] == state.counts()[1]
 
 
 def test_ack_does_not_inform():

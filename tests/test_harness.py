@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from faultcast import protocols
+from faultcast.adversary import make_adversary
 from faultcast.cli import main as cli_main
 from faultcast.errors import ConfigError
 from faultcast.harness import (CSV_HEADER, ExperimentConfig, run,
@@ -155,3 +157,20 @@ def test_cli_config_error_exit_code(capsys):
                    "--protocol", "sod-complete"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("topology,protocol,size,eps,runner", [
+    ("complete", "almost-kn", 16, 2.0, protocols.almost_complete_kn),
+    ("hypercube", "hypercube", 5, 0.5, protocols.broadcast_hypercube),
+    ("complete", "sod-complete", 16, 2.0, protocols.sod_complete),
+    ("complete", "nosod-complete", 16, 2.0, protocols.nosod_complete),
+], ids=["kn16", "q5", "sod16", "nosod16"])
+def test_public_runner_matches_harness_jsonl(tmp_path, topology, protocol, size, eps, runner):
+    # harness.run repeats the public run sequence; both must write the same
+    # steps and the same summary line, below_min included.
+    out = tmp_path / "harness"
+    run(ExperimentConfig(topology=topology, size=[size], alpha=[0.5], eps=eps,
+                         protocol=protocol, adversary=["random:0"], seeds=1, out=str(out)))
+    (harness_jsonl,) = out.glob("*.jsonl")
+    runner(size, 0.5, eps, make_adversary("random:0")).to_jsonl(tmp_path / "runner.jsonl")
+    assert (tmp_path / "runner.jsonl").read_bytes() == harness_jsonl.read_bytes()

@@ -2,19 +2,33 @@
 
 ``execute_step`` carries (k, h, b) and the edge boundary of the informed set
 across the steps it executes, and every Session keeps its send frontier up to
-date from the reports it absorbs.  A delegating driver checks both against the
-full-scan kernels in ``_kernels`` after every executed step of real schedules.
+date from the reports it absorbs.  A delegating driver checks both against
+full scans after every executed step of real schedules: the counts of a fresh
+state holding copies of the arrays, ``topology.edge_boundary`` and the
+frontier expression written out.
 """
 
 import numpy as np
 import pytest
 
-from faultcast import _kernels
 from faultcast.adversary import FixedKillAdversary, RandomAdversary, make_adversary
 from faultcast.engine import INFO, NetworkState, SendBatch, execute_step
 from faultcast.protocols import (Driver, GreedyCompleteDriver, IdleDriver, MultiplexDriver,
                                  SeqDriver, Session, make_driver, simulate)
-from faultcast.topology import build_complete, build_hypercube
+from faultcast.topology import build_complete, build_hypercube, edge_boundary
+
+
+def _scratch_counts(state):
+    """(k, h, b) of a fresh state with copies of the arrays, so nothing is carried."""
+    fresh = NetworkState(state.topo)
+    fresh.informed[:] = state.informed
+    fresh.passive[:] = state.passive
+    return fresh.counts()
+
+
+def _scratch_frontier(aware, marks, topo):
+    """Unmarked out-arcs of aware vertices, ascending."""
+    return np.flatnonzero(aware[topo.arc_src] & ~marks)
 
 
 def _sessions(obj, found, seen):
@@ -64,18 +78,15 @@ class CheckingDriver:
         self.steps += 1
         self.carried += state._counts_version == state.version
         topo = state.topo
-        _, h, b = _kernels.arc_state_counts(state.informed, state.passive,
-                                            topo.arc_src, topo.arc_dst)
-        k = topo.n - int(np.count_nonzero(state.informed))
-        assert state.counts() == (k, h, b), f"step {state.step_index}"
-        assert state.boundary() == _kernels.edge_boundary_count(
-            state.informed, topo.arc_src, topo.arc_dst), f"step {state.step_index}"
+        assert state.counts() == _scratch_counts(state), f"step {state.step_index}"
+        assert state.boundary() == edge_boundary(topo, state.informed), \
+            f"step {state.step_index}"
         sessions = []
         _sessions(self.inner, sessions, set())
         for s in sessions:
             if s.frontier is None or (s.primary and s.synced != state.version):
                 continue  # rebuilt from scratch on its next use
-            expected = _kernels.collect_sends(s.aware, s.marks, topo.arc_src)
+            expected = _scratch_frontier(s.aware, s.marks, topo)
             assert np.array_equal(s.frontier, expected), f"step {state.step_index}"
             self.frontiers += 1
 
@@ -113,9 +124,8 @@ def test_direct_writes_with_version_bump_recount():
     state.version += 1
     arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
     execute_step(state, SendBatch.uniform(arcs, INFO), FixedKillAdversary([]), 0.5)
-    _, h, b = _kernels.arc_state_counts(state.informed, state.passive,
-                                        topo.arc_src, topo.arc_dst)
-    assert state.counts() == (0, h, b)
+    assert state.counts()[0] == 0
+    assert state.counts() == _scratch_counts(state)
 
 
 @pytest.mark.parametrize("absorb_next", [False, True])
@@ -132,7 +142,7 @@ def test_primary_session_resyncs_after_foreign_steps(absorb_next):
         arcs = np.sort(topo.opp[topo.out_arcs_of(np.array([0]))[2:]])
         session.absorb(state, execute_step(state, SendBatch.uniform(arcs, INFO),
                                            FixedKillAdversary([]), 0.5))
-    expected = _kernels.collect_sends(state.informed, state.passive, topo.arc_src)
+    expected = _scratch_frontier(state.informed, state.passive, topo)
     assert np.array_equal(session.sends(state), expected)
 
 
