@@ -7,7 +7,7 @@ import sys
 
 from . import bounds
 from .errors import SimError
-from .harness import ExperimentConfig, run, verify_regressions
+from .harness import ExperimentConfig, _json_fields, run, verify_regressions
 from .search import worst_case_search
 from .topology import COMPLETE, HYPERCUBE
 
@@ -29,19 +29,17 @@ def _add_run_parser(sub):
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
+    """The config file's fields with the given flags laid over them; the
+    topology-dependent defaults follow the resulting topology."""
+    fields = _json_fields(args.config) if args.config else {}
     for name in ("topology", "size", "alpha", "eps", "protocol", "adversary",
                  "seeds", "out", "horizon"):
         value = getattr(args, name)
         if value is not None:
-            setattr(config, name, value)
+            fields[name] = value
     if args.strict:
-        config.strict = True
-    config.__post_init__()  # renormalize after overrides
-    return config
+        fields["strict"] = True
+    return ExperimentConfig(**fields)
 
 
 def _cmd_run(args) -> int:

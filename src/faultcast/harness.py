@@ -16,7 +16,7 @@ from . import bounds
 from .adversary import make_adversary
 from .engine import NetworkState
 from .errors import ConfigError
-from .protocols import _finalize, below_min, make_driver, simulate
+from .protocols import PROTOCOL_TOPOLOGIES, _finalize, below_min, make_driver, simulate
 from .search import worst_case_search
 from .topology import COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube
 from .validate import errors_only, validate_trace
@@ -25,10 +25,6 @@ CSV_HEADER = ("topology", "size", "alpha", "eps", "protocol", "adversary", "seed
               "steps", "first_complete", "final_k", "final_h", "violations")
 
 DEFAULT_ADVERSARIES = ("random", "victim_guard", "ack_suppressor")
-
-_COMPLETE_PROTOCOLS = {"greedy-kn", "almost-kn", "sod-all-but-one", "sod-complete",
-                       "nosod-complete", "simple-rounds"}
-_HYPERCUBE_PROTOCOLS = {"greedy-qd", "hypercube", "simple-rounds"}
 
 
 @dataclass
@@ -58,12 +54,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return ExperimentConfig(**raw)
+        return ExperimentConfig(**_json_fields(path))
 
     def check(self) -> list[str]:
         """All config errors at once, before anything runs."""
@@ -71,8 +62,8 @@ class ExperimentConfig:
         if self.topology not in (COMPLETE, HYPERCUBE):
             problems.append(f"unknown topology {self.topology!r}")
         base = self.protocol.partition(":")[0]
-        legal = _COMPLETE_PROTOCOLS if self.topology == COMPLETE else _HYPERCUBE_PROTOCOLS
-        if self.topology in (COMPLETE, HYPERCUBE) and base not in legal:
+        if (self.topology in (COMPLETE, HYPERCUBE)
+                and self.topology not in PROTOCOL_TOPOLOGIES.get(base, ())):
             problems.append(f"protocol {self.protocol!r} not available on {self.topology}")
         for a in self.alpha:
             if not 0.0 < a < 1.0:
@@ -91,6 +82,16 @@ class ExperimentConfig:
         if self.seeds < 1:
             problems.append("seeds must be >= 1")
         return problems
+
+
+def _json_fields(path) -> dict:
+    """The fields a JSON config file sets, rejecting names that are not fields."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    return raw
 
 
 @dataclass

@@ -13,6 +13,12 @@ long deterministic tails of the schedules cheap without changing semantics.
 Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
 payload, while global informed/passive bookkeeping continues underneath.
+
+The sense-of-direction schedules are SeqDriver/MultiplexDriver compositions
+of two generic phases: a LazyDriver, whose builder picks the phase's driver
+from what earlier phases found, and a SweepDriver, which sends to one group
+of targets per step.  A phase builder must not capture the driver it belongs
+to, or each finished run stays alive in a reference cycle until a GC pass.
 """
 
 import math
@@ -36,8 +42,8 @@ class Session:
     The primary session aliases the global informed/passive arrays; secondary
     sessions (candidate-set broadcasts) keep their own aware set and arc marks,
     because their round schedule must flood arcs that earlier payloads already
-    marked.  A secondary session may also copy its aware set into
-    ``also_aware`` arrays.
+    marked.  A secondary session may also copy its aware set into the
+    ``also_aware`` array.
 
     The session keeps its send frontier (the unmarked out-arcs of aware
     vertices, ascending) up to date from the reports it absorbs.  Other
@@ -47,14 +53,14 @@ class Session:
     """
 
     def __init__(self, topo: Topology, origin: int, payload=None, state: NetworkState = None,
-                 also_aware: list | None = None):
+                 also_aware: np.ndarray | None = None):
         self.topo = topo
         self.origin = origin
         self.payload = payload
         self.primary = state is not None
-        if self.primary and also_aware:
+        if self.primary and also_aware is not None:
             raise InvalidParameterError("a primary session is aware of exactly the informed set")
-        self.also_aware = also_aware or []
+        self.also_aware = also_aware
         self.frontier = None  # built on first use
         self.synced = -1  # state version the primary frontier describes
         if self.primary:
@@ -64,8 +70,8 @@ class Session:
             self.aware = np.zeros(topo.n, dtype=bool)
             self.aware[origin] = True
             self.marks = np.zeros(topo.num_arcs, dtype=bool)
-        for sink in self.also_aware:
-            sink[origin] = True
+        if also_aware is not None:
+            also_aware[origin] = True
 
     @property
     def payload_kind(self) -> int:
@@ -92,8 +98,8 @@ class Session:
             dsts = self.topo.arc_dst[darr[report.batch.kinds[report.delivered_idx] != ACK]]
             fresh = np.unique(dsts[~self.aware[dsts]])
             self.aware[fresh] = True
-            for sink in self.also_aware:
-                sink[dsts] = True
+            if self.also_aware is not None:
+                self.also_aware[dsts] = True
         if self.frontier is not None:
             self._advance(fresh)
 
@@ -117,6 +123,7 @@ class Driver:
     """Deterministic schedule feeding the engine one step at a time."""
 
     total_steps: int = 0
+    trace: Trace | None = None
 
     def attach(self, trace: Trace | None) -> None:
         self.trace = trace
@@ -165,7 +172,6 @@ class IdleDriver(Driver):
     def __init__(self, steps: int):
         self.total_steps = steps
         self.remaining = steps
-        self.trace = None
 
     def done(self):
         return self.remaining <= 0
@@ -195,7 +201,6 @@ class SeqDriver(Driver):
         self.idx = 0
         self._moved = True  # idx may point at a finished child
         self.total_steps = sum(c.total_steps for c in children)
-        self.trace = None
 
     def attach(self, trace):
         self.trace = trace
@@ -258,9 +263,7 @@ class MultiplexDriver(Driver):
         self.lanes = [lane0, lane1]
         self.t = 0
         self.total_steps = 2 * max(lane0.total_steps, lane1.total_steps)
-        self._consumed = 0
         self._last_lane = None
-        self.trace = None
 
     def attach(self, trace):
         self.trace = trace
@@ -268,7 +271,7 @@ class MultiplexDriver(Driver):
             lane.attach(trace)
 
     def done(self):
-        return self._consumed >= self.total_steps
+        return self.t >= self.total_steps
 
     def next(self, state, exhaustive):
         lane = self.lanes[self.t % 2]
@@ -279,7 +282,6 @@ class MultiplexDriver(Driver):
                 self.skip(run)
                 return INERT, [(0, run)]
         self.t += 1
-        self._consumed += 1
         if finished:
             self._last_lane = None
             return BATCH, SendBatch.empty()
@@ -294,7 +296,7 @@ class MultiplexDriver(Driver):
 
     def idle_steps(self):
         # The lane whose turn is next first acts at offset 2*idle, the other at 2*idle+1.
-        run = self.total_steps - self._consumed
+        run = self.total_steps - self.t
         for offset, lane in enumerate((self.lanes[self.t % 2], self.lanes[1 - self.t % 2])):
             if not lane.done():
                 run = min(run, 2 * lane.idle_steps() + offset)
@@ -307,8 +309,42 @@ class MultiplexDriver(Driver):
             if k and not lane.done():
                 lane.skip(k)
         self.t += count
-        self._consumed += count
         self._last_lane = None
+
+
+class LazyDriver(Driver):
+    """A fixed-length phase whose schedule depends on what earlier phases found.
+
+    ``build()`` runs at the first step and returns the phase's driver, or None
+    when the phase has nothing to do and idles through its steps.  The builder
+    must not capture the driver it belongs to: that reference cycle would keep
+    every finished run's drivers and trace alive until the next GC pass.
+    """
+
+    def __init__(self, total_steps: int, build):
+        self.total_steps = total_steps
+        self.build = build
+        self.inner: Driver | None = None
+
+    def done(self):
+        return self.inner is not None and self.inner.done()
+
+    def next(self, state, exhaustive):
+        if self.inner is None:
+            inner = self.build()
+            self.inner = IdleDriver(self.total_steps) if inner is None else inner
+            assert self.inner.total_steps == self.total_steps
+            self.inner.attach(self.trace)
+        return self.inner.next(state, exhaustive)
+
+    def absorb(self, state, report):
+        self.inner.absorb(state, report)
+
+    def idle_steps(self):
+        return 0 if self.inner is None else self.inner.idle_steps()
+
+    def skip(self, count):
+        self.inner.skip(count)
 
 
 class GreedyCompleteDriver(Driver):
@@ -321,7 +357,6 @@ class GreedyCompleteDriver(Driver):
         self.session = session
         self.step = 0
         self.total_steps = 2
-        self.trace = None
 
     def done(self):
         return self.step >= 2
@@ -358,7 +393,6 @@ class GreedyHypercubeDriver(Driver):
         self.initiator = initiator
         self.step = 0
         self.total_steps = 2
-        self.trace = None
 
     def done(self):
         return self.step >= 2
@@ -396,7 +430,6 @@ class SimpleRoundsDriver(Driver):
         self.phase_a = True
         self.pending = None  # arcs delivered in the last step A
         self.total_steps = 2 * rounds
-        self.trace = None
         self._marked = False
 
     def done(self):
@@ -477,7 +510,6 @@ class Phase2CandidatesDriver(Driver):
         self.threshold = threshold
         self.fired = False
         self.total_steps = 1
-        self.trace = None
         self._payloads = None
 
     def done(self):
@@ -515,115 +547,52 @@ class Phase2CandidatesDriver(Driver):
         self.fired = True
 
 
-class Phase3BroadcastDriver(Driver):
-    """Theorem-2-style sub-broadcast of the intersected candidate set from one origin.
+def _arcs_to(topo: Topology, senders: np.ndarray, target: int) -> np.ndarray:
+    """The K_n arcs from each sender other than ``target`` itself to ``target``."""
+    vs = senders[senders != target]
+    return vs * (topo.n - 1) + np.where(target < vs, target, target - 1)
 
-    The origin intersects the candidate sets it received in phase 2; if it
-    received none, the whole fixed-length schedule idles.
+
+class SweepDriver(Driver):
+    """Targeted sweep on K_n: in step i every sender sends the information to
+    each vertex of the i-th target group, then the schedule sends empty steps.
+
+    ``start()`` runs at the first step and returns (senders, target groups).
+    Deliveries are copied into ``knows_sink``.
     """
 
-    def __init__(self, topo: Topology, origin: int, ctx: SodContext, r_kn: int,
+    def __init__(self, topo: Topology, budget: int, start,
                  knows_sink: np.ndarray | None = None):
         self.topo = topo
-        self.origin = origin
-        self.ctx = ctx
-        self.r_kn = r_kn
+        self.total_steps = budget
+        self.start = start
         self.knows_sink = knows_sink
-        self.total_steps = 2 + 2 * r_kn
-        self.inner: Driver | None = None
-        self.started = False
-        self.trace = None
-
-    def _start(self, state):
-        self.started = True
-        received = self.ctx.received[self.origin]
-        if not received:
-            self.inner = IdleDriver(self.total_steps)
-        else:
-            u = frozenset.intersection(*received)
-            self.ctx.u_final[self.origin] = u
-            sinks = [self.knows_sink] if self.knows_sink is not None else []
-            session = Session(self.topo, self.origin, payload=u, also_aware=sinks)
-            self.ctx.session[self.origin] = session
-            self.inner = SeqDriver([GreedyCompleteDriver(session),
-                                    SimpleRoundsDriver(session, self.r_kn, label="sod_p3")])
-        self.inner.attach(self.trace)
-
-    def done(self):
-        return self.started and self.inner.done()
-
-    def next(self, state, exhaustive):
-        if not self.started:
-            self._start(state)
-        return self.inner.next(state, exhaustive)
-
-    def absorb(self, state, report):
-        self.inner.absorb(state, report)
-
-    def idle_steps(self):
-        return self.inner.idle_steps() if self.started else 0
-
-    def skip(self, count):
-        self.inner.skip(count)
-
-
-class Phase4PairsDriver(Driver):
-    """Lexicographic pair sweep: every vertex aware of U sends the original
-    message to both members of the current pair."""
-
-    def __init__(self, topo: Topology, origin: int, ctx: SodContext, pair_budget: int,
-                 knows_sink: np.ndarray | None = None):
-        self.topo = topo
-        self.origin = origin
-        self.ctx = ctx
-        self.pair_budget = pair_budget
-        self.knows_sink = knows_sink
-        self.total_steps = pair_budget
         self.step = 0
-        self.pairs = None
-        self.trace = None
-
-    def _start(self):
-        u = self.ctx.u_final[self.origin]
-        if u is None:
-            self.pairs = []
-        else:
-            members = sorted(u)
-            self.pairs = [(i, j) for i in members for j in members]
+        self.senders = None
+        self.groups = None
 
     def done(self):
-        return self.step >= self.pair_budget
-
-    def _target_arcs(self, senders, target):
-        n = self.topo.n
-        vs = senders[senders != target]
-        return vs * (n - 1) + np.where(target < vs, target, target - 1)
+        return self.step >= self.total_steps
 
     def next(self, state, exhaustive):
-        if self.pairs is None:
-            self._start()
-        if self.step >= len(self.pairs):
+        if self.groups is None:
+            self.senders, self.groups = self.start()
+        if self.step >= len(self.groups):
             self.step += 1
             return BATCH, SendBatch.empty()
-        i, j = self.pairs[self.step]
-        session = self.ctx.session[self.origin]
-        senders = np.flatnonzero(session.aware).astype(np.int64)
-        arcs = self._target_arcs(senders, i)
-        if j != i:
-            arcs = np.concatenate([arcs, self._target_arcs(senders, j)])
+        arcs = [_arcs_to(self.topo, self.senders, t) for t in self.groups[self.step]]
         self.step += 1
-        return BATCH, SendBatch.uniform(np.sort(arcs), INFO)
+        return BATCH, SendBatch.uniform(np.sort(np.concatenate(arcs)), INFO)
 
     def absorb(self, state, report):
-        if self.knows_sink is not None:
-            darr = report.delivered_arcs
-            if darr.size:
-                self.knows_sink[self.topo.arc_dst[darr]] = True
+        darr = report.delivered_arcs
+        if self.knows_sink is not None and darr.size:
+            self.knows_sink[self.topo.arc_dst[darr]] = True
 
     def idle_steps(self):
-        if self.pairs is None or self.step < len(self.pairs):
+        if self.groups is None or self.step < len(self.groups):
             return 0
-        return self.pair_budget - self.step
+        return self.total_steps - self.step
 
     def skip(self, count):
         self.step += count
@@ -634,33 +603,53 @@ class AllButOneDriver(SeqDriver):
 
     Phase 1 spreads the payload almost-completely; phase 2 gathers candidate
     sets at vertices 0 and 1 in one step; phases 3-4 run time-multiplexed for
-    the two possible collectors.  ``knows`` tracks every vertex that received
-    this run's payload through any phase.
+    the two possible collectors.  In phase 3 collector b broadcasts the
+    intersection U of the candidate sets it received, or idles if it received
+    none; in phase 4 every vertex aware of U sends the information to both
+    members of each pair of U in lexicographic order.  ``knows`` tracks every
+    vertex that received this run's payload through any phase.
     """
 
     def __init__(self, topo: Topology, origin: int, alpha: float, eps: float,
                  payload=None, state: NetworkState = None):
         if topo.labeling is None:
             raise UnsupportedTopologyError("sense-of-direction protocols need a chordal labeling")
-        self.ctx = SodContext()
+        self.ctx = ctx = SodContext()
         r_kn = bounds.rounds_kn(topo.n, alpha)
         cap = candidate_cap(topo.n, alpha, eps)
         self.threshold = math.floor(3.0 * bounds.constants(alpha).x * (1.0 + eps))
         if state is not None:
             session = Session(topo, origin, payload=payload, state=state)
-            self.knows = state.informed
+            knows = state.informed
         else:
-            self.knows = np.zeros(topo.n, dtype=bool)
-            session = Session(topo, origin, payload=payload, also_aware=[self.knows])
-        self.session = session
+            knows = np.zeros(topo.n, dtype=bool)
+            session = Session(topo, origin, payload=payload, also_aware=knows)
+        self.knows = knows
+
+        # The phase builders capture locals only, never self (see LazyDriver).
+        def broadcast_u(b):
+            if not ctx.received[b]:
+                return None
+            u = ctx.u_final[b] = frozenset.intersection(*ctx.received[b])
+            sub = ctx.session[b] = Session(topo, b, payload=u, also_aware=knows)
+            return SeqDriver([GreedyCompleteDriver(sub),
+                              SimpleRoundsDriver(sub, r_kn, label="sod_p3")])
+
+        def pair_targets(b):
+            if ctx.u_final[b] is None:
+                return None, []
+            members = sorted(ctx.u_final[b])
+            pairs = [(i,) if i == j else (i, j) for i in members for j in members]
+            return np.flatnonzero(ctx.session[b].aware), pairs
+
         lane = lambda b: SeqDriver([
-            Phase3BroadcastDriver(topo, b, self.ctx, r_kn, knows_sink=self.knows),
-            Phase4PairsDriver(topo, b, self.ctx, cap * cap, knows_sink=self.knows),
+            LazyDriver(2 + 2 * r_kn, lambda: broadcast_u(b)),
+            SweepDriver(topo, cap * cap, lambda: pair_targets(b), knows_sink=knows),
         ])
         super().__init__([
             GreedyCompleteDriver(session),
             SimpleRoundsDriver(session, r_kn, label="sod_p1" if state is None else "thm2"),
-            Phase2CandidatesDriver(session, self.ctx, self.threshold),
+            Phase2CandidatesDriver(session, ctx, self.threshold),
             MultiplexDriver(lane(0), lane(1)),
         ])
 
@@ -670,100 +659,6 @@ class AllButOneDriver(SeqDriver):
             if self.ctx.u_final[b] is not None:
                 return b, self.ctx.u_final[b]
         return None, None
-
-
-class LazyAllButOneDriver(Driver):
-    """All-but-one re-run whose payload (a candidate set) only exists at runtime."""
-
-    def __init__(self, topo: Topology, origin: int, alpha: float, eps: float,
-                 payload_source, fixed_steps: int):
-        self.topo = topo
-        self.origin = origin
-        self.alpha = alpha
-        self.eps = eps
-        self.payload_source = payload_source
-        self.total_steps = fixed_steps
-        self.inner: Driver | None = None
-        self.trace = None
-
-    def _start(self):
-        payload = self.payload_source()
-        if payload is None:
-            self.inner = IdleDriver(self.total_steps)
-        else:
-            self.inner = AllButOneDriver(self.topo, self.origin, self.alpha, self.eps,
-                                         payload=payload)
-            assert self.inner.total_steps == self.total_steps
-        self.inner.attach(self.trace)
-
-    def done(self):
-        return self.inner is not None and self.inner.done()
-
-    def next(self, state, exhaustive):
-        if self.inner is None:
-            self._start()
-        return self.inner.next(state, exhaustive)
-
-    def absorb(self, state, report):
-        self.inner.absorb(state, report)
-
-    def idle_steps(self):
-        return 0 if self.inner is None else self.inner.idle_steps()
-
-    def skip(self, count):
-        self.inner.skip(count)
-
-    def knows_vertices(self):
-        if isinstance(self.inner, AllButOneDriver):
-            return self.inner.knows
-        return np.zeros(self.topo.n, dtype=bool)
-
-    def payload(self):
-        if isinstance(self.inner, AllButOneDriver):
-            return self.inner.session.payload
-        return None
-
-
-class TargetedSweepDriver(Driver):
-    """Final phase of the sense-of-direction broadcast: in step i every vertex
-    that knows the candidate set sends the information to its i-th member."""
-
-    def __init__(self, topo: Topology, rerun: LazyAllButOneDriver, budget: int):
-        self.topo = topo
-        self.rerun = rerun
-        self.total_steps = budget
-        self.step = 0
-        self.targets = None
-        self.trace = None
-
-    def _start(self):
-        payload = self.rerun.payload()
-        self.targets = sorted(payload) if payload else []
-
-    def done(self):
-        return self.step >= self.total_steps
-
-    def next(self, state, exhaustive):
-        if self.targets is None:
-            self._start()
-        if self.step >= len(self.targets):
-            self.step += 1
-            return BATCH, SendBatch.empty()
-        target = self.targets[self.step]
-        n = self.topo.n
-        senders = np.flatnonzero(self.rerun.knows_vertices()).astype(np.int64)
-        senders = senders[senders != target]
-        arcs = np.sort(senders * (n - 1) + np.where(target < senders, target, target - 1))
-        self.step += 1
-        return BATCH, SendBatch.uniform(arcs, INFO)
-
-    def idle_steps(self):
-        if self.targets is None or self.step < len(self.targets):
-            return 0
-        return self.total_steps - self.step
-
-    def skip(self, count):
-        self.step += count
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +684,6 @@ class ExtendedRoundsDriver(Driver):
         self.p_mask = np.zeros(topo.num_arcs, dtype=bool)
         self.rounds_sub: SimpleRoundsDriver | None = None
         self.total_steps = l1 * (l2 * l3 + 2 * l4)
-        self.trace = None
-        self._state_ref = None
 
     def done(self):
         return self.i1 >= self.l1
@@ -954,62 +847,77 @@ def greedy_init_hypercube(d: int, alpha: float, adversary: AdversaryPolicy) -> N
     return state
 
 
+# The topologies each CLI protocol id runs on.
+PROTOCOL_TOPOLOGIES = {
+    "simple-rounds": (COMPLETE, HYPERCUBE),
+    "greedy-kn": (COMPLETE,),
+    "greedy-qd": (HYPERCUBE,),
+    "almost-kn": (COMPLETE,),
+    "hypercube": (HYPERCUBE,),
+    "sod-all-but-one": (COMPLETE,),
+    "sod-complete": (COMPLETE,),
+    "nosod-complete": (COMPLETE,),
+}
+
+
 def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
                 state: NetworkState, rounds: int | None = None) -> Driver:
     """Build the schedule for a CLI protocol id."""
     name, _, arg = protocol.partition(":")
+    if name not in PROTOCOL_TOPOLOGIES:
+        raise InvalidParameterError(f"unknown protocol id: {protocol!r}")
+    if topo.kind not in PROTOCOL_TOPOLOGIES[name]:
+        raise UnsupportedTopologyError(
+            f"protocol {name} needs a {' or '.join(PROTOCOL_TOPOLOGIES[name])} topology")
     if name == "simple-rounds":
         count = int(arg) if arg else (rounds or bounds.rounds_kn(topo.n, alpha))
         return SimpleRoundsDriver(Session(topo, state.initiator, state=state), count)
     if name == "greedy-kn":
-        _need(topo, COMPLETE, name)
         return GreedyCompleteDriver(Session(topo, state.initiator, state=state))
     if name == "greedy-qd":
-        _need(topo, HYPERCUBE, name)
         return GreedyHypercubeDriver(topo, state.initiator)
     if name == "almost-kn":
-        _need(topo, COMPLETE, name)
         session = Session(topo, state.initiator, state=state)
         return SeqDriver([GreedyCompleteDriver(session),
                           SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha))])
     if name == "hypercube":
-        _need(topo, HYPERCUBE, name)
         t1, t2 = bounds.rounds_hypercube(topo.d, alpha, eps)
         session = Session(topo, state.initiator, state=state)
         return SeqDriver([GreedyHypercubeDriver(topo, state.initiator),
                           SimpleRoundsDriver(session, t1 + t2, label="qd")])
     if name == "sod-all-but-one":
-        _need(topo, COMPLETE, name)
         return AllButOneDriver(topo, state.initiator, alpha, eps, state=state)
     if name == "sod-complete":
-        _need(topo, COMPLETE, name)
         return _sod_complete_driver(topo, alpha, eps, state)
-    if name == "nosod-complete":
-        _need(topo, COMPLETE, name)
-        l1, l2, l3, l4 = bounds.l_params(topo.n, alpha, eps)
-        session = Session(topo, state.initiator, state=state)
-        return SeqDriver([GreedyCompleteDriver(session),
-                          SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha)),
-                          ExtendedRoundsDriver(topo, l1, l2, l3, l4)])
-    raise InvalidParameterError(f"unknown protocol id: {protocol!r}")
-
-
-def _need(topo: Topology, kind: str, name: str) -> None:
-    if topo.kind != kind:
-        raise UnsupportedTopologyError(f"protocol {name} needs a {kind} topology")
+    # nosod-complete
+    l1, l2, l3, l4 = bounds.l_params(topo.n, alpha, eps)
+    session = Session(topo, state.initiator, state=state)
+    return SeqDriver([GreedyCompleteDriver(session),
+                      SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha)),
+                      ExtendedRoundsDriver(topo, l1, l2, l3, l4)])
 
 
 def _sod_complete_driver(topo: Topology, alpha: float, eps: float,
                          state: NetworkState) -> Driver:
+    """All-but-one, then the collector holding U re-runs it with U as payload,
+    then every vertex that learnt U sends the information to each member."""
     stage_a = AllButOneDriver(topo, state.initiator, alpha, eps, state=state)
-    rerun_steps = stage_a.total_steps
+    ctx = stage_a.ctx
     cap = candidate_cap(topo.n, alpha, eps)
 
+    def rerun_of(b):
+        u = ctx.u_final[b]
+        return None if u is None else AllButOneDriver(topo, b, alpha, eps, payload=u)
+
     def lane(b):
-        rerun = LazyAllButOneDriver(topo, b, alpha, eps,
-                                    payload_source=lambda: stage_a.ctx.u_final[b],
-                                    fixed_steps=rerun_steps)
-        return SeqDriver([rerun, TargetedSweepDriver(topo, rerun, cap)])
+        rerun = LazyDriver(stage_a.total_steps, lambda: rerun_of(b))
+
+        def member_targets():
+            if not ctx.u_final[b]:
+                return None, []
+            return np.flatnonzero(rerun.inner.knows), [(t,) for t in sorted(ctx.u_final[b])]
+
+        return SeqDriver([rerun, SweepDriver(topo, cap, member_targets)])
 
     return SeqDriver([stage_a, MultiplexDriver(lane(0), lane(1))])
 

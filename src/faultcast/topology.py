@@ -7,7 +7,7 @@ seeded permutation so that protocols without sense of direction cannot exploit
 id structure through port numbering.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class Topology:
     degree: int
     labeling: ChordalLabeling | None = None
     port_seed: int | None = None
-    _arc_index: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_arcs(self) -> int:

@@ -1,5 +1,6 @@
 """Harness: config handling, sweep outputs, determinism, regressions, CLI."""
 
+import csv
 import json
 
 import pytest
@@ -150,6 +151,33 @@ def test_cli_search(capsys):
                      "--protocol", "simple-rounds"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["worst_steps"] == 2
+
+
+def _cli_rows(tmp_path, *argv):
+    out = tmp_path / "o"
+    assert cli_main(["run", *argv, "--out", str(out)]) == 0
+    with open(out / "summary.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_cli_hypercube_takes_hypercube_defaults(tmp_path):
+    rows = _cli_rows(tmp_path, "--topology", "hypercube", "--size", "3", "--seeds", "1",
+                     "--adversary", "random")
+    assert rows and all(r["eps"] == "0.5" and r["protocol"] == "hypercube" for r in rows)
+
+
+def test_cli_flags_override_config_topology(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"topology": "complete", "size": 8, "seeds": 1}))
+    rows = _cli_rows(tmp_path, "--config", str(cfg), "--topology", "hypercube", "--size", "3")
+    assert rows and all(r["eps"] == "0.5" and r["protocol"] == "hypercube"
+                        and r["topology"] == "hypercube" and r["size"] == "3" for r in rows)
+
+
+def test_cli_explicit_eps_wins(tmp_path):
+    rows = _cli_rows(tmp_path, "--topology", "hypercube", "--size", "3", "--seeds", "1",
+                     "--adversary", "random", "--eps", "0.25")
+    assert rows and all(r["eps"] == "0.25" and r["protocol"] == "hypercube" for r in rows)
 
 
 def test_cli_config_error_exit_code(capsys):

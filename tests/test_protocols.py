@@ -1,17 +1,21 @@
 """Protocol schedules: greedy bounds, theorem finals, SoD phases, locality."""
 
+import gc
+import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from faultcast import bounds, protocols
-from faultcast.adversary import (AckSuppressor, RandomAdversary, VictimGuard,
-                                 ack_suppressor, random_adversary, victim_guard)
+from faultcast.adversary import (AckSuppressor, AdversaryPolicy, RandomAdversary, VictimGuard,
+                                 make_adversary, random_adversary)
 from faultcast.engine import ACK, INFO, NetworkState, execute_step
 from faultcast.errors import (InvalidParameterError, UnsupportedAlphaError,
                               UnsupportedTopologyError)
-from faultcast.protocols import (AllButOneDriver, BATCH, make_driver, simulate)
+from faultcast.protocols import (AllButOneDriver, BATCH, IdleDriver, SeqDriver, Session,
+                                 SweepDriver, make_driver)
 from faultcast.topology import build_complete, build_hypercube
 from faultcast.validate import errors_only, validate_trace
 
@@ -171,25 +175,114 @@ def test_sod_phase2_threshold_value():
     assert driver.threshold == 36  # 3 * 4 * (1 + 2)
 
 
+def _sod_lane(driver: AllButOneDriver, b: int):
+    """The (phase-3 LazyDriver, phase-4 SweepDriver) of collector b."""
+    return driver.children[3].lanes[b].children
+
+
 def test_phase4_pair_order():
-    from faultcast.protocols import Phase4PairsDriver, SodContext
     topo = build_complete(6, chordal=True)
-    ctx = SodContext()
-    ctx.u_final[0] = frozenset({4, 2})
-    drv = Phase4PairsDriver(topo, 0, ctx, pair_budget=9)
-    drv._start()
-    assert drv.pairs == [(2, 2), (2, 4), (4, 2), (4, 4)]
+    state = NetworkState(topo)
+    driver = AllButOneDriver(topo, 0, 0.5, 2.0, state=state)
+    _, sweep = _sod_lane(driver, 0)
+    u = driver.ctx.u_final[0] = frozenset({4, 2})
+    session = driver.ctx.session[0] = Session(topo, 0, payload=u)
+    session.aware[[1, 3]] = True
+    sent = []
+    while not sweep.done():
+        kind, batch = sweep.next(state, False)
+        assert kind == BATCH
+        sent.append((set(topo.arc_src[batch.arcs].tolist()),
+                     set(topo.arc_dst[batch.arcs].tolist())))
+    assert sweep.groups == [(2,), (2, 4), (4, 2), (4,)]
+    assert sent[:4] == [({0, 1, 3}, {2}), ({0, 1, 3}, {2, 4}), ({0, 1, 3}, {2, 4}),
+                        ({0, 1, 3}, {4})]
+    assert sent[4:] == [(set(), set())] * (sweep.total_steps - 4)
+    assert sweep.total_steps == 25  # cap 5 on K_6, squared
 
 
 def test_intersection_semantics():
-    from faultcast.protocols import Phase3BroadcastDriver, SodContext
     topo = build_complete(12, chordal=True)
-    ctx = SodContext()
-    ctx.received[0] = [frozenset({3, 7, 9}), frozenset({3, 7})]
-    drv = Phase3BroadcastDriver(topo, 0, ctx, r_kn=2)
     state = NetworkState(topo)
-    drv._start(state)
-    assert ctx.u_final[0] == frozenset({3, 7})
+    driver = AllButOneDriver(topo, 0, 0.5, 2.0, state=state)
+    driver.ctx.received[0] = [frozenset({3, 7, 9}), frozenset({3, 7})]
+    for b in (0, 1):
+        _sod_lane(driver, b)[0].next(state, False)
+    assert driver.ctx.u_final[0] == frozenset({3, 7})
+    assert isinstance(_sod_lane(driver, 0)[0].inner, SeqDriver)
+    # Collector 1 received no candidate set: its phase 3 idles.
+    assert driver.ctx.u_final[1] is None
+    assert isinstance(_sod_lane(driver, 1)[0].inner, IdleDriver)
+
+
+class KillFirst(AdversaryPolicy):
+    """Kills the first message of every batch of two or more."""
+
+    id = "kill_first"
+    exhaustive = False
+
+    def decide(self, ctx, batch, budget):
+        return np.arange(1 if batch.m > 1 else 0, dtype=np.int64)
+
+
+def test_sweep_marks_deliveries_and_counts_empty_tail():
+    topo = build_complete(6)
+    state = NetworkState(topo)
+    knows = np.zeros(topo.n, dtype=bool)
+    sweep = SweepDriver(topo, 5, lambda: (np.array([0]), [(3,), (1, 4)]), knows_sink=knows)
+    assert sweep.idle_steps() == 0  # the groups are not known yet
+    for _ in range(2):
+        _, batch = sweep.next(state, False)
+        sweep.absorb(state, execute_step(state, batch, KillFirst(), 0.5))
+    # Step 2 sent 0->1 and 0->4; the adversary killed 0->1.
+    assert np.flatnonzero(knows).tolist() == [3, 4]
+    assert sweep.idle_steps() == 3
+    kind, batch = sweep.next(state, False)
+    assert kind == BATCH and batch.m == 0
+    assert sweep.idle_steps() == 2
+    sweep.skip(2)
+    assert sweep.done()
+
+
+def _jsonl_digest(trace, tmp_path):
+    trace.to_jsonl(tmp_path / "t.jsonl")
+    return hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n,alpha,adversary,digest", [
+    (16, 0.5, "random:0", "2ee751fb451b92f93fae8a642a7fa2562dfae0e3257c37ba5ad394cf2e8716b0"),
+    (24, 0.7, "ack_suppressor:2",
+     "acac2c4a16d755217aefd056b5c8cce7adead29323c7a7ead1c27362dad92f7a"),
+])
+def test_sod_complete_digest_unchanged(tmp_path, n, alpha, adversary, digest):
+    trace = protocols.sod_complete(n, alpha, 2.0, make_adversary(adversary))
+    assert _jsonl_digest(trace, tmp_path) == digest
+
+
+def test_sod_all_but_one_digest_unchanged(tmp_path):
+    trace, cands = protocols.sod_all_but_one(24, 0.7, 2.0, make_adversary("ack_suppressor:2"))
+    assert cands == (0, frozenset({22, 23}))
+    assert _jsonl_digest(trace, tmp_path) == (
+        "81ab9d55d7b6897abf4efe18f0dc2156eee0cb5beade2abf17f022479e8fbb87")
+
+
+@pytest.mark.parametrize("protocol", ["almost-kn", "hypercube", "sod-all-but-one",
+                                      "sod-complete", "nosod-complete"])
+def test_finished_run_freed_by_refcount(protocol):
+    if protocol == "hypercube":
+        topo, eps = build_hypercube(5), 0.5
+    else:
+        topo, eps = build_complete(16, chordal=protocol.startswith("sod")), 2.0
+    gc.collect()
+    gc.disable()
+    try:
+        state, driver, trace = protocols.run_protocol(protocol, topo, 0.5, eps,
+                                                      random_adversary(0))
+        refs = [weakref.ref(driver), weakref.ref(trace)]
+        del state, driver, trace
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_nosod_iteration_segments_present():
