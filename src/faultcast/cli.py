@@ -2,13 +2,12 @@
 
 import argparse
 import json
-import math
 import sys
 
 from . import bounds
 from .errors import SimError
 from .harness import ExperimentConfig, _json_fields, run, verify_regressions
-from .search import worst_case_search
+from .search import _SIZE_CAP, worst_case_search
 from .topology import COMPLETE, HYPERCUBE
 
 
@@ -109,7 +108,7 @@ def main(argv=None) -> int:
                        help="recompute tiny worst-case searches against frozen values")
     p.add_argument("--file", help="alternative regression JSON file")
 
-    p = sub.add_parser("search", help="exhaustive worst-case adversary search (n <= 5)")
+    p = sub.add_parser("search", help=f"exhaustive worst-case adversary search (n <= {_SIZE_CAP})")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--protocol", default="almost-kn")

@@ -165,6 +165,13 @@ class Driver:
     def key_parts(self, arc_perm: np.ndarray) -> tuple:
         raise NotImplementedError(f"{type(self).__name__} does not support search")
 
+    def keeps_deliveries(self) -> bool:
+        """Whether the coming ``absorb`` (asked between ``next`` and it) keeps
+        anything of the delivered set beyond the post-step informed and
+        passive arrays.  If not, every kill set leaves the same ``key_parts``;
+        the search then keys a child without stepping it."""
+        return True
+
 
 class IdleDriver(Driver):
     """Emits empty batches; used by multiplexed lanes with nothing to do."""
@@ -238,6 +245,9 @@ class SeqDriver(Driver):
 
     def key_parts(self, arc_perm):
         return (self.idx,) + tuple(c.key_parts(arc_perm) for c in self.children[self.idx:])
+
+    def keeps_deliveries(self):
+        return self.children[self.idx].keeps_deliveries()
 
     def idle_steps(self):
         cur = self._current()
@@ -383,6 +393,9 @@ class GreedyCompleteDriver(Driver):
     def key_parts(self, arc_perm):
         return ("greedy", self.step)
 
+    def keeps_deliveries(self):
+        return not self.session.primary  # a secondary session records its aware set
+
 
 class GreedyHypercubeDriver(Driver):
     """Two init steps on Q_d: the initiator floods twice; vertices informed by
@@ -479,6 +492,10 @@ class SimpleRoundsDriver(Driver):
         else:
             pending_key = np.sort(arc_perm[self.pending]).tobytes()
         return ("rounds", self.round_idx, self.phase_a, pending_key)
+
+    def keeps_deliveries(self):
+        # Step A records ``pending``; a secondary session records its aware set.
+        return self.phase_a or not self.session.primary
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +785,10 @@ class ExtendedRoundsDriver(Driver):
         p_key = np.packbits(p_p).tobytes()
         sub = self.rounds_sub.key_parts(arc_perm) if self.rounds_sub is not None else ()
         return ("ext", self.i1, self.i2, self.i3, self.mode, e_key, p_key, sub)
+
+    def keeps_deliveries(self):
+        # An inner step records ``p_mask``.
+        return self.mode == "inner" or self.rounds_sub.keeps_deliveries()
 
 
 # ---------------------------------------------------------------------------

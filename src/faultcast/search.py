@@ -1,4 +1,4 @@
-"""Exhaustive worst-case adversary search on tiny complete graphs.
+"""Exhaustive worst-case adversary search on tiny complete graphs (n <= 6).
 
 Plays the full game tree: at every step the adversary tries every legal kill
 set, and the result is the maximum step index at which the protocol's
@@ -18,19 +18,33 @@ The same invariant scores the completed children of an expanded state in
 bulk.  All children of one state share the step index and the schedule
 position, so every child the step completes has one value: its step index if
 it is at a checkpoint, else its settled value.  Before building any child,
-one boolean matrix product over (kill sets x surviving messages) and
-(messages x uninformed destinations they inform) finds the kill sets after
-which every uninformed vertex still receives an INFO or INFO_CANDS message,
-the rule by which the engine informs a vertex.  Only the first such child is
-built and stepped through the validated engine; its siblings take its value.
+one matrix product over (kill sets x surviving messages) and (messages x
+what each one delivers) gives every child's post-step informed and passive
+arrays, by the rule of the engine: a surviving INFO or INFO_CANDS message
+informs its destination, and every surviving message marks the opposite arc
+passive.  A child completes when no vertex is left uninformed.  Only the
+first completed child is built and stepped through the validated engine; its
+siblings take its value.
+
+A canonical key is the least image of the stacked informed and passive bits
+over the permutations, as one integer per permutation (``rows @ W`` for a
+weight matrix built once per search), plus the least driver part
+(``key_parts``) over the permutations that reach that image.  The children of
+a step whose driver keeps nothing of the deliveries beyond those arrays
+(``Driver.keeps_deliveries``; greedy and acknowledgement steps) share one
+driver state, so every open child is keyed in bulk before any is built, and a
+child whose key the memo already holds takes the memo's value unbuilt.  Each
+child that is built checks the precomputed arrays and the shared driver key
+against the engine.
 
 By default only maximal kill sets (size = min(m, budget)) are explored;
 ``all_sizes=True`` removes that assumption at exponential extra cost.
 """
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
@@ -42,7 +56,7 @@ from .topology import COMPLETE, Topology, build_complete
 
 HORIZON_EXCEEDED = math.inf
 
-_SIZE_CAP = 5
+_SIZE_CAP = 6
 _CHUNK = 4096  # kill sets classified at a time
 
 
@@ -50,7 +64,9 @@ _CHUNK = 4096  # kill sets classified at a time
 class SearchResult:
     worst_steps: float  # max completion step, or inf when some play never completes
     horizon: int
-    nodes: int  # expand calls; completed children scored in bulk are not counted
+    # expand calls; neither the completed children scored in bulk nor the
+    # children whose key the memo already held before they were built count
+    nodes: int
     states: int  # memoized states with k > 0; completed states are settled by step index
 
     @property
@@ -80,26 +96,56 @@ def _vertex_perms(n: int, initiator: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(vmaps), np.array(arc_perms)
 
 
-def _completing(state: NetworkState, batch: SendBatch, kill_sets: list) -> np.ndarray:
-    """Per kill set, whether the step leaves no vertex uninformed: each one
-    still receives a surviving INFO or INFO_CANDS message."""
+def _image_weights(vmaps: np.ndarray, arc_perms: np.ndarray) -> np.ndarray:
+    """Weights W with W[x, i] = 2**(bit of x's image under permutation i), for
+    x over the stacked informed then passive arrays; the informed bits lie
+    above the passive ones, each array's first entry highest.  ``rows @ W``
+    is then every permuted image of each row as one number, ordered as the
+    images compare lexicographically."""
+    n, arcs = vmaps.shape[1], arc_perms.shape[1]
+    bits = n + arcs
+    assert bits <= 53, "float64 holds the images exactly below 2**53"
+    position = np.concatenate([vmaps, n + arc_perms], axis=1).T
+    return np.ldexp(1.0, bits - 1 - position)
+
+
+def _least_images(rows: np.ndarray, weights: np.ndarray) -> tuple[list, np.ndarray]:
+    """Per row of stacked informed and passive arrays: its least permuted image
+    as an int, and which permutations (columns of ``weights``) reach it."""
+    images = rows @ weights
+    least = images.min(axis=1)
+    return least.astype(np.int64).tolist(), images == least[:, None]
+
+
+def _children(state: NetworkState, batch: SendBatch, sizes, kill_sets: dict):
+    """Every kill set of the given sizes, a chunk at a time, with each child's
+    post-step informed and passive arrays side by side (one row per kill set)
+    and whether the step completes it.  ``kill_sets`` caches the kill sets of
+    each (batch size, kill count) in order, one per row.
+
+    The rows follow the rule of ``engine._deliver``: a surviving message marks
+    the opposite of its arc passive, and a surviving INFO or INFO_CANDS
+    message informs its destination.
+    """
     topo = state.topo
-    kinds = batch.kinds
-    informing = (kinds == INFO) | (kinds == INFO_CANDS)
-    uninformed = np.flatnonzero(~state.informed)
-    reach = informing[:, None] & (topo.arc_dst[batch.arcs][:, None] == uninformed)
-    kills = np.array(kill_sets, dtype=np.intp).reshape(len(kill_sets), -1)
-    alive = np.ones((len(kill_sets), batch.m), dtype=bool)
-    alive[np.arange(len(kill_sets))[:, None], kills] = False
-    return (alive @ reach).all(axis=1)
-
-
-def _kill_sets(state: NetworkState, batch: SendBatch, sizes):
-    """Every kill set of the given sizes, in order, with whether it completes the step."""
+    n, m = topo.n, batch.m
+    informing = (batch.kinds == INFO) | (batch.kinds == INFO_CANDS)
+    effects = np.zeros((m, n + topo.num_arcs), dtype=np.float32)
+    effects[np.flatnonzero(informing), topo.arc_dst[batch.arcs[informing]]] = 1
+    effects[np.arange(m), n + topo.opp[batch.arcs]] = 1
+    before = np.concatenate([state.informed, state.passive])
     for size in sizes:
-        combos = combinations(range(batch.m), size)
-        while chunk := list(islice(combos, _CHUNK)):
-            yield from zip(chunk, _completing(state, batch, chunk))
+        if (m, size) not in kill_sets:
+            # int8: a batch on K_n, n <= 6, holds at most 30 messages.
+            combos = np.fromiter(chain.from_iterable(combinations(range(m), size)), dtype=np.int8)
+            kill_sets[m, size] = combos.reshape(math.comb(m, size), size)
+        every = kill_sets[m, size]
+        for lo in range(0, every.shape[0], _CHUNK):
+            kills = every[lo:lo + _CHUNK]
+            alive = np.ones((kills.shape[0], m), dtype=np.float32)
+            np.put_along_axis(alive, kills, 0, axis=1)
+            after = (alive @ effects > 0) | before
+            yield kills, after[:, :n].all(axis=1), after
 
 
 def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
@@ -118,24 +164,39 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
     driver0.attach(None)
     if horizon is None:
         horizon = driver0.total_steps
-    vmaps, arc_perms = _vertex_perms(topo.n, initiator)
-    # The permuted copy of an array x is x[inverse] for the inverse permutation.
-    vinv = np.argsort(vmaps, axis=1)
-    ainv = np.argsort(arc_perms, axis=1)
+    n = topo.n
+    vmaps, arc_perms = _vertex_perms(n, initiator)
+    identity = np.arange(topo.num_arcs)
+    weights = _image_weights(vmaps, arc_perms)
     c = topo.edge_connectivity
     memo: dict = {}
     settled: dict[int, float] = {}  # step index of a completed state -> its value
+    kill_sets: dict = {}  # (batch size, kill count) -> every kill set, one per row
+    tables: dict = {}  # key_parts(identity) -> (rank of key_parts per permutation, parts ascending)
     counters = {"nodes": 0}
 
     def canonical(state: NetworkState, driver) -> tuple:
-        # Rows of the packed informed and passive arrays under every permutation;
-        # only the rows that tie for the least one need the driver's part.
-        packed = np.concatenate([np.packbits(state.informed[vinv], axis=1),
-                                 np.packbits(state.passive[ainv], axis=1)], axis=1)
-        rows = [row.tobytes() for row in packed]
-        first = min(rows)
-        return min((first, driver.key_parts(arc_perms[i]))
-                   for i, row in enumerate(rows) if row == first)
+        # Only the permutations that tie for the least image need the driver's part.
+        (least,), ties = _least_images(np.concatenate([state.informed, state.passive])[None],
+                                       weights)
+        return least, min(driver.key_parts(arc_perms[i]) for i in np.flatnonzero(ties[0]))
+
+    def parts_table(driver, ident: tuple) -> tuple[np.ndarray, list]:
+        """The driver's key_parts under every permutation, ranked; ``ident``,
+        its key_parts(identity), determines them all."""
+        if ident not in tables:
+            parts = [driver.key_parts(p) for p in arc_perms]
+            ordered = sorted(set(parts))
+            rank = {p: r for r, p in enumerate(ordered)}
+            tables[ident] = (np.array([rank[p] for p in parts]), ordered)
+        return tables[ident]
+
+    def least_parts(ties: np.ndarray, table) -> list:
+        """Per row of ties, the least driver part over the tied permutations."""
+        rank, ordered = table
+        if len(ordered) == 1:  # the same under every permutation
+            return ordered * ties.shape[0]
+        return [ordered[r] for r in np.where(ties, rank, len(ordered)).min(axis=1).tolist()]
 
     def settle(state: NetworkState, driver) -> float:
         """Value of a completed state that is not at a checkpoint: the step of
@@ -156,7 +217,7 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
             settled[t] = value
         return settled[t]
 
-    def expand(state: NetworkState, driver) -> float:
+    def expand(state: NetworkState, driver, key: tuple | None = None) -> float:
         counters["nodes"] += 1
         if state.k == 0:
             return settle(state, driver)
@@ -164,7 +225,8 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
             return HORIZON_EXCEEDED  # schedule exhausted without completion
         if state.step_index >= horizon:
             return HORIZON_EXCEEDED
-        key = canonical(state, driver)
+        if key is None:
+            key = canonical(state, driver)
         if key in memo:
             return memo[key]
         # The batch does not depend on the kill set: build it once on a probe
@@ -177,26 +239,55 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
         budget = fault_budget(m, c, alpha)
         ksize = min(m, budget)
         sizes = range(ksize + 1) if all_sizes else (ksize,)
+        # When the step keeps nothing of the deliveries beyond the arrays, all
+        # children's drivers key alike: the first stepped child's driver keys
+        # every open child, and one whose key the memo holds is not built.
+        # Were the children cut by the schedule or the horizon, the first open
+        # one returns HORIZON_EXCEEDED and ends the loop before any lookup.
+        lookup = not probe.keeps_deliveries()
+        shared = table = None  # key_parts(identity) and parts_table of that driver
         worst = 0.0
         completed = None  # value of every child the step completes
-        for kills, completes in _kill_sets(state, batch, sizes):
-            if completes and completed is not None:
-                value = completed
-            else:
-                st = state.clone()
-                dr = probe.clone(st)
-                report = execute_step(st, batch, FixedKillAdversary(kills), alpha)
-                dr.absorb(st, report)
-                assert (st.k == 0) == completes
-                if dr.at_checkpoint() and st.k == 0:
-                    value = float(st.step_index)
+        for chunk, completes, after in _children(state, batch, sizes, kill_sets):
+            open_ = np.flatnonzero(~completes)
+            if open_.size:
+                least, ties = _least_images(after[open_], weights)
+            parts = None if table is None or not open_.size else least_parts(ties, table)
+            # Open children in order, each with its row among them; of the
+            # completed ones only the first needs a visit, the rest share its value.
+            visits = list(enumerate(open_.tolist()))
+            if completed is None and completes.any():
+                first = int(completes.argmax())
+                visits.insert(bisect(open_, first), (None, first))
+            for r, j in visits:
+                if parts is not None and r is not None and (least[r], parts[r]) in memo:
+                    value = memo[least[r], parts[r]]
                 else:
-                    value = expand(st, dr)
-                if completes:
-                    completed = value
-            if value > worst:
-                worst = value
-            if not math.isfinite(worst):
+                    st = state.clone()
+                    dr = probe.clone(st)
+                    dr.absorb(st, execute_step(st, batch, FixedKillAdversary(chunk[j]), alpha))
+                    assert (st.k == 0) == completes[j]
+                    assert (st.informed == after[j, :n]).all()
+                    assert (st.passive == after[j, n:]).all()
+                    dr.done()  # settles a SeqDriver's position before key_parts
+                    if lookup:
+                        ident = dr.key_parts(identity)
+                        if table is None:
+                            shared, table = ident, parts_table(dr, ident)
+                            parts = least_parts(ties, table) if open_.size else None
+                        assert ident == shared
+                    if r is None:
+                        value = float(st.step_index) if dr.at_checkpoint() else expand(st, dr)
+                        completed = value
+                    else:
+                        part = parts[r] if parts is not None else min(
+                            dr.key_parts(arc_perms[i]) for i in np.flatnonzero(ties[r]))
+                        value = expand(st, dr, (least[r], part))
+                if value > worst:
+                    worst = value
+                    if worst == HORIZON_EXCEEDED:
+                        break
+            if worst == HORIZON_EXCEEDED:
                 break
         memo[key] = worst
         return worst

@@ -7,7 +7,6 @@ enforces its wall-clock budget.  Budget soundness (criterion 7) is accumulated
 over every trace produced by criteria 1-4.
 """
 
-import sys
 import time
 
 import numpy as np

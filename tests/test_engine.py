@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from itertools import combinations
 
 import numpy as np
 import pytest

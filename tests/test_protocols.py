@@ -11,7 +11,7 @@ import pytest
 from faultcast import bounds, protocols
 from faultcast.adversary import (AckSuppressor, AdversaryPolicy, RandomAdversary, VictimGuard,
                                  make_adversary, random_adversary)
-from faultcast.engine import ACK, INFO, NetworkState, execute_step
+from faultcast.engine import INFO, NetworkState, execute_step
 from faultcast.errors import (InvalidParameterError, UnsupportedAlphaError,
                               UnsupportedTopologyError)
 from faultcast.protocols import (AllButOneDriver, BATCH, IdleDriver, SeqDriver, Session,

@@ -1,15 +1,18 @@
 """Exhaustive worst-case search: exact tiny cases, symmetry, dominance."""
 
+import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from faultcast.adversary import (AckSuppressor, FixedKillAdversary, RandomAdversary,
                                  VictimGuard, worst_case_search as reexported_search)
 from faultcast.engine import NetworkState, execute_step, fault_budget
 from faultcast.errors import TooLargeError
-from faultcast.protocols import almost_complete_kn, make_driver
-from faultcast.search import HORIZON_EXCEEDED, worst_case_search
+from faultcast.protocols import ExtendedRoundsDriver, almost_complete_kn, make_driver
+from faultcast.search import (HORIZON_EXCEEDED, _children, _image_weights, _least_images,
+                              _vertex_perms, worst_case_search)
 from faultcast.topology import build_complete, build_hypercube
 from faultcast.errors import UnsupportedTopologyError
 
@@ -61,10 +64,21 @@ def brute_force_search(n, protocol, alpha, horizon=None, eps=2.0, all_sizes=Fals
     (4, "almost-kn", {}),
     (4, "almost-kn", {"all_sizes": True}),
     (4, "nosod-complete", {"horizon": 10}),
+    # Greedy and acknowledgement steps, whose open children are looked up in
+    # the memo before they are built; the horizon cuts them at 5, 6 and 7.
+    (3, "almost-kn", {"alpha": 0.3}),
+    (4, "almost-kn", {"alpha": 0.3}),
+    (4, "simple-rounds:3", {}),
+    (4, "almost-kn", {"horizon": 5}),
+    (4, "almost-kn", {"horizon": 6}),
+    (4, "almost-kn", {"horizon": 7}),
+    (4, "nosod-complete", {"horizon": 12}),
 ])
 def test_search_matches_brute_force(n, protocol, kwargs):
-    expected = brute_force_search(n, protocol, 0.5, **kwargs)
-    assert worst_case_search(n, protocol, 0.5, **kwargs).worst_steps == expected
+    kwargs = dict(kwargs)
+    alpha = kwargs.pop("alpha", 0.5)
+    expected = brute_force_search(n, protocol, alpha, **kwargs)
+    assert worst_case_search(n, protocol, alpha, **kwargs).worst_steps == expected
 
 
 def test_k2_simple_rounds_exact():
@@ -90,6 +104,19 @@ def test_k5_almost_kn_frozen():
     assert worst_case_search(5, "almost-kn", 0.5).worst_steps == 8
 
 
+def test_k5_search_counts():
+    # The memo lookup before a child is built leaves the memo as it was.
+    result = worst_case_search(5, "almost-kn", 0.5)
+    assert result.states == 282
+    assert result.nodes <= 700
+
+
+def test_k6_almost_kn_frozen():
+    result = worst_case_search(6, "almost-kn", 0.5)
+    assert result.worst_steps == 10
+    assert result.states == 37948
+
+
 def test_k4_nosod_frozen():
     result = worst_case_search(4, "nosod-complete", 0.5, horizon=200)
     assert result.worst_steps == 6
@@ -113,7 +140,7 @@ def test_all_sizes_at_least_default():
 
 def test_size_cap_and_topology():
     with pytest.raises(TooLargeError):
-        worst_case_search(6, "almost-kn", 0.5)
+        worst_case_search(7, "almost-kn", 0.5)
     with pytest.raises(UnsupportedTopologyError):
         worst_case_search(build_hypercube(2), "simple-rounds", 0.5)
 
@@ -133,3 +160,85 @@ def test_heuristics_never_beat_oracle():
 def test_tight_horizon_reports_excess():
     result = worst_case_search(3, "almost-kn", 0.5, horizon=3)
     assert result.horizon_exceeded
+
+
+def _reachable(topo, driver, state, rng, steps):
+    """(state, driver) before each step of one random play that kills the
+    messages to the least-reached uninformed vertices first, so that vertices
+    stay uninformed longer."""
+    c = topo.edge_connectivity
+    for _ in range(steps):
+        if driver.done() or state.k == 0:
+            return
+        yield state, driver
+        _, batch = driver.next(state, False)
+        ksize = min(batch.m, fault_budget(batch.m, c, 0.5))
+        dst = topo.arc_dst[batch.arcs]
+        order = np.lexsort((rng.permutation(topo.n)[dst],
+                            np.bincount(dst, minlength=topo.n)[dst], state.informed[dst]))
+        driver.absorb(state, execute_step(state, batch, FixedKillAdversary(order[:ksize]), 0.5))
+
+
+def _plays(n, rng):
+    """Random reachable states of almost-kn and nosod-complete on K_n, and of a
+    bare ExtendedRoundsDriver (inner steps and simple rounds) started after a
+    greedy step that left vertices uninformed."""
+    topo = build_complete(n, port_seed=None)
+    for protocol in ("almost-kn", "nosod-complete"):
+        state = NetworkState(topo)
+        yield from _reachable(topo, make_driver(protocol, topo, 0.5, 2.0, state), state, rng, 8)
+    state = NetworkState(topo)
+    _, batch = make_driver("greedy-kn", topo, 0.5, 2.0, state).next(state, False)
+    execute_step(state, batch, FixedKillAdversary(range(n - 2)), 0.5)
+    yield from _reachable(topo, ExtendedRoundsDriver(topo, 2, 1, 2, 2), state, rng, 12)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_precomputed_children_are_honest(n):
+    """Every kill set of random reachable states, stepped through the engine:
+    the precomputed post-step arrays equal the engine's, a step whose driver
+    keeps no deliveries leaves one driver key, and the integer key's tied
+    permutations are those of the least packed-bytes image."""
+    rng = np.random.default_rng(n)
+    topo = build_complete(n, port_seed=None)
+    vmaps, arc_perms = _vertex_perms(n, 0)
+    weights = _image_weights(vmaps, arc_perms)
+    vinv, ainv = np.argsort(vmaps, axis=1), np.argsort(arc_perms, axis=1)
+    identity = np.arange(topo.num_arcs)
+    checked = {True: 0, False: 0}
+    modes = set()
+    for state, driver in _plays(n, rng):
+        probe_state = state.clone()
+        probe = driver.clone(probe_state)
+        _, batch = probe.next(probe_state, False)
+        ksize = min(batch.m, fault_budget(batch.m, topo.edge_connectivity, 0.5))
+        if math.comb(batch.m, ksize) > 500:
+            continue
+        keeps = probe.keeps_deliveries()
+        if isinstance(probe, ExtendedRoundsDriver):
+            modes.add(probe.mode)
+        driver_keys = set()
+        for kills, completes, after in _children(state, batch, (ksize,), {}):
+            least, ties = _least_images(after, weights)
+            for j, row_kills in enumerate(kills):
+                st = state.clone()
+                dr = probe.clone(st)
+                dr.absorb(st, execute_step(st, batch, FixedKillAdversary(row_kills), 0.5))
+                assert (st.k == 0) == completes[j]
+                assert (st.informed == after[j, :n]).all()
+                assert (st.passive == after[j, n:]).all()
+                dr.done()
+                driver_keys.add(dr.key_parts(identity))
+                packed = np.concatenate([np.packbits(st.informed[vinv], axis=1),
+                                         np.packbits(st.passive[ainv], axis=1)], axis=1)
+                rows = [row.tobytes() for row in packed]
+                assert np.flatnonzero(ties[j]).tolist() == [
+                    i for i, row in enumerate(rows) if row == min(rows)]
+                i = int(np.flatnonzero(ties[j])[0])
+                bits = np.concatenate([st.informed[vinv[i]], st.passive[ainv[i]]])
+                assert int("".join("1" if b else "0" for b in bits), 2) == least[j]
+        if not keeps:
+            assert len(driver_keys) == 1
+        checked[keeps] += 1
+    assert checked[True] and checked[False]
+    assert modes == {"inner", "rounds"}

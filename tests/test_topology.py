@@ -1,6 +1,5 @@
 """Topology construction, arc indexing, labeling, and edge boundaries."""
 
-import itertools
 
 import numpy as np
 import pytest

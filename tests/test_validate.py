@@ -9,7 +9,7 @@ from faultcast.engine import INFO, NetworkState, SendBatch, Trace, execute_step
 from faultcast.errors import AdversaryViolation
 from faultcast.protocols import almost_complete_kn, broadcast_hypercube, nosod_complete
 from faultcast import validate
-from faultcast.topology import build_complete, build_hypercube
+from faultcast.topology import build_complete
 
 
 def _doctored_trace(n=8):
