@@ -21,7 +21,6 @@ from .topology import COMPLETE, Topology
 # Message payload kinds.
 INFO = 0
 ACK = 1
-CANDS = 2
 INFO_CANDS = 3
 
 ACTIVE = "active"

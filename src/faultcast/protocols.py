@@ -14,8 +14,12 @@ Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
 payload, while global informed/passive bookkeeping continues underneath.
 
-The sense-of-direction schedules are SeqDriver/MultiplexDriver compositions
-of two generic phases: a LazyDriver, whose builder picks the phase's driver
+Every schedule is a composition of phase drivers; only the combinators
+(SeqDriver, MultiplexDriver, LazyDriver) hold other drivers.  The schedule
+without sense of direction is one flat SeqDriver: greedy init, R_kn simple
+rounds, then L1 times an EliminationDriver pass and L4 simple rounds.  The
+sense-of-direction schedules are SeqDriver/MultiplexDriver compositions of
+two generic phases: a LazyDriver, whose builder picks the phase's driver
 from what earlier phases found, and a SweepDriver, which sends to one group
 of targets per step.  A phase builder must not capture the driver it belongs
 to, or each finished run stays alive in a reference cycle until a GC pass.
@@ -30,7 +34,8 @@ from .adversary import AdversaryPolicy
 from .engine import (ACK, INFO, INFO_CANDS, NetworkState, SendBatch, Trace,
                      execute_step)
 from .errors import InvalidParameterError, UnsupportedTopologyError
-from .topology import COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube
+from .topology import (COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube,
+                       complete_arc_id)
 
 BATCH = "batch"
 INERT = "inert"
@@ -244,7 +249,9 @@ class SeqDriver(Driver):
         return other
 
     def key_parts(self, arc_perm):
-        return (self.idx,) + tuple(c.key_parts(arc_perm) for c in self.children[self.idx:])
+        # The children after the current one have not started: idx stands for them.
+        cur = self._current()
+        return (self.idx,) if cur is None else (self.idx, cur.key_parts(arc_perm))
 
     def keeps_deliveries(self):
         return self.children[self.idx].keeps_deliveries()
@@ -566,8 +573,7 @@ class Phase2CandidatesDriver(Driver):
 
 def _arcs_to(topo: Topology, senders: np.ndarray, target: int) -> np.ndarray:
     """The K_n arcs from each sender other than ``target`` itself to ``target``."""
-    vs = senders[senders != target]
-    return vs * (topo.n - 1) + np.where(target < vs, target, target - 1)
+    return complete_arc_id(topo.n, senders[senders != target], target)
 
 
 class SweepDriver(Driver):
@@ -682,98 +688,60 @@ class AllButOneDriver(SeqDriver):
 # Algorithm without sense of direction (small alpha)
 
 
-class ExtendedRoundsDriver(Driver):
-    """L1 extended rounds: hyperactive-arc elimination loops plus simple rounds.
+class EliminationDriver(Driver):
+    """One pass of hyperactive-arc elimination on K_n: L2 iterations of L3 steps.
 
-    Each of the L2 iterations freezes E (the currently active or hyperactive
-    arcs) and sends on E union P for L3 steps, where P collects the opposite
-    arcs of everything delivered within the iteration; L4 simple rounds follow.
+    Each iteration freezes E (the currently active or hyperactive arcs) and
+    sends on E union P for L3 steps, where P collects the opposite arcs of
+    everything delivered within the iteration.  When an iteration starts with
+    |E| <= c-1, an exhaustive adversary kills every batch left in the pass,
+    which is emitted as one inert block.
     """
 
-    def __init__(self, topo: Topology, l1: int, l2: int, l3: int, l4: int):
+    def __init__(self, topo: Topology, l2: int, l3: int, pass_idx: int):
         self.topo = topo
-        self.l1, self.l2, self.l3, self.l4 = l1, l2, l3, l4
-        self.i1 = 0
+        self.l2, self.l3 = l2, l3
+        self.pass_idx = pass_idx  # the pass's place among the L1, for the trace
         self.i2 = 0
         self.i3 = 0
-        self.mode = "inner"
         self.e_mask = np.zeros(topo.num_arcs, dtype=bool)
         self.p_mask = np.zeros(topo.num_arcs, dtype=bool)
-        self.rounds_sub: SimpleRoundsDriver | None = None
-        self.total_steps = l1 * (l2 * l3 + 2 * l4)
+        self.total_steps = l2 * l3
 
     def done(self):
-        return self.i1 >= self.l1
-
-    def _snapshot(self, state):
-        np.logical_and(state.informed[self.topo.arc_src], ~state.passive, out=self.e_mask)
-        self.p_mask[:] = False
-
-    def _inert_blocks(self, m):
-        """All remaining steps, given a frozen state with step-A batch size m."""
-        blocks = []
-        round_pairs = [(m, 1), (0, 1)] * self.l4
-        blocks.append((m, (self.l2 - self.i2) * self.l3))
-        blocks.extend(round_pairs)
-        for _ in range(self.i1 + 1, self.l1):
-            blocks.append((m, self.l2 * self.l3))
-            blocks.extend(round_pairs)
-        return blocks
+        return self.i2 >= self.l2
 
     def next(self, state, exhaustive):
-        if self.mode == "inner":
-            if self.i3 == 0:
-                self._snapshot(state)
-                m = int(np.count_nonzero(self.e_mask))
-                if exhaustive and m <= self.topo.edge_connectivity - 1:
-                    if self.trace is not None:
-                        self.trace.mark("nosod_inert_tail", l1=self.i1, l2=self.i2, m=m)
-                    blocks = self._inert_blocks(m)
-                    self.i1 = self.l1
-                    return INERT, blocks
+        if self.i3 == 0:
+            np.logical_and(state.informed[self.topo.arc_src], ~state.passive, out=self.e_mask)
+            self.p_mask[:] = False
+            m = int(np.count_nonzero(self.e_mask))
+            if exhaustive and m <= self.topo.edge_connectivity - 1:
                 if self.trace is not None:
-                    k0, h0, _ = state.counts()
-                    self.trace.mark("nosod_iter", l1=self.i1, l2=self.i2, k0=k0, h0=h0,
-                                    steps=self.l3)
-            arcs = np.flatnonzero(self.e_mask | self.p_mask)
-            return BATCH, SendBatch.uniform(arcs, INFO)
-        return self.rounds_sub.next(state, exhaustive)
+                    self.trace.mark("nosod_inert_tail", l1=self.pass_idx, l2=self.i2, m=m)
+                remaining = (self.l2 - self.i2) * self.l3
+                self.i2 = self.l2
+                return INERT, [(m, remaining)]
+            if self.trace is not None:
+                k0, h0, _ = state.counts()
+                self.trace.mark("nosod_iter", l1=self.pass_idx, l2=self.i2, k0=k0, h0=h0,
+                                steps=self.l3)
+        return BATCH, SendBatch.uniform(np.flatnonzero(self.e_mask | self.p_mask), INFO)
 
     def absorb(self, state, report):
-        if self.mode == "inner":
-            darr = report.delivered_arcs
-            if darr.size:
-                self.p_mask[self.topo.opp[darr]] = True
-            self.i3 += 1
-            if self.i3 >= self.l3:
-                self.i3 = 0
-                self.i2 += 1
-                if self.i2 >= self.l2:
-                    self.i2 = 0
-                    self.mode = "rounds"
-                    self.rounds_sub = SimpleRoundsDriver(
-                        Session(self.topo, 0, state=state), self.l4, label="nosod_l4")
-                    self.rounds_sub.attach(self.trace)
-        else:
-            self.rounds_sub.absorb(state, report)
-            if self.rounds_sub.done():
-                self.rounds_sub = None
-                self.mode = "inner"
-                self.i1 += 1
-
-    def at_checkpoint(self):
-        if self.mode == "rounds" and self.rounds_sub is not None:
-            return self.rounds_sub.at_checkpoint()
-        return True
+        darr = report.delivered_arcs
+        if darr.size:
+            self.p_mask[self.topo.opp[darr]] = True
+        self.i3 += 1
+        if self.i3 >= self.l3:
+            self.i3 = 0
+            self.i2 += 1
 
     def clone(self, new_state):
-        other = ExtendedRoundsDriver(self.topo, self.l1, self.l2, self.l3, self.l4)
-        other.i1, other.i2, other.i3 = self.i1, self.i2, self.i3
-        other.mode = self.mode
+        other = EliminationDriver(self.topo, self.l2, self.l3, self.pass_idx)
+        other.i2, other.i3 = self.i2, self.i3
         other.e_mask = self.e_mask.copy()
         other.p_mask = self.p_mask.copy()
-        if self.rounds_sub is not None:
-            other.rounds_sub = self.rounds_sub.clone(new_state)
         return other
 
     def key_parts(self, arc_perm):
@@ -781,14 +749,7 @@ class ExtendedRoundsDriver(Driver):
         e_p[arc_perm] = self.e_mask
         p_p = np.empty_like(self.p_mask)
         p_p[arc_perm] = self.p_mask
-        e_key = np.packbits(e_p).tobytes()
-        p_key = np.packbits(p_p).tobytes()
-        sub = self.rounds_sub.key_parts(arc_perm) if self.rounds_sub is not None else ()
-        return ("ext", self.i1, self.i2, self.i3, self.mode, e_key, p_key, sub)
-
-    def keeps_deliveries(self):
-        # An inner step records ``p_mask``.
-        return self.mode == "inner" or self.rounds_sub.keeps_deliveries()
+        return ("elim", self.i2, self.i3, np.packbits(e_p).tobytes(), np.packbits(p_p).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -910,12 +871,15 @@ def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
         return AllButOneDriver(topo, state.initiator, alpha, eps, state=state)
     if name == "sod-complete":
         return _sod_complete_driver(topo, alpha, eps, state)
-    # nosod-complete
+    # nosod-complete: L1 extended rounds, each an elimination pass then L4 simple rounds
     l1, l2, l3, l4 = bounds.l_params(topo.n, alpha, eps)
     session = Session(topo, state.initiator, state=state)
+    passes = [driver for i in range(l1)
+              for driver in (EliminationDriver(topo, l2, l3, i),
+                             SimpleRoundsDriver(session, l4, label="nosod_l4"))]
     return SeqDriver([GreedyCompleteDriver(session),
                       SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha)),
-                      ExtendedRoundsDriver(topo, l1, l2, l3, l4)])
+                      *passes])
 
 
 def _sod_complete_driver(topo: Topology, alpha: float, eps: float,

@@ -52,7 +52,7 @@ from .adversary import FixedKillAdversary
 from .engine import INFO, INFO_CANDS, NetworkState, SendBatch, execute_step, fault_budget
 from .errors import TooLargeError, UnsupportedTopologyError
 from .protocols import BATCH, make_driver
-from .topology import COMPLETE, Topology, build_complete
+from .topology import COMPLETE, Topology, build_complete, complete_arc_id
 
 HORIZON_EXCEEDED = math.inf
 
@@ -78,22 +78,11 @@ def _vertex_perms(n: int, initiator: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex and arc-id permutations induced by the vertex permutations fixing
     the initiator, one permutation per row."""
     others = [v for v in range(n) if v != initiator]
-    vmaps, arc_perms = [], []
-    for perm in permutations(others):
-        vmap = np.empty(n, dtype=np.int64)
-        vmap[initiator] = initiator
-        vmap[others] = perm
-        arc_perm = np.empty(n * (n - 1), dtype=np.int64)
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                a = u * (n - 1) + (v if v < u else v - 1)
-                pu, pv = int(vmap[u]), int(vmap[v])
-                arc_perm[a] = pu * (n - 1) + (pv if pv < pu else pv - 1)
-        vmaps.append(vmap)
-        arc_perms.append(arc_perm)
-    return np.array(vmaps), np.array(arc_perms)
+    vmaps = np.empty((math.factorial(n - 1), n), dtype=np.int64)
+    vmaps[:, initiator] = initiator
+    vmaps[:, others] = list(permutations(others))
+    topo = build_complete(n, port_seed=None)
+    return vmaps, complete_arc_id(n, vmaps[:, topo.arc_src], vmaps[:, topo.arc_dst])
 
 
 def _image_weights(vmaps: np.ndarray, arc_perms: np.ndarray) -> np.ndarray:
@@ -269,7 +258,6 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
                     assert (st.k == 0) == completes[j]
                     assert (st.informed == after[j, :n]).all()
                     assert (st.passive == after[j, n:]).all()
-                    dr.done()  # settles a SeqDriver's position before key_parts
                     if lookup:
                         ident = dr.key_parts(identity)
                         if table is None:

@@ -78,11 +78,19 @@ class Topology:
         if self.kind == COMPLETE:
             if u == v or not (0 <= u < self.n and 0 <= v < self.n):
                 raise InvalidParameterError(f"no arc {u}->{v}")
-            return u * (self.n - 1) + (v if v < u else v - 1)
+            return complete_arc_id(self.n, u, v)
         dim = (u ^ v).bit_length() - 1
         if u ^ v != 1 << dim or not (0 <= u < self.n and 0 <= v < self.n):
             raise InvalidParameterError(f"no arc {u}->{v}")
         return u * self.d + dim
+
+
+def complete_arc_id(n: int, u, v):
+    """Id of the K_n arc u->v (u != v): u*(n-1) + (v if v < u else v-1).
+
+    Elementwise on arrays of sources and destinations that broadcast together.
+    """
+    return u * (n - 1) + v - (v > u)
 
 
 def build_complete(n: int, port_seed: int | None = 0, chordal: bool = False) -> Topology:
@@ -100,15 +108,13 @@ def build_complete(n: int, port_seed: int | None = 0, chordal: bool = False) -> 
     for u in range(n):
         row = np.concatenate([np.arange(u, dtype=np.int32), np.arange(u + 1, n, dtype=np.int32)])
         dst[u * (n - 1):(u + 1) * (n - 1)] = row
-    # arc_id(u, v) = u*(n-1) + (v if v < u else v-1); opposite swaps u and v
-    opp = (dst.astype(np.int64) * (n - 1) + np.where(src < dst, src, src - 1)).astype(np.int32)
+    opp = complete_arc_id(n, dst, src)
 
     out_start = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int32)
     if chordal:
-        out_arcs = np.empty(n * (n - 1), dtype=np.int32)
-        for u in range(n):
-            dests = (u + 1 + np.arange(n - 1)) % n
-            out_arcs[u * (n - 1):(u + 1) * (n - 1)] = u * (n - 1) + np.where(dests < u, dests, dests - 1)
+        # Port p of u leads to (u+p+1) mod n.
+        dests = (src + 1 + np.tile(np.arange(n - 1, dtype=np.int32), n)) % n
+        out_arcs = complete_arc_id(n, src, dests)
         labeling = ChordalLabeling(n)
         port_seed = None
     else:

@@ -1,7 +1,11 @@
-"""Unused imports: every name a module imports must be read somewhere in it.
+"""Dead code, by two plain ``ast`` scans, so tier-1 needs no linter installed.
 
-A plain ``ast`` scan, so tier-1 needs no linter installed.  A package's
-``__init__.py`` is exempt: its imports are the package's re-exports.
+Unused imports: every name a module imports must be read somewhere in it.  A
+package's ``__init__.py`` is exempt: its imports are the package's re-exports.
+
+Unreferenced definitions: every module-level name and every method defined
+in the package must be named somewhere outside its own definition, in any
+scanned file.  Dunder names are exempt: Python calls them itself.
 """
 
 import ast
@@ -65,6 +69,54 @@ def _unused(path: Path, root: Path = ROOT) -> list[str]:
             if name not in read]
 
 
+def _defined(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each module-level name and method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno, node.end_lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((t.id, node.lineno, node.end_lineno)
+                         for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((f"{node.name}.{m.name}", m.lineno, m.end_lineno) for m in node.body
+                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return [d for d in found if not d[0].rpartition(".")[2].startswith("__")]
+
+
+def _named(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every name, attribute, imported name and ``__all__`` entry."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            found.extend((name, node.lineno) for name in ast.literal_eval(node.value))
+    return found
+
+
+def _unreferenced(package: Path, scanned: list[Path], root: Path = ROOT) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in scanned}
+    named: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _named(tree):
+            named.setdefault(name, []).append((path, line))
+    out = []
+    for path in sorted(p for p in trees if p.is_relative_to(package)):
+        for name, first, last in _defined(trees[path]):
+            uses = named.get(name.rpartition(".")[2], [])
+            if all(use == path and first <= line <= last for use, line in uses):
+                out.append(f"{path.relative_to(root)}:{first}: {name}")
+    return out
+
+
 def test_scan_finds_modules():
     assert len(list(_modules())) > 20
 
@@ -72,6 +124,30 @@ def test_scan_finds_modules():
 def test_no_unused_imports():
     unused = [entry for path in _modules() for entry in _unused(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_unreferenced_definitions():
+    scanned = [path for top in SCANNED for path in sorted((ROOT / top).rglob("*.py"))]
+    dead = _unreferenced(ROOT / "src" / "faultcast", scanned)
+    assert not dead, "defined but never named elsewhere:\n" + "\n".join(dead)
+
+
+@pytest.mark.parametrize("source, dead", [
+    ("X = 1\n", ["X"]),
+    ("X = 1\nY = X\n", ["Y"]),
+    ("def f():\n    return f()\n", ["f"]),
+    ("def f():\n    pass\nf()\n", []),
+    ("class A:\n    def __init__(self):\n        self.m()\n    def m(self):\n        pass\n"
+     "A()\n", []),
+    ("class A:\n    def m(self):\n        pass\nA\n", ["A.m"]),
+    ("a, b = 1, 2\n__all__ = ['a']\nprint(b)\n", []),
+])
+def test_unreferenced_rule(tmp_path, source, dead):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(source)
+    found = _unreferenced(package, [package / "mod.py"], tmp_path)
+    assert [entry.rsplit(": ", 1)[1] for entry in found] == dead
 
 
 @pytest.mark.parametrize("source, unused", [

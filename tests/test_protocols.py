@@ -14,8 +14,9 @@ from faultcast.adversary import (AckSuppressor, AdversaryPolicy, RandomAdversary
 from faultcast.engine import INFO, NetworkState, execute_step
 from faultcast.errors import (InvalidParameterError, UnsupportedAlphaError,
                               UnsupportedTopologyError)
-from faultcast.protocols import (AllButOneDriver, BATCH, IdleDriver, SeqDriver, Session,
-                                 SweepDriver, make_driver)
+from faultcast.protocols import (AllButOneDriver, BATCH, EliminationDriver, GreedyCompleteDriver,
+                                 IdleDriver, SeqDriver, Session, SimpleRoundsDriver, SweepDriver,
+                                 make_driver)
 from faultcast.topology import build_complete, build_hypercube
 from faultcast.validate import errors_only, validate_trace
 
@@ -290,6 +291,54 @@ def test_nosod_iteration_segments_present():
     kinds = {s.kind for s in tr.segments}
     assert "nosod_iter" in kinds or "nosod_inert_tail" in kinds
     assert "simple_rounds" in kinds and "greedy" in kinds
+
+
+def test_nosod_complete_is_one_flat_sequence():
+    topo = build_complete(16)
+    driver = make_driver("nosod-complete", topo, 0.5, 2.0, NetworkState(topo))
+    l1, l2, l3, l4 = bounds.l_params(16, 0.5, 2.0)
+    assert isinstance(driver, SeqDriver)
+    assert [type(c) for c in driver.children] == (
+        [GreedyCompleteDriver, SimpleRoundsDriver] + [EliminationDriver, SimpleRoundsDriver] * l1)
+    assert len({id(c) for c in driver.children}) == len(driver.children)
+    assert driver.total_steps == 2 + 2 * bounds.rounds_kn(16, 0.5) + l1 * (l2 * l3 + 2 * l4)
+
+
+class _EliminationStaller(AdversaryPolicy):
+    """Kills the messages to uninformed vertices first, then those whose
+    delivery would make a hyperactive arc passive, then the rest."""
+
+    id = "elimination_staller"
+
+    def decide(self, ctx, batch, budget):
+        topo, state = ctx.topo, ctx.state
+        to_uninformed = ~state.informed[topo.arc_dst[batch.arcs]]
+        back = topo.opp[batch.arcs]  # the arc each delivery marks passive
+        hyper = (state.informed[topo.arc_src[back]] & state.informed[topo.arc_dst[back]]
+                 & ~state.passive[back])
+        order = np.concatenate([np.flatnonzero(to_uninformed),
+                                np.flatnonzero(~to_uninformed & hyper),
+                                np.flatnonzero(~to_uninformed & ~hyper)])
+        return order[:min(batch.m, budget)]
+
+
+def test_nosod_extended_rounds_digest_unchanged(tmp_path):
+    """The L1 extended rounds of nosod-complete alone, on K_6 from three
+    informed vertices, against an adversary under which no iteration and no
+    L4 round goes inert: every step of every pass executes."""
+    topo = build_complete(6)
+    state = NetworkState(topo)
+    state.informed[:3] = True
+    state.version += 1
+    driver = SeqDriver(make_driver("nosod-complete", topo, 0.3, 2.0, state).children[2:])
+    _, trace = protocols.simulate(topo, driver, _EliminationStaller(), 0.3, state=state)
+    l1, l2, l3, l4 = bounds.l_params(6, 0.3, 2.0)
+    kinds = [s.kind for s in trace.segments]
+    assert len(trace) == l1 * (l2 * l3 + 2 * l4) == 1200
+    assert (kinds.count("nosod_iter"), kinds.count("simple_rounds")) == (l1 * l2, l1) == (100, 10)
+    assert "nosod_inert_tail" not in kinds
+    assert _jsonl_digest(trace, tmp_path) == (
+        "892cc1c9160edcc7ebd51e9ebef3977489d613d2e708362d0a874f5ab03f06cf")
 
 
 def test_inert_fast_forward_is_exact():

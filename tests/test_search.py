@@ -10,7 +10,8 @@ from faultcast.adversary import (AckSuppressor, FixedKillAdversary, RandomAdvers
                                  VictimGuard, worst_case_search as reexported_search)
 from faultcast.engine import NetworkState, execute_step, fault_budget
 from faultcast.errors import TooLargeError
-from faultcast.protocols import ExtendedRoundsDriver, almost_complete_kn, make_driver
+from faultcast.protocols import (EliminationDriver, SeqDriver, Session, SimpleRoundsDriver,
+                                 almost_complete_kn, make_driver)
 from faultcast.search import (HORIZON_EXCEEDED, _children, _image_weights, _least_images,
                               _vertex_perms, worst_case_search)
 from faultcast.topology import build_complete, build_hypercube
@@ -81,6 +82,19 @@ def test_search_matches_brute_force(n, protocol, kwargs):
     assert worst_case_search(n, protocol, alpha, **kwargs).worst_steps == expected
 
 
+@pytest.mark.parametrize("n, initiator", [(2, 0), (4, 1), (5, 0), (5, 4)])
+def test_vertex_perms_match_arc_ids(n, initiator):
+    """Each row is a distinct vertex permutation fixing the initiator, with
+    the arc permutation it induces, arc by arc through ``arc_id``."""
+    topo = build_complete(n, port_seed=None)
+    vmaps, arc_perms = _vertex_perms(n, initiator)
+    assert len({tuple(row) for row in vmaps.tolist()}) == vmaps.shape[0] == math.factorial(n - 1)
+    for vmap, arc_perm in zip(vmaps.tolist(), arc_perms.tolist()):
+        assert sorted(vmap) == list(range(n)) and vmap[initiator] == initiator
+        assert arc_perm == [topo.arc_id(vmap[u], vmap[v])
+                            for u, v in zip(topo.arc_src.tolist(), topo.arc_dst.tolist())]
+
+
 def test_k2_simple_rounds_exact():
     result = worst_case_search(2, "simple-rounds", 0.5)
     assert result.worst_steps == 2  # one info step + one ack step
@@ -115,6 +129,24 @@ def test_k6_almost_kn_frozen():
     result = worst_case_search(6, "almost-kn", 0.5)
     assert result.worst_steps == 10
     assert result.states == 37948
+
+
+def test_seq_key_parts_settle_position():
+    """A SeqDriver keys on its current child whether or not ``done`` has run
+    since the last ``absorb``: after the two greedy steps of almost-kn, the
+    key names the rounds child straight away."""
+    topo = build_complete(5, port_seed=None)
+    identity = np.arange(topo.num_arcs)
+    state = NetworkState(topo)
+    driver = make_driver("almost-kn", topo, 0.5, 2.0, state)
+    for _ in range(2):
+        _, batch = driver.next(state, False)
+        kills = range(min(batch.m, fault_budget(batch.m, topo.edge_connectivity, 0.5)))
+        driver.absorb(state, execute_step(state, batch, FixedKillAdversary(kills), 0.5))
+        key = driver.key_parts(identity)
+        driver.done()
+        assert driver.key_parts(identity) == key
+    assert key[0] == 1
 
 
 def test_k4_nosod_frozen():
@@ -180,9 +212,10 @@ def _reachable(topo, driver, state, rng, steps):
 
 
 def _plays(n, rng):
-    """Random reachable states of almost-kn and nosod-complete on K_n, and of a
-    bare ExtendedRoundsDriver (inner steps and simple rounds) started after a
-    greedy step that left vertices uninformed."""
+    """Random reachable states of almost-kn and nosod-complete on K_n, and of
+    two short extended rounds (an elimination pass of one 2-step iteration,
+    then 2 simple rounds, twice) started after a greedy step that left
+    vertices uninformed."""
     topo = build_complete(n, port_seed=None)
     for protocol in ("almost-kn", "nosod-complete"):
         state = NetworkState(topo)
@@ -190,7 +223,11 @@ def _plays(n, rng):
     state = NetworkState(topo)
     _, batch = make_driver("greedy-kn", topo, 0.5, 2.0, state).next(state, False)
     execute_step(state, batch, FixedKillAdversary(range(n - 2)), 0.5)
-    yield from _reachable(topo, ExtendedRoundsDriver(topo, 2, 1, 2, 2), state, rng, 12)
+    session = Session(topo, 0, state=state)
+    passes = [driver for i in range(2)
+              for driver in (EliminationDriver(topo, 1, 2, i),
+                             SimpleRoundsDriver(session, 2, label="nosod_l4"))]
+    yield from _reachable(topo, SeqDriver(passes), state, rng, 12)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -206,7 +243,7 @@ def test_precomputed_children_are_honest(n):
     vinv, ainv = np.argsort(vmaps, axis=1), np.argsort(arc_perms, axis=1)
     identity = np.arange(topo.num_arcs)
     checked = {True: 0, False: 0}
-    modes = set()
+    extended = set()  # the kinds of extended-round step checked
     for state, driver in _plays(n, rng):
         probe_state = state.clone()
         probe = driver.clone(probe_state)
@@ -215,8 +252,9 @@ def test_precomputed_children_are_honest(n):
         if math.comb(batch.m, ksize) > 500:
             continue
         keeps = probe.keeps_deliveries()
-        if isinstance(probe, ExtendedRoundsDriver):
-            modes.add(probe.mode)
+        current = probe.children[probe.idx]
+        if isinstance(current, EliminationDriver) or getattr(current, "label", "") == "nosod_l4":
+            extended.add(type(current))
         driver_keys = set()
         for kills, completes, after in _children(state, batch, (ksize,), {}):
             least, ties = _least_images(after, weights)
@@ -227,7 +265,6 @@ def test_precomputed_children_are_honest(n):
                 assert (st.k == 0) == completes[j]
                 assert (st.informed == after[j, :n]).all()
                 assert (st.passive == after[j, n:]).all()
-                dr.done()
                 driver_keys.add(dr.key_parts(identity))
                 packed = np.concatenate([np.packbits(st.informed[vinv], axis=1),
                                          np.packbits(st.passive[ainv], axis=1)], axis=1)
@@ -241,4 +278,4 @@ def test_precomputed_children_are_honest(n):
             assert len(driver_keys) == 1
         checked[keeps] += 1
     assert checked[True] and checked[False]
-    assert modes == {"inner", "rounds"}
+    assert extended == {EliminationDriver, SimpleRoundsDriver}

@@ -39,6 +39,9 @@ def test_arc_id_consistency():
         for a in range(topo.num_arcs):
             u, v = int(topo.arc_src[a]), int(topo.arc_dst[a])
             assert topo.arc_id(u, v) == a
+    kn = topology.build_complete(6)
+    assert np.array_equal(topology.complete_arc_id(6, kn.arc_src, kn.arc_dst),
+                          np.arange(kn.num_arcs))
 
 
 def test_arc_id_rejects_non_arcs():
