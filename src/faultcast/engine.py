@@ -246,7 +246,12 @@ def _deliver(state: NetworkState, batch: SendBatch, delivered_idx: np.ndarray) -
     passive[new_passive] = True
     kinds = batch.kinds[delivered_idx]
     dsts = topo.arc_dst[darr[(kinds == INFO) | (kinds == INFO_CANDS)]]
-    new_informed = np.unique(dsts[~informed[dsts]]) if dsts.size else _EMPTY
+    if dsts.size:
+        new_informed = dsts[~informed[dsts]]
+        if new_informed.size > 1:
+            new_informed = np.unique(new_informed)
+    else:
+        new_informed = _EMPTY
 
     counted = state._counts_version == state.version
     if counted:
@@ -285,6 +290,7 @@ _COLUMNS = ("step", "k", "h", "b", "m_sent", "m_lost", "acks", "M")
 # the same record after its step field.
 _JSONL_ROW = "{" + ", ".join(f'"{name}": %d' for name in _COLUMNS) + "}\n"
 _JSONL_TAIL = "".join(f', "{name}": %d' for name in _COLUMNS[1:]) + "}\n"
+_STEP_AT = len('{"step": ')  # offset of the step digits in a record
 _JSONL_CHUNK = 1 << 16  # records formatted per write
 _BLOCK = 1024  # rows converted to int64 at a time
 
@@ -362,40 +368,51 @@ class Trace:
 
     def record_inert(self, state: NetworkState, m_sent: int, count: int,
                      step_start: int) -> None:
-        """Record ``count`` steps where every message is destroyed, as one run.
+        """Record ``count`` steps where every message is destroyed, as one stored row.
 
-        Only valid when the caller has proven the steps cannot change state
-        (m_sent <= c-1 and an exhaustive adversary kills the whole batch).
+        A block of more than one step is a run.  Only valid when the caller
+        has proven the steps cannot change state (m_sent <= c-1 and an
+        exhaustive adversary kills the whole batch).
         """
         if count <= 0:
             return
         self._append(state, step_start + 1, m_sent, m_sent, 0)
-        self._runs.append((self._rows - 1, count))
+        if count > 1:
+            self._runs.append((self._rows - 1, count))
         self._len += count
 
-    def _repeats(self) -> np.ndarray:
-        """Steps each stored row stands for."""
-        repeats = np.ones(self._data.shape[0], dtype=np.int64)
-        rows, counts = zip(*self._runs)
-        repeats[list(rows)] = counts
-        return repeats
+    def stored(self) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+        """(columns, starts, repeats) of the stored rows.
+
+        ``columns`` maps each column name, and "boundary" if tracked, to its
+        stored values; a run's row holds its first step.  ``starts`` is the
+        record index of each row's first step and ``repeats`` the steps each
+        row stands for.
+        """
+        data = self._data
+        repeats = np.ones(data.shape[0], dtype=np.int64)
+        if self._runs:
+            rows, counts = zip(*self._runs)
+            repeats[list(rows)] = counts
+        names = _COLUMNS + ("boundary",) if self.track_boundary else _COLUMNS
+        columns = {name: data[:, i] for i, name in enumerate(names)}
+        return columns, np.cumsum(repeats) - repeats, repeats
 
     def column(self, name: str) -> np.ndarray:
-        col = self._data[:, _COLUMNS.index(name)]
+        columns, starts, repeats = self.stored()
+        col = columns[name]
         if not self._runs:
             return col
-        repeats = self._repeats()
         col = np.repeat(col, repeats)
         if name == "step":
             # Each step of a run is one more than the step before it.
-            col += np.arange(self._len) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+            col += np.arange(self._len) - np.repeat(starts, repeats)
         return col
 
     def boundary_column(self) -> np.ndarray:
         if not self.track_boundary:
             raise InvalidParameterError("trace was not recorded with boundary tracking")
-        col = self._data[:, len(_COLUMNS)]
-        return np.repeat(col, self._repeats()) if self._runs else col
+        return self.column("boundary")
 
     @property
     def final_k(self) -> int:
@@ -420,22 +437,52 @@ class Trace:
     def to_jsonl(self, path) -> None:
         """One JSON line per step, then the summary line.
 
-        Stored rows are formatted a chunk at a time, and a run's constant
-        columns once for all of its steps.
+        Stored rows are formatted a chunk at a time; a run is copied from one
+        template line per piece (see ``_write_run``).  Every line is ASCII, so
+        the file is written as bytes.
         """
-        data = self._data
-        with open(path, "w") as fh:
+        data = self._data[:, :len(_COLUMNS)]
+        with open(path, "wb") as fh:
             start = 0
             for row, count in self._runs + [(data.shape[0], 0)]:
                 for i in range(start, row, _JSONL_CHUNK):
-                    chunk = data[i:min(i + _JSONL_CHUNK, row), :len(_COLUMNS)]
-                    fh.write(_JSONL_ROW * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+                    chunk = data[i:min(i + _JSONL_CHUNK, row)]
+                    text = _JSONL_ROW * chunk.shape[0] % tuple(chunk.ravel().tolist())
+                    fh.write(text.encode())
                 if count:
-                    first, *rest = data[row, :len(_COLUMNS)].tolist()
-                    line = '{"step": %d' + _JSONL_TAIL % tuple(rest)
-                    for s in range(first, first + count, _JSONL_CHUNK):
-                        steps = range(s, min(s + _JSONL_CHUNK, first + count))
-                        fh.write(line * len(steps) % tuple(steps))
+                    first, *rest = data[row].tolist()
+                    _write_run(fh, first, count, _JSONL_TAIL % tuple(rest))
                 start = row + 1
-            fh.write(json.dumps(self.summary))
-            fh.write("\n")
+            fh.write(json.dumps(self.summary).encode() + b"\n")
+
+
+def _write_run(fh, first: int, count: int, tail: str) -> None:
+    """Write the lines of steps ``first .. first+count-1``, each followed by ``tail``.
+
+    Each piece has at most ``_JSONL_CHUNK`` lines whose steps have the same
+    number of digits.
+    """
+    end = first + count
+    while first < end:
+        stop = min(end, first + _JSONL_CHUNK, 10 ** len(str(first)))
+        fh.write(_run_piece(first, stop, tail))
+        first = stop
+
+
+def _run_piece(first: int, stop: int, tail: str) -> bytearray:
+    """The lines of steps ``first .. stop-1``, all with as many digits as ``first``.
+
+    The line of ``first`` is repeated, and only the trailing step digits that
+    change within the piece are rewritten.
+    """
+    line = f'{{"step": {first}{tail}'.encode()
+    buf = bytearray(line) * (stop - first)
+    lines = np.frombuffer(buf, dtype=np.uint8).reshape(stop - first, len(line))
+    steps = np.arange(first, stop)
+    at = _STEP_AT + len(str(first)) - 1  # offset of the last step digit
+    lo, hi = first, stop - 1
+    while lo != hi:  # the digits left of ``at`` are the same on every line
+        lines[:, at] = steps % 10 + ord("0")
+        steps //= 10
+        lo, hi, at = lo // 10, hi // 10, at - 1
+    return buf

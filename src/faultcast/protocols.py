@@ -101,7 +101,9 @@ class Session:
         else:
             self.marks[self.topo.opp[darr]] = True
             dsts = self.topo.arc_dst[darr[report.batch.kinds[report.delivered_idx] != ACK]]
-            fresh = np.unique(dsts[~self.aware[dsts]])
+            fresh = dsts[~self.aware[dsts]]
+            if fresh.size > 1:
+                fresh = np.unique(fresh)
             self.aware[fresh] = True
             if self.also_aware is not None:
                 self.also_aware[dsts] = True

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bounds
 from .engine import Trace
+from .errors import InvalidParameterError
 from .topology import COMPLETE, HYPERCUBE
 
 _TOL = 1e-9
@@ -37,31 +38,45 @@ def check_budget(trace: Trace, alpha: float) -> list[Violation]:
     """m_lost <= max{c-1, floor(alpha*m_sent)} on every recorded step.
 
     alpha is read as the exact decimal it is written as; the floor is taken
-    in integers, in Python ints where int64 products could overflow.
+    in integers, in Python ints where int64 products could overflow.  A run
+    repeats its row's traffic, so an over-budget run fires on each of its
+    steps.
     """
     c = trace.topo.edge_connectivity
-    m_sent = trace.column("m_sent")
-    m_lost = trace.column("m_lost")
+    cols, starts, repeats = trace.stored()
+    m_sent, m_lost = cols["m_sent"], cols["m_lost"]
     ratio = Fraction(str(alpha))
     if ratio.numerator * int(m_sent.max(initial=0)) > np.iinfo(np.int64).max:
         m_sent = m_sent.astype(object)
     budget = np.maximum(c - 1, m_sent * ratio.numerator // ratio.denominator)
-    bad = np.flatnonzero(m_lost > budget)
-    return [Violation("budget", int(i),
-                      f"lost {m_lost[i]} of {m_sent[i]} sent, budget {budget[i]}")
-            for i in bad]
+    out = []
+    for r in np.flatnonzero(m_lost > budget):
+        message = f"lost {m_lost[r]} of {m_sent[r]} sent, budget {budget[r]}"
+        out += [Violation("budget", i, message)
+                for i in range(starts[r], starts[r] + repeats[r])]
+    return out
 
 
 def check_monotone(trace: Trace) -> list[Violation]:
-    """k never increases, passive count never decreases."""
+    """k never increases, passive count never decreases.
+
+    Values are constant within a run, so only consecutive stored rows can
+    differ; the change shows at the first record of the later row.
+    """
     out = []
-    k = trace.column("k")
-    b = trace.column("b")
-    for i in np.flatnonzero(np.diff(k) > 0):
-        out.append(Violation("monotone_k", int(i + 1), f"k rose {k[i]} -> {k[i + 1]}"))
-    for i in np.flatnonzero(np.diff(b) < 0):
-        out.append(Violation("monotone_b", int(i + 1), f"b fell {b[i]} -> {b[i + 1]}"))
+    cols, starts, _ = trace.stored()
+    k, b = cols["k"], cols["b"]
+    for r in np.flatnonzero(np.diff(k) > 0):
+        out.append(Violation("monotone_k", int(starts[r + 1]), f"k rose {k[r]} -> {k[r + 1]}"))
+    for r in np.flatnonzero(np.diff(b) < 0):
+        out.append(Violation("monotone_b", int(starts[r + 1]), f"b fell {b[r]} -> {b[r + 1]}"))
     return out
+
+
+def _stored_columns(trace: Trace):
+    """The stored columns, and a map from record indices to their stored rows."""
+    cols, starts, _ = trace.stored()
+    return cols, lambda records: np.searchsorted(starts, records, side="right") - 1
 
 
 def _segment_spans(trace: Trace):
@@ -72,10 +87,14 @@ def _segment_spans(trace: Trace):
         yield seg, end
 
 
-def _round_indices(start: int, end: int):
-    """(pre, step_a, step_b) record indices for each full simple round."""
-    for a in range(start, end - 1, 2):
-        yield a - 1, a, a + 1
+def _round_indices(start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pre, step_b) record indices of each full simple round with a pre-round record.
+
+    A schedule-initial round has no pre-round record and is skipped.
+    """
+    step_a = np.arange(start, end - 1, 2)
+    step_a = step_a[step_a > 0]
+    return step_a - 1, step_a + 1
 
 
 def check_kn_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
@@ -91,26 +110,26 @@ def check_kn_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     n = trace.topo.n
     cc = bounds.constants(alpha)
     level = ERROR if eps > 1.0 and n >= bounds.n_min(alpha, eps) else INFO
-    k_col, h_col = trace.column("k"), trace.column("h")
-    m_col, acks_col = trace.column("M"), trace.column("acks")
+    cols, row_of = _stored_columns(trace)
+    k_col, h_col, m_col, acks_col = cols["k"], cols["h"], cols["M"], cols["acks"]
     out = []
     for seg, end in _segment_spans(trace):
         if seg.kind != "simple_rounds" or not seg.meta.get("primary"):
             continue
-        for pre, _, b_rec in _round_indices(seg.start, end):
-            if pre < 0:
-                continue  # no pre-round record for a schedule-initial round
-            k, h = int(k_col[pre]), int(h_col[pre])
+        pre_recs, b_recs = _round_indices(seg.start, end)
+        for b_rec, pre_row, b_row in zip(b_recs.tolist(), row_of(pre_recs),
+                                          row_of(b_recs)):
+            k, h = int(k_col[pre_row]), int(h_col[pre_row])
             if not (k > cc.x * eps or h > cc.x * (n - 2)):
                 continue
             need_acks = (1.0 - alpha) ** 2 * (k * (n - k) + h)
-            if acks_col[b_rec] < need_acks - _TOL:
+            if acks_col[b_row] < need_acks - _TOL:
                 out.append(Violation("thm2_acks", b_rec,
-                                     f"{acks_col[b_rec]} acks < {need_acks:.3f} "
+                                     f"{acks_col[b_row]} acks < {need_acks:.3f} "
                                      f"(k={k}, h={h})", level))
-            if m_col[b_rec] > (1.0 - cc.c) * m_col[pre] + _TOL:
+            if m_col[b_row] > (1.0 - cc.c) * m_col[pre_row] + _TOL:
                 out.append(Violation("thm2_measure", b_rec,
-                                     f"M {m_col[pre]} -> {m_col[b_rec]} exceeds "
+                                     f"M {m_col[pre_row]} -> {m_col[b_row]} exceeds "
                                      f"factor {1.0 - cc.c:.6f}", level))
     return out
 
@@ -130,38 +149,41 @@ def check_qd_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     n = trace.topo.n
     cc = bounds.constants(alpha)
     level = ERROR if 0.0 < eps < 1.0 and d >= bounds.d_min(alpha, eps) else INFO
-    k_col, h_col, b_col = trace.column("k"), trace.column("h"), trace.column("b")
-    m_col, acks_col = trace.column("M"), trace.column("acks")
-    bd_col = trace.boundary_column()
+    if not trace.track_boundary:
+        raise InvalidParameterError("trace was not recorded with boundary tracking")
+    cols, row_of = _stored_columns(trace)
+    k_col, h_col, b_col, m_col = cols["k"], cols["h"], cols["b"], cols["M"]
+    acks_col, bd_col = cols["acks"], cols["boundary"]
     lg3 = math.log2(3.0)
     rho = 1.0 + cc.beta * math.log2(2.0 / 3.0) / d
     out = []
     for seg, end in _segment_spans(trace):
         if seg.kind != "simple_rounds" or not seg.meta.get("primary"):
             continue
-        for pre, _, b_rec in _round_indices(seg.start, end):
-            if pre < 0:
-                continue
-            k, h, b, bd = int(k_col[pre]), int(h_col[pre]), int(b_col[pre]), int(bd_col[pre])
+        pre_recs, b_recs = _round_indices(seg.start, end)
+        for b_rec, pre_row, b_row in zip(b_recs.tolist(), row_of(pre_recs),
+                                          row_of(b_recs)):
+            k, h = int(k_col[pre_row]), int(h_col[pre_row])
+            b, bd = int(b_col[pre_row]), int(bd_col[pre_row])
             gate_ack = k > cc.x / (1.0 - eps) or h > cc.x * (d - 1)
             if gate_ack:
                 need = (1.0 - alpha) ** 2 * (h + bd)
-                if acks_col[b_rec] < need - _TOL:
+                if acks_col[b_row] < need - _TOL:
                     out.append(Violation("lemma4_acks", b_rec,
-                                         f"{acks_col[b_rec]} acks < {need:.3f} "
+                                         f"{acks_col[b_row]} acks < {need:.3f} "
                                          f"(h={h}, boundary={bd})", level))
             if k >= (2.0 / 3.0) * n:
-                if b_col[b_rec] < b + cc.beta * bd - _TOL:
+                if b_col[b_row] < b + cc.beta * bd - _TOL:
                     out.append(Violation("lemma5_growth", b_rec,
-                                         f"b {b} -> {b_col[b_rec]} < b + beta*{bd}", level))
-                if b >= d and b_col[b_rec] < b * (1.0 + cc.beta * lg3 / d) - _TOL:
+                                         f"b {b} -> {b_col[b_row]} < b + beta*{bd}", level))
+                if b >= d and b_col[b_row] < b * (1.0 + cc.beta * lg3 / d) - _TOL:
                     out.append(Violation("lemma5_factor", b_rec,
-                                         f"b {b} -> {b_col[b_rec]} below factor "
+                                         f"b {b} -> {b_col[b_row]} below factor "
                                          f"{1.0 + cc.beta * lg3 / d:.6f}", level))
             if gate_ack and k <= (2.0 / 3.0) * n:
-                if m_col[b_rec] > rho * m_col[pre] + _TOL:
+                if m_col[b_row] > rho * m_col[pre_row] + _TOL:
                     out.append(Violation("lemma6_measure", b_rec,
-                                         f"M {m_col[pre]} -> {m_col[b_rec]} exceeds "
+                                         f"M {m_col[pre_row]} -> {m_col[b_row]} exceeds "
                                          f"factor {rho:.6f}", level))
     return out
 
@@ -180,7 +202,8 @@ def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Viola
     if cc.y <= 0.0:
         return []
     level = ERROR if eps > 1.0 and n >= bounds.n_min(alpha, eps) else INFO
-    k_col, h_col = trace.column("k"), trace.column("h")
+    cols, row_of = _stored_columns(trace)
+    k_col, h_col = cols["k"], cols["h"]
     out = []
     for seg, end in _segment_spans(trace):
         if seg.kind != "nosod_iter":
@@ -191,12 +214,13 @@ def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Viola
         k0, h0 = seg.meta["k0"], seg.meta["h0"]
         if k0 < 1 or h0 > cc.x * (n - 2):
             continue
-        informed_new = k_col[last] < k0
-        shrunk = h_col[last] <= (1.0 - cc.y / 2.0) * h0 + _TOL
+        row = row_of(last)
+        informed_new = k_col[row] < k0
+        shrunk = h_col[row] <= (1.0 - cc.y / 2.0) * h0 + _TOL
         if not (informed_new or shrunk):
             out.append(Violation("nosod_iteration", seg.start,
                                  f"iteration (l1={seg.meta['l1']}, l2={seg.meta['l2']}) "
-                                 f"kept k={k0} and h {h0} -> {h_col[last]}", level))
+                                 f"kept k={k0} and h {h0} -> {h_col[row]}", level))
     return out
 
 

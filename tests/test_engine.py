@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from faultcast.errors import (AdversaryViolation, InvalidParameterError,
 from faultcast.protocols import (almost_complete_kn, broadcast_hypercube, make_driver,
                                  nosod_complete, simulate)
 from faultcast.topology import build_complete, build_hypercube
+from faultcast.validate import validate_trace
 
 
 def test_fault_budget_examples():
@@ -289,12 +292,39 @@ def _runs_trace():
     return trace
 
 
+# (first step, steps) of inert blocks: runs that cross 9 -> 10, 99 -> 100,
+# 999 -> 1000 and 99,999 -> 100,000, runs whose 5-record pieces change two or
+# three trailing digits, and one-step blocks.
+_DIGIT_RUNS = [(8, 5), (98, 16), (197, 10), (998, 4), (1007, 10), (1017, 1),
+               (99_997, 9), (100_006, 1), (100_007, 3)]
+
+
+def _digit_runs_trace(executed=True):
+    """A trace that ends in a run; with ``executed`` False, made only of inert blocks."""
+    topo = build_complete(4)
+    state = NetworkState(topo)
+    trace = Trace(topo)
+    adv = random_adversary(1)
+    for first, count in _DIGIT_RUNS:
+        if executed and state.step_index <= first - 2:
+            state.step_index = first - 2
+            arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
+            trace.record_step(state, execute_step(state, SendBatch.uniform(arcs, INFO),
+                                                  adv, 0.5))
+        trace.record_inert(state, 2, count, first - 1)
+        state.step_index = first + count - 1
+    trace.summary = {"protocol": "test", "alpha": 0.5}
+    return trace
+
+
 @pytest.mark.parametrize("build", [
     lambda: almost_complete_kn(16, 0.5, 2.0, random_adversary(0)),
     _runs_trace,
+    _digit_runs_trace,
+    lambda: _digit_runs_trace(executed=False),
     lambda: broadcast_hypercube(5, 0.5, 0.5, random_adversary(1)),
     lambda: Trace(build_complete(4)),
-], ids=["executed", "runs", "hypercube", "empty"])
+], ids=["executed", "runs", "digit-runs", "runs-only", "hypercube", "empty"])
 def test_to_jsonl_matches_per_row_writer(build, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "_JSONL_CHUNK", 5)
     trace = build()
@@ -322,12 +352,20 @@ def test_inert_runs_expand_to_steps():
     trace.record_inert(state, 2, 3, state.step_index)
     state.step_index += 3
     trace.record(state, 5, 1, 2)
-    assert len(trace) == trace.total_steps == 5
-    assert trace._data.shape[0] == 3
-    assert trace.column("step").tolist() == [0, 5, 6, 7, 7]
-    assert trace.column("k").tolist() == [7, 6, 6, 6, 6]
-    assert trace.column("m_lost").tolist() == [0, 2, 2, 2, 1]
-    assert trace.boundary_column().tolist() == [3, 4, 4, 4, 4]
+    trace.record_inert(state, 1, 1, state.step_index)
+    state.step_index += 1
+    assert len(trace) == trace.total_steps == 6
+    assert trace._data.shape[0] == 4
+    assert trace._runs == [(1, 3)]  # the one-step block is a plain row
+    assert trace.column("step").tolist() == [0, 5, 6, 7, 7, 8]
+    assert trace.column("k").tolist() == [7, 6, 6, 6, 6, 6]
+    assert trace.column("m_lost").tolist() == [0, 2, 2, 2, 1, 1]
+    assert trace.boundary_column().tolist() == [3, 4, 4, 4, 4, 4]
+    columns, starts, repeats = trace.stored()
+    assert columns["step"].tolist() == [0, 5, 7, 8]
+    assert columns["boundary"].tolist() == [3, 4, 4, 4]
+    assert starts.tolist() == [0, 1, 4, 5]
+    assert repeats.tolist() == [1, 3, 1, 1]
     assert trace.first_complete_step() == 5
     assert (trace.final_k, trace.final_h) == (6, 2)
 
@@ -353,3 +391,21 @@ def test_stored_rows_grow_with_executed_steps():
     assert len(trace) == 1547659
     assert trace._data.shape[0] <= trace.executed + trace.inert_calls
     assert trace._data.shape[0] < len(trace) // 100
+    assert len(trace._runs) == 9  # one-step inert blocks are plain rows
+
+
+def test_trace_consumers_memory_does_not_grow_with_steps():
+    # The 1.55M-step trace above stores 4,228 rows; expanding a column to
+    # one entry per step costs 12.4 MB.
+    trace = nosod_complete(64, 0.55, 2.0, random_adversary(0))
+    peaks = {}
+    for name, consume in (("validate", lambda: validate_trace(trace)),
+                          ("to_jsonl", lambda: trace.to_jsonl(os.devnull))):
+        tracemalloc.start()
+        try:
+            consume()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["validate"] < 5e6
+    assert peaks["to_jsonl"] <= 15.2e6

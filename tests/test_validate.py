@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from faultcast.adversary import AdversaryPolicy, random_adversary
+from faultcast import engine
 from faultcast.engine import INFO, NetworkState, SendBatch, Trace, execute_step
 from faultcast.errors import AdversaryViolation
 from faultcast.protocols import almost_complete_kn, broadcast_hypercube, nosod_complete
 from faultcast import validate
-from faultcast.topology import build_complete
+from faultcast.topology import COMPLETE, HYPERCUBE, build_complete, build_hypercube
 
 
 def _doctored_trace(n=8):
@@ -46,7 +47,7 @@ def test_budget_check_quiet_on_honest_run():
     assert validate.check_budget(trace, 0.5) == []
 
 
-def test_monotone_check_fires():
+def _rising_k_trace():
     topo = build_complete(4)
     trace = Trace(topo)
     state = NetworkState(topo)
@@ -56,34 +57,49 @@ def test_monotone_check_fires():
     trace.record(state, 0, 0, 0)
     # Doctor the k column to rise.
     trace._data[1, 1] = 5
-    bad = validate.check_monotone(trace)
+    return trace
+
+
+def test_monotone_check_fires():
+    bad = validate.check_monotone(_rising_k_trace())
     assert any(v.check == "monotone_k" for v in bad)
 
 
-def test_final_bounds_fire_on_incomplete_sod():
+def _incomplete_sod_trace():
     topo = build_complete(8)
     trace = Trace(topo)
     state = NetworkState(topo)
     trace.record(state, 0, 0, 0)  # k = 7, never informed anyone
     trace.summary = {"protocol": "sod-complete", "alpha": 0.5, "eps": 2.0}
-    bad = validate.check_final_bounds(trace, 0.5, 2.0)
+    return trace
+
+
+def test_final_bounds_fire_on_incomplete_sod():
+    bad = validate.check_final_bounds(_incomplete_sod_trace(), 0.5, 2.0)
     assert any(v.check == "final_k" for v in bad)
 
 
-def test_nosod_iteration_check_fires_on_stalled_iteration():
+def _stalled_iteration_trace(run=0):
+    """A nosod iteration that keeps k = 3 and h = 10; with ``run``, its last
+    ``run`` steps are one inert run."""
     topo = build_complete(20)
     trace = Trace(topo)
     state = NetworkState(topo)
     state.informed[:] = True
     state.version += 1
-    seg = trace.mark("nosod_iter", l1=0, l2=0, k0=3, h0=10, steps=2)
-    # Two records with k unchanged (3) and h unchanged (10).
+    trace.mark("nosod_iter", l1=0, l2=0, k0=3, h0=10, steps=2 + run)
     for _ in range(2):
         trace.record(state, 5, 2, 0)
-    trace._data[:2, 1] = 3   # k column
-    trace._data[:2, 2] = 10  # h column
-    bad = validate.check_nosod_iterations(trace, 0.5, 2.0)
-    assert len(bad) == 1 and bad[0].check == "nosod_iteration"
+    trace.record_inert(state, 1, run, state.step_index)
+    trace._data[:, 1] = 3   # k column
+    trace._data[:, 2] = 10  # h column
+    return trace
+
+
+def test_nosod_iteration_check_fires_on_stalled_iteration():
+    for run in (0, 4):  # with 4, the iteration's last record is inside a run
+        bad = validate.check_nosod_iterations(_stalled_iteration_trace(run), 0.5, 2.0)
+        assert len(bad) == 1 and bad[0].check == "nosod_iteration"
 
 
 def test_nosod_iteration_quiet_on_honest_run():
@@ -91,11 +107,14 @@ def test_nosod_iteration_quiet_on_honest_run():
     assert validate.check_nosod_iterations(trace, 0.5, 2.0) == []
 
 
-def test_phase2_quorum_fires():
-    topo = build_complete(30)
-    trace = Trace(topo)
+def _thin_quorum_trace():
+    trace = Trace(build_complete(30))
     trace.mark("sod_phase2", qualifying=5, threshold=36, senders=5)
-    bad = validate.check_phase2_quorum(trace, 0.5, 2.0)
+    return trace
+
+
+def test_phase2_quorum_fires():
+    bad = validate.check_phase2_quorum(_thin_quorum_trace(), 0.5, 2.0)
     assert len(bad) == 1 and bad[0].level == validate.ERROR
 
 
@@ -136,3 +155,113 @@ def test_cheating_adversary_rejected():
 def test_cheating_adversary_rejected_mid_protocol():
     with pytest.raises(AdversaryViolation):
         almost_complete_kn(8, 0.5, 2.0, CheatingAdversary())
+
+
+# ---------------------------------------------------------------------------
+# Validation over stored rows: a run must give the same answer as its steps
+
+
+def _without_runs(trace):
+    """``trace`` re-recorded with one stored row per step."""
+    flat = Trace(trace.topo, track_boundary=trace.track_boundary)
+    names = engine._COLUMNS + ("boundary",) * trace.track_boundary
+    table = np.empty((len(trace), len(names)), dtype=np.int64)
+    for i, name in enumerate(names):
+        table[:, i] = trace.column(name)
+    flat._blocks = [table]
+    flat._rows = flat._len = len(trace)
+    flat.segments, flat.summary = trace.segments, trace.summary
+    return flat
+
+
+def _over_budget_run_trace():
+    """An executed step, then a 4-step run that loses 10 of 10 on K_8 (budget 6)."""
+    topo = build_complete(8)
+    trace = Trace(topo)
+    state = NetworkState(topo)
+    trace.record(state, m_sent=10, m_lost=5, acks=0)
+    trace.record_inert(state, 10, 4, state.step_index)
+    trace.record(state, m_sent=3, m_lost=3, acks=0)
+    return trace
+
+
+def _k_rises_after_run_trace():
+    """k rises and b falls on the first record after a run."""
+    topo = build_complete(6)
+    trace = Trace(topo)
+    state = NetworkState(topo)
+    state.informed[:3] = True
+    state.passive[:4] = True
+    state.version += 1
+    trace.record(state, 0, 0, 0)
+    trace.record_inert(state, 1, 5, state.step_index)
+    trace.record(state, 0, 0, 0)
+    trace._data[2, 1] += 1  # k
+    trace._data[2, 3] -= 1  # b
+    return trace
+
+
+def _straddled_rounds_trace(topo):
+    """Primary simple rounds whose records 2-4 are one run: round (0, 1, 2)
+    ends in the run, (2, 3, 4) lies in it and (4, 5, 6) starts in it."""
+    trace = Trace(topo, track_boundary=topo.kind == HYPERCUBE)
+    state = NetworkState(topo)
+    trace.record(state, 0, 0, 0)
+    trace.mark("simple_rounds", rounds=3, primary=True)
+    trace.record(state, 1, 1, 0)
+    trace.record_inert(state, 1, 3, state.step_index)
+    trace.record(state, 1, 1, 0)
+    trace.record(state, 1, 1, 0)
+    trace._data[0, 3] = 2  # b before the rounds, so passive growth falls short
+    trace._data[:, 6] = np.arange(5)  # each stored row delivers its own ack count
+    return trace
+
+
+def _doctored_traces():
+    return {
+        "budget": _doctored_trace(),
+        "rising-k": _rising_k_trace(),
+        "incomplete-sod": _incomplete_sod_trace(),
+        "stalled-iteration": _stalled_iteration_trace(),
+        "stalled-iteration-run": _stalled_iteration_trace(run=4),
+        "thin-quorum": _thin_quorum_trace(),
+        "over-budget-run": _over_budget_run_trace(),
+        "k-rises-after-run": _k_rises_after_run_trace(),
+        "straddled-kn-rounds": _straddled_rounds_trace(build_complete(40)),
+        "straddled-qd-rounds": _straddled_rounds_trace(build_hypercube(4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_doctored_traces()))
+def test_doctored_runs_validate_like_their_steps(name):
+    trace = _doctored_traces()[name]
+    eps = 2.0 if trace.topo.kind == COMPLETE else 0.5
+    bad = validate.validate_trace(trace, 0.5, eps)
+    assert bad
+    assert bad == validate.validate_trace(_without_runs(trace), 0.5, eps)
+
+
+def test_run_violations_land_on_record_indices():
+    bad = validate.check_budget(_over_budget_run_trace(), 0.5)
+    assert [v.where for v in bad] == [1, 2, 3, 4]
+    assert {v.message for v in bad} == {"lost 10 of 10 sent, budget 6"}
+    bad = validate.check_monotone(_k_rises_after_run_trace())
+    assert [(v.check, v.where) for v in bad] == [("monotone_k", 6), ("monotone_b", 6)]
+    bad = validate.check_kn_rounds(_straddled_rounds_trace(build_complete(40)), 0.5, 2.0)
+    assert [(v.where, v.message.split()[0]) for v in bad if v.check == "thm2_acks"] == [
+        (2, "2"), (4, "2"), (6, "4")]
+
+
+@pytest.mark.parametrize("build,alpha,eps", [
+    (lambda: nosod_complete(16, 0.5, 2.0, random_adversary(0)), 0.5, 2.0),
+    (lambda: nosod_complete(64, 0.55, 2.0, random_adversary(0)), 0.55, 2.0),
+    (lambda: broadcast_hypercube(5, 0.5, 0.5, random_adversary(1)), 0.5, 0.5),
+], ids=["nosod-16", "nosod-64", "hypercube-5"])
+def test_protocol_runs_validate_like_their_steps(build, alpha, eps):
+    trace = build()
+    flat = _without_runs(trace)
+    # Read at alpha = 0.3 too, the budget and round checks fire.
+    for checked_alpha in (alpha, 0.3):
+        bad = validate.validate_trace(trace, checked_alpha, eps)
+        assert bad == validate.validate_trace(flat, checked_alpha, eps)
+    assert bad
