@@ -5,8 +5,7 @@ max{c(G)-1, floor(alpha*m)} of the m messages sent."""
 
 from . import bounds, validate
 from .adversary import (AckSuppressor, AdversaryPolicy, FixedKillAdversary,
-                        RandomAdversary, VictimGuard, ack_suppressor,
-                        make_adversary, random_adversary, victim_guard)
+                        RandomAdversary, VictimGuard, make_adversary)
 from .engine import (ACK, INFO, NetworkState, SendBatch, Trace, classify_arc,
                      execute_step, fault_budget)
 from .errors import (AdversaryViolation, ConfigError, InvalidParameterError,

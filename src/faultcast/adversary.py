@@ -2,7 +2,14 @@
 
 Every shipped policy is *exhaustive*: it kills exactly min(m, budget)
 messages.  Drivers rely on that to prove steps inert (m <= c-1 means the whole
-batch dies) and fast-forward deterministic tails of long schedules.
+batch dies) and fast-forward deterministic tails of long schedules, as well as
+a simple round's step B of at most c-1 acks.  Skipping ``decide`` on such a
+batch leaves later kill sets unchanged only because an exhaustive policy draws
+nothing from its generator on a batch it kills whole: ``RandomAdversary``
+returns every index when ``min(m, budget) == m``, and ``VictimGuard`` and
+``AckSuppressor`` shuffle only their non-ack classes, which an all-ack batch
+leaves empty (numpy's shuffle of an empty array draws nothing).  A new
+exhaustive policy must keep that property.
 """
 
 import numpy as np
@@ -123,20 +130,3 @@ def make_adversary(spec: str, topo=None, seed: int = 0) -> AdversaryPolicy:
         return AckSuppressor(seed=int(arg) if arg else seed)
     raise InvalidParameterError(f"unknown adversary id: {spec!r}")
 
-
-def worst_case_search(*args, **kwargs):
-    """Exhaustive worst-case game search; see faultcast.search for details."""
-    from .search import worst_case_search as _search
-    return _search(*args, **kwargs)
-
-
-def random_adversary(seed: int = 0) -> AdversaryPolicy:
-    return RandomAdversary(seed=seed)
-
-
-def victim_guard(victim: int, seed: int = 0) -> AdversaryPolicy:
-    return VictimGuard(victim=victim, seed=seed)
-
-
-def ack_suppressor(seed: int = 0) -> AdversaryPolicy:
-    return AckSuppressor(seed=seed)

@@ -9,6 +9,9 @@ A driver may instead emit an *inert* block: a run of steps it can prove will
 deliver nothing (batch size <= c-1, so an exhaustive adversary kills it all).
 The run loop bulk-records those steps without touching state, which keeps the
 long deterministic tails of the schedules cheap without changing semantics.
+A simple round's step B of at most c-1 acknowledgements is emitted as a
+one-step inert block, so the acks of a late round that delivered little never
+reach the engine.
 
 Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
@@ -441,7 +444,11 @@ class SimpleRoundsDriver(Driver):
     an acknowledgement on each arc that delivered in step A.  When the step-A
     batch cannot exceed c-1 messages, an exhaustive adversary kills all of it,
     nothing can ever change again within this schedule, and the remaining
-    rounds are emitted as an inert block.
+    rounds are emitted as an inert block.  A step B of at most c-1 acks dies
+    whole too; it is emitted as a one-step inert block and ends the round at
+    once, since no ``absorb`` follows an inert step.  Skipping the adversary
+    there keeps traces exact because an exhaustive policy draws nothing from
+    its generator on a batch it kills whole (see ``faultcast.adversary``).
     """
 
     def __init__(self, session: Session, rounds: int, label: str = "thm2"):
@@ -462,15 +469,22 @@ class SimpleRoundsDriver(Driver):
             self.trace.mark("simple_rounds", rounds=self.rounds, primary=self.session.primary,
                             label=self.label)
             self._marked = True
+        c = self.session.topo.edge_connectivity
         if self.phase_a:
             arcs = self.session.sends(state)
-            c = self.session.topo.edge_connectivity
             if exhaustive and arcs.size <= c - 1:
                 remaining = self.rounds - self.round_idx
                 self.round_idx = self.rounds
                 blocks = [(int(arcs.size), 1), (0, 1)] * remaining
                 return INERT, blocks
             return BATCH, SendBatch.uniform(arcs, self.session.payload_kind)
+        if exhaustive and self.pending.size <= c - 1:
+            # Every ack dies, so no absorb follows: end the round here.
+            m = int(self.pending.size)
+            self.pending = None
+            self.phase_a = True
+            self.round_idx += 1
+            return INERT, [(m, 1)]
         arcs = np.sort(self.session.topo.opp[self.pending])
         return BATCH, SendBatch.uniform(arcs, ACK)
 

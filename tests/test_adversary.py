@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultcast.adversary import (AckSuppressor, RandomAdversary, VictimGuard,
-                                 ack_suppressor, make_adversary,
-                                 random_adversary, victim_guard)
+from faultcast.adversary import AckSuppressor, RandomAdversary, VictimGuard, make_adversary
 from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, StepContext,
                               execute_step, fault_budget)
 from faultcast.errors import InvalidParameterError
@@ -23,7 +21,7 @@ def _ctx(topo, informed=None):
 def test_random_kill_size():
     topo = build_complete(5)
     ctx = _ctx(topo, range(5))
-    adv = random_adversary(3)
+    adv = RandomAdversary(3)
     batch = SendBatch.uniform(np.arange(10), INFO)
     assert len(adv.decide(ctx, batch, 0)) == 0
     assert len(adv.decide(ctx, batch, 4)) == 4
@@ -37,7 +35,7 @@ def test_random_deterministic_under_seed():
     batch = SendBatch.uniform(np.arange(12), INFO)
     seqs = []
     for _ in range(2):
-        adv = random_adversary(42)
+        adv = RandomAdversary(42)
         ctx = _ctx(topo, range(5))
         seqs.append([sorted(adv.decide(ctx, batch, 5).tolist()) for _ in range(4)])
     assert seqs[0] == seqs[1]
@@ -50,7 +48,7 @@ def test_victim_guard_priority():
     arcs = np.sort([topo.arc_id(0, 3), topo.arc_id(1, 3), topo.arc_id(0, 1),
                     topo.arc_id(1, 0), topo.arc_id(2, 3)])
     batch = SendBatch.uniform(arcs, INFO)
-    adv = victim_guard(victim)
+    adv = VictimGuard(victim)
     # budget 2 < 3 victim messages: exactly 2 victim-directed ones die.
     kills = adv.decide(ctx, batch, 2)
     assert len(kills) == 2
@@ -70,7 +68,7 @@ def test_victim_guard_then_acks():
     batch = SendBatch(arcs=np.array([a for a, _ in msgs], dtype=np.int64),
                       kinds=np.array([k for _, k in msgs], dtype=np.int8))
     # After the single victim message, the ack goes next.
-    kills = victim_guard(3).decide(ctx, batch, 2)
+    kills = VictimGuard(3).decide(ctx, batch, 2)
     killed_kinds = batch.kinds[kills].tolist()
     assert sorted(killed_kinds) == sorted([INFO, ACK])
     assert topo.arc_dst[batch.arcs[kills[0]]] == 3
@@ -84,7 +82,7 @@ def test_ack_suppressor_priority():
     arcs = np.array(sorted(ack_arcs + info_arcs))
     kinds = np.array([ACK if a in ack_arcs else INFO for a in arcs], dtype=np.int8)
     batch = SendBatch(arcs=arcs, kinds=kinds)
-    adv = ack_suppressor(0)
+    adv = AckSuppressor(0)
     kills = adv.decide(ctx, batch, 2)
     assert all(batch.kinds[i] == ACK for i in kills)
     # budget 3: both acks plus one info-to-uninformed.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from faultcast import engine
-from faultcast.adversary import FixedKillAdversary, random_adversary
+from faultcast.adversary import FixedKillAdversary, RandomAdversary
 from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, Trace,
                               classify_arc, execute_step, fault_budget)
 from faultcast.errors import (AdversaryViolation, InvalidParameterError,
@@ -41,7 +41,7 @@ def test_k2_message_always_delivered():
     topo = build_complete(2)
     state = NetworkState(topo)
     batch = SendBatch.uniform(np.array([topo.arc_id(0, 1)]), INFO)
-    report = execute_step(state, batch, random_adversary(0), 0.9)
+    report = execute_step(state, batch, RandomAdversary(0), 0.9)
     assert report.budget == 0
     assert state.informed[1]
     # Delivery over 0->1 marks the receiver's opposite arc 1->0 passive.
@@ -197,7 +197,7 @@ def test_informed_and_passive_monotone_under_steps():
     topo = build_complete(5)
     rng = np.random.default_rng(7)
     state = NetworkState(topo)
-    adv = random_adversary(11)
+    adv = RandomAdversary(11)
     for _ in range(30):
         informed_before = state.informed.copy()
         passive_before = state.passive.copy()
@@ -249,7 +249,7 @@ def test_execute_step_deterministic_replay():
     runs = []
     for _ in range(2):
         state = NetworkState(topo)
-        adv = random_adversary(5)
+        adv = RandomAdversary(5)
         log = []
         for _ in range(6):
             arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
@@ -279,7 +279,7 @@ def _runs_trace():
     topo = build_complete(6)
     state = NetworkState(topo)
     trace = Trace(topo)
-    adv = random_adversary(3)
+    adv = RandomAdversary(3)
     for stretch in (7, 0, 12, 1):
         for _ in range(stretch):
             arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
@@ -304,7 +304,7 @@ def _digit_runs_trace(executed=True):
     topo = build_complete(4)
     state = NetworkState(topo)
     trace = Trace(topo)
-    adv = random_adversary(1)
+    adv = RandomAdversary(1)
     for first, count in _DIGIT_RUNS:
         if executed and state.step_index <= first - 2:
             state.step_index = first - 2
@@ -318,11 +318,11 @@ def _digit_runs_trace(executed=True):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: almost_complete_kn(16, 0.5, 2.0, random_adversary(0)),
+    lambda: almost_complete_kn(16, 0.5, 2.0, RandomAdversary(0)),
     _runs_trace,
     _digit_runs_trace,
     lambda: _digit_runs_trace(executed=False),
-    lambda: broadcast_hypercube(5, 0.5, 0.5, random_adversary(1)),
+    lambda: broadcast_hypercube(5, 0.5, 0.5, RandomAdversary(1)),
     lambda: Trace(build_complete(4)),
 ], ids=["executed", "runs", "digit-runs", "runs-only", "hypercube", "empty"])
 def test_to_jsonl_matches_per_row_writer(build, tmp_path, monkeypatch):
@@ -335,7 +335,7 @@ def test_to_jsonl_matches_per_row_writer(build, tmp_path, monkeypatch):
 
 def test_to_jsonl_digest_unchanged(tmp_path):
     # The digest of the per-row json.dumps writer this format started from.
-    trace = nosod_complete(16, 0.5, 2.0, random_adversary(0))
+    trace = nosod_complete(16, 0.5, 2.0, RandomAdversary(0))
     trace.to_jsonl(tmp_path / "t.jsonl")
     digest = hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
     assert digest == "938b119e010f3674d53385618cf55dd31f96831aed718ac388ea6912ebfe8495"
@@ -386,7 +386,7 @@ def test_stored_rows_grow_with_executed_steps():
     topo = build_complete(64)
     state = NetworkState(topo)
     driver = make_driver("nosod-complete", topo, 0.55, 2.0, state)
-    _, trace = simulate(topo, driver, random_adversary(0), 0.55, state=state,
+    _, trace = simulate(topo, driver, RandomAdversary(0), 0.55, state=state,
                         trace=_CountingTrace(topo))
     assert len(trace) == 1547659
     assert trace._data.shape[0] <= trace.executed + trace.inert_calls
@@ -397,7 +397,7 @@ def test_stored_rows_grow_with_executed_steps():
 def test_trace_consumers_memory_does_not_grow_with_steps():
     # The 1.55M-step trace above stores 4,228 rows; expanding a column to
     # one entry per step costs 12.4 MB.
-    trace = nosod_complete(64, 0.55, 2.0, random_adversary(0))
+    trace = nosod_complete(64, 0.55, 2.0, RandomAdversary(0))
     peaks = {}
     for name, consume in (("validate", lambda: validate_trace(trace)),
                           ("to_jsonl", lambda: trace.to_jsonl(os.devnull))):

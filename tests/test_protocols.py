@@ -10,14 +10,14 @@ import pytest
 
 from faultcast import bounds, protocols
 from faultcast.adversary import (AckSuppressor, AdversaryPolicy, RandomAdversary, VictimGuard,
-                                 make_adversary, random_adversary)
-from faultcast.engine import INFO, NetworkState, execute_step
+                                 make_adversary)
+from faultcast.engine import INFO, NetworkState, Trace, execute_step
 from faultcast.errors import (InvalidParameterError, UnsupportedAlphaError,
                               UnsupportedTopologyError)
 from faultcast.protocols import (AllButOneDriver, BATCH, EliminationDriver, GreedyCompleteDriver,
                                  IdleDriver, SeqDriver, Session, SimpleRoundsDriver, SweepDriver,
                                  make_driver)
-from faultcast.topology import build_complete, build_hypercube
+from faultcast.topology import HYPERCUBE, build_complete, build_hypercube
 from faultcast.validate import errors_only, validate_trace
 
 ADVERSARIES = [
@@ -25,6 +25,7 @@ ADVERSARIES = [
     lambda topo, seed: VictimGuard(topo.n - 1, seed),
     lambda topo, seed: AckSuppressor(seed),
 ]
+ADVERSARY_IDS = ["random", "victim_guard", "ack_suppressor"]
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,7 @@ ADVERSARIES = [
 ])
 def test_greedy_complete_examples(n, alpha, minimum):
     for seed in range(5):
-        state = protocols.greedy_init_complete(n, alpha, random_adversary(seed))
+        state = protocols.greedy_init_complete(n, alpha, RandomAdversary(seed))
         assert int(np.count_nonzero(state.informed)) >= minimum
 
 
@@ -49,7 +50,7 @@ def test_greedy_complete_examples(n, alpha, minimum):
 ])
 def test_greedy_hypercube_examples(d, alpha, minimum):
     for seed in range(5):
-        state = protocols.greedy_init_hypercube(d, alpha, random_adversary(seed))
+        state = protocols.greedy_init_hypercube(d, alpha, RandomAdversary(seed))
         assert int(np.count_nonzero(state.informed)) >= minimum
 
 
@@ -67,28 +68,28 @@ def test_greedy_bounds_hold_for_adversarial_policies():
 
 def test_schedule_lengths_exact():
     r = bounds.rounds_kn(16, 0.5)
-    tr = protocols.almost_complete_kn(16, 0.5, 2.0, random_adversary(0))
+    tr = protocols.almost_complete_kn(16, 0.5, 2.0, RandomAdversary(0))
     assert tr.total_steps == 2 + 2 * r
 
     t1, t2 = bounds.rounds_hypercube(5, 0.5, 0.5)
-    tr = protocols.broadcast_hypercube(5, 0.5, 0.5, random_adversary(0))
+    tr = protocols.broadcast_hypercube(5, 0.5, 0.5, RandomAdversary(0))
     assert tr.total_steps == 2 + 2 * (t1 + t2)
 
     l1, l2, l3, l4 = bounds.l_params(16, 0.5, 2.0)
-    tr = protocols.nosod_complete(16, 0.5, 2.0, random_adversary(0))
+    tr = protocols.nosod_complete(16, 0.5, 2.0, RandomAdversary(0))
     assert tr.total_steps == 2 + 2 * r + l1 * (l2 * l3 + 2 * l4)
 
 
 def test_eps_domains():
     with pytest.raises(InvalidParameterError):
-        protocols.almost_complete_kn(16, 0.5, 0.5, random_adversary(0))
+        protocols.almost_complete_kn(16, 0.5, 0.5, RandomAdversary(0))
     with pytest.raises(InvalidParameterError):
-        protocols.broadcast_hypercube(4, 0.5, 2.0, random_adversary(0))
+        protocols.broadcast_hypercube(4, 0.5, 2.0, RandomAdversary(0))
 
 
 def test_nosod_rejects_alpha_06():
     with pytest.raises(UnsupportedAlphaError):
-        protocols.nosod_complete(16, 0.6, 2.0, random_adversary(0))
+        protocols.nosod_complete(16, 0.6, 2.0, RandomAdversary(0))
 
 
 def test_make_driver_topology_mismatch():
@@ -135,7 +136,7 @@ def test_hypercube_final_bounds():
 
 def test_hypercube_round_lemmas_above_d_min():
     # d = 13 >= d_min(0.5, 0.5): the Lemma 4/5/6 per-round checks are strict.
-    tr = protocols.broadcast_hypercube(13, 0.5, 0.5, random_adversary(0))
+    tr = protocols.broadcast_hypercube(13, 0.5, 0.5, RandomAdversary(0))
     assert tr.final_k <= 8
     assert not errors_only(validate_trace(tr, 0.5, 0.5))
 
@@ -278,7 +279,7 @@ def test_finished_run_freed_by_refcount(protocol):
     gc.disable()
     try:
         state, driver, trace = protocols.run_protocol(protocol, topo, 0.5, eps,
-                                                      random_adversary(0))
+                                                      RandomAdversary(0))
         refs = [weakref.ref(driver), weakref.ref(trace)]
         del state, driver, trace
         assert [r() for r in refs] == [None, None]
@@ -287,7 +288,7 @@ def test_finished_run_freed_by_refcount(protocol):
 
 
 def test_nosod_iteration_segments_present():
-    tr = protocols.nosod_complete(16, 0.5, 2.0, random_adversary(0))
+    tr = protocols.nosod_complete(16, 0.5, 2.0, RandomAdversary(0))
     kinds = {s.kind for s in tr.segments}
     assert "nosod_iter" in kinds or "nosod_inert_tail" in kinds
     assert "simple_rounds" in kinds and "greedy" in kinds
@@ -341,30 +342,62 @@ def test_nosod_extended_rounds_digest_unchanged(tmp_path):
         "892cc1c9160edcc7ebd51e9ebef3977489d613d2e708362d0a874f5ab03f06cf")
 
 
-def test_inert_fast_forward_is_exact():
-    """Bulk-skipped schedules agree step-for-step with the literal execution."""
-    topo = build_complete(6)
-    rows = []
-    for exhaustive_flag in (True, False):
-        state = NetworkState(topo)
-        driver = make_driver("almost-kn", topo, 0.5, 2.0, state)
-        driver.attach(None)
-        adv = RandomAdversary(9)
-        from faultcast.engine import Trace
-        trace = Trace(topo)
-        while not driver.done():
-            kind, val = driver.next(state, exhaustive_flag)
-            if kind == BATCH:
-                report = execute_step(state, val, adv, 0.5)
-                driver.absorb(state, report)
-                trace.record_step(state, report)
-            else:
-                for m_sent, count in val:
-                    trace.record_inert(state, m_sent, count, state.step_index)
-                    state.step_index += count
-        rows.append(np.column_stack([trace.column(c) for c in
-                                     ("k", "h", "b", "m_sent", "m_lost")]))
-    assert np.array_equal(rows[0], rows[1])
+class _Logging(AdversaryPolicy):
+    """Delegates every kill set to ``inner`` and logs (batch size, kill set)
+    by step.  With ``exhaustive=False`` no driver fast-forwards a step."""
+
+    def __init__(self, inner, exhaustive):
+        self.inner = inner
+        self.id = inner.id
+        self.exhaustive = exhaustive
+        self.log = {}
+
+    def decide(self, ctx, batch, budget):
+        kills = np.asarray(self.inner.decide(ctx, batch, budget), dtype=np.int64)
+        self.log[ctx.step_index] = (batch.m, kills.tobytes())
+        return kills
+
+
+def _traced(protocol, topo, alpha, adversary):
+    eps = 0.5 if topo.kind == HYPERCUBE else 2.0
+    state = NetworkState(topo)
+    driver = make_driver(protocol, topo, alpha, eps, state)
+    return protocols.simulate(topo, driver, adversary, alpha, state=state,
+                              trace=Trace(topo, track_boundary=True))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("make_adv", ADVERSARIES, ids=ADVERSARY_IDS)
+@pytest.mark.parametrize("protocol, topo", [
+    ("almost-kn", build_complete(16)), ("almost-kn", build_complete(64)),
+    ("hypercube", build_hypercube(6)), ("hypercube", build_hypercube(8)),
+], ids=["K16", "K64", "Q6", "Q8"])
+def test_inert_fast_forward_matches_stepped(protocol, topo, make_adv, alpha):
+    """Inert blocks (step-A tails and dead step Bs) agree row for row with
+    stepping every batch through the same policy."""
+    fast = _Logging(make_adv(topo, 9), exhaustive=True)
+    stepped = _Logging(make_adv(topo, 9), exhaustive=False)
+    (_, trace), (_, trace_s) = (_traced(protocol, topo, alpha, adv) for adv in (fast, stepped))
+    assert len(fast.log) < len(stepped.log) == len(trace_s)
+    for name in ("step", "k", "h", "b", "m_sent", "m_lost", "acks", "M", "boundary"):
+        assert np.array_equal(trace.column(name), trace_s.column(name)), name
+    # The columns are blind to which arcs delivered, the kill sets are not:
+    # skipping a dead batch must not shift the policy's random stream.
+    assert fast.log.items() <= stepped.log.items()
+
+
+@pytest.mark.parametrize("make_adv", ADVERSARIES, ids=ADVERSARY_IDS)
+@pytest.mark.parametrize("protocol, topo, alpha", [
+    ("almost-kn", build_complete(32), 0.7), ("hypercube", build_hypercube(7), 0.5),
+    ("nosod-complete", build_complete(16), 0.5),
+], ids=["almost-kn", "hypercube", "nosod-complete"])
+def test_no_dead_batch_reaches_the_adversary(protocol, topo, make_adv, alpha):
+    """A batch of 1..c-1 messages dies whole under an exhaustive policy, so
+    the drivers emit it as an inert step instead."""
+    adv = _Logging(make_adv(topo, 4), exhaustive=True)
+    _traced(protocol, topo, alpha, adv)
+    c = topo.edge_connectivity
+    assert adv.log and not any(1 <= m <= c - 1 for m, _ in adv.log.values())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ honest ones."""
 import numpy as np
 import pytest
 
-from faultcast.adversary import AdversaryPolicy, random_adversary
+from faultcast.adversary import AdversaryPolicy, RandomAdversary
 from faultcast import engine
 from faultcast.engine import INFO, NetworkState, SendBatch, Trace, execute_step
 from faultcast.errors import AdversaryViolation
@@ -43,7 +43,7 @@ def test_budget_check_is_exact(alpha, m_sent, budget):
 
 
 def test_budget_check_quiet_on_honest_run():
-    trace = almost_complete_kn(16, 0.5, 2.0, random_adversary(0))
+    trace = almost_complete_kn(16, 0.5, 2.0, RandomAdversary(0))
     assert validate.check_budget(trace, 0.5) == []
 
 
@@ -103,7 +103,7 @@ def test_nosod_iteration_check_fires_on_stalled_iteration():
 
 
 def test_nosod_iteration_quiet_on_honest_run():
-    trace = nosod_complete(20, 0.5, 2.0, random_adversary(1))
+    trace = nosod_complete(20, 0.5, 2.0, RandomAdversary(1))
     assert validate.check_nosod_iterations(trace, 0.5, 2.0) == []
 
 
@@ -119,7 +119,7 @@ def test_phase2_quorum_fires():
 
 
 def test_validate_trace_default_eps_follows_topology(monkeypatch):
-    trace = broadcast_hypercube(4, 0.5, 0.5, random_adversary(0))
+    trace = broadcast_hypercube(4, 0.5, 0.5, RandomAdversary(0))
     trace.summary = {}
     seen = []
     monkeypatch.setattr(validate, "check_qd_rounds",
@@ -129,7 +129,7 @@ def test_validate_trace_default_eps_follows_topology(monkeypatch):
 
 
 def test_validate_trace_full_run_clean():
-    trace = almost_complete_kn(32, 0.5, 2.0, random_adversary(2))
+    trace = almost_complete_kn(32, 0.5, 2.0, RandomAdversary(2))
     assert validate.errors_only(validate.validate_trace(trace, 0.5, 2.0)) == []
 
 
@@ -253,9 +253,9 @@ def test_run_violations_land_on_record_indices():
 
 
 @pytest.mark.parametrize("build,alpha,eps", [
-    (lambda: nosod_complete(16, 0.5, 2.0, random_adversary(0)), 0.5, 2.0),
-    (lambda: nosod_complete(64, 0.55, 2.0, random_adversary(0)), 0.55, 2.0),
-    (lambda: broadcast_hypercube(5, 0.5, 0.5, random_adversary(1)), 0.5, 0.5),
+    (lambda: nosod_complete(16, 0.5, 2.0, RandomAdversary(0)), 0.5, 2.0),
+    (lambda: nosod_complete(64, 0.55, 2.0, RandomAdversary(0)), 0.55, 2.0),
+    (lambda: broadcast_hypercube(5, 0.5, 0.5, RandomAdversary(1)), 0.5, 0.5),
 ], ids=["nosod-16", "nosod-64", "hypercube-5"])
 def test_protocol_runs_validate_like_their_steps(build, alpha, eps):
     trace = build()
