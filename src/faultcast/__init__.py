@@ -9,8 +9,8 @@ from .adversary import (AckSuppressor, AdversaryPolicy, FixedKillAdversary,
 from .engine import (ACK, INFO, NetworkState, SendBatch, Trace, classify_arc,
                      execute_step, fault_budget)
 from .errors import (AdversaryViolation, ConfigError, InvalidParameterError,
-                     PreconditionViolation, SimError, TooLargeError,
-                     UnsupportedAlphaError, UnsupportedTopologyError)
+                     PreconditionViolation, ScheduleOverrun, SimError,
+                     TooLargeError, UnsupportedAlphaError, UnsupportedTopologyError)
 from .harness import ExperimentConfig, RunReport, run, verify_regressions
 from .protocols import (almost_complete_kn, broadcast_hypercube,
                         greedy_init_complete, greedy_init_hypercube,

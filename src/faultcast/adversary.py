@@ -1,15 +1,20 @@
 """Fault strategies: pluggable kill-set policies.
 
 Every shipped policy is *exhaustive*: it kills exactly min(m, budget)
-messages.  Drivers rely on that to prove steps inert (m <= c-1 means the whole
-batch dies) and fast-forward deterministic tails of long schedules, as well as
-a simple round's step B of at most c-1 acks.  Skipping ``decide`` on such a
-batch leaves later kill sets unchanged only because an exhaustive policy draws
-nothing from its generator on a batch it kills whole: ``RandomAdversary``
-returns every index when ``min(m, budget) == m``, and ``VictimGuard`` and
-``AckSuppressor`` shuffle only their non-ack classes, which an all-ack batch
-leaves empty (numpy's shuffle of an empty array draws nothing).  A new
-exhaustive policy must keep that property.
+messages.  Drivers rely on that to skip steps that cannot change the state
+(see ``faultcast.protocols``); in a steady round, where nothing is stepped,
+the run loop checks the kill-set size and raises AdversaryViolation if it is
+short.  A batch of at most c-1 messages dies whole, and ``decide`` may be
+skipped on it.  That leaves later kill sets unchanged only if the policy
+draws nothing from its generator on that batch.  ``RandomAdversary`` draws
+nothing on any batch it kills whole (it returns every index when
+``min(m, budget) == m``).  ``VictimGuard`` and ``AckSuppressor`` shuffle their
+non-ack classes, so they draw nothing only on an all-ack or empty batch
+(numpy's shuffle of an empty array draws nothing).  So skipped dead all-ack
+steps and empty idle steps match a stepped run under every shipped policy,
+and steady rounds do as well because they still call ``decide``; the step-A
+and elimination tails, which skip info batches, define the trace instead.
+A new exhaustive policy must draw nothing on an all-ack or empty batch.
 """
 
 import numpy as np

@@ -198,12 +198,26 @@ def execute_step(state: NetworkState, batch: SendBatch, adversary,
                  alpha: float) -> DeliveryReport:
     """Run one synchronous step: adversary kill, delivery, bookkeeping.
 
-    An adversary returning a kill set over budget or not drawn from the batch
-    aborts the run with AdversaryViolation; it is never clamped.  The work
-    done grows with the batch size plus the degree of each newly informed
-    vertex, not with the arc count.
+    The work done grows with the batch size plus the degree of each newly
+    informed vertex, not with the arc count.
     """
     _validate_batch(state, batch)
+    delivered_mask, lost_idx, budget = decide_kills(state, batch, adversary, alpha)
+    delivered_idx = np.flatnonzero(delivered_mask)
+    new_informed = _deliver(state, batch, delivered_idx) if delivered_idx.size else _EMPTY
+    state.step_index += 1
+    return DeliveryReport(batch=batch, delivered_idx=delivered_idx, lost_idx=lost_idx,
+                          budget=budget, new_informed=new_informed)
+
+
+def decide_kills(state: NetworkState, batch: SendBatch, adversary,
+                 alpha: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Ask the adversary for its kill set on ``batch`` at the current step.
+
+    Returns (delivered mask, lost indices ascending, budget).  A kill set over
+    budget or not drawn from the batch aborts the run with AdversaryViolation;
+    it is never clamped.
+    """
     m = batch.m
     budget = fault_budget(m, state.topo.edge_connectivity, alpha)
     ctx = StepContext(step_index=state.step_index, topo=state.topo, state=state)
@@ -212,20 +226,15 @@ def execute_step(state: NetworkState, batch: SendBatch, adversary,
         raise AdversaryViolation(
             f"{adversary.id} killed {kills.size} messages with budget {budget}")
     delivered_mask = np.ones(m, dtype=bool)
-    if kills.size:
-        if kills.min() < 0 or kills.max() >= m:
-            raise AdversaryViolation(f"{adversary.id} killed a message that was not sent")
-        delivered_mask[kills] = False
-        lost_idx = np.flatnonzero(~delivered_mask)
-        if lost_idx.size != kills.size:
-            raise AdversaryViolation(f"{adversary.id} killed the same message twice")
-    else:
-        lost_idx = _EMPTY
-    delivered_idx = np.flatnonzero(delivered_mask)
-    new_informed = _deliver(state, batch, delivered_idx) if delivered_idx.size else _EMPTY
-    state.step_index += 1
-    return DeliveryReport(batch=batch, delivered_idx=delivered_idx, lost_idx=lost_idx,
-                          budget=budget, new_informed=new_informed)
+    if not kills.size:
+        return delivered_mask, _EMPTY, budget
+    if kills.min() < 0 or kills.max() >= m:
+        raise AdversaryViolation(f"{adversary.id} killed a message that was not sent")
+    delivered_mask[kills] = False
+    lost_idx = np.flatnonzero(~delivered_mask)
+    if lost_idx.size != kills.size:
+        raise AdversaryViolation(f"{adversary.id} killed the same message twice")
+    return delivered_mask, lost_idx, budget
 
 
 def _deliver(state: NetworkState, batch: SendBatch, delivered_idx: np.ndarray) -> np.ndarray:

@@ -35,3 +35,7 @@ class TooLargeError(InvalidParameterError):
 
 class ConfigError(SimError):
     """An experiment configuration is inconsistent or incomplete."""
+
+
+class ScheduleOverrun(SimError):
+    """A driver ran more steps than its declared schedule length."""

@@ -5,13 +5,22 @@ per time step and absorbs the delivery report.  Schedule lengths are computed
 up front from (n or d, alpha, eps) alone, because vertices cannot observe
 global progress; runs always execute their full schedule.
 
-A driver may instead emit an *inert* block: a run of steps it can prove will
-deliver nothing (batch size <= c-1, so an exhaustive adversary kills it all).
-The run loop bulk-records those steps without touching state, which keeps the
-long deterministic tails of the schedules cheap without changing semantics.
-A simple round's step B of at most c-1 acknowledgements is emitted as a
-one-step inert block, so the acks of a late round that delivered little never
-reach the engine.
+Under an exhaustive adversary a driver may instead emit a block of steps it
+can prove will change nothing; ``next`` is told the longest block the run loop
+accepts (0 under any other adversary, so every step is stepped).  An *inert*
+block is a run of batches of at most c-1 messages, which die whole: the run
+loop records them without touching state or the adversary.  A *steady* block
+is a run of simple rounds whose step-A survivors change nothing and whose
+acks die whole: the run loop asks the adversary for each step-A kill set and
+steps nothing else.
+
+Dead all-ack steps, empty idle steps and steady rounds record exactly the
+trace of a stepped run, since the adversary draws nothing from its random
+stream on an all-ack or empty batch and still decides every steady step A.
+The step-A tail of simple rounds and the inert tail of an elimination pass
+instead define the trace: they skip ``decide`` on info batches, from which
+VictimGuard and AckSuppressor draw even when they kill them whole, so a
+later phase may see other kill sets than in a fully stepped run.
 
 Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
@@ -34,14 +43,16 @@ import numpy as np
 
 from . import bounds
 from .adversary import AdversaryPolicy
-from .engine import (ACK, INFO, INFO_CANDS, NetworkState, SendBatch, Trace,
-                     execute_step)
-from .errors import InvalidParameterError, UnsupportedTopologyError
+from .engine import (ACK, INFO, INFO_CANDS, NetworkState, SendBatch, Trace, decide_kills,
+                     execute_step, fault_budget)
+from .errors import (AdversaryViolation, InvalidParameterError, ScheduleOverrun,
+                     UnsupportedTopologyError)
 from .topology import (COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube,
                        complete_arc_id)
 
 BATCH = "batch"
 INERT = "inert"
+STEADY = "steady"
 
 
 class Session:
@@ -142,14 +153,15 @@ class Driver:
         """Whether the schedule is exhausted.
 
         Like ``at_checkpoint``, this depends on the schedule position only,
-        never on which messages were killed: with ``exhaustive=False`` every
-        ``next`` emits one batch and advances the position by one step.  The
-        search oracle settles completed states on this invariant.
+        never on which messages were killed: with ``limit=0`` every ``next``
+        emits one batch and advances the position by one step.  The search
+        oracle settles completed states on this invariant.
         """
         raise NotImplementedError
 
-    def next(self, state: NetworkState, exhaustive: bool):
-        """Return (BATCH, SendBatch) or (INERT, [(m_sent, count), ...])."""
+    def next(self, state: NetworkState, limit: int):
+        """Return (BATCH, SendBatch), (INERT, [(m_sent, count), ...]) or
+        (STEADY, [(SendBatch, count), ...]) with every block at most ``limit`` steps."""
         raise NotImplementedError
 
     def absorb(self, state: NetworkState, report) -> None:
@@ -193,7 +205,7 @@ class IdleDriver(Driver):
     def done(self):
         return self.remaining <= 0
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         self.remaining -= 1
         return BATCH, SendBatch.empty()
 
@@ -234,10 +246,10 @@ class SeqDriver(Driver):
     def done(self):
         return self._current() is None
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         cur = self._current()
         self._moved = True
-        return cur.next(state, exhaustive)
+        return cur.next(state, limit)
 
     def absorb(self, state, report):
         self.children[self.idx].absorb(state, report)
@@ -274,11 +286,12 @@ class MultiplexDriver(Driver):
     """Strict even/odd interleaving of two lane schedules.
 
     Even local steps belong to lane 0, odd to lane 1; a finished or idle lane
-    contributes empty steps.  Lanes never see inert-mode: a lane's small batch
-    still goes to the adversary, whose kill order may draw on its random
-    stream.  A run of steps whose lanes are all idle or finished is emitted as
-    one inert block instead: an empty step delivers nothing and, under an
-    exhaustive adversary, kills nothing.
+    contributes empty steps.  A run of steps whose lanes are all idle or
+    finished is emitted as one inert block of at most ``limit`` steps: an
+    empty step delivers nothing and, under an exhaustive adversary, kills
+    nothing.  A lane may skip one step at a time only (a dead step B), since
+    its other steps interleave with the other lane's; its small info batches
+    still go to the adversary, whose kill order may draw on its random stream.
     """
 
     def __init__(self, lane0: Driver, lane1: Driver):
@@ -295,11 +308,11 @@ class MultiplexDriver(Driver):
     def done(self):
         return self.t >= self.total_steps
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         lane = self.lanes[self.t % 2]
         finished = lane.done()
-        if exhaustive and (finished or lane.idle_steps()):
-            run = self.idle_steps()
+        if limit and (finished or lane.idle_steps()):
+            run = min(self.idle_steps(), limit)
             if run:
                 self.skip(run)
                 return INERT, [(0, run)]
@@ -307,9 +320,8 @@ class MultiplexDriver(Driver):
         if finished:
             self._last_lane = None
             return BATCH, SendBatch.empty()
-        self._last_lane = lane
-        kind, val = lane.next(state, False)
-        assert kind == BATCH
+        kind, val = lane.next(state, min(limit, 1))
+        self._last_lane = lane if kind == BATCH else None
         return kind, val
 
     def absorb(self, state, report):
@@ -351,13 +363,13 @@ class LazyDriver(Driver):
     def done(self):
         return self.inner is not None and self.inner.done()
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         if self.inner is None:
             inner = self.build()
             self.inner = IdleDriver(self.total_steps) if inner is None else inner
             assert self.inner.total_steps == self.total_steps
             self.inner.attach(self.trace)
-        return self.inner.next(state, exhaustive)
+        return self.inner.next(state, limit)
 
     def absorb(self, state, report):
         self.inner.absorb(state, report)
@@ -383,7 +395,7 @@ class GreedyCompleteDriver(Driver):
     def done(self):
         return self.step >= 2
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         topo = self.session.topo
         if self.trace is not None and self.step == 0:
             self.trace.mark("greedy", primary=self.session.primary)
@@ -422,7 +434,7 @@ class GreedyHypercubeDriver(Driver):
     def done(self):
         return self.step >= 2
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         if self.trace is not None and self.step == 0:
             self.trace.mark("greedy", primary=True)
         if self.step == 0:
@@ -441,19 +453,28 @@ class SimpleRoundsDriver(Driver):
     """A fixed count of simple rounds on a session.
 
     Step A floods every non-marked out-arc of an aware vertex; step B returns
-    an acknowledgement on each arc that delivered in step A.  When the step-A
-    batch cannot exceed c-1 messages, an exhaustive adversary kills all of it,
-    nothing can ever change again within this schedule, and the remaining
-    rounds are emitted as an inert block.  A step B of at most c-1 acks dies
-    whole too; it is emitted as a one-step inert block and ends the round at
-    once, since no ``absorb`` follows an inert step.  Skipping the adversary
-    there keeps traces exact because an exhaustive policy draws nothing from
-    its generator on a batch it kills whole (see ``faultcast.adversary``).
+    an acknowledgement on each arc that delivered in step A.  Under an
+    exhaustive adversary three rules skip steps, each only if its block fits
+    the caller's ``limit``:
+
+    - A step A of at most c-1 messages dies whole, so nothing can change again
+      within this schedule: the remaining rounds are one inert block.
+    - A step A on a primary session is *steady* when every destination is
+      informed, every opposite arc is already passive and at most c-1 messages
+      survive the budget.  Its deliveries change nothing and its acks die
+      whole, so every later round is the same: the remaining rounds are one
+      steady block, whose step-A kill sets the run loop still asks for.
+    - A step B of at most c-1 acks dies whole; it is a one-step inert block
+      and ends the round at once, since no ``absorb`` follows an inert step.
+
+    Only the first rule changes what the adversary sees (see the module
+    docstring).
     """
 
-    def __init__(self, session: Session, rounds: int, label: str = "thm2"):
+    def __init__(self, session: Session, rounds: int, alpha: float, label: str = "thm2"):
         self.session = session
         self.rounds = rounds
+        self.alpha = alpha
         self.label = label
         self.round_idx = 0
         self.phase_a = True
@@ -464,7 +485,7 @@ class SimpleRoundsDriver(Driver):
     def done(self):
         return self.round_idx >= self.rounds
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         if self.trace is not None and not self._marked:
             self.trace.mark("simple_rounds", rounds=self.rounds, primary=self.session.primary,
                             label=self.label)
@@ -472,13 +493,17 @@ class SimpleRoundsDriver(Driver):
         c = self.session.topo.edge_connectivity
         if self.phase_a:
             arcs = self.session.sends(state)
-            if exhaustive and arcs.size <= c - 1:
-                remaining = self.rounds - self.round_idx
+            remaining = self.rounds - self.round_idx
+            fits = 2 * remaining <= limit
+            if fits and arcs.size <= c - 1:
                 self.round_idx = self.rounds
-                blocks = [(int(arcs.size), 1), (0, 1)] * remaining
-                return INERT, blocks
-            return BATCH, SendBatch.uniform(arcs, self.session.payload_kind)
-        if exhaustive and self.pending.size <= c - 1:
+                return INERT, [(int(arcs.size), 1), (0, 1)] * remaining
+            batch = SendBatch.uniform(arcs, self.session.payload_kind)
+            if fits and self._steady(state, arcs):
+                self.round_idx = self.rounds
+                return STEADY, [(batch, 2 * remaining)]
+            return BATCH, batch
+        if limit and self.pending.size <= c - 1:
             # Every ack dies, so no absorb follows: end the round here.
             m = int(self.pending.size)
             self.pending = None
@@ -487,6 +512,14 @@ class SimpleRoundsDriver(Driver):
             return INERT, [(m, 1)]
         arcs = np.sort(self.session.topo.opp[self.pending])
         return BATCH, SendBatch.uniform(arcs, ACK)
+
+    def _steady(self, state: NetworkState, arcs: np.ndarray) -> bool:
+        topo = self.session.topo
+        c, m = topo.edge_connectivity, int(arcs.size)
+        if not self.session.primary or m - min(m, fault_budget(m, c, self.alpha)) > c - 1:
+            return False
+        return bool(state.passive[topo.opp[arcs]].all()
+                    and state.informed[topo.arc_dst[arcs]].all())
 
     def absorb(self, state, report):
         self.session.absorb(state, report)
@@ -502,7 +535,8 @@ class SimpleRoundsDriver(Driver):
         return self.phase_a  # round boundary
 
     def clone(self, new_state):
-        other = SimpleRoundsDriver(self.session.clone_primary(new_state), self.rounds, self.label)
+        other = SimpleRoundsDriver(self.session.clone_primary(new_state), self.rounds,
+                                   self.alpha, self.label)
         other.round_idx = self.round_idx
         other.phase_a = self.phase_a
         other.pending = None if self.pending is None else self.pending.copy()
@@ -555,7 +589,7 @@ class Phase2CandidatesDriver(Driver):
     def done(self):
         return self.fired
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         topo = self.prev.topo
         deg = np.bincount(topo.arc_src[~self.prev.marks], minlength=topo.n)
         qualifying_all = int(np.count_nonzero(deg <= self.threshold))
@@ -613,7 +647,7 @@ class SweepDriver(Driver):
     def done(self):
         return self.step >= self.total_steps
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         if self.groups is None:
             self.senders, self.groups = self.start()
         if self.step >= len(self.groups):
@@ -672,7 +706,7 @@ class AllButOneDriver(SeqDriver):
             u = ctx.u_final[b] = frozenset.intersection(*ctx.received[b])
             sub = ctx.session[b] = Session(topo, b, payload=u, also_aware=knows)
             return SeqDriver([GreedyCompleteDriver(sub),
-                              SimpleRoundsDriver(sub, r_kn, label="sod_p3")])
+                              SimpleRoundsDriver(sub, r_kn, alpha, label="sod_p3")])
 
         def pair_targets(b):
             if ctx.u_final[b] is None:
@@ -687,7 +721,8 @@ class AllButOneDriver(SeqDriver):
         ])
         super().__init__([
             GreedyCompleteDriver(session),
-            SimpleRoundsDriver(session, r_kn, label="sod_p1" if state is None else "thm2"),
+            SimpleRoundsDriver(session, r_kn, alpha,
+                               label="sod_p1" if state is None else "thm2"),
             Phase2CandidatesDriver(session, ctx, self.threshold),
             MultiplexDriver(lane(0), lane(1)),
         ])
@@ -711,7 +746,7 @@ class EliminationDriver(Driver):
     sends on E union P for L3 steps, where P collects the opposite arcs of
     everything delivered within the iteration.  When an iteration starts with
     |E| <= c-1, an exhaustive adversary kills every batch left in the pass,
-    which is emitted as one inert block.
+    which is emitted as one inert block if it fits the caller's ``limit``.
     """
 
     def __init__(self, topo: Topology, l2: int, l3: int, pass_idx: int):
@@ -727,15 +762,15 @@ class EliminationDriver(Driver):
     def done(self):
         return self.i2 >= self.l2
 
-    def next(self, state, exhaustive):
+    def next(self, state, limit):
         if self.i3 == 0:
             np.logical_and(state.informed[self.topo.arc_src], ~state.passive, out=self.e_mask)
             self.p_mask[:] = False
             m = int(np.count_nonzero(self.e_mask))
-            if exhaustive and m <= self.topo.edge_connectivity - 1:
+            remaining = (self.l2 - self.i2) * self.l3
+            if remaining <= limit and m <= self.topo.edge_connectivity - 1:
                 if self.trace is not None:
                     self.trace.mark("nosod_inert_tail", l1=self.pass_idx, l2=self.i2, m=m)
-                remaining = (self.l2 - self.i2) * self.l3
                 self.i2 = self.l2
                 return INERT, [(m, remaining)]
             if self.trace is not None:
@@ -778,23 +813,55 @@ def simulate(topo: Topology, driver: Driver, adversary: AdversaryPolicy, alpha: 
     """Execute a driver's full schedule against one adversary.
 
     The run starts from ``state``, or from a fresh state informed at vertex 0.
+    Only under an exhaustive adversary may the driver reply with inert and
+    steady blocks.  A driver that runs past its ``total_steps`` raises
+    ScheduleOverrun.
     """
     if state is None:
         state = NetworkState(topo)
     if trace is None:
         trace = Trace(topo, track_boundary=(topo.kind == HYPERCUBE))
     driver.attach(trace)
+    limit = driver.total_steps if adversary.exhaustive else 0
+    start = state.step_index
     while not driver.done():
-        kind, val = driver.next(state, adversary.exhaustive)
+        kind, val = driver.next(state, limit)
         if kind == BATCH:
             report = execute_step(state, val, adversary, alpha)
             driver.absorb(state, report)
             trace.record_step(state, report)
-        else:
+        elif kind == INERT:
             for m_sent, count in val:
                 trace.record_inert(state, m_sent, count, state.step_index)
                 state.step_index += count
+        else:
+            for batch, count in val:
+                _steady_rounds(state, batch, count // 2, adversary, alpha, trace)
+        if state.step_index - start > driver.total_steps:
+            raise ScheduleOverrun(f"{type(driver).__name__} ran {state.step_index - start} "
+                                  f"steps of a {driver.total_steps}-step schedule")
     return state, trace
+
+
+def _steady_rounds(state: NetworkState, batch: SendBatch, rounds: int, adversary,
+                   alpha: float, trace: Trace) -> None:
+    """Record ``rounds`` steady simple rounds of step-A ``batch``.
+
+    Each step A's kill set comes from the adversary, which must kill exactly
+    min(m, budget); its survivors change nothing, and the acks of step B die
+    whole.  Nothing is delivered.
+    """
+    m = batch.m
+    for _ in range(rounds):
+        _, lost, budget = decide_kills(state, batch, adversary, alpha)
+        if lost.size != min(m, budget):
+            raise AdversaryViolation(
+                f"{adversary.id} is exhaustive but killed {lost.size} of {m} messages "
+                f"with budget {budget}")
+        state.step_index += 1
+        trace.record(state, m, int(lost.size), 0)
+        trace.record_inert(state, m - int(lost.size), 1, state.step_index)
+        state.step_index += 1
 
 
 def _finalize(trace: Trace, state: NetworkState, protocol: str, adversary, alpha, eps,
@@ -869,7 +936,7 @@ def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
             f"protocol {name} needs a {' or '.join(PROTOCOL_TOPOLOGIES[name])} topology")
     if name == "simple-rounds":
         count = int(arg) if arg else (rounds or bounds.rounds_kn(topo.n, alpha))
-        return SimpleRoundsDriver(Session(topo, state.initiator, state=state), count)
+        return SimpleRoundsDriver(Session(topo, state.initiator, state=state), count, alpha)
     if name == "greedy-kn":
         return GreedyCompleteDriver(Session(topo, state.initiator, state=state))
     if name == "greedy-qd":
@@ -877,12 +944,12 @@ def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
     if name == "almost-kn":
         session = Session(topo, state.initiator, state=state)
         return SeqDriver([GreedyCompleteDriver(session),
-                          SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha))])
+                          SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha), alpha)])
     if name == "hypercube":
         t1, t2 = bounds.rounds_hypercube(topo.d, alpha, eps)
         session = Session(topo, state.initiator, state=state)
         return SeqDriver([GreedyHypercubeDriver(topo, state.initiator),
-                          SimpleRoundsDriver(session, t1 + t2, label="qd")])
+                          SimpleRoundsDriver(session, t1 + t2, alpha, label="qd")])
     if name == "sod-all-but-one":
         return AllButOneDriver(topo, state.initiator, alpha, eps, state=state)
     if name == "sod-complete":
@@ -892,9 +959,9 @@ def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
     session = Session(topo, state.initiator, state=state)
     passes = [driver for i in range(l1)
               for driver in (EliminationDriver(topo, l2, l3, i),
-                             SimpleRoundsDriver(session, l4, label="nosod_l4"))]
+                             SimpleRoundsDriver(session, l4, alpha, label="nosod_l4"))]
     return SeqDriver([GreedyCompleteDriver(session),
-                      SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha)),
+                      SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha), alpha),
                       *passes])
 
 

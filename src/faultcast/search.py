@@ -197,7 +197,7 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
             dr = driver.clone(st)
             value = HORIZON_EXCEEDED
             while not dr.done() and st.step_index < horizon:
-                kind, batch = dr.next(st, False)
+                kind, batch = dr.next(st, 0)
                 assert kind == BATCH
                 dr.absorb(st, execute_step(st, batch, FixedKillAdversary(()), alpha))
                 if dr.at_checkpoint():
@@ -222,7 +222,7 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
         # and clone every child from the probe after its next().
         probe_state = state.clone()
         probe = driver.clone(probe_state)
-        kind, batch = probe.next(probe_state, False)
+        kind, batch = probe.next(probe_state, 0)
         assert kind == BATCH
         m = batch.m
         budget = fault_budget(m, c, alpha)

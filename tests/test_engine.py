@@ -371,11 +371,14 @@ def test_inert_runs_expand_to_steps():
 
 
 class _CountingTrace(Trace):
-    executed = inert_calls = 0
+    """Counts ``record`` calls, which executed and steady steps make, and
+    ``record_inert`` calls."""
 
-    def record_step(self, state, report):
-        self.executed += 1
-        super().record_step(state, report)
+    recorded = inert_calls = 0
+
+    def record(self, state, m_sent, m_lost, acks):
+        self.recorded += 1
+        super().record(state, m_sent, m_lost, acks)
 
     def record_inert(self, state, m_sent, count, step_start):
         self.inert_calls += 1
@@ -389,7 +392,7 @@ def test_stored_rows_grow_with_executed_steps():
     _, trace = simulate(topo, driver, RandomAdversary(0), 0.55, state=state,
                         trace=_CountingTrace(topo))
     assert len(trace) == 1547659
-    assert trace._data.shape[0] <= trace.executed + trace.inert_calls
+    assert trace._data.shape[0] <= trace.recorded + trace.inert_calls
     assert trace._data.shape[0] < len(trace) // 100
     assert len(trace._runs) == 9  # one-step inert blocks are plain rows
 

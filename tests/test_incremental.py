@@ -70,8 +70,8 @@ class CheckingDriver:
     def done(self):
         return self.inner.done()
 
-    def next(self, state, exhaustive):
-        return self.inner.next(state, exhaustive)
+    def next(self, state, limit):
+        return self.inner.next(state, limit)
 
     def absorb(self, state, report):
         self.inner.absorb(state, report)

@@ -11,12 +11,13 @@ import pytest
 from faultcast import bounds, protocols
 from faultcast.adversary import (AckSuppressor, AdversaryPolicy, RandomAdversary, VictimGuard,
                                  make_adversary)
-from faultcast.engine import INFO, NetworkState, Trace, execute_step
-from faultcast.errors import (InvalidParameterError, UnsupportedAlphaError,
-                              UnsupportedTopologyError)
-from faultcast.protocols import (AllButOneDriver, BATCH, EliminationDriver, GreedyCompleteDriver,
-                                 IdleDriver, SeqDriver, Session, SimpleRoundsDriver, SweepDriver,
-                                 make_driver)
+from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, Trace, execute_step,
+                              fault_budget)
+from faultcast.errors import (AdversaryViolation, InvalidParameterError, ScheduleOverrun,
+                              SimError, UnsupportedAlphaError, UnsupportedTopologyError)
+from faultcast.protocols import (AllButOneDriver, BATCH, Driver, EliminationDriver,
+                                 GreedyCompleteDriver, IdleDriver, SeqDriver, Session,
+                                 SimpleRoundsDriver, SweepDriver, make_driver)
 from faultcast.topology import HYPERCUBE, build_complete, build_hypercube
 from faultcast.validate import errors_only, validate_trace
 
@@ -192,7 +193,7 @@ def test_phase4_pair_order():
     session.aware[[1, 3]] = True
     sent = []
     while not sweep.done():
-        kind, batch = sweep.next(state, False)
+        kind, batch = sweep.next(state, 0)
         assert kind == BATCH
         sent.append((set(topo.arc_src[batch.arcs].tolist()),
                      set(topo.arc_dst[batch.arcs].tolist())))
@@ -209,7 +210,7 @@ def test_intersection_semantics():
     driver = AllButOneDriver(topo, 0, 0.5, 2.0, state=state)
     driver.ctx.received[0] = [frozenset({3, 7, 9}), frozenset({3, 7})]
     for b in (0, 1):
-        _sod_lane(driver, b)[0].next(state, False)
+        _sod_lane(driver, b)[0].next(state, 0)
     assert driver.ctx.u_final[0] == frozenset({3, 7})
     assert isinstance(_sod_lane(driver, 0)[0].inner, SeqDriver)
     # Collector 1 received no candidate set: its phase 3 idles.
@@ -234,12 +235,12 @@ def test_sweep_marks_deliveries_and_counts_empty_tail():
     sweep = SweepDriver(topo, 5, lambda: (np.array([0]), [(3,), (1, 4)]), knows_sink=knows)
     assert sweep.idle_steps() == 0  # the groups are not known yet
     for _ in range(2):
-        _, batch = sweep.next(state, False)
+        _, batch = sweep.next(state, 0)
         sweep.absorb(state, execute_step(state, batch, KillFirst(), 0.5))
     # Step 2 sent 0->1 and 0->4; the adversary killed 0->1.
     assert np.flatnonzero(knows).tolist() == [3, 4]
     assert sweep.idle_steps() == 3
-    kind, batch = sweep.next(state, False)
+    kind, batch = sweep.next(state, 0)
     assert kind == BATCH and batch.m == 0
     assert sweep.idle_steps() == 2
     sweep.skip(2)
@@ -343,8 +344,8 @@ def test_nosod_extended_rounds_digest_unchanged(tmp_path):
 
 
 class _Logging(AdversaryPolicy):
-    """Delegates every kill set to ``inner`` and logs (batch size, kill set)
-    by step.  With ``exhaustive=False`` no driver fast-forwards a step."""
+    """Delegates every kill set to ``inner`` and logs (batch size, all acks,
+    kill set) by step.  With ``exhaustive=False`` no driver fast-forwards a step."""
 
     def __init__(self, inner, exhaustive):
         self.inner = inner
@@ -354,8 +355,16 @@ class _Logging(AdversaryPolicy):
 
     def decide(self, ctx, batch, budget):
         kills = np.asarray(self.inner.decide(ctx, batch, budget), dtype=np.int64)
-        self.log[ctx.step_index] = (batch.m, kills.tobytes())
+        self.log[ctx.step_index] = (batch.m, bool((batch.kinds == ACK).all()), kills.tobytes())
         return kills
+
+
+class _StepCountingTrace(Trace):
+    record_steps = 0
+
+    def record_step(self, state, report):
+        self.record_steps += 1
+        super().record_step(state, report)
 
 
 def _traced(protocol, topo, alpha, adversary):
@@ -363,7 +372,7 @@ def _traced(protocol, topo, alpha, adversary):
     state = NetworkState(topo)
     driver = make_driver(protocol, topo, alpha, eps, state)
     return protocols.simulate(topo, driver, adversary, alpha, state=state,
-                              trace=Trace(topo, track_boundary=True))
+                              trace=_StepCountingTrace(topo, track_boundary=True))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -373,8 +382,8 @@ def _traced(protocol, topo, alpha, adversary):
     ("hypercube", build_hypercube(6)), ("hypercube", build_hypercube(8)),
 ], ids=["K16", "K64", "Q6", "Q8"])
 def test_inert_fast_forward_matches_stepped(protocol, topo, make_adv, alpha):
-    """Inert blocks (step-A tails and dead step Bs) agree row for row with
-    stepping every batch through the same policy."""
+    """Inert blocks (step-A tails and dead step Bs) and steady rounds agree
+    row for row with stepping every batch through the same policy."""
     fast = _Logging(make_adv(topo, 9), exhaustive=True)
     stepped = _Logging(make_adv(topo, 9), exhaustive=False)
     (_, trace), (_, trace_s) = (_traced(protocol, topo, alpha, adv) for adv in (fast, stepped))
@@ -384,20 +393,76 @@ def test_inert_fast_forward_matches_stepped(protocol, topo, make_adv, alpha):
     # The columns are blind to which arcs delivered, the kill sets are not:
     # skipping a dead batch must not shift the policy's random stream.
     assert fast.log.items() <= stepped.log.items()
+    # A steady round asks for its step-A kill set but steps nothing; under
+    # ``random`` K_64 at alpha 0.7 and Q_8 at every alpha end in steady rounds.
+    assert trace.record_steps <= len(fast.log)
+    if make_adv is ADVERSARIES[0] and (topo.d == 8 if topo.kind == HYPERCUBE
+                                       else topo.n == 64 and alpha == 0.7):
+        assert trace.record_steps < len(fast.log)
+
+
+class _SparesInRound(RandomAdversary):
+    """``random``, but kills one message fewer in the step A at ``step``."""
+
+    def __init__(self, step, exhaustive=True):
+        super().__init__(0)
+        self.step = step
+        self.exhaustive = exhaustive
+
+    def decide(self, ctx, batch, budget):
+        kills = super().decide(ctx, batch, budget)
+        return kills[1:] if ctx.step_index == self.step else kills
+
+
+def test_steady_round_rejects_a_spared_message():
+    """A policy that claims to be exhaustive must kill min(m, budget) in a
+    steady round too, where nothing is stepped to show the difference."""
+    last_step_a = 2 * bounds.rounds_kn(64, 0.7)
+    with pytest.raises(AdversaryViolation, match="exhaustive"):
+        protocols.almost_complete_kn(64, 0.7, 2.0, _SparesInRound(last_step_a))
+    # Within the budget, the same kill sets are legal for a non-exhaustive policy.
+    trace = protocols.almost_complete_kn(64, 0.7, 2.0, _SparesInRound(last_step_a, False))
+    m = int(trace.column("m_sent")[last_step_a])
+    assert trace.column("m_lost")[last_step_a] == fault_budget(m, 63, 0.7) - 1
 
 
 @pytest.mark.parametrize("make_adv", ADVERSARIES, ids=ADVERSARY_IDS)
 @pytest.mark.parametrize("protocol, topo, alpha", [
     ("almost-kn", build_complete(32), 0.7), ("hypercube", build_hypercube(7), 0.5),
     ("nosod-complete", build_complete(16), 0.5),
-], ids=["almost-kn", "hypercube", "nosod-complete"])
+    ("sod-complete", build_complete(32, chordal=True), 0.5),
+], ids=["almost-kn", "hypercube", "nosod-complete", "sod-complete"])
 def test_no_dead_batch_reaches_the_adversary(protocol, topo, make_adv, alpha):
     """A batch of 1..c-1 messages dies whole under an exhaustive policy, so
     the drivers emit it as an inert step instead."""
     adv = _Logging(make_adv(topo, 4), exhaustive=True)
     _traced(protocol, topo, alpha, adv)
     c = topo.edge_connectivity
-    assert adv.log and not any(1 <= m <= c - 1 for m, _ in adv.log.values())
+    dead = [all_acks for m, all_acks, _ in adv.log.values() if 1 <= m <= c - 1]
+    if protocol == "sod-complete":
+        # Multiplexed lanes still hand small info batches to the adversary,
+        # which may draw on them; only their all-ack batches are skipped.
+        dead = [all_acks for all_acks in dead if all_acks]
+    assert adv.log and not dead
+
+
+class _NeverDone(Driver):
+    total_steps = 3
+
+    def done(self):
+        return False
+
+    def next(self, state, limit):
+        return BATCH, SendBatch.empty()
+
+
+def test_simulate_stops_a_driver_past_its_schedule():
+    topo = build_complete(4)
+    trace = Trace(topo)
+    with pytest.raises(ScheduleOverrun) as err:
+        protocols.simulate(topo, _NeverDone(), RandomAdversary(0), 0.5, trace=trace)
+    assert isinstance(err.value, SimError)
+    assert len(trace) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +478,7 @@ def test_almost_kn_vertex_locality_replay():
     adv = RandomAdversary(13)
     step_log = []  # (arcs sent, delivered arc/kind pairs)
     while not driver.done():
-        kind, batch = driver.next(state, False)
+        kind, batch = driver.next(state, 0)
         assert kind == BATCH
         report = execute_step(state, batch, adv, alpha)
         driver.absorb(state, report)

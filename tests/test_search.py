@@ -32,14 +32,14 @@ def brute_force_search(n, protocol, alpha, horizon=None, eps=2.0, all_sizes=Fals
         if driver.done() or state.step_index >= horizon:
             return HORIZON_EXCEEDED
         probe_state = state.clone()
-        m = driver.clone(probe_state).next(probe_state, False)[1].m
+        m = driver.clone(probe_state).next(probe_state, 0)[1].m
         ksize = min(m, fault_budget(m, c, alpha))
         worst = 0.0
         for size in (range(ksize + 1) if all_sizes else (ksize,)):
             for kills in combinations(range(m), size):
                 st = state.clone()
                 dr = driver.clone(st)
-                _, batch = dr.next(st, False)
+                _, batch = dr.next(st, 0)
                 dr.absorb(st, execute_step(st, batch, FixedKillAdversary(kills), alpha))
                 if dr.at_checkpoint() and st.k == 0:
                     worst = max(worst, float(st.step_index))
@@ -139,7 +139,7 @@ def test_seq_key_parts_settle_position():
     state = NetworkState(topo)
     driver = make_driver("almost-kn", topo, 0.5, 2.0, state)
     for _ in range(2):
-        _, batch = driver.next(state, False)
+        _, batch = driver.next(state, 0)
         kills = range(min(batch.m, fault_budget(batch.m, topo.edge_connectivity, 0.5)))
         driver.absorb(state, execute_step(state, batch, FixedKillAdversary(kills), 0.5))
         key = driver.key_parts(identity)
@@ -210,7 +210,7 @@ def _reachable(topo, driver, state, rng, steps):
         if driver.done() or state.k == 0:
             return
         yield state, driver
-        _, batch = driver.next(state, False)
+        _, batch = driver.next(state, 0)
         ksize = min(batch.m, fault_budget(batch.m, c, 0.5))
         dst = topo.arc_dst[batch.arcs]
         order = np.lexsort((rng.permutation(topo.n)[dst],
@@ -228,12 +228,12 @@ def _plays(n, rng):
         state = NetworkState(topo)
         yield from _reachable(topo, make_driver(protocol, topo, 0.5, 2.0, state), state, rng, 8)
     state = NetworkState(topo)
-    _, batch = make_driver("greedy-kn", topo, 0.5, 2.0, state).next(state, False)
+    _, batch = make_driver("greedy-kn", topo, 0.5, 2.0, state).next(state, 0)
     execute_step(state, batch, FixedKillAdversary(range(n - 2)), 0.5)
     session = Session(topo, 0, state=state)
     passes = [driver for i in range(2)
               for driver in (EliminationDriver(topo, 1, 2, i),
-                             SimpleRoundsDriver(session, 2, label="nosod_l4"))]
+                             SimpleRoundsDriver(session, 2, 0.5, label="nosod_l4"))]
     yield from _reachable(topo, SeqDriver(passes), state, rng, 12)
 
 
@@ -254,7 +254,7 @@ def test_precomputed_children_are_honest(n):
     for state, driver in _plays(n, rng):
         probe_state = state.clone()
         probe = driver.clone(probe_state)
-        _, batch = probe.next(probe_state, False)
+        _, batch = probe.next(probe_state, 0)
         ksize = min(batch.m, fault_budget(batch.m, topo.edge_connectivity, 0.5))
         if math.comb(batch.m, ksize) > 500:
             continue
