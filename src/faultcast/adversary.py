@@ -1,20 +1,13 @@
 """Fault strategies: pluggable kill-set policies.
 
 Every shipped policy is *exhaustive*: it kills exactly min(m, budget)
-messages.  Drivers rely on that to skip steps that cannot change the state
-(see ``faultcast.protocols``); in a steady round, where nothing is stepped,
-the run loop checks the kill-set size and raises AdversaryViolation if it is
-short.  A batch of at most c-1 messages dies whole, and ``decide`` may be
-skipped on it.  That leaves later kill sets unchanged only if the policy
-draws nothing from its generator on that batch.  ``RandomAdversary`` draws
-nothing on any batch it kills whole (it returns every index when
-``min(m, budget) == m``).  ``VictimGuard`` and ``AckSuppressor`` shuffle their
-non-ack classes, so they draw nothing only on an all-ack or empty batch
-(numpy's shuffle of an empty array draws nothing).  So skipped dead all-ack
-steps and empty idle steps match a stepped run under every shipped policy,
-and steady rounds do as well because they still call ``decide``; the step-A
-and elimination tails, which skip info batches, define the trace instead.
-A new exhaustive policy must draw nothing on an all-ack or empty batch.
+messages, and it draws nothing from its generator when that kill set is
+forced, that is when it is empty or the whole batch.  A batch of at most c-1
+messages dies whole, so drivers may skip ``decide`` on it (see
+``faultcast.protocols``), and every skip records exactly the trace of a
+stepped run.  A new exhaustive policy must keep both promises.  In a steady
+round, where nothing is stepped, the run loop checks the kill-set size and
+raises AdversaryViolation if it is short.
 """
 
 import numpy as np
@@ -46,10 +39,8 @@ class RandomAdversary(AdversaryPolicy):
 
     def decide(self, ctx, batch, budget):
         ksize = min(batch.m, budget)
-        if ksize == 0:
-            return np.empty(0, dtype=np.int64)
-        if ksize == batch.m:
-            return np.arange(batch.m, dtype=np.int64)
+        if ksize in (0, batch.m):
+            return np.arange(ksize, dtype=np.int64)
         return self._rng.permutation(batch.m)[:ksize].astype(np.int64)
 
 
@@ -67,8 +58,8 @@ class VictimGuard(AdversaryPolicy):
 
     def decide(self, ctx, batch, budget):
         ksize = min(batch.m, budget)
-        if ksize == 0:
-            return np.empty(0, dtype=np.int64)
+        if ksize in (0, batch.m):
+            return np.arange(ksize, dtype=np.int64)
         dst = ctx.topo.arc_dst[batch.arcs]
         victim = dst == self.victim
         acks = ~victim & (batch.kinds == ACK)
@@ -92,8 +83,8 @@ class AckSuppressor(AdversaryPolicy):
 
     def decide(self, ctx, batch, budget):
         ksize = min(batch.m, budget)
-        if ksize == 0:
-            return np.empty(0, dtype=np.int64)
+        if ksize in (0, batch.m):
+            return np.arange(ksize, dtype=np.int64)
         acks = batch.kinds == ACK
         dst = ctx.topo.arc_dst[batch.arcs]
         to_uninformed = ~acks & ~ctx.state.informed[dst]

@@ -79,6 +79,10 @@ class ExperimentConfig:
                 problems.append(f"complete graph size {s} < 2")
             if self.topology == HYPERCUBE and s < 1:
                 problems.append(f"hypercube dimension {s} < 1")
+            if self.topology == HYPERCUBE and base == "hypercube" and s < 2:
+                problems.append(f"protocol hypercube needs dimension >= 2, got {s}")
+            if self.topology == COMPLETE and base == "nosod-complete" and s < 3:
+                problems.append(f"protocol nosod-complete needs size >= 3, got {s}")
         if self.seeds < 1:
             problems.append("seeds must be >= 1")
         return problems

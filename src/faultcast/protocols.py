@@ -12,15 +12,8 @@ block is a run of batches of at most c-1 messages, which die whole: the run
 loop records them without touching state or the adversary.  A *steady* block
 is a run of simple rounds whose step-A survivors change nothing and whose
 acks die whole: the run loop asks the adversary for each step-A kill set and
-steps nothing else.
-
-Dead all-ack steps, empty idle steps and steady rounds record exactly the
-trace of a stepped run, since the adversary draws nothing from its random
-stream on an all-ack or empty batch and still decides every steady step A.
-The step-A tail of simple rounds and the inert tail of an elimination pass
-instead define the trace: they skip ``decide`` on info batches, from which
-VictimGuard and AckSuppressor draw even when they kill them whole, so a
-later phase may see other kill sets than in a fully stepped run.
+steps nothing else.  Either block records exactly the trace of a stepped run
+(see ``faultcast.adversary``).
 
 Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
@@ -289,9 +282,8 @@ class MultiplexDriver(Driver):
     contributes empty steps.  A run of steps whose lanes are all idle or
     finished is emitted as one inert block of at most ``limit`` steps: an
     empty step delivers nothing and, under an exhaustive adversary, kills
-    nothing.  A lane may skip one step at a time only (a dead step B), since
-    its other steps interleave with the other lane's; its small info batches
-    still go to the adversary, whose kill order may draw on its random stream.
+    nothing.  A lane is asked with a limit of at most 1, since its steps
+    interleave with the other lane's.
     """
 
     def __init__(self, lane0: Driver, lane1: Driver):
@@ -454,21 +446,17 @@ class SimpleRoundsDriver(Driver):
 
     Step A floods every non-marked out-arc of an aware vertex; step B returns
     an acknowledgement on each arc that delivered in step A.  Under an
-    exhaustive adversary three rules skip steps, each only if its block fits
+    exhaustive adversary two rules skip steps, each only if its block fits
     the caller's ``limit``:
 
-    - A step A of at most c-1 messages dies whole, so nothing can change again
-      within this schedule: the remaining rounds are one inert block.
+    - A step A or step B of at most c-1 messages dies whole; it is a one-step
+      inert block.  A step A that small also leaves nothing to change within
+      this schedule, so if the remaining rounds fit they are one inert block.
     - A step A on a primary session is *steady* when every destination is
       informed, every opposite arc is already passive and at most c-1 messages
       survive the budget.  Its deliveries change nothing and its acks die
       whole, so every later round is the same: the remaining rounds are one
       steady block, whose step-A kill sets the run loop still asks for.
-    - A step B of at most c-1 acks dies whole; it is a one-step inert block
-      and ends the round at once, since no ``absorb`` follows an inert step.
-
-    Only the first rule changes what the adversary sees (see the module
-    docstring).
     """
 
     def __init__(self, session: Session, rounds: int, alpha: float, label: str = "thm2"):
@@ -494,24 +482,25 @@ class SimpleRoundsDriver(Driver):
         if self.phase_a:
             arcs = self.session.sends(state)
             remaining = self.rounds - self.round_idx
-            fits = 2 * remaining <= limit
-            if fits and arcs.size <= c - 1:
-                self.round_idx = self.rounds
-                return INERT, [(int(arcs.size), 1), (0, 1)] * remaining
-            batch = SendBatch.uniform(arcs, self.session.payload_kind)
-            if fits and self._steady(state, arcs):
-                self.round_idx = self.rounds
-                return STEADY, [(batch, 2 * remaining)]
-            return BATCH, batch
-        if limit and self.pending.size <= c - 1:
-            # Every ack dies, so no absorb follows: end the round here.
-            m = int(self.pending.size)
-            self.pending = None
-            self.phase_a = True
-            self.round_idx += 1
-            return INERT, [(m, 1)]
-        arcs = np.sort(self.session.topo.opp[self.pending])
-        return BATCH, SendBatch.uniform(arcs, ACK)
+            if 2 * remaining <= limit:
+                if arcs.size <= c - 1:
+                    self.round_idx = self.rounds
+                    if not arcs.size:
+                        return INERT, [(0, 2 * remaining)]
+                    return INERT, [(int(arcs.size), 1), (0, 1)] * remaining
+                if self._steady(state, arcs):
+                    self.round_idx = self.rounds
+                    batch = SendBatch.uniform(arcs, self.session.payload_kind)
+                    return STEADY, [(batch, 2 * remaining)]
+        else:
+            arcs = self.pending  # step B acks each on the opposite arc
+        if limit and arcs.size <= c - 1:
+            # Every message dies, so no absorb follows: move on here.
+            self._advance(arcs[:0])
+            return INERT, [(int(arcs.size), 1)]
+        if self.phase_a:
+            return BATCH, SendBatch.uniform(arcs, self.session.payload_kind)
+        return BATCH, SendBatch.uniform(np.sort(self.session.topo.opp[arcs]), ACK)
 
     def _steady(self, state: NetworkState, arcs: np.ndarray) -> bool:
         topo = self.session.topo
@@ -523,8 +512,11 @@ class SimpleRoundsDriver(Driver):
 
     def absorb(self, state, report):
         self.session.absorb(state, report)
+        self._advance(report.delivered_arcs)
+
+    def _advance(self, delivered: np.ndarray) -> None:
         if self.phase_a:
-            self.pending = report.delivered_arcs
+            self.pending = delivered
             self.phase_a = False
         else:
             self.pending = None

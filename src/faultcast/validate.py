@@ -87,14 +87,19 @@ def _segment_spans(trace: Trace):
         yield seg, end
 
 
-def _round_indices(start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pre, step_b) record indices of each full simple round with a pre-round record.
+def _primary_rounds(trace: Trace, row_of):
+    """(b_rec, pre_row, b_row) of each full round of each primary simple-round segment.
 
-    A schedule-initial round has no pre-round record and is skipped.
+    ``b_rec`` is the record index of the round's step B; ``pre_row`` and
+    ``b_row`` are the stored rows of the pre-round record and of step B.  A
+    schedule-initial round has no pre-round record and is skipped.
     """
-    step_a = np.arange(start, end - 1, 2)
-    step_a = step_a[step_a > 0]
-    return step_a - 1, step_a + 1
+    for seg, end in _segment_spans(trace):
+        if seg.kind != "simple_rounds" or not seg.meta.get("primary"):
+            continue
+        step_a = np.arange(seg.start, end - 1, 2)
+        step_a = step_a[step_a > 0]
+        yield from zip((step_a + 1).tolist(), row_of(step_a - 1), row_of(step_a + 1))
 
 
 def check_kn_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
@@ -113,24 +118,19 @@ def check_kn_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     cols, row_of = _stored_columns(trace)
     k_col, h_col, m_col, acks_col = cols["k"], cols["h"], cols["M"], cols["acks"]
     out = []
-    for seg, end in _segment_spans(trace):
-        if seg.kind != "simple_rounds" or not seg.meta.get("primary"):
+    for b_rec, pre_row, b_row in _primary_rounds(trace, row_of):
+        k, h = int(k_col[pre_row]), int(h_col[pre_row])
+        if not (k > cc.x * eps or h > cc.x * (n - 2)):
             continue
-        pre_recs, b_recs = _round_indices(seg.start, end)
-        for b_rec, pre_row, b_row in zip(b_recs.tolist(), row_of(pre_recs),
-                                          row_of(b_recs)):
-            k, h = int(k_col[pre_row]), int(h_col[pre_row])
-            if not (k > cc.x * eps or h > cc.x * (n - 2)):
-                continue
-            need_acks = (1.0 - alpha) ** 2 * (k * (n - k) + h)
-            if acks_col[b_row] < need_acks - _TOL:
-                out.append(Violation("thm2_acks", b_rec,
-                                     f"{acks_col[b_row]} acks < {need_acks:.3f} "
-                                     f"(k={k}, h={h})", level))
-            if m_col[b_row] > (1.0 - cc.c) * m_col[pre_row] + _TOL:
-                out.append(Violation("thm2_measure", b_rec,
-                                     f"M {m_col[pre_row]} -> {m_col[b_row]} exceeds "
-                                     f"factor {1.0 - cc.c:.6f}", level))
+        need_acks = (1.0 - alpha) ** 2 * (k * (n - k) + h)
+        if acks_col[b_row] < need_acks - _TOL:
+            out.append(Violation("thm2_acks", b_rec,
+                                 f"{acks_col[b_row]} acks < {need_acks:.3f} "
+                                 f"(k={k}, h={h})", level))
+        if m_col[b_row] > (1.0 - cc.c) * m_col[pre_row] + _TOL:
+            out.append(Violation("thm2_measure", b_rec,
+                                 f"M {m_col[pre_row]} -> {m_col[b_row]} exceeds "
+                                 f"factor {1.0 - cc.c:.6f}", level))
     return out
 
 
@@ -157,34 +157,29 @@ def check_qd_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     lg3 = math.log2(3.0)
     rho = 1.0 + cc.beta * math.log2(2.0 / 3.0) / d
     out = []
-    for seg, end in _segment_spans(trace):
-        if seg.kind != "simple_rounds" or not seg.meta.get("primary"):
-            continue
-        pre_recs, b_recs = _round_indices(seg.start, end)
-        for b_rec, pre_row, b_row in zip(b_recs.tolist(), row_of(pre_recs),
-                                          row_of(b_recs)):
-            k, h = int(k_col[pre_row]), int(h_col[pre_row])
-            b, bd = int(b_col[pre_row]), int(bd_col[pre_row])
-            gate_ack = k > cc.x / (1.0 - eps) or h > cc.x * (d - 1)
-            if gate_ack:
-                need = (1.0 - alpha) ** 2 * (h + bd)
-                if acks_col[b_row] < need - _TOL:
-                    out.append(Violation("lemma4_acks", b_rec,
-                                         f"{acks_col[b_row]} acks < {need:.3f} "
-                                         f"(h={h}, boundary={bd})", level))
-            if k >= (2.0 / 3.0) * n:
-                if b_col[b_row] < b + cc.beta * bd - _TOL:
-                    out.append(Violation("lemma5_growth", b_rec,
-                                         f"b {b} -> {b_col[b_row]} < b + beta*{bd}", level))
-                if b >= d and b_col[b_row] < b * (1.0 + cc.beta * lg3 / d) - _TOL:
-                    out.append(Violation("lemma5_factor", b_rec,
-                                         f"b {b} -> {b_col[b_row]} below factor "
-                                         f"{1.0 + cc.beta * lg3 / d:.6f}", level))
-            if gate_ack and k <= (2.0 / 3.0) * n:
-                if m_col[b_row] > rho * m_col[pre_row] + _TOL:
-                    out.append(Violation("lemma6_measure", b_rec,
-                                         f"M {m_col[pre_row]} -> {m_col[b_row]} exceeds "
-                                         f"factor {rho:.6f}", level))
+    for b_rec, pre_row, b_row in _primary_rounds(trace, row_of):
+        k, h = int(k_col[pre_row]), int(h_col[pre_row])
+        b, bd = int(b_col[pre_row]), int(bd_col[pre_row])
+        gate_ack = k > cc.x / (1.0 - eps) or h > cc.x * (d - 1)
+        if gate_ack:
+            need = (1.0 - alpha) ** 2 * (h + bd)
+            if acks_col[b_row] < need - _TOL:
+                out.append(Violation("lemma4_acks", b_rec,
+                                     f"{acks_col[b_row]} acks < {need:.3f} "
+                                     f"(h={h}, boundary={bd})", level))
+        if k >= (2.0 / 3.0) * n:
+            if b_col[b_row] < b + cc.beta * bd - _TOL:
+                out.append(Violation("lemma5_growth", b_rec,
+                                     f"b {b} -> {b_col[b_row]} < b + beta*{bd}", level))
+            if b >= d and b_col[b_row] < b * (1.0 + cc.beta * lg3 / d) - _TOL:
+                out.append(Violation("lemma5_factor", b_rec,
+                                     f"b {b} -> {b_col[b_row]} below factor "
+                                     f"{1.0 + cc.beta * lg3 / d:.6f}", level))
+        if gate_ack and k <= (2.0 / 3.0) * n:
+            if m_col[b_row] > rho * m_col[pre_row] + _TOL:
+                out.append(Violation("lemma6_measure", b_rec,
+                                     f"M {m_col[pre_row]} -> {m_col[b_row]} exceeds "
+                                     f"factor {rho:.6f}", level))
     return out
 
 

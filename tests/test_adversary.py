@@ -99,6 +99,27 @@ def test_ack_suppressor_all_info_random_fallback():
     assert len(set(kills.tolist())) == 4
 
 
+@pytest.mark.parametrize("make_adv", [RandomAdversary, lambda seed: VictimGuard(3, seed),
+                                      AckSuppressor], ids=["random", "victim_guard", "ack_suppressor"])
+def test_forced_kill_set_draws_nothing(make_adv):
+    """With ksize = min(m, budget) at 0 or m the kill set is forced: the policy
+    returns it in index order and leaves its random stream where it was."""
+    topo = build_complete(6)
+    ctx = _ctx(topo, [0, 1])
+    msgs = sorted([(topo.arc_id(0, 3), INFO), (topo.arc_id(1, 0), ACK),
+                   (topo.arc_id(1, 4), INFO), (topo.arc_id(2, 5), INFO), (topo.arc_id(2, 3), INFO)])
+    batch = SendBatch(arcs=np.array([a for a, _ in msgs], dtype=np.int64),
+                      kinds=np.array([k for _, k in msgs], dtype=np.int8))
+    adv = make_adv(7)
+    before = adv._rng.bit_generator.state
+    for m, budget in [(5, 0), (5, 5), (5, 9), (3, 3), (0, 0), (0, 5)]:
+        small = SendBatch(arcs=batch.arcs[:m], kinds=batch.kinds[:m])
+        kills = adv.decide(ctx, small, budget)
+        assert kills.dtype == np.int64
+        assert kills.tolist() == list(range(min(m, budget)))
+        assert adv._rng.bit_generator.state == before
+
+
 def test_make_adversary_parsing():
     topo = build_complete(8)
     assert make_adversary("random:7").seed == 7

@@ -394,7 +394,8 @@ def test_stored_rows_grow_with_executed_steps():
     assert len(trace) == 1547659
     assert trace._data.shape[0] <= trace.recorded + trace.inert_calls
     assert trace._data.shape[0] < len(trace) // 100
-    assert len(trace._runs) == 9  # one-step inert blocks are plain rows
+    # 9 elimination tails and 9 empty step-A tails; one-step inert blocks are plain rows.
+    assert len(trace._runs) == 18
 
 
 def test_trace_consumers_memory_does_not_grow_with_steps():

@@ -37,6 +37,13 @@ def test_config_errors_enumerated():
     assert len(problems) >= 3  # protocol/topology, alpha domain, eps domain
     with pytest.raises(ConfigError):
         run(config)
+    # Sizes the schedule's bounds reject are reported before anything runs.
+    for kw in (dict(topology="hypercube", protocol="hypercube", size=[1], eps=0.5),
+               dict(protocol="nosod-complete", size=[2])):
+        config = _small_config(**kw)
+        assert len(config.check()) == 1
+        with pytest.raises(ConfigError):
+            run(config)
 
 
 def test_config_rejects_nosod_above_root():
