@@ -5,14 +5,23 @@ messages, and it draws nothing from its generator when that kill set is
 forced, that is when it is empty or the whole batch.  A batch of at most c-1
 messages dies whole, so drivers may skip ``decide`` on it (see
 ``faultcast.protocols``), and every skip records exactly the trace of a
-stepped run.  A new exhaustive policy must keep both promises.  In a steady
-round, where nothing is stepped, the run loop checks the kill-set size and
-raises AdversaryViolation if it is short.
+stepped run.  A new exhaustive policy must keep both promises.
+
+In a steady block, where nothing is stepped, the run loop asks for the kill
+sets of many steady rounds at once through ``decide_rounds``: their rows equal
+that many successive ``decide`` calls, two steps apart, on the unchanged
+state, and the policy's generator moves exactly as those calls would move it.
+The run loop checks every row and raises AdversaryViolation if one is short.
+The default ``decide_rounds`` calls ``decide`` once per round; a subclass of a
+shipped policy that changes the draw in ``decide`` must change it in
+``decide_rounds`` too, or the steady path will not see the change.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from .engine import ACK
+from .engine import ACK, check_kill_rows
 from .errors import InvalidParameterError
 
 
@@ -25,51 +34,97 @@ class AdversaryPolicy:
     def decide(self, ctx, batch, budget: int) -> np.ndarray:
         raise NotImplementedError
 
+    def decide_rounds(self, ctx, batch, budget: int, rounds: int) -> np.ndarray:
+        """The (rounds, min(m, budget)) kill sets of ``rounds`` steady step As.
+
+        Row r is ``decide`` at step ``ctx.step_index + 2r`` on the unchanged
+        state.  Wrappers that define only ``decide`` may be passed here
+        unbound.
+        """
+        ksize = min(batch.m, budget)
+        out = np.empty((rounds, ksize), dtype=np.int64)
+        for r in range(rounds):
+            step_ctx = replace(ctx, step_index=ctx.step_index + 2 * r)
+            row = np.asarray(self.decide(step_ctx, batch, budget), dtype=np.int64)
+            if row.size != ksize:  # not a row of the block: the check raises
+                check_kill_rows(row.reshape(1, -1), batch.m, budget, self, exhaustive=True)
+            out[r] = row
+        return out
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
 
 
-class RandomAdversary(AdversaryPolicy):
-    """Kills a uniform random subset of size exactly min(m, budget)."""
+class _OrderedPolicy(AdversaryPolicy):
+    """Kills the first min(m, budget) messages of an order: the fixed classes
+    of ``_classes`` as they are, then its shuffled classes, each shuffled by
+    the policy's generator."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.id = f"random:{seed}"
         self._rng = np.random.default_rng(seed)
+
+    def _classes(self, ctx, batch) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(fixed classes, classes to shuffle), each a list of batch-index arrays."""
+        raise NotImplementedError
 
     def decide(self, ctx, batch, budget):
         ksize = min(batch.m, budget)
         if ksize in (0, batch.m):
             return np.arange(ksize, dtype=np.int64)
-        return self._rng.permutation(batch.m)[:ksize].astype(np.int64)
+        return self._order(*self._classes(ctx, batch))[:ksize]
+
+    def decide_rounds(self, ctx, batch, budget, rounds):
+        ksize = min(batch.m, budget)
+        if ksize in (0, batch.m):
+            return np.arange(ksize, dtype=np.int64)[None].repeat(rounds, axis=0)
+        fixed, shuffled = self._classes(ctx, batch)
+        if sum(cls.size > 1 for cls in shuffled) > 1:
+            # Round by round, as the draws of two classes interleave.
+            return np.array([self._order(fixed, shuffled)[:ksize] for _ in range(rounds)])
+        # One call per class shuffles each row in turn, as successive
+        # permutations would; a class of at most one entry draws nothing.
+        tiles = [cls[None].repeat(rounds, axis=0) for cls in shuffled]
+        for tile in tiles:
+            self._rng.permuted(tile, axis=1, out=tile)
+        fixed = [np.broadcast_to(cls, (rounds, cls.size)) for cls in fixed]
+        return np.concatenate(fixed + tiles, axis=1)[:, :ksize]
+
+    def _order(self, fixed, shuffled):
+        """One round's kill order: the fixed classes, then each shuffled class."""
+        return np.concatenate(fixed + [self._rng.permutation(cls) for cls in shuffled])
 
 
-class VictimGuard(AdversaryPolicy):
+class RandomAdversary(_OrderedPolicy):
+    """Kills a uniform random subset of size exactly min(m, budget)."""
+
+    def __init__(self, seed: int = 0):
+        super().__init__(seed)
+        self.id = f"random:{seed}"
+
+    def _classes(self, ctx, batch):
+        return [], [np.arange(batch.m, dtype=np.int64)]
+
+
+class VictimGuard(_OrderedPolicy):
     """Starves one vertex: kills messages to the victim first, then acks, then random fill.
 
     Within the victim and ack classes, lowest arc id goes first.
     """
 
     def __init__(self, victim: int, seed: int = 0):
+        super().__init__(seed)
         self.victim = victim
-        self.seed = seed
         self.id = f"victim_guard:{victim}"
-        self._rng = np.random.default_rng(seed)
 
-    def decide(self, ctx, batch, budget):
-        ksize = min(batch.m, budget)
-        if ksize in (0, batch.m):
-            return np.arange(ksize, dtype=np.int64)
-        dst = ctx.topo.arc_dst[batch.arcs]
-        victim = dst == self.victim
+    def _classes(self, ctx, batch):
+        victim = ctx.topo.arc_dst[batch.arcs] == self.victim
         acks = ~victim & (batch.kinds == ACK)
-        rest = np.flatnonzero(~victim & ~acks)
-        self._rng.shuffle(rest)
-        order = np.concatenate([np.flatnonzero(victim), np.flatnonzero(acks), rest])
-        return order[:ksize].astype(np.int64)
+        return ([np.flatnonzero(victim), np.flatnonzero(acks)],
+                [np.flatnonzero(~victim & ~acks)])
 
 
-class AckSuppressor(AdversaryPolicy):
+class AckSuppressor(_OrderedPolicy):
     """Kills acknowledgements first, then info to uninformed vertices, then the rest.
 
     Acks die in arc-id order; the other classes are filled in seeded random
@@ -77,23 +132,14 @@ class AckSuppressor(AdversaryPolicy):
     """
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
+        super().__init__(seed)
         self.id = f"ack_suppressor:{seed}"
-        self._rng = np.random.default_rng(seed)
 
-    def decide(self, ctx, batch, budget):
-        ksize = min(batch.m, budget)
-        if ksize in (0, batch.m):
-            return np.arange(ksize, dtype=np.int64)
+    def _classes(self, ctx, batch):
         acks = batch.kinds == ACK
-        dst = ctx.topo.arc_dst[batch.arcs]
-        to_uninformed = ~acks & ~ctx.state.informed[dst]
-        fresh = np.flatnonzero(to_uninformed)
-        self._rng.shuffle(fresh)
-        rest = np.flatnonzero(~acks & ~to_uninformed)
-        self._rng.shuffle(rest)
-        order = np.concatenate([np.flatnonzero(acks), fresh, rest])
-        return order[:ksize].astype(np.int64)
+        to_uninformed = ~acks & ~ctx.state.informed[ctx.topo.arc_dst[batch.arcs]]
+        return [np.flatnonzero(acks)], [np.flatnonzero(to_uninformed),
+                                        np.flatnonzero(~acks & ~to_uninformed)]
 
 
 class FixedKillAdversary(AdversaryPolicy):

@@ -198,43 +198,54 @@ def execute_step(state: NetworkState, batch: SendBatch, adversary,
                  alpha: float) -> DeliveryReport:
     """Run one synchronous step: adversary kill, delivery, bookkeeping.
 
-    The work done grows with the batch size plus the degree of each newly
-    informed vertex, not with the arc count.
+    A kill set over budget or not drawn from the batch aborts the run with
+    AdversaryViolation; it is never clamped.  The work done grows with the
+    batch size plus the degree of each newly informed vertex, not with the
+    arc count.
     """
     _validate_batch(state, batch)
-    delivered_mask, lost_idx, budget = decide_kills(state, batch, adversary, alpha)
-    delivered_idx = np.flatnonzero(delivered_mask)
-    new_informed = _deliver(state, batch, delivered_idx) if delivered_idx.size else _EMPTY
-    state.step_index += 1
-    return DeliveryReport(batch=batch, delivered_idx=delivered_idx, lost_idx=lost_idx,
-                          budget=budget, new_informed=new_informed)
-
-
-def decide_kills(state: NetworkState, batch: SendBatch, adversary,
-                 alpha: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Ask the adversary for its kill set on ``batch`` at the current step.
-
-    Returns (delivered mask, lost indices ascending, budget).  A kill set over
-    budget or not drawn from the batch aborts the run with AdversaryViolation;
-    it is never clamped.
-    """
-    m = batch.m
-    budget = fault_budget(m, state.topo.edge_connectivity, alpha)
+    budget = fault_budget(batch.m, state.topo.edge_connectivity, alpha)
     ctx = StepContext(step_index=state.step_index, topo=state.topo, state=state)
     kills = np.asarray(adversary.decide(ctx, batch, budget), dtype=np.int64)
-    if kills.size > budget:
+    killed = check_kill_rows(kills.reshape(1, -1), batch.m, budget, adversary)[0]
+    delivered_idx = np.flatnonzero(~killed)
+    new_informed = _deliver(state, batch, delivered_idx) if delivered_idx.size else _EMPTY
+    state.step_index += 1
+    return DeliveryReport(batch=batch, delivered_idx=delivered_idx,
+                          lost_idx=np.flatnonzero(killed), budget=budget,
+                          new_informed=new_informed)
+
+
+def check_kill_rows(kills: np.ndarray, m: int, budget: int, adversary,
+                    rounds: int = 1, exhaustive: bool = False) -> np.ndarray:
+    """Check ``rounds`` kill sets on one batch of ``m`` messages, one per row.
+
+    Each row must hold at most ``budget`` distinct indices into the batch, and
+    exactly min(m, budget) if ``exhaustive``; any other kill set raises
+    AdversaryViolation.  Returns the (rounds, m) mask of killed messages.
+    """
+    if kills.ndim != 2 or kills.shape[0] != rounds:
         raise AdversaryViolation(
-            f"{adversary.id} killed {kills.size} messages with budget {budget}")
-    delivered_mask = np.ones(m, dtype=bool)
-    if not kills.size:
-        return delivered_mask, _EMPTY, budget
+            f"{adversary.id} gave kill sets of shape {kills.shape} for {rounds} steps")
+    width = kills.shape[1]
+    if exhaustive and width != min(m, budget):
+        raise AdversaryViolation(
+            f"{adversary.id} is exhaustive but killed {width} of {m} messages "
+            f"with budget {budget}")
+    if width > budget:
+        raise AdversaryViolation(f"{adversary.id} killed {width} messages with budget {budget}")
+    killed = np.zeros((rounds, m), dtype=bool)
+    if not width:
+        return killed
     if kills.min() < 0 or kills.max() >= m:
         raise AdversaryViolation(f"{adversary.id} killed a message that was not sent")
-    delivered_mask[kills] = False
-    lost_idx = np.flatnonzero(~delivered_mask)
-    if lost_idx.size != kills.size:
+    if rounds == 1:  # as for every stepped batch; a 1-D index is quicker
+        killed[0, kills[0]] = True
+    else:
+        killed[np.arange(rounds)[:, None], kills] = True
+    if np.count_nonzero(killed) != kills.size:
         raise AdversaryViolation(f"{adversary.id} killed the same message twice")
-    return delivered_mask, lost_idx, budget
+    return killed
 
 
 def _deliver(state: NetworkState, batch: SendBatch, delivered_idx: np.ndarray) -> np.ndarray:
@@ -389,6 +400,29 @@ class Trace:
         if count > 1:
             self._runs.append((self._rows - 1, count))
         self._len += count
+
+    def record_steady(self, state: NetworkState, m_sent: int, m_lost: int,
+                      rounds: int) -> None:
+        """Record ``rounds`` steady simple rounds after the current step, as one block.
+
+        Each round is a step A that loses ``m_lost`` of ``m_sent`` messages,
+        then a step B whose ``m_sent - m_lost`` acks all die.  Only valid when
+        the caller has proven that neither step changes state.
+        """
+        k, h, b = state.counts()
+        block = np.empty((2 * rounds, len(_COLUMNS) + self.track_boundary), dtype=np.int64)
+        block[:, 0] = np.arange(state.step_index + 1, state.step_index + 1 + 2 * rounds)
+        block[:, 1:4] = k, h, b
+        block[0::2, 4:7] = m_sent, m_lost, 0
+        block[1::2, 4:7] = m_sent - m_lost, m_sent - m_lost, 0
+        block[:, 7] = self.m_coeff * k + h
+        if self.track_boundary:
+            block[:, 8] = state.boundary()
+        if self._pending:
+            self._seal()
+        self._blocks.append(block)
+        self._rows += 2 * rounds
+        self._len += 2 * rounds
 
     def stored(self) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
         """(columns, starts, repeats) of the stored rows.

@@ -11,9 +11,9 @@ accepts (0 under any other adversary, so every step is stepped).  An *inert*
 block is a run of batches of at most c-1 messages, which die whole: the run
 loop records them without touching state or the adversary.  A *steady* block
 is a run of simple rounds whose step-A survivors change nothing and whose
-acks die whole: the run loop asks the adversary for each step-A kill set and
-steps nothing else.  Either block records exactly the trace of a stepped run
-(see ``faultcast.adversary``).
+acks die whole: the run loop asks the adversary for the step-A kill sets, a
+chunk of rounds at a time, and steps nothing else.  Either block records
+exactly the trace of a stepped run (see ``faultcast.adversary``).
 
 Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
@@ -31,21 +31,23 @@ to, or each finished run stays alive in a reference cycle until a GC pass.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
 from . import bounds
 from .adversary import AdversaryPolicy
-from .engine import (ACK, INFO, INFO_CANDS, NetworkState, SendBatch, Trace, decide_kills,
-                     execute_step, fault_budget)
-from .errors import (AdversaryViolation, InvalidParameterError, ScheduleOverrun,
-                     UnsupportedTopologyError)
+from .engine import (ACK, INFO, INFO_CANDS, NetworkState, SendBatch, StepContext, Trace,
+                     check_kill_rows, execute_step, fault_budget)
+from .errors import InvalidParameterError, ScheduleOverrun, UnsupportedTopologyError
 from .topology import (COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube,
                        complete_arc_id)
 
 BATCH = "batch"
 INERT = "inert"
 STEADY = "steady"
+
+_STEADY_CHUNK = 1 << 16  # batch messages per chunk of steady rounds asked for at once
 
 
 class Session:
@@ -623,7 +625,8 @@ class SweepDriver(Driver):
     each vertex of the i-th target group, then the schedule sends empty steps.
 
     ``start()`` runs at the first step and returns (senders, target groups).
-    Deliveries are copied into ``knows_sink``.
+    Deliveries are copied into ``knows_sink``.  A step of at most c-1 messages
+    is a one-step inert block if the caller's ``limit`` allows.
     """
 
     def __init__(self, topo: Topology, budget: int, start,
@@ -646,8 +649,11 @@ class SweepDriver(Driver):
             self.step += 1
             return BATCH, SendBatch.empty()
         arcs = [_arcs_to(self.topo, self.senders, t) for t in self.groups[self.step]]
+        arcs = np.sort(np.concatenate(arcs))
         self.step += 1
-        return BATCH, SendBatch.uniform(np.sort(np.concatenate(arcs)), INFO)
+        if limit and arcs.size <= self.topo.edge_connectivity - 1:
+            return INERT, [(int(arcs.size), 1)]  # every message dies, so nothing to absorb
+        return BATCH, SendBatch.uniform(arcs, INFO)
 
     def absorb(self, state, report):
         darr = report.delivered_arcs
@@ -839,21 +845,25 @@ def _steady_rounds(state: NetworkState, batch: SendBatch, rounds: int, adversary
                    alpha: float, trace: Trace) -> None:
     """Record ``rounds`` steady simple rounds of step-A ``batch``.
 
-    Each step A's kill set comes from the adversary, which must kill exactly
-    min(m, budget); its survivors change nothing, and the acks of step B die
-    whole.  Nothing is delivered.
+    The adversary gives the step-A kill sets a chunk of rounds at a time
+    (``decide_rounds``), each of which must kill exactly min(m, budget); its
+    survivors change nothing, and the acks of step B die whole.  Nothing is
+    delivered.
     """
     m = batch.m
-    for _ in range(rounds):
-        _, lost, budget = decide_kills(state, batch, adversary, alpha)
-        if lost.size != min(m, budget):
-            raise AdversaryViolation(
-                f"{adversary.id} is exhaustive but killed {lost.size} of {m} messages "
-                f"with budget {budget}")
-        state.step_index += 1
-        trace.record(state, m, int(lost.size), 0)
-        trace.record_inert(state, m - int(lost.size), 1, state.step_index)
-        state.step_index += 1
+    budget = fault_budget(m, state.topo.edge_connectivity, alpha)
+    draw = getattr(adversary, "decide_rounds", None)
+    if draw is None:
+        draw = partial(AdversaryPolicy.decide_rounds, adversary)
+    chunk = max(1, _STEADY_CHUNK // m)  # a steady step A sends at least c messages
+    while rounds:
+        count = min(rounds, chunk)
+        ctx = StepContext(step_index=state.step_index, topo=state.topo, state=state)
+        kills = np.asarray(draw(ctx, batch, budget, count), dtype=np.int64)
+        check_kill_rows(kills, m, budget, adversary, rounds=count, exhaustive=True)
+        trace.record_steady(state, m, min(m, budget), count)
+        state.step_index += 2 * count
+        rounds -= count
 
 
 def _finalize(trace: Trace, state: NetworkState, protocol: str, adversary, alpha, eps,

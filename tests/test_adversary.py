@@ -1,5 +1,8 @@
 """Adversary policies: budgets respected, priorities honored, determinism."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,7 @@ from faultcast.adversary import AckSuppressor, RandomAdversary, VictimGuard, mak
 from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, StepContext,
                               execute_step, fault_budget)
 from faultcast.errors import InvalidParameterError
-from faultcast.topology import build_complete
+from faultcast.topology import build_complete, build_hypercube
 
 
 def _ctx(topo, informed=None):
@@ -151,3 +154,53 @@ def test_policies_pass_engine_validation_fuzz(seed, m, alpha):
         assert report.budget_used <= fault_budget(batch.m, topo.edge_connectivity, alpha)
         # exhaustive: kills exactly min(m, budget)
         assert report.budget_used == min(batch.m, report.budget)
+
+
+def _mixed_batch(topo, seed, m):
+    """m distinct arcs in ascending order, a random mix of INFO and ACK."""
+    rng = np.random.default_rng(seed)
+    arcs = np.sort(rng.choice(topo.num_arcs, size=m, replace=False)).astype(np.int64)
+    return SendBatch(arcs=arcs, kinds=rng.choice([INFO, ACK], size=m).astype(np.int8))
+
+
+def _ack_suppressor_classes(ctx, batch):
+    """Sizes of AckSuppressor's two shuffled classes: info to uninformed, other info."""
+    info = batch.kinds == INFO
+    fresh = info & ~ctx.state.informed[ctx.topo.arc_dst[batch.arcs]]
+    return int(np.count_nonzero(fresh)), int(np.count_nonzero(info & ~fresh))
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 7])
+@pytest.mark.parametrize("topo", [build_complete(8), build_hypercube(4)], ids=["K8", "Q4"])
+@pytest.mark.parametrize("make_adv", [RandomAdversary, lambda seed: VictimGuard(3, seed),
+                                      AckSuppressor], ids=["random", "victim_guard", "ack_suppressor"])
+def test_decide_rounds_equals_successive_decides(make_adv, topo, rounds):
+    """Row r of ``decide_rounds`` is the r-th of as many ``decide`` calls, two
+    steps apart, and the generator ends where those calls leave it.  On the
+    fully informed state AckSuppressor shuffles one class, as in a steady block."""
+    for ctx, (seed, m) in itertools.product(
+            [_ctx(topo, [0, 1, 2, 5]), _ctx(topo, range(topo.n))],
+            [(0, 12), (1, 20), (2, 2), (3, 1)]):
+        batch = _mixed_batch(topo, seed, m)
+        for budget in sorted({0, 1, m // 2, m - 1, m, m + 3}):
+            one, many = make_adv(seed), make_adv(seed)
+            rows = [one.decide(replace(ctx, step_index=ctx.step_index + 2 * r), batch, budget)
+                    for r in range(rounds)]
+            block = many.decide_rounds(ctx, batch, budget, rounds)
+            assert block.shape == (rounds, min(m, budget)) and block.dtype == np.int64
+            assert [row.tolist() for row in block] == [row.tolist() for row in rows]
+            assert many._rng.bit_generator.state == one._rng.bit_generator.state
+
+
+def test_ack_suppressor_interleaved_classes_draw_round_by_round():
+    """With both shuffled classes of two or more entries, a block draws as the
+    same count of ``decide`` calls would: each round's fresh class, then its rest."""
+    topo = build_complete(8)
+    ctx = _ctx(topo, [0, 1, 2, 5])
+    batch = _mixed_batch(topo, 1, 20)
+    assert min(_ack_suppressor_classes(ctx, batch)) >= 2
+    one, many = AckSuppressor(4), AckSuppressor(4)
+    budget = batch.m - 2
+    rows = [one.decide(ctx, batch, budget) for _ in range(5)]
+    assert many.decide_rounds(ctx, batch, budget, 5).tolist() == [r.tolist() for r in rows]
+    assert many._rng.bit_generator.state == one._rng.bit_generator.state

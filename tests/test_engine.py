@@ -371,10 +371,10 @@ def test_inert_runs_expand_to_steps():
 
 
 class _CountingTrace(Trace):
-    """Counts ``record`` calls, which executed and steady steps make, and
-    ``record_inert`` calls."""
+    """Counts ``record`` calls, which executed steps make, ``record_inert``
+    calls, and the rows of steady blocks."""
 
-    recorded = inert_calls = 0
+    recorded = inert_calls = steady_rows = 0
 
     def record(self, state, m_sent, m_lost, acks):
         self.recorded += 1
@@ -384,6 +384,10 @@ class _CountingTrace(Trace):
         self.inert_calls += 1
         super().record_inert(state, m_sent, count, step_start)
 
+    def record_steady(self, state, m_sent, m_lost, rounds):
+        self.steady_rows += 2 * rounds
+        super().record_steady(state, m_sent, m_lost, rounds)
+
 
 def test_stored_rows_grow_with_executed_steps():
     topo = build_complete(64)
@@ -392,7 +396,7 @@ def test_stored_rows_grow_with_executed_steps():
     _, trace = simulate(topo, driver, RandomAdversary(0), 0.55, state=state,
                         trace=_CountingTrace(topo))
     assert len(trace) == 1547659
-    assert trace._data.shape[0] <= trace.recorded + trace.inert_calls
+    assert trace._data.shape[0] <= trace.recorded + trace.inert_calls + trace.steady_rows
     assert trace._data.shape[0] < len(trace) // 100
     # 9 elimination tails and 9 empty step-A tails; one-step inert blocks are plain rows.
     assert len(trace._runs) == 18

@@ -252,14 +252,18 @@ def _jsonl_digest(trace, tmp_path):
     return hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("n,alpha,adversary,digest", [
-    (16, 0.5, "random:0", "2ee751fb451b92f93fae8a642a7fa2562dfae0e3257c37ba5ad394cf2e8716b0"),
-    (24, 0.7, "ack_suppressor:2",
-     "1f08bad6cbc078ad3207c268d0b1400d05994f3ed28c246e13d349129ba82b20"),
-])
-def test_sod_complete_digest_unchanged(tmp_path, n, alpha, adversary, digest):
+# Keyed outside the test id, so that re-pinning a digest keeps the id.
+_SOD_COMPLETE_DIGESTS = {
+    (16, 0.5, "random:0"): "2ee751fb451b92f93fae8a642a7fa2562dfae0e3257c37ba5ad394cf2e8716b0",
+    (24, 0.7, "ack_suppressor:2"):
+        "1f08bad6cbc078ad3207c268d0b1400d05994f3ed28c246e13d349129ba82b20",
+}
+
+
+@pytest.mark.parametrize("n,alpha,adversary", list(_SOD_COMPLETE_DIGESTS))
+def test_sod_complete_digest_unchanged(tmp_path, n, alpha, adversary):
     trace = protocols.sod_complete(n, alpha, 2.0, make_adversary(adversary))
-    assert _jsonl_digest(trace, tmp_path) == digest
+    assert _jsonl_digest(trace, tmp_path) == _SOD_COMPLETE_DIGESTS[n, alpha, adversary]
 
 
 def test_sod_all_but_one_digest_unchanged(tmp_path):
@@ -412,16 +416,18 @@ def test_inert_fast_forward_matches_stepped(protocol, topo, make_adv, alpha):
         assert trace.record_steps < len(fast.log)
 
 
-class _SparesInRound(RandomAdversary):
-    """``random``, but kills one message fewer in the step A at ``step``."""
+class _SparesInRound(AdversaryPolicy):
+    """``random``, but kills one message fewer in the step A at ``step``.  It
+    defines only ``decide``, so a steady block asks it round by round."""
 
     def __init__(self, step, exhaustive=True):
-        super().__init__(0)
+        self.inner = RandomAdversary(0)
+        self.id = self.inner.id
         self.step = step
         self.exhaustive = exhaustive
 
     def decide(self, ctx, batch, budget):
-        kills = super().decide(ctx, batch, budget)
+        kills = self.inner.decide(ctx, batch, budget)
         return kills[1:] if ctx.step_index == self.step else kills
 
 
@@ -439,11 +445,67 @@ def test_steady_round_rejects_a_spared_message():
 
 @pytest.mark.parametrize("make_adv", ADVERSARIES, ids=ADVERSARY_IDS)
 @pytest.mark.parametrize("protocol, topo, alpha", [
+    ("almost-kn", build_complete(64), 0.7), ("hypercube", build_hypercube(8), 0.5),
+], ids=["almost-kn-K64", "hypercube-Q8"])
+def test_steady_block_draw_matches_round_by_round(protocol, topo, make_adv, alpha):
+    """A shipped policy asked for a steady block's kill sets at once gives the
+    trace and leaves the generator as the per-round default does, which
+    ``_Logging`` takes since it defines only ``decide``.  K_64 under
+    ``random`` asks for its 663-round block in three chunks."""
+    bare = make_adv(topo, 9)
+    logged = _Logging(make_adv(topo, 9), exhaustive=True)
+    (_, trace), (_, trace_l) = (_traced(protocol, topo, alpha, adv) for adv in (bare, logged))
+    for name in ("step", "k", "h", "b", "m_sent", "m_lost", "acks", "M", "boundary"):
+        assert np.array_equal(trace.column(name), trace_l.column(name)), name
+    assert bare._rng.bit_generator.state == logged.inner._rng.bit_generator.state
+    if make_adv is ADVERSARIES[0] or topo.kind == HYPERCUBE:
+        assert trace.record_steps < len(logged.log)  # the run had a steady block
+
+
+class _BreaksBlock(RandomAdversary):
+    """``random``, but the middle row of each steady chunk of at least three
+    rounds breaks the kill-set contract as ``fault`` says."""
+
+    def __init__(self, fault):
+        super().__init__(0)
+        self.fault = fault
+
+    def decide_rounds(self, ctx, batch, budget, rounds):
+        kills = super().decide_rounds(ctx, batch, budget, rounds).copy()
+        mid = rounds // 2
+        if rounds < 3:
+            return kills
+        if self.fault == "repeat":
+            kills[mid, 1] = kills[mid, 0]
+        elif self.fault == "unsent":
+            kills[mid, 0] = batch.m
+        elif self.fault == "rows":
+            kills = np.delete(kills, mid, axis=0)
+        return kills
+
+
+@pytest.mark.parametrize("adversary, match", [
+    (_BreaksBlock("repeat"), "twice"), (_BreaksBlock("unsent"), "not sent"),
+    (_BreaksBlock("rows"), "shape"),
+    (_SparesInRound(2 * bounds.rounds_kn(64, 0.7) - 600), "exhaustive"),
+], ids=["repeat", "unsent", "rows", "short"])
+def test_steady_block_rejects_a_bad_row_mid_chunk(adversary, match):
+    """Every row of a steady chunk is checked, not only its first or last.
+    The short row comes through the per-round default, 44 rounds into the
+    second of the three chunks of K_64's steady block under ``random``."""
+    with pytest.raises(AdversaryViolation, match=match):
+        protocols.almost_complete_kn(64, 0.7, 2.0, adversary)
+
+
+@pytest.mark.parametrize("make_adv", ADVERSARIES, ids=ADVERSARY_IDS)
+@pytest.mark.parametrize("protocol, topo, alpha", [
     ("almost-kn", build_complete(32), 0.7), ("hypercube", build_hypercube(7), 0.5),
     ("nosod-complete", build_complete(16), 0.5),
     ("sod-complete", build_complete(32, chordal=True), 0.5),
     ("sod-complete", build_complete(16, chordal=True), 0.3),
-], ids=["almost-kn", "hypercube", "nosod-complete", "sod-complete", "sod-complete-0.3"])
+    ("sod-complete", build_complete(24, chordal=True), 0.7),
+], ids=["almost-kn", "hypercube", "nosod-complete", "sod-complete", "sod-complete-0.3",
+        "sod-complete-K24-0.7"])
 def test_no_dead_batch_reaches_the_adversary(protocol, topo, make_adv, alpha):
     """A batch of 1..c-1 messages dies whole under an exhaustive policy, so
     the drivers emit it as an inert step instead, inside multiplexed lanes too."""
