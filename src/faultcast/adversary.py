@@ -3,18 +3,18 @@
 Every shipped policy is *exhaustive*: it kills exactly min(m, budget)
 messages, and it draws nothing from its generator when that kill set is
 forced, that is when it is empty or the whole batch.  A batch of at most c-1
-messages dies whole, so drivers may skip ``decide`` on it (see
-``faultcast.protocols``), and every skip records exactly the trace of a
-stepped run.  A new exhaustive policy must keep both promises.
+messages dies whole.  So the run loop skips ``decide`` on a forced kill set,
+and every block of steps (see ``faultcast.protocols``) records exactly the
+trace of a stepped run.  A new exhaustive policy must keep both promises.
 
-In a steady block, where nothing is stepped, the run loop asks for the kill
-sets of many steady rounds at once through ``decide_rounds``: their rows equal
-that many successive ``decide`` calls, two steps apart, on the unchanged
-state, and the policy's generator moves exactly as those calls would move it.
-The run loop checks every row and raises AdversaryViolation if one is short.
-The default ``decide_rounds`` calls ``decide`` once per round; a subclass of a
-shipped policy that changes the draw in ``decide`` must change it in
-``decide_rounds`` too, or the steady path will not see the change.
+For a block that repeats a steady step A, where nothing is stepped, the run
+loop asks for many of its kill sets at once through ``decide_rounds``: their
+rows equal that many successive ``decide`` calls, two steps apart, on the
+unchanged state, and the policy's generator moves exactly as those calls
+would move it.  The run loop checks every row and raises AdversaryViolation
+if one is short.  The default ``decide_rounds`` calls ``decide`` once per
+round; a subclass of a shipped policy that changes the draw in ``decide``
+must change it in ``decide_rounds`` too, or blocks will not see the change.
 """
 
 from dataclasses import replace
@@ -158,6 +158,8 @@ class FixedKillAdversary(AdversaryPolicy):
 def make_adversary(spec: str, topo=None, seed: int = 0) -> AdversaryPolicy:
     """Build a policy from a CLI string id: random | victim_guard[:v] | ack_suppressor."""
     name, _, arg = spec.partition(":")
+    if arg and not arg.removeprefix("-").isdecimal():
+        raise InvalidParameterError(f"adversary {spec!r}: {arg!r} is not an integer")
     if name == "random":
         return RandomAdversary(seed=int(arg) if arg else seed)
     if name == "victim_guard":
@@ -167,8 +169,9 @@ def make_adversary(spec: str, topo=None, seed: int = 0) -> AdversaryPolicy:
             victim = topo.n - 1
         else:
             raise InvalidParameterError("victim_guard needs a victim or a topology")
+        if topo is not None and not 0 <= victim < topo.n:  # not a vertex of the topology
+            raise InvalidParameterError(f"victim {victim} outside 0..{topo.n - 1}")
         return VictimGuard(victim=victim, seed=seed)
     if name == "ack_suppressor":
         return AckSuppressor(seed=int(arg) if arg else seed)
     raise InvalidParameterError(f"unknown adversary id: {spec!r}")
-

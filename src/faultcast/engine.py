@@ -329,10 +329,11 @@ class Trace:
     post-step state, m_sent/m_lost/acks the step's traffic.  Segments let
     validators find round and loop boundaries without guessing.
 
-    An executed step stores one row; a run of fast-forwarded steps stores one
-    row for its first step plus its length in ``_runs``, so memory grows with
-    the executed steps and the inert blocks, not with the schedule.  Record
-    indices, ``len`` and the columns still count steps.
+    An executed step stores one row; a block (see ``record_block``) stores its
+    template's rows once, and a block of several repetitions is a run of
+    period p, the entry (first stored row, p, steps) in ``_runs``.  So memory
+    grows with the executed steps and the blocks, not with the schedule.
+    Record indices, ``len`` and the columns still count steps.
     """
 
     def __init__(self, topo: Topology, track_boundary: bool = False):
@@ -342,7 +343,7 @@ class Trace:
         self._blocks: list[np.ndarray] = []  # stored rows as int64 blocks, oldest first
         self._pending: list[tuple] = []  # rows not yet in a block
         self._rows = 0  # stored rows
-        self._runs: list[tuple[int, int]] = []  # (stored row, steps it stands for)
+        self._runs: list[tuple[int, int, int]] = []  # (first stored row, period, steps)
         self._len = 0
         self.segments: list[Segment] = []
         self.summary: dict = {}
@@ -386,71 +387,54 @@ class Trace:
     def record_step(self, state: NetworkState, report: DeliveryReport) -> None:
         self.record(state, report.batch.m, report.budget_used, report.acks_delivered)
 
-    def record_inert(self, state: NetworkState, m_sent: int, count: int,
-                     step_start: int) -> None:
-        """Record ``count`` steps where every message is destroyed, as one stored row.
+    def record_block(self, state: NetworkState, rows: list[tuple[int, int]],
+                     repeats: int) -> None:
+        """Record ``repeats`` repetitions of a template of steps after the current step.
 
-        A block of more than one step is a run.  Only valid when the caller
-        has proven the steps cannot change state (m_sent <= c-1 and an
-        exhaustive adversary kills the whole batch).
+        ``rows`` holds each template step's (m_sent, m_lost); no step of a
+        block delivers an ack.  Its rows hold the steps of the first
+        repetition.  Only valid when the caller has proven that no step of the
+        block changes state.
         """
-        if count <= 0:
-            return
-        self._append(state, step_start + 1, m_sent, m_sent, 0)
-        if count > 1:
-            self._runs.append((self._rows - 1, count))
-        self._len += count
+        for offset, (m_sent, m_lost) in enumerate(rows):
+            self._append(state, state.step_index + 1 + offset, m_sent, m_lost, 0)
+        if repeats > 1:
+            self._runs.append((self._rows - len(rows), len(rows), len(rows) * repeats))
+        self._len += len(rows) * repeats
 
-    def record_steady(self, state: NetworkState, m_sent: int, m_lost: int,
-                      rounds: int) -> None:
-        """Record ``rounds`` steady simple rounds after the current step, as one block.
-
-        Each round is a step A that loses ``m_lost`` of ``m_sent`` messages,
-        then a step B whose ``m_sent - m_lost`` acks all die.  Only valid when
-        the caller has proven that neither step changes state.
-        """
-        k, h, b = state.counts()
-        block = np.empty((2 * rounds, len(_COLUMNS) + self.track_boundary), dtype=np.int64)
-        block[:, 0] = np.arange(state.step_index + 1, state.step_index + 1 + 2 * rounds)
-        block[:, 1:4] = k, h, b
-        block[0::2, 4:7] = m_sent, m_lost, 0
-        block[1::2, 4:7] = m_sent - m_lost, m_sent - m_lost, 0
-        block[:, 7] = self.m_coeff * k + h
-        if self.track_boundary:
-            block[:, 8] = state.boundary()
-        if self._pending:
-            self._seal()
-        self._blocks.append(block)
-        self._rows += 2 * rounds
-        self._len += 2 * rounds
-
-    def stored(self) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-        """(columns, starts, repeats) of the stored rows.
+    def stored(self) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+        """(columns, starts, repeats, period) of the stored rows.
 
         ``columns`` maps each column name, and "boundary" if tracked, to its
-        stored values; a run's row holds its first step.  ``starts`` is the
-        record index of each row's first step and ``repeats`` the steps each
-        row stands for.
+        stored values.  Row r stands for the ``repeats[r]`` records
+        ``starts[r]``, ``starts[r] + period[r]``, ...; ``period`` is 1 outside runs.
         """
         data = self._data
-        repeats = np.ones(data.shape[0], dtype=np.int64)
-        if self._runs:
-            rows, counts = zip(*self._runs)
-            repeats[list(rows)] = counts
+        repeats, period, advance = np.ones((3, data.shape[0]), dtype=np.int64)
+        for row, p, steps in self._runs:
+            repeats[row:row + p] = steps // p
+            period[row:row + p] = p
+            advance[row + p - 1] = steps - p + 1  # records to the next row's first
         names = _COLUMNS + ("boundary",) if self.track_boundary else _COLUMNS
         columns = {name: data[:, i] for i, name in enumerate(names)}
-        return columns, np.cumsum(repeats) - repeats, repeats
+        return columns, np.cumsum(advance) - advance, repeats, period
 
     def column(self, name: str) -> np.ndarray:
-        columns, starts, repeats = self.stored()
-        col = columns[name]
+        col = self.stored()[0][name]
         if not self._runs:
             return col
-        col = np.repeat(col, repeats)
-        if name == "step":
-            # Each step of a run is one more than the step before it.
-            col += np.arange(self._len) - np.repeat(starts, repeats)
-        return col
+        out = np.empty(self._len, dtype=col.dtype)
+        rec = row = 0
+        for first, p, steps in self._runs:
+            out[rec:rec + first - row] = col[row:first]
+            rec += first - row
+            if name == "step":  # each step of a run is one more than the step before it
+                out[rec:rec + steps] = np.arange(col[first], col[first] + steps)
+            else:
+                out[rec:rec + steps].reshape(-1, p)[:] = col[first:first + p]
+            rec, row = rec + steps, first + p
+        out[rec:] = col[row:]
+        return out
 
     def boundary_column(self) -> np.ndarray:
         if not self.track_boundary:
@@ -474,58 +458,66 @@ class Trace:
         if not self._len:
             return 0
         k = self._data[:, 1]
-        # The first step of a run is its stored step.
+        # A row's stored step is the first step it stands for.
         return int(self._data[np.flatnonzero(k == k[-1])[0], 0])
 
     def to_jsonl(self, path) -> None:
         """One JSON line per step, then the summary line.
 
-        Stored rows are formatted a chunk at a time; a run is copied from one
-        template line per piece (see ``_write_run``).  Every line is ASCII, so
-        the file is written as bytes.
+        Stored rows are formatted a chunk at a time; a run is copied from its
+        template lines a piece at a time (see ``_write_run``).  Every line is
+        ASCII, so the file is written as bytes.
         """
         data = self._data[:, :len(_COLUMNS)]
         with open(path, "wb") as fh:
             start = 0
-            for row, count in self._runs + [(data.shape[0], 0)]:
+            for row, p, steps in self._runs + [(data.shape[0], 0, 0)]:
                 for i in range(start, row, _JSONL_CHUNK):
                     chunk = data[i:min(i + _JSONL_CHUNK, row)]
                     text = _JSONL_ROW * chunk.shape[0] % tuple(chunk.ravel().tolist())
                     fh.write(text.encode())
-                if count:
-                    first, *rest = data[row].tolist()
-                    _write_run(fh, first, count, _JSONL_TAIL % tuple(rest))
-                start = row + 1
+                if steps:
+                    template = data[row:row + p].tolist()
+                    _write_run(fh, template[0][0], steps,
+                               [_JSONL_TAIL % tuple(rest) for _, *rest in template])
+                start = row + p
             fh.write(json.dumps(self.summary).encode() + b"\n")
 
 
-def _write_run(fh, first: int, count: int, tail: str) -> None:
-    """Write the lines of steps ``first .. first+count-1``, each followed by ``tail``.
+def _write_run(fh, first: int, count: int, tails: list[str]) -> None:
+    """Write the lines of steps ``first .. first+count-1``; the line of step
+    ``first + i`` ends in ``tails[i % p]``, and ``count`` is a multiple of p.
 
-    Each piece has at most ``_JSONL_CHUNK`` lines whose steps have the same
-    number of digits.
+    Each piece is one period, or whole periods of at most ``_JSONL_CHUNK``
+    lines whose steps have the same number of digits.
     """
+    p = len(tails)
     end = first + count
     while first < end:
-        stop = min(end, first + _JSONL_CHUNK, 10 ** len(str(first)))
-        fh.write(_run_piece(first, stop, tail))
-        first = stop
+        periods = max(1, (min(end, first + _JSONL_CHUNK, 10 ** len(str(first))) - first) // p)
+        fh.write(_run_piece(first, periods, tails))
+        first += periods * p
 
 
-def _run_piece(first: int, stop: int, tail: str) -> bytearray:
-    """The lines of steps ``first .. stop-1``, all with as many digits as ``first``.
+def _run_piece(first: int, periods: int, tails: list[str]) -> bytearray:
+    """The lines of ``periods`` periods from step ``first``; with more than
+    one period, all with as many step digits as ``first``.
 
-    The line of ``first`` is repeated, and only the trailing step digits that
-    change within the piece are rewritten.
+    The lines of the first period are repeated, and only the trailing step
+    digits that change within the piece are rewritten.
     """
-    line = f'{{"step": {first}{tail}'.encode()
-    buf = bytearray(line) * (stop - first)
-    lines = np.frombuffer(buf, dtype=np.uint8).reshape(stop - first, len(line))
-    steps = np.arange(first, stop)
-    at = _STEP_AT + len(str(first)) - 1  # offset of the last step digit
-    lo, hi = first, stop - 1
-    while lo != hi:  # the digits left of ``at`` are the same on every line
-        lines[:, at] = steps % 10 + ord("0")
-        steps //= 10
-        lo, hi, at = lo // 10, hi // 10, at - 1
+    p = len(tails)
+    lines = [f'{{"step": {first + i}{tail}'.encode() for i, tail in enumerate(tails)]
+    group = b"".join(lines)
+    buf = bytearray(group) * periods
+    table = np.frombuffer(buf, dtype=np.uint8).reshape(periods, len(group))
+    at = _STEP_AT + len(str(first)) - 1  # offset of the line's last step digit
+    for i, line in enumerate(lines):
+        steps = np.arange(first + i, first + i + p * periods, p)
+        lo, hi, digit = first + i, first + i + p * (periods - 1), at
+        while lo != hi:  # the digits left of ``digit`` are the same on every line
+            table[:, digit] = steps % 10 + ord("0")
+            steps //= 10
+            lo, hi, digit = lo // 10, hi // 10, digit - 1
+        at += len(line)
     return buf

@@ -85,6 +85,10 @@ class ExperimentConfig:
                 problems.append(f"protocol nosod-complete needs size >= 3, got {s}")
         if self.seeds < 1:
             problems.append("seeds must be >= 1")
+        if self.horizon is not None and self.protocol != "simple-rounds":
+            problems.append(f"horizon needs protocol simple-rounds, got {self.protocol!r}")
+        if self.horizon is not None and self.horizon < 1:
+            problems.append(f"horizon {self.horizon} < 1")
         return problems
 
 

@@ -5,15 +5,15 @@ per time step and absorbs the delivery report.  Schedule lengths are computed
 up front from (n or d, alpha, eps) alone, because vertices cannot observe
 global progress; runs always execute their full schedule.
 
-Under an exhaustive adversary a driver may instead emit a block of steps it
-can prove will change nothing; ``next`` is told the longest block the run loop
-accepts (0 under any other adversary, so every step is stepped).  An *inert*
-block is a run of batches of at most c-1 messages, which die whole: the run
-loop records them without touching state or the adversary.  A *steady* block
-is a run of simple rounds whose step-A survivors change nothing and whose
-acks die whole: the run loop asks the adversary for the step-A kill sets, a
-chunk of rounds at a time, and steps nothing else.  Either block records
-exactly the trace of a stepped run (see ``faultcast.adversary``).
+Under an exhaustive adversary a driver may instead emit a *block* of steps
+it can prove will change nothing; ``next`` is told the longest block the run
+loop accepts (0 under any other adversary, so every step is stepped).  A
+block repeats a template of p steps.  A template step is a count m <= c-1 of
+messages, which die whole, or the SendBatch of a step A whose survivors
+change nothing.  The run loop records the block and touches no state; it
+asks the adversary only for the SendBatch steps' kill sets, a chunk of
+repetitions at a time, so a block records exactly the trace of a stepped run
+(see ``faultcast.adversary``).
 
 Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
@@ -44,10 +44,7 @@ from .topology import (COMPLETE, HYPERCUBE, Topology, build_complete, build_hype
                        complete_arc_id)
 
 BATCH = "batch"
-INERT = "inert"
-STEADY = "steady"
-
-_STEADY_CHUNK = 1 << 16  # batch messages per chunk of steady rounds asked for at once
+BLOCK = "block"
 
 
 class Session:
@@ -155,8 +152,10 @@ class Driver:
         raise NotImplementedError
 
     def next(self, state: NetworkState, limit: int):
-        """Return (BATCH, SendBatch), (INERT, [(m_sent, count), ...]) or
-        (STEADY, [(SendBatch, count), ...]) with every block at most ``limit`` steps."""
+        """Return (BATCH, SendBatch), or (BLOCK, [(template, steps)]) for
+        ``steps <= limit`` steps, a multiple of p, that repeat a tuple of p
+        template steps (see the module docstring).  A template holds at most
+        one SendBatch, and then it is a simple round: (step A, its acks)."""
         raise NotImplementedError
 
     def absorb(self, state: NetworkState, report) -> None:
@@ -282,8 +281,8 @@ class MultiplexDriver(Driver):
 
     Even local steps belong to lane 0, odd to lane 1; a finished or idle lane
     contributes empty steps.  A run of steps whose lanes are all idle or
-    finished is emitted as one inert block of at most ``limit`` steps: an
-    empty step delivers nothing and, under an exhaustive adversary, kills
+    finished is emitted as one block of empty steps, at most ``limit`` long:
+    an empty step delivers nothing and, under an exhaustive adversary, kills
     nothing.  A lane is asked with a limit of at most 1, since its steps
     interleave with the other lane's.
     """
@@ -309,7 +308,7 @@ class MultiplexDriver(Driver):
             run = min(self.idle_steps(), limit)
             if run:
                 self.skip(run)
-                return INERT, [(0, run)]
+                return BLOCK, [((0,), run)]
         self.t += 1
         if finished:
             self._last_lane = None
@@ -448,17 +447,16 @@ class SimpleRoundsDriver(Driver):
 
     Step A floods every non-marked out-arc of an aware vertex; step B returns
     an acknowledgement on each arc that delivered in step A.  Under an
-    exhaustive adversary two rules skip steps, each only if its block fits
-    the caller's ``limit``:
+    exhaustive adversary, blocks that fit the caller's ``limit`` skip steps:
 
-    - A step A or step B of at most c-1 messages dies whole; it is a one-step
-      inert block.  A step A that small also leaves nothing to change within
-      this schedule, so if the remaining rounds fit they are one inert block.
-    - A step A on a primary session is *steady* when every destination is
-      informed, every opposite arc is already passive and at most c-1 messages
-      survive the budget.  Its deliveries change nothing and its acks die
-      whole, so every later round is the same: the remaining rounds are one
-      steady block, whose step-A kill sets the run loop still asks for.
+    - a step A or step B of at most c-1 messages dies whole: a one-step block;
+    - a step A of m <= c-1 messages also leaves nothing to change within this
+      schedule, so the remaining rounds are one block of the round (m, 0);
+    - a step A on a primary session is *steady* when every destination is
+      informed, every opposite arc is already passive and at most c-1
+      messages survive the budget.  Its deliveries change nothing and its
+      acks die whole, so the remaining rounds are one block of the round
+      (step A, its survivors), whose step-A kill sets are still drawn.
     """
 
     def __init__(self, session: Session, rounds: int, alpha: float, label: str = "thm2"):
@@ -480,37 +478,33 @@ class SimpleRoundsDriver(Driver):
             self.trace.mark("simple_rounds", rounds=self.rounds, primary=self.session.primary,
                             label=self.label)
             self._marked = True
-        c = self.session.topo.edge_connectivity
         if self.phase_a:
             arcs = self.session.sends(state)
             remaining = self.rounds - self.round_idx
-            if 2 * remaining <= limit:
-                if arcs.size <= c - 1:
-                    self.round_idx = self.rounds
-                    if not arcs.size:
-                        return INERT, [(0, 2 * remaining)]
-                    return INERT, [(int(arcs.size), 1), (0, 1)] * remaining
-                if self._steady(state, arcs):
-                    self.round_idx = self.rounds
-                    batch = SendBatch.uniform(arcs, self.session.payload_kind)
-                    return STEADY, [(batch, 2 * remaining)]
+            rest = self._rest(state, arcs) if 2 * remaining <= limit else None
+            if rest:
+                self.round_idx = self.rounds
+                return BLOCK, [(rest, 2 * remaining)]
         else:
             arcs = self.pending  # step B acks each on the opposite arc
-        if limit and arcs.size <= c - 1:
+        if limit and arcs.size <= self.session.topo.edge_connectivity - 1:
             # Every message dies, so no absorb follows: move on here.
             self._advance(arcs[:0])
-            return INERT, [(int(arcs.size), 1)]
+            return BLOCK, [((int(arcs.size),), 1)]
         if self.phase_a:
             return BATCH, SendBatch.uniform(arcs, self.session.payload_kind)
         return BATCH, SendBatch.uniform(np.sort(self.session.topo.opp[arcs]), ACK)
 
-    def _steady(self, state: NetworkState, arcs: np.ndarray) -> bool:
-        topo = self.session.topo
-        c, m = topo.edge_connectivity, int(arcs.size)
-        if not self.session.primary or m - min(m, fault_budget(m, c, self.alpha)) > c - 1:
-            return False
-        return bool(state.passive[topo.opp[arcs]].all()
-                    and state.informed[topo.arc_dst[arcs]].all())
+    def _rest(self, state: NetworkState, arcs: np.ndarray) -> tuple | None:
+        """The round every remaining round repeats, if none can change state."""
+        topo, m = self.session.topo, int(arcs.size)
+        c = topo.edge_connectivity
+        if m <= c - 1:
+            return (m, 0) if m else (0,)
+        survivors = m - min(m, fault_budget(m, c, self.alpha))
+        if (self.session.primary and survivors <= c - 1 and state.passive[topo.opp[arcs]].all()
+                and state.informed[topo.arc_dst[arcs]].all()):
+            return SendBatch.uniform(arcs, self.session.payload_kind), survivors
 
     def absorb(self, state, report):
         self.session.absorb(state, report)
@@ -626,7 +620,7 @@ class SweepDriver(Driver):
 
     ``start()`` runs at the first step and returns (senders, target groups).
     Deliveries are copied into ``knows_sink``.  A step of at most c-1 messages
-    is a one-step inert block if the caller's ``limit`` allows.
+    is a one-step block if the caller's ``limit`` allows.
     """
 
     def __init__(self, topo: Topology, budget: int, start,
@@ -652,7 +646,7 @@ class SweepDriver(Driver):
         arcs = np.sort(np.concatenate(arcs))
         self.step += 1
         if limit and arcs.size <= self.topo.edge_connectivity - 1:
-            return INERT, [(int(arcs.size), 1)]  # every message dies, so nothing to absorb
+            return BLOCK, [((int(arcs.size),), 1)]  # every message dies, so nothing to absorb
         return BATCH, SendBatch.uniform(arcs, INFO)
 
     def absorb(self, state, report):
@@ -744,7 +738,7 @@ class EliminationDriver(Driver):
     sends on E union P for L3 steps, where P collects the opposite arcs of
     everything delivered within the iteration.  When an iteration starts with
     |E| <= c-1, an exhaustive adversary kills every batch left in the pass,
-    which is emitted as one inert block if it fits the caller's ``limit``.
+    which is emitted as one block of dead steps if it fits the caller's ``limit``.
     """
 
     def __init__(self, topo: Topology, l2: int, l3: int, pass_idx: int):
@@ -770,7 +764,7 @@ class EliminationDriver(Driver):
                 if self.trace is not None:
                     self.trace.mark("nosod_inert_tail", l1=self.pass_idx, l2=self.i2, m=m)
                 self.i2 = self.l2
-                return INERT, [(m, remaining)]
+                return BLOCK, [((m,), remaining)]
             if self.trace is not None:
                 k0, h0, _ = state.counts()
                 self.trace.mark("nosod_iter", l1=self.pass_idx, l2=self.i2, k0=k0, h0=h0,
@@ -811,9 +805,8 @@ def simulate(topo: Topology, driver: Driver, adversary: AdversaryPolicy, alpha: 
     """Execute a driver's full schedule against one adversary.
 
     The run starts from ``state``, or from a fresh state informed at vertex 0.
-    Only under an exhaustive adversary may the driver reply with inert and
-    steady blocks.  A driver that runs past its ``total_steps`` raises
-    ScheduleOverrun.
+    Only under an exhaustive adversary may the driver reply with blocks.  A
+    driver that runs past its ``total_steps`` raises ScheduleOverrun.
     """
     if state is None:
         state = NetworkState(topo)
@@ -828,42 +821,41 @@ def simulate(topo: Topology, driver: Driver, adversary: AdversaryPolicy, alpha: 
             report = execute_step(state, val, adversary, alpha)
             driver.absorb(state, report)
             trace.record_step(state, report)
-        elif kind == INERT:
-            for m_sent, count in val:
-                trace.record_inert(state, m_sent, count, state.step_index)
-                state.step_index += count
         else:
-            for batch, count in val:
-                _steady_rounds(state, batch, count // 2, adversary, alpha, trace)
+            for template, steps in val:
+                _play_block(state, template, steps, adversary, alpha, trace)
         if state.step_index - start > driver.total_steps:
             raise ScheduleOverrun(f"{type(driver).__name__} ran {state.step_index - start} "
                                   f"steps of a {driver.total_steps}-step schedule")
     return state, trace
 
 
-def _steady_rounds(state: NetworkState, batch: SendBatch, rounds: int, adversary,
-                   alpha: float, trace: Trace) -> None:
-    """Record ``rounds`` steady simple rounds of step-A ``batch``.
+def _play_block(state: NetworkState, template: tuple, steps: int, adversary,
+                alpha: float, trace: Trace) -> None:
+    """Record ``steps`` steps that repeat ``template``, each losing min(m, budget).
 
-    The adversary gives the step-A kill sets a chunk of rounds at a time
-    (``decide_rounds``), each of which must kill exactly min(m, budget); its
-    survivors change nothing, and the acks of step B die whole.  Nothing is
-    delivered.
+    Unless that kill set is forced (empty or the whole batch), the adversary
+    gives a SendBatch step's kill sets a chunk of repetitions at a time
+    (``decide_rounds``); each must be exactly min(m, budget).
     """
-    m = batch.m
-    budget = fault_budget(m, state.topo.edge_connectivity, alpha)
-    draw = getattr(adversary, "decide_rounds", None)
-    if draw is None:
-        draw = partial(AdversaryPolicy.decide_rounds, adversary)
-    chunk = max(1, _STEADY_CHUNK // m)  # a steady step A sends at least c messages
-    while rounds:
-        count = min(rounds, chunk)
-        ctx = StepContext(step_index=state.step_index, topo=state.topo, state=state)
-        kills = np.asarray(draw(ctx, batch, budget, count), dtype=np.int64)
-        check_kill_rows(kills, m, budget, adversary, rounds=count, exhaustive=True)
-        trace.record_steady(state, m, min(m, budget), count)
-        state.step_index += 2 * count
-        rounds -= count
+    c, repeats = state.topo.edge_connectivity, steps // len(template)
+    rows = []
+    for step in template:
+        m = step.m if isinstance(step, SendBatch) else step
+        budget = fault_budget(m, c, alpha)
+        rows.append((m, min(m, budget)))
+        if isinstance(step, SendBatch) and 0 < budget < m:
+            assert len(template) == 2  # decide_rounds gives rows two steps apart
+            draw = getattr(adversary, "decide_rounds", None)
+            draw = draw or partial(AdversaryPolicy.decide_rounds, adversary)
+            chunk = max(1, (1 << 16) // m)  # about 64k messages of kill sets per draw
+            for done in range(0, repeats, chunk):
+                count = min(chunk, repeats - done)
+                ctx = StepContext(state.step_index + 2 * done, state.topo, state)
+                kills = np.asarray(draw(ctx, step, budget, count), dtype=np.int64)
+                check_kill_rows(kills, m, budget, adversary, rounds=count, exhaustive=True)
+    trace.record_block(state, rows, repeats)
+    state.step_index += steps
 
 
 def _finalize(trace: Trace, state: NetworkState, protocol: str, adversary, alpha, eps,
@@ -937,7 +929,9 @@ def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
         raise UnsupportedTopologyError(
             f"protocol {name} needs a {' or '.join(PROTOCOL_TOPOLOGIES[name])} topology")
     if name == "simple-rounds":
-        count = int(arg) if arg else (rounds or bounds.rounds_kn(topo.n, alpha))
+        count = int(arg) if arg else bounds.rounds_kn(topo.n, alpha) if rounds is None else rounds
+        if count < 1:
+            raise InvalidParameterError(f"simple-rounds needs at least 1 round, got {count}")
         return SimpleRoundsDriver(Session(topo, state.initiator, state=state), count, alpha)
     if name == "greedy-kn":
         return GreedyCompleteDriver(Session(topo, state.initiator, state=state))

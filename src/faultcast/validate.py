@@ -39,11 +39,11 @@ def check_budget(trace: Trace, alpha: float) -> list[Violation]:
 
     alpha is read as the exact decimal it is written as; the floor is taken
     in integers, in Python ints where int64 products could overflow.  A run
-    repeats its row's traffic, so an over-budget run fires on each of its
-    steps.
+    repeats its template rows' traffic, so an over-budget row of a run fires
+    on each of its steps.
     """
     c = trace.topo.edge_connectivity
-    cols, starts, repeats = trace.stored()
+    cols, starts, repeats, period = trace.stored()
     m_sent, m_lost = cols["m_sent"], cols["m_lost"]
     ratio = Fraction(str(alpha))
     if ratio.numerator * int(m_sent.max(initial=0)) > np.iinfo(np.int64).max:
@@ -53,18 +53,18 @@ def check_budget(trace: Trace, alpha: float) -> list[Violation]:
     for r in np.flatnonzero(m_lost > budget):
         message = f"lost {m_lost[r]} of {m_sent[r]} sent, budget {budget[r]}"
         out += [Violation("budget", i, message)
-                for i in range(starts[r], starts[r] + repeats[r])]
-    return out
+                for i in range(starts[r], starts[r] + repeats[r] * period[r], period[r])]
+    return sorted(out, key=lambda v: v.where)
 
 
 def check_monotone(trace: Trace) -> list[Violation]:
     """k never increases, passive count never decreases.
 
-    Values are constant within a run, so only consecutive stored rows can
+    A block's rows share one state, so only consecutive stored rows can
     differ; the change shows at the first record of the later row.
     """
     out = []
-    cols, starts, _ = trace.stored()
+    cols, starts, _, _ = trace.stored()
     k, b = cols["k"], cols["b"]
     for r in np.flatnonzero(np.diff(k) > 0):
         out.append(Violation("monotone_k", int(starts[r + 1]), f"k rose {k[r]} -> {k[r + 1]}"))
@@ -75,8 +75,13 @@ def check_monotone(trace: Trace) -> list[Violation]:
 
 def _stored_columns(trace: Trace):
     """The stored columns, and a map from record indices to their stored rows."""
-    cols, starts, _ = trace.stored()
-    return cols, lambda records: np.searchsorted(starts, records, side="right") - 1
+    cols, starts, _, period = trace.stored()
+
+    def row_of(records):
+        # In a run, step back from its last template row to the record's own.
+        rows = np.searchsorted(starts, records, side="right") - 1
+        return rows - (starts[rows] - records) % period[rows]
+    return cols, row_of
 
 
 def _segment_spans(trace: Trace):
@@ -187,7 +192,7 @@ def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Viola
     """Each executed L2-iteration informs a new vertex or shrinks h by (1-Y/2).
 
     Applicable when the iteration started with h' <= X(n-2) and at least one
-    uninformed vertex; iterations skipped by the inert fast-forward start from
+    uninformed vertex; iterations skipped in a block of dead steps start from
     a frozen state with k = 0 and are not applicable by construction.
     """
     if trace.topo.kind != COMPLETE:

@@ -133,6 +133,15 @@ def test_make_adversary_parsing():
         make_adversary("victim_guard")
     with pytest.raises(InvalidParameterError):
         make_adversary("nonsense")
+    for spec in ("random:x", "victim_guard:v", "ack_suppressor:2.0", "random:--5"):
+        with pytest.raises(InvalidParameterError, match="not an integer"):
+            make_adversary(spec, topo)
+    # Given a topology, a victim must be one of its vertices; without one it
+    # is taken as given.
+    for victim in (8, 99, -1):
+        with pytest.raises(InvalidParameterError, match="outside 0..7"):
+            make_adversary(f"victim_guard:{victim}", topo)
+    assert make_adversary("victim_guard:99").victim == 99
 
 
 @settings(max_examples=60, deadline=None)

@@ -214,7 +214,7 @@ def test_trace_records_and_jsonl(tmp_path):
     batch = SendBatch.uniform(np.sort([topo.arc_id(0, 1), topo.arc_id(0, 2)]), INFO)
     report = execute_step(state, batch, FixedKillAdversary([0]), 0.5)
     trace.record_step(state, report)
-    trace.record_inert(state, 1, 3, state.step_index)
+    trace.record_block(state, [(1, 1)], 3)
     trace.summary = {"protocol": "test"}
     path = tmp_path / "t.jsonl"
     trace.to_jsonl(path)
@@ -226,7 +226,7 @@ def test_trace_records_and_jsonl(tmp_path):
     assert json.loads(lines[-1]) == {"protocol": "test"}
     # M = 2(n-1)k + h with one vertex informed by the delivery.
     assert rec["M"] == 2 * 2 * rec["k"] + rec["h"]
-    # Inert records keep state columns frozen and step numbers consecutive.
+    # Block records keep state columns frozen and step numbers consecutive.
     steps = [json.loads(l)["step"] for l in lines[:4]]
     assert steps == [1, 2, 3, 4]
 
@@ -275,7 +275,7 @@ def _reference_jsonl(trace, path):
 
 
 def _runs_trace():
-    """Executed stretches and inert runs, each longer than a 5-record chunk."""
+    """Executed stretches and runs, each longer than a 5-record chunk."""
     topo = build_complete(6)
     state = NetworkState(topo)
     trace = Trace(topo)
@@ -286,13 +286,13 @@ def _runs_trace():
             trace.record_step(state, execute_step(state, SendBatch.uniform(arcs, INFO),
                                                   adv, 0.5))
         for count in (11, 1):
-            trace.record_inert(state, 1, count, state.step_index)
+            trace.record_block(state, [(1, 1)], count)
             state.step_index += count
     trace.summary = {"protocol": "test", "alpha": 0.5}
     return trace
 
 
-# (first step, steps) of inert blocks: runs that cross 9 -> 10, 99 -> 100,
+# (first step, steps) of one-step templates: runs that cross 9 -> 10, 99 -> 100,
 # 999 -> 1000 and 99,999 -> 100,000, runs whose 5-record pieces change two or
 # three trailing digits, and one-step blocks.
 _DIGIT_RUNS = [(8, 5), (98, 16), (197, 10), (998, 4), (1007, 10), (1017, 1),
@@ -300,7 +300,7 @@ _DIGIT_RUNS = [(8, 5), (98, 16), (197, 10), (998, 4), (1007, 10), (1017, 1),
 
 
 def _digit_runs_trace(executed=True):
-    """A trace that ends in a run; with ``executed`` False, made only of inert blocks."""
+    """A trace that ends in a run; with ``executed`` False, made only of blocks."""
     topo = build_complete(4)
     state = NetworkState(topo)
     trace = Trace(topo)
@@ -311,8 +311,34 @@ def _digit_runs_trace(executed=True):
             arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
             trace.record_step(state, execute_step(state, SendBatch.uniform(arcs, INFO),
                                                   adv, 0.5))
-        trace.record_inert(state, 2, count, first - 1)
-        state.step_index = first + count - 1
+        state.step_index = first - 1
+        trace.record_block(state, [(2, 2)], count)
+        state.step_index += count
+    trace.summary = {"protocol": "test", "alpha": 0.5}
+    return trace
+
+
+# (first step, repetitions) of periodic blocks.  With period 2 the runs from
+# steps 7, 995 and 99,999 have a period that straddles a step-digit width, with
+# period 3 those from steps 98, 995, 9,990 and 99,999; the others change width
+# between periods.
+_PERIODIC_RUNS = [(7, 3), (98, 4), (995, 5), (9_990, 7), (99_999, 3)]
+
+
+def _periodic_runs_trace(period):
+    """Runs of a template whose rows differ in traffic and line length, each
+    after an executed step."""
+    topo = build_complete(4)
+    state = NetworkState(topo)
+    trace = Trace(topo)
+    adv = RandomAdversary(1)
+    rows = [(2, 2), (13, 3), (0, 0)][:period]
+    for first, repeats in _PERIODIC_RUNS:
+        state.step_index = first - 2
+        arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
+        trace.record_step(state, execute_step(state, SendBatch.uniform(arcs, INFO), adv, 0.5))
+        trace.record_block(state, rows, repeats)
+        state.step_index += period * repeats
     trace.summary = {"protocol": "test", "alpha": 0.5}
     return trace
 
@@ -322,9 +348,13 @@ def _digit_runs_trace(executed=True):
     _runs_trace,
     _digit_runs_trace,
     lambda: _digit_runs_trace(executed=False),
+    lambda: _periodic_runs_trace(2),
+    lambda: _periodic_runs_trace(3),
+    lambda: almost_complete_kn(64, 0.7, 2.0, RandomAdversary(0)),
     lambda: broadcast_hypercube(5, 0.5, 0.5, RandomAdversary(1)),
     lambda: Trace(build_complete(4)),
-], ids=["executed", "runs", "digit-runs", "runs-only", "hypercube", "empty"])
+], ids=["executed", "runs", "digit-runs", "runs-only", "period-2", "period-3", "steady",
+        "hypercube", "empty"])
 def test_to_jsonl_matches_per_row_writer(build, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "_JSONL_CHUNK", 5)
     trace = build()
@@ -341,7 +371,7 @@ def test_to_jsonl_digest_unchanged(tmp_path):
     assert digest == "938b119e010f3674d53385618cf55dd31f96831aed718ac388ea6912ebfe8495"
 
 
-def test_inert_runs_expand_to_steps():
+def test_block_runs_expand_to_steps():
     topo = build_hypercube(3)
     state = NetworkState(topo)
     trace = Trace(topo, track_boundary=True)
@@ -349,44 +379,44 @@ def test_inert_runs_expand_to_steps():
     state.informed[1] = True
     state.version += 1
     state.step_index = 4
-    trace.record_inert(state, 2, 3, state.step_index)
+    trace.record_block(state, [(2, 2)], 3)
     state.step_index += 3
     trace.record(state, 5, 1, 2)
-    trace.record_inert(state, 1, 1, state.step_index)
+    trace.record_block(state, [(1, 1)], 1)
     state.step_index += 1
-    assert len(trace) == trace.total_steps == 6
-    assert trace._data.shape[0] == 4
-    assert trace._runs == [(1, 3)]  # the one-step block is a plain row
-    assert trace.column("step").tolist() == [0, 5, 6, 7, 7, 8]
-    assert trace.column("k").tolist() == [7, 6, 6, 6, 6, 6]
-    assert trace.column("m_lost").tolist() == [0, 2, 2, 2, 1, 1]
-    assert trace.boundary_column().tolist() == [3, 4, 4, 4, 4, 4]
-    columns, starts, repeats = trace.stored()
-    assert columns["step"].tolist() == [0, 5, 7, 8]
-    assert columns["boundary"].tolist() == [3, 4, 4, 4]
-    assert starts.tolist() == [0, 1, 4, 5]
-    assert repeats.tolist() == [1, 3, 1, 1]
+    trace.record_block(state, [(6, 3), (3, 3)], 2)
+    state.step_index += 4
+    assert len(trace) == trace.total_steps == 10
+    assert trace._data.shape[0] == 6
+    assert trace._runs == [(1, 1, 3), (4, 2, 4)]  # a one-repetition block is plain rows
+    assert trace.column("step").tolist() == [0, 5, 6, 7, 7, 8, 9, 10, 11, 12]
+    assert trace.column("k").tolist() == [7] + [6] * 9
+    assert trace.column("m_sent").tolist() == [0, 2, 2, 2, 5, 1, 6, 3, 6, 3]
+    assert trace.column("m_lost").tolist() == [0, 2, 2, 2, 1, 1, 3, 3, 3, 3]
+    assert trace.boundary_column().tolist() == [3] + [4] * 9
+    columns, starts, repeats, period = trace.stored()
+    assert columns["step"].tolist() == [0, 5, 7, 8, 9, 10]
+    assert columns["boundary"].tolist() == [3, 4, 4, 4, 4, 4]
+    assert starts.tolist() == [0, 1, 4, 5, 6, 7]
+    assert repeats.tolist() == [1, 3, 1, 1, 2, 2]
+    assert period.tolist() == [1, 1, 1, 1, 2, 2]
     assert trace.first_complete_step() == 5
     assert (trace.final_k, trace.final_h) == (6, 2)
 
 
 class _CountingTrace(Trace):
-    """Counts ``record`` calls, which executed steps make, ``record_inert``
-    calls, and the rows of steady blocks."""
+    """Counts ``record`` calls, which executed steps make, and the template
+    rows of blocks."""
 
-    recorded = inert_calls = steady_rows = 0
+    recorded = block_rows = 0
 
     def record(self, state, m_sent, m_lost, acks):
         self.recorded += 1
         super().record(state, m_sent, m_lost, acks)
 
-    def record_inert(self, state, m_sent, count, step_start):
-        self.inert_calls += 1
-        super().record_inert(state, m_sent, count, step_start)
-
-    def record_steady(self, state, m_sent, m_lost, rounds):
-        self.steady_rows += 2 * rounds
-        super().record_steady(state, m_sent, m_lost, rounds)
+    def record_block(self, state, rows, repeats):
+        self.block_rows += len(rows)
+        super().record_block(state, rows, repeats)
 
 
 def test_stored_rows_grow_with_executed_steps():
@@ -396,14 +426,14 @@ def test_stored_rows_grow_with_executed_steps():
     _, trace = simulate(topo, driver, RandomAdversary(0), 0.55, state=state,
                         trace=_CountingTrace(topo))
     assert len(trace) == 1547659
-    assert trace._data.shape[0] <= trace.recorded + trace.inert_calls + trace.steady_rows
-    assert trace._data.shape[0] < len(trace) // 100
-    # 9 elimination tails and 9 empty step-A tails; one-step inert blocks are plain rows.
-    assert len(trace._runs) == 18
+    assert trace._data.shape[0] == trace.recorded + trace.block_rows == 231
+    # A tail of dead rounds, 9 elimination tails and 9 empty step-A tails;
+    # one-step blocks are plain rows.
+    assert len(trace._runs) == 19
 
 
 def test_trace_consumers_memory_does_not_grow_with_steps():
-    # The 1.55M-step trace above stores 4,228 rows; expanding a column to
+    # The 1.55M-step trace above stores 231 rows; expanding a column to
     # one entry per step costs 12.4 MB.
     trace = nosod_complete(64, 0.55, 2.0, RandomAdversary(0))
     peaks = {}

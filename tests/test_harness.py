@@ -5,12 +5,14 @@ import json
 
 import pytest
 
-from faultcast import protocols
+from faultcast import bounds, protocols
 from faultcast.adversary import make_adversary
 from faultcast.cli import main as cli_main
-from faultcast.errors import ConfigError
+from faultcast.engine import NetworkState
+from faultcast.errors import ConfigError, InvalidParameterError
 from faultcast.harness import (CSV_HEADER, ExperimentConfig, run,
                                verify_regressions)
+from faultcast.topology import build_complete
 
 
 def _small_config(**kw):
@@ -38,12 +40,33 @@ def test_config_errors_enumerated():
     with pytest.raises(ConfigError):
         run(config)
     # Sizes the schedule's bounds reject are reported before anything runs.
+    # So are a horizon outside bare simple-rounds and a horizon below 1.
     for kw in (dict(topology="hypercube", protocol="hypercube", size=[1], eps=0.5),
-               dict(protocol="nosod-complete", size=[2])):
+               dict(protocol="nosod-complete", size=[2]),
+               dict(protocol="almost-kn", horizon=1),
+               dict(protocol="simple-rounds", horizon=0),
+               dict(protocol="simple-rounds", horizon=-3),
+               dict(protocol="simple-rounds:5", horizon=2)):
         config = _small_config(**kw)
         assert len(config.check()) == 1
         with pytest.raises(ConfigError):
             run(config)
+    assert _small_config(protocol="simple-rounds", horizon=1).check() == []
+
+
+def test_make_driver_round_counts():
+    topo = build_complete(8)
+
+    def rounds_of(spec, rounds):
+        state = NetworkState(topo)
+        return protocols.make_driver(spec, topo, 0.5, 2.0, state, rounds=rounds).rounds
+
+    assert rounds_of("simple-rounds", None) == bounds.rounds_kn(8, 0.5)
+    assert rounds_of("simple-rounds", 3) == 3
+    assert rounds_of("simple-rounds:4", None) == 4
+    for spec, rounds in (("simple-rounds", 0), ("simple-rounds", -3), ("simple-rounds:0", None)):
+        with pytest.raises(InvalidParameterError, match="at least 1 round"):
+            rounds_of(spec, rounds)
 
 
 def test_config_rejects_nosod_above_root():
@@ -132,6 +155,15 @@ def test_cli_run_and_strict(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "final_k=" in out
+
+
+@pytest.mark.parametrize("adversary", ["random:x", "ack_suppressor:1.5", "victim_guard:8",
+                                       "victim_guard:-1"])
+def test_cli_rejects_a_bad_adversary_argument(adversary, capsys):
+    rc = cli_main(["run", "--topology", "complete", "--size", "8", "--alpha", "0.5",
+                   "--adversary", adversary, "--seeds", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_run_config_file(tmp_path):

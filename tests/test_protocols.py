@@ -385,6 +385,8 @@ _FAST_FORWARD_CASES = [
     ("Q6", "hypercube", build_hypercube(6), (0.3, 0.5, 0.7)),
     ("Q8", "hypercube", build_hypercube(8), (0.3, 0.5, 0.7)),
     ("sod-complete-K16", "sod-complete", build_complete(16, chordal=True), (0.3, 0.5)),
+    ("sod-complete-K64", "sod-complete", build_complete(64, chordal=True), (0.5,)),
+    ("sod-complete-K256", "sod-complete", build_complete(256, chordal=True), (0.5,)),
     ("sod-all-but-one-K24", "sod-all-but-one", build_complete(24, chordal=True), (0.3, 0.5)),
     ("nosod-complete-K16", "nosod-complete", build_complete(16), (0.3, 0.5)),
 ]
@@ -395,10 +397,11 @@ _FAST_FORWARD_CASES = [
     for case, protocol, topo, alphas in _FAST_FORWARD_CASES
     for make_adv, adv_id in zip(ADVERSARIES, ADVERSARY_IDS) for alpha in alphas])
 def test_inert_fast_forward_matches_stepped(protocol, topo, make_adv, alpha):
-    """Inert blocks (step-A tails, elimination tails, dead step As and Bs,
-    idle lanes) and steady rounds agree row for row with stepping every batch
-    through the same policy.  At alpha 0.3, sod-complete K_16 against
-    ``victim_guard:15`` skips hundreds of dead info batches."""
+    """Blocks (dead-round tails, elimination tails, dead step As and Bs, idle
+    lanes, steady rounds) agree row for row with stepping every batch through
+    the same policy.  At alpha 0.3, sod-complete K_16 against
+    ``victim_guard:15`` skips hundreds of dead info batches; sod-complete
+    K_64 and K_256 take most of their blocks inside multiplexed lanes."""
     fast = _Logging(make_adv(topo, 9), exhaustive=True)
     stepped = _Logging(make_adv(topo, 9), exhaustive=False)
     (_, trace), (_, trace_s) = (_traced(protocol, topo, alpha, adv) for adv in (fast, stepped))
@@ -504,16 +507,87 @@ def test_steady_block_rejects_a_bad_row_mid_chunk(adversary, match):
     ("sod-complete", build_complete(32, chordal=True), 0.5),
     ("sod-complete", build_complete(16, chordal=True), 0.3),
     ("sod-complete", build_complete(24, chordal=True), 0.7),
+    ("sod-complete", build_complete(64, chordal=True), 0.5),
+    ("sod-complete", build_complete(256, chordal=True), 0.5),
 ], ids=["almost-kn", "hypercube", "nosod-complete", "sod-complete", "sod-complete-0.3",
-        "sod-complete-K24-0.7"])
+        "sod-complete-K24-0.7", "sod-complete-K64", "sod-complete-K256"])
 def test_no_dead_batch_reaches_the_adversary(protocol, topo, make_adv, alpha):
     """A batch of 1..c-1 messages dies whole under an exhaustive policy, so
-    the drivers emit it as an inert step instead, inside multiplexed lanes too."""
+    the drivers emit it as a block instead, inside multiplexed lanes too."""
     adv = _Logging(make_adv(topo, 4), exhaustive=True)
     _traced(protocol, topo, alpha, adv)
     c = topo.edge_connectivity
     dead = [m for m, _ in adv.log.values() if 1 <= m <= c - 1]
     assert adv.log and not dead
+
+
+class _Replies:
+    """Wraps a driver as the benchmark's driver wrapper does, offering only
+    ``total_steps``, ``attach``, ``done``, ``next`` and ``absorb``.  Counts
+    executed steps and block replies, and checks that each block reply is a
+    list of (payload, count) pairs whose counts sum to the steps that
+    ``state.step_index`` moves by: the steps the benchmark counts as inert."""
+
+    def __init__(self, inner, state):
+        self.inner = inner
+        self.state = state
+        self.total_steps = inner.total_steps
+        self.executed = self.blocks = 0
+        self._claim = None  # (step index before a block reply, steps it covers)
+
+    def attach(self, trace):
+        self.inner.attach(trace)
+
+    def done(self):
+        if self._claim is not None:  # the run loop has played the last reply
+            before, steps = self._claim
+            assert self.state.step_index - before == steps
+            self._claim = None
+        return self.inner.done()
+
+    def next(self, state, limit):
+        kind, val = self.inner.next(state, limit)
+        if kind == BATCH:
+            self.executed += 1
+        else:
+            assert isinstance(val, list)
+            assert all(len(pair) == 2 and pair[1] >= 1 for pair in val)
+            self._claim = (state.step_index, sum(count for _, count in val))
+            self.blocks += 1
+        return kind, val
+
+    def absorb(self, state, report):
+        self.inner.absorb(state, report)
+
+
+def _run_wrapped(protocol, topo, alpha):
+    eps = 0.5 if topo.kind == HYPERCUBE else 2.0
+    state = NetworkState(topo)
+    driver = _Replies(make_driver(protocol, topo, alpha, eps, state), state)
+    _, trace = protocols.simulate(topo, driver, RandomAdversary(0), alpha, state=state)
+    return driver, trace
+
+
+_WRAPPED_CASES = {
+    "almost-kn-K64": ("almost-kn", build_complete(64), 0.7),
+    "hypercube-Q8": ("hypercube", build_hypercube(8), 0.5),
+    "sod-complete-K32": ("sod-complete", build_complete(32, chordal=True), 0.5),
+    "nosod-complete-K16": ("nosod-complete", build_complete(16), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRAPPED_CASES))
+def test_block_replies_are_counted_pairs(case):
+    driver, trace = _run_wrapped(*_WRAPPED_CASES[case])
+    assert driver.done() and driver.blocks
+    assert len(trace) == driver.total_steps
+
+
+@pytest.mark.parametrize("case", ["almost-kn-K64", "hypercube-Q8", "nosod-complete-K16"])
+def test_stored_rows_are_executed_steps_plus_templates(case):
+    """A block stores its template once, however many steps it covers."""
+    driver, trace = _run_wrapped(*_WRAPPED_CASES[case])
+    assert trace._data.shape[0] <= driver.executed + 2 * driver.blocks < len(trace) // 5
 
 
 class _NeverDone(Driver):

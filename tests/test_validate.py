@@ -81,7 +81,7 @@ def test_final_bounds_fire_on_incomplete_sod():
 
 def _stalled_iteration_trace(run=0):
     """A nosod iteration that keeps k = 3 and h = 10; with ``run``, its last
-    ``run`` steps are one inert run."""
+    ``run`` steps are one run."""
     topo = build_complete(20)
     trace = Trace(topo)
     state = NetworkState(topo)
@@ -90,7 +90,8 @@ def _stalled_iteration_trace(run=0):
     trace.mark("nosod_iter", l1=0, l2=0, k0=3, h0=10, steps=2 + run)
     for _ in range(2):
         trace.record(state, 5, 2, 0)
-    trace.record_inert(state, 1, run, state.step_index)
+    if run:
+        trace.record_block(state, [(1, 1)], run)
     trace._data[:, 1] = 3   # k column
     trace._data[:, 2] = 10  # h column
     return trace
@@ -180,8 +181,19 @@ def _over_budget_run_trace():
     trace = Trace(topo)
     state = NetworkState(topo)
     trace.record(state, m_sent=10, m_lost=5, acks=0)
-    trace.record_inert(state, 10, 4, state.step_index)
+    trace.record_block(state, [(10, 10)], 4)
     trace.record(state, m_sent=3, m_lost=3, acks=0)
+    return trace
+
+
+def _over_budget_periodic_run_trace():
+    """An executed step, then three repetitions of a template whose second
+    row loses 10 of 10 on K_8 (budget 6)."""
+    topo = build_complete(8)
+    trace = Trace(topo)
+    state = NetworkState(topo)
+    trace.record(state, m_sent=10, m_lost=5, acks=0)
+    trace.record_block(state, [(20, 10), (10, 10)], 3)
     return trace
 
 
@@ -194,7 +206,7 @@ def _k_rises_after_run_trace():
     state.passive[:4] = True
     state.version += 1
     trace.record(state, 0, 0, 0)
-    trace.record_inert(state, 1, 5, state.step_index)
+    trace.record_block(state, [(1, 1)], 5)
     trace.record(state, 0, 0, 0)
     trace._data[2, 1] += 1  # k
     trace._data[2, 3] -= 1  # b
@@ -209,7 +221,7 @@ def _straddled_rounds_trace(topo):
     trace.record(state, 0, 0, 0)
     trace.mark("simple_rounds", rounds=3, primary=True)
     trace.record(state, 1, 1, 0)
-    trace.record_inert(state, 1, 3, state.step_index)
+    trace.record_block(state, [(1, 1)], 3)
     trace.record(state, 1, 1, 0)
     trace.record(state, 1, 1, 0)
     trace._data[0, 3] = 2  # b before the rounds, so passive growth falls short
@@ -226,6 +238,7 @@ def _doctored_traces():
         "stalled-iteration-run": _stalled_iteration_trace(run=4),
         "thin-quorum": _thin_quorum_trace(),
         "over-budget-run": _over_budget_run_trace(),
+        "over-budget-periodic-run": _over_budget_periodic_run_trace(),
         "k-rises-after-run": _k_rises_after_run_trace(),
         "straddled-kn-rounds": _straddled_rounds_trace(build_complete(40)),
         "straddled-qd-rounds": _straddled_rounds_trace(build_hypercube(4)),
@@ -245,6 +258,8 @@ def test_run_violations_land_on_record_indices():
     bad = validate.check_budget(_over_budget_run_trace(), 0.5)
     assert [v.where for v in bad] == [1, 2, 3, 4]
     assert {v.message for v in bad} == {"lost 10 of 10 sent, budget 6"}
+    bad = validate.check_budget(_over_budget_periodic_run_trace(), 0.5)
+    assert [v.where for v in bad] == [2, 4, 6]
     bad = validate.check_monotone(_k_rises_after_run_trace())
     assert [(v.check, v.where) for v in bad] == [("monotone_k", 6), ("monotone_b", 6)]
     bad = validate.check_kn_rounds(_straddled_rounds_trace(build_complete(40)), 0.5, 2.0)
@@ -256,7 +271,8 @@ def test_run_violations_land_on_record_indices():
     (lambda: nosod_complete(16, 0.5, 2.0, RandomAdversary(0)), 0.5, 2.0),
     (lambda: nosod_complete(64, 0.55, 2.0, RandomAdversary(0)), 0.55, 2.0),
     (lambda: broadcast_hypercube(5, 0.5, 0.5, RandomAdversary(1)), 0.5, 0.5),
-], ids=["nosod-16", "nosod-64", "hypercube-5"])
+    (lambda: almost_complete_kn(64, 0.7, 2.0, RandomAdversary(0)), 0.7, 2.0),
+], ids=["nosod-16", "nosod-64", "hypercube-5", "almost-kn-64-steady"])
 def test_protocol_runs_validate_like_their_steps(build, alpha, eps):
     trace = build()
     flat = _without_runs(trace)
