@@ -7,14 +7,18 @@ messages dies whole.  So the run loop skips ``decide`` on a forced kill set,
 and every block of steps (see ``faultcast.protocols``) records exactly the
 trace of a stepped run.  A new exhaustive policy must keep both promises.
 
-For a block that repeats a steady step A, where nothing is stepped, the run
-loop asks for many of its kill sets at once through ``decide_rounds``: their
-rows equal that many successive ``decide`` calls, two steps apart, on the
-unchanged state, and the policy's generator moves exactly as those calls
-would move it.  The run loop checks every row and raises AdversaryViolation
+A block whose template is one simple round (a steady step A, then its
+dead acks) is not stepped, and the run loop asks for many of its step-A
+kill sets at once through ``decide_rounds``: their rows equal that many
+successive ``decide`` calls, two steps apart, on the unchanged state, and
+the policy's generator moves exactly as those calls would move it.  Any
+other template with a drawn step, such as two multiplexed lanes' steady
+rounds interleaved, gets its kill sets from ``decide``, one step at a time
+in step order.  The run loop checks every row and raises AdversaryViolation
 if one is short.  The default ``decide_rounds`` calls ``decide`` once per
 round; a subclass of a shipped policy that changes the draw in ``decide``
-must change it in ``decide_rounds`` too, or blocks will not see the change.
+must change it in ``decide_rounds`` too, or simple-round blocks will not
+see the change.
 """
 
 from dataclasses import replace
@@ -155,23 +159,32 @@ class FixedKillAdversary(AdversaryPolicy):
         return self.kills
 
 
-def make_adversary(spec: str, topo=None, seed: int = 0) -> AdversaryPolicy:
-    """Build a policy from a CLI string id: random | victim_guard[:v] | ack_suppressor."""
+def adversary_problem(spec: str, n: int | None = None) -> str | None:
+    """Why ``spec`` names no policy on a graph of ``n`` vertices, or None if it does."""
     name, _, arg = spec.partition(":")
     if arg and not arg.removeprefix("-").isdecimal():
-        raise InvalidParameterError(f"adversary {spec!r}: {arg!r} is not an integer")
+        return f"adversary {spec!r}: {arg!r} is not an integer"
+    if name not in ("random", "victim_guard", "ack_suppressor"):
+        return f"unknown adversary id: {spec!r}"
+    if name == "victim_guard" and arg and n is not None and not 0 <= int(arg) < n:
+        return f"victim {int(arg)} outside 0..{n - 1}"
+    if name != "victim_guard" and arg and int(arg) < 0:  # a generator seed
+        return f"adversary {spec!r}: seed {int(arg)} < 0"
+    return None
+
+
+def make_adversary(spec: str, topo=None, seed: int = 0) -> AdversaryPolicy:
+    """Build a policy from a CLI string id: random | victim_guard[:v] | ack_suppressor.
+
+    Given a topology, a victim must be one of its vertices."""
+    problem = adversary_problem(spec, None if topo is None else topo.n)
+    if problem:
+        raise InvalidParameterError(problem)
+    name, _, arg = spec.partition(":")
     if name == "random":
         return RandomAdversary(seed=int(arg) if arg else seed)
     if name == "victim_guard":
-        if arg:
-            victim = int(arg)
-        elif topo is not None:
-            victim = topo.n - 1
-        else:
+        if not arg and topo is None:
             raise InvalidParameterError("victim_guard needs a victim or a topology")
-        if topo is not None and not 0 <= victim < topo.n:  # not a vertex of the topology
-            raise InvalidParameterError(f"victim {victim} outside 0..{topo.n - 1}")
-        return VictimGuard(victim=victim, seed=seed)
-    if name == "ack_suppressor":
-        return AckSuppressor(seed=int(arg) if arg else seed)
-    raise InvalidParameterError(f"unknown adversary id: {spec!r}")
+        return VictimGuard(victim=int(arg) if arg else topo.n - 1, seed=seed)
+    return AckSuppressor(seed=int(arg) if arg else seed)

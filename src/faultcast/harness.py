@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import bounds
-from .adversary import make_adversary
+from .adversary import adversary_problem, make_adversary
 from .engine import NetworkState
 from .errors import ConfigError
 from .protocols import PROTOCOL_TOPOLOGIES, _finalize, below_min, make_driver, simulate
@@ -83,6 +83,12 @@ class ExperimentConfig:
                 problems.append(f"protocol hypercube needs dimension >= 2, got {s}")
             if self.topology == COMPLETE and base == "nosod-complete" and s < 3:
                 problems.append(f"protocol nosod-complete needs size >= 3, got {s}")
+        # Each spec against each valid size, without building the graphs.
+        vertex_counts = [1 << s if self.topology == HYPERCUBE else s for s in self.size
+                         if s >= (1 if self.topology == HYPERCUBE else 2)]
+        for spec in self.adversary:
+            found = (adversary_problem(spec, n) for n in vertex_counts or [None])
+            problems.extend(problem for problem in dict.fromkeys(found) if problem)
         if self.seeds < 1:
             problems.append("seeds must be >= 1")
         if self.horizon is not None and self.protocol != "simple-rounds":

@@ -11,9 +11,12 @@ loop accepts (0 under any other adversary, so every step is stepped).  A
 block repeats a template of p steps.  A template step is a count m <= c-1 of
 messages, which die whole, or the SendBatch of a step A whose survivors
 change nothing.  The run loop records the block and touches no state; it
-asks the adversary only for the SendBatch steps' kill sets, a chunk of
-repetitions at a time, so a block records exactly the trace of a stepped run
-(see ``faultcast.adversary``).
+asks the adversary only for the SendBatch steps' kill sets, in step order,
+so a block records exactly the trace of a stepped run (see
+``faultcast.adversary``).  A driver whose upcoming steps form such a block
+whatever the steps interleaved with them do reports it through
+``quiet_run``; a MultiplexDriver merges its two lanes' quiet runs into one
+block.
 
 Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
@@ -45,6 +48,11 @@ from .topology import (COMPLETE, HYPERCUBE, Topology, build_complete, build_hype
 
 BATCH = "batch"
 BLOCK = "block"
+
+
+def _empty_step(limit: int):
+    """The reply for one empty step: a one-step block if ``limit`` allows."""
+    return (BLOCK, [((0,), 1)]) if limit else (BATCH, SendBatch.empty())
 
 
 class Session:
@@ -154,8 +162,7 @@ class Driver:
     def next(self, state: NetworkState, limit: int):
         """Return (BATCH, SendBatch), or (BLOCK, [(template, steps)]) for
         ``steps <= limit`` steps, a multiple of p, that repeat a tuple of p
-        template steps (see the module docstring).  A template holds at most
-        one SendBatch, and then it is a simple round: (step A, its acks)."""
+        template steps (see the module docstring)."""
         raise NotImplementedError
 
     def absorb(self, state: NetworkState, report) -> None:
@@ -166,13 +173,14 @@ class Driver:
         of the schedule position only, as for ``done``."""
         return True
 
-    def idle_steps(self) -> int:
-        """Count of upcoming steps certain to send nothing, whatever happens meanwhile."""
-        return 0
+    def quiet_run(self, state: NetworkState) -> tuple[tuple, int] | None:
+        """(template, steps) if the upcoming ``steps`` steps repeat ``template``
+        and change nothing, whatever quiet steps interleave with them; else None."""
+        return None
 
     def skip(self, count: int) -> None:
-        """Pass over ``count <= idle_steps()`` steps without emitting them."""
-        raise NotImplementedError(f"{type(self).__name__} has no idle steps")
+        """Pass over ``count`` steps of ``quiet_run``, a multiple of its period."""
+        raise NotImplementedError(f"{type(self).__name__} has no quiet run")
 
     # Search support; only the unoriented complete-graph drivers implement it.
     def clone(self, new_state: NetworkState) -> "Driver":
@@ -201,10 +209,10 @@ class IdleDriver(Driver):
 
     def next(self, state, limit):
         self.remaining -= 1
-        return BATCH, SendBatch.empty()
+        return _empty_step(limit)
 
-    def idle_steps(self):
-        return self.remaining
+    def quiet_run(self, state):
+        return (0,), self.remaining
 
     def skip(self, count):
         self.remaining -= count
@@ -267,9 +275,9 @@ class SeqDriver(Driver):
     def keeps_deliveries(self):
         return self.children[self.idx].keeps_deliveries()
 
-    def idle_steps(self):
+    def quiet_run(self, state):
         cur = self._current()
-        return 0 if cur is None else cur.idle_steps()
+        return None if cur is None else cur.quiet_run(state)
 
     def skip(self, count):
         self._current().skip(count)
@@ -279,12 +287,14 @@ class SeqDriver(Driver):
 class MultiplexDriver(Driver):
     """Strict even/odd interleaving of two lane schedules.
 
-    Even local steps belong to lane 0, odd to lane 1; a finished or idle lane
-    contributes empty steps.  A run of steps whose lanes are all idle or
-    finished is emitted as one block of empty steps, at most ``limit`` long:
-    an empty step delivers nothing and, under an exhaustive adversary, kills
-    nothing.  A lane is asked with a limit of at most 1, since its steps
-    interleave with the other lane's.
+    Even local steps belong to lane 0, odd to lane 1; a finished lane
+    contributes empty steps.  While both lanes have a quiet run (a finished
+    lane's is empty steps), the steps both runs cover are one block, at most
+    ``limit`` long: the lane whose turn is next takes the even positions of
+    its template, position 2i taking row i mod p of its own template, and
+    the other lane the odd ones.  So nested multiplexes compose.  Otherwise
+    the lane whose turn it is takes the step, asked with a limit of at most
+    1, since its steps interleave with the other lane's.
     """
 
     def __init__(self, lane0: Driver, lane1: Driver):
@@ -302,17 +312,18 @@ class MultiplexDriver(Driver):
         return self.t >= self.total_steps
 
     def next(self, state, limit):
+        run = self.quiet_run(state) if limit else None
+        if run is not None:
+            template, steps = run
+            steps = min(steps, limit - limit % len(template))
+            if steps:
+                self.skip(steps)
+                return BLOCK, [(template, steps)]
         lane = self.lanes[self.t % 2]
-        finished = lane.done()
-        if limit and (finished or lane.idle_steps()):
-            run = min(self.idle_steps(), limit)
-            if run:
-                self.skip(run)
-                return BLOCK, [((0,), run)]
         self.t += 1
-        if finished:
+        if lane.done():
             self._last_lane = None
-            return BATCH, SendBatch.empty()
+            return _empty_step(limit)
         kind, val = lane.next(state, min(limit, 1))
         self._last_lane = lane if kind == BATCH else None
         return kind, val
@@ -321,13 +332,24 @@ class MultiplexDriver(Driver):
         if self._last_lane is not None:
             self._last_lane.absorb(state, report)
 
-    def idle_steps(self):
-        # The lane whose turn is next first acts at offset 2*idle, the other at 2*idle+1.
-        run = self.total_steps - self.t
-        for offset, lane in enumerate((self.lanes[self.t % 2], self.lanes[1 - self.t % 2])):
-            if not lane.done():
-                run = min(run, 2 * lane.idle_steps() + offset)
-        return run
+    def quiet_run(self, state):
+        runs = []
+        for lane in (self.lanes[self.t % 2], self.lanes[1 - self.t % 2]):
+            run = ((0,), self.total_steps) if lane.done() else lane.quiet_run(state)
+            if run is None:
+                return None
+            runs.append(run)
+        (first, first_steps), (second, second_steps) = runs
+        # The lane whose turn is next plays ceil(steps / 2) of them, the other floor.
+        steps = min(self.total_steps - self.t, 2 * first_steps, 2 * second_steps + 1)
+        if first == (0,) and second == (0,):
+            return ((0,), steps) if steps else None
+        # Whole periods of both lanes, so that each lane skips whole periods.
+        p = math.lcm(len(first), len(second))
+        template = tuple(row for i in range(p)
+                         for row in (first[i % len(first)], second[i % len(second)]))
+        steps -= steps % (2 * p)
+        return (template, steps) if steps else None
 
     def skip(self, count):
         first = (count + 1) // 2  # turns of the lane whose turn is next
@@ -367,8 +389,8 @@ class LazyDriver(Driver):
     def absorb(self, state, report):
         self.inner.absorb(state, report)
 
-    def idle_steps(self):
-        return 0 if self.inner is None else self.inner.idle_steps()
+    def quiet_run(self, state):
+        return None if self.inner is None else self.inner.quiet_run(state)
 
     def skip(self, count):
         self.inner.skip(count)
@@ -452,11 +474,17 @@ class SimpleRoundsDriver(Driver):
     - a step A or step B of at most c-1 messages dies whole: a one-step block;
     - a step A of m <= c-1 messages also leaves nothing to change within this
       schedule, so the remaining rounds are one block of the round (m, 0);
-    - a step A on a primary session is *steady* when every destination is
-      informed, every opposite arc is already passive and at most c-1
-      messages survive the budget.  Its deliveries change nothing and its
-      acks die whole, so the remaining rounds are one block of the round
-      (step A, its survivors), whose step-A kill sets are still drawn.
+    - a step A is *steady* when, for every arc it sends on, the destination is
+      aware and informed (and in ``also_aware``, if the session has one) and
+      the opposite arc is marked by the session and passive, and at most c-1
+      messages survive the budget.  Its deliveries change neither the
+      network nor the session and its acks die whole, so the remaining
+      rounds are one block of the round (step A, its survivors), whose
+      step-A kill sets are still drawn.
+
+    The last two are the driver's quiet run at a round boundary once it has
+    started: a multiplexed lane skipped from its first step would mark its
+    segment at the wrong step.
     """
 
     def __init__(self, session: Session, rounds: int, alpha: float, label: str = "thm2"):
@@ -468,23 +496,23 @@ class SimpleRoundsDriver(Driver):
         self.phase_a = True
         self.pending = None  # arcs delivered in the last step A
         self.total_steps = 2 * rounds
-        self._marked = False
+        self._started = False  # the first step is emitted and the segment marked
 
     def done(self):
         return self.round_idx >= self.rounds
 
     def next(self, state, limit):
-        if self.trace is not None and not self._marked:
-            self.trace.mark("simple_rounds", rounds=self.rounds, primary=self.session.primary,
-                            label=self.label)
-            self._marked = True
+        if not self._started:
+            if self.trace is not None:
+                self.trace.mark("simple_rounds", rounds=self.rounds,
+                                primary=self.session.primary, label=self.label)
+            self._started = True
         if self.phase_a:
+            run = self.quiet_run(state) if 2 * (self.rounds - self.round_idx) <= limit else None
+            if run is not None:
+                self.skip(run[1])
+                return BLOCK, [run]
             arcs = self.session.sends(state)
-            remaining = self.rounds - self.round_idx
-            rest = self._rest(state, arcs) if 2 * remaining <= limit else None
-            if rest:
-                self.round_idx = self.rounds
-                return BLOCK, [(rest, 2 * remaining)]
         else:
             arcs = self.pending  # step B acks each on the opposite arc
         if limit and arcs.size <= self.session.topo.edge_connectivity - 1:
@@ -495,16 +523,28 @@ class SimpleRoundsDriver(Driver):
             return BATCH, SendBatch.uniform(arcs, self.session.payload_kind)
         return BATCH, SendBatch.uniform(np.sort(self.session.topo.opp[arcs]), ACK)
 
-    def _rest(self, state: NetworkState, arcs: np.ndarray) -> tuple | None:
+    def quiet_run(self, state):
         """The round every remaining round repeats, if none can change state."""
-        topo, m = self.session.topo, int(arcs.size)
-        c = topo.edge_connectivity
+        if not (self.phase_a and self._started):
+            return None
+        session = self.session
+        arcs = session.sends(state)
+        topo, m = session.topo, int(arcs.size)
+        c, steps = topo.edge_connectivity, 2 * (self.rounds - self.round_idx)
         if m <= c - 1:
-            return (m, 0) if m else (0,)
+            return ((m, 0) if m else (0,)), steps
         survivors = m - min(m, fault_budget(m, c, self.alpha))
-        if (self.session.primary and survivors <= c - 1 and state.passive[topo.opp[arcs]].all()
-                and state.informed[topo.arc_dst[arcs]].all()):
-            return SendBatch.uniform(arcs, self.session.payload_kind), survivors
+        if survivors > c - 1:
+            return None
+        opp, dst = topo.opp[arcs], topo.arc_dst[arcs]
+        if not (session.marks[opp].all() and session.aware[dst].all()
+                and state.passive[opp].all() and state.informed[dst].all()
+                and (session.also_aware is None or session.also_aware[dst].all())):
+            return None
+        return (SendBatch.uniform(arcs, session.payload_kind), survivors), steps
+
+    def skip(self, count):
+        self.round_idx += count // 2
 
     def absorb(self, state, report):
         self.session.absorb(state, report)
@@ -528,7 +568,7 @@ class SimpleRoundsDriver(Driver):
         other.round_idx = self.round_idx
         other.phase_a = self.phase_a
         other.pending = None if self.pending is None else self.pending.copy()
-        other._marked = self._marked
+        other._started = self._started
         return other
 
     def key_parts(self, arc_perm):
@@ -641,7 +681,7 @@ class SweepDriver(Driver):
             self.senders, self.groups = self.start()
         if self.step >= len(self.groups):
             self.step += 1
-            return BATCH, SendBatch.empty()
+            return _empty_step(limit)
         arcs = [_arcs_to(self.topo, self.senders, t) for t in self.groups[self.step]]
         arcs = np.sort(np.concatenate(arcs))
         self.step += 1
@@ -654,10 +694,10 @@ class SweepDriver(Driver):
         if self.knows_sink is not None and darr.size:
             self.knows_sink[self.topo.arc_dst[darr]] = True
 
-    def idle_steps(self):
+    def quiet_run(self, state):
         if self.groups is None or self.step < len(self.groups):
-            return 0
-        return self.total_steps - self.step
+            return None
+        return (0,), self.total_steps - self.step
 
     def skip(self, count):
         self.step += count
@@ -835,25 +875,37 @@ def _play_block(state: NetworkState, template: tuple, steps: int, adversary,
     """Record ``steps`` steps that repeat ``template``, each losing min(m, budget).
 
     Unless that kill set is forced (empty or the whole batch), the adversary
-    gives a SendBatch step's kill sets a chunk of repetitions at a time
-    (``decide_rounds``); each must be exactly min(m, budget).
+    gives each SendBatch step's kill set, which must be exactly min(m, budget).
+    A simple round (one drawn step A and its dead acks) gets its kill sets a
+    chunk of rounds at a time (``decide_rounds``); any other template gets
+    them one step at a time from ``decide``, in step order.
     """
-    c, repeats = state.topo.edge_connectivity, steps // len(template)
-    rows = []
-    for step in template:
+    c, p = state.topo.edge_connectivity, len(template)
+    repeats = steps // p
+    rows, drawn = [], []
+    for pos, step in enumerate(template):
         m = step.m if isinstance(step, SendBatch) else step
         budget = fault_budget(m, c, alpha)
         rows.append((m, min(m, budget)))
         if isinstance(step, SendBatch) and 0 < budget < m:
-            assert len(template) == 2  # decide_rounds gives rows two steps apart
-            draw = getattr(adversary, "decide_rounds", None)
-            draw = draw or partial(AdversaryPolicy.decide_rounds, adversary)
-            chunk = max(1, (1 << 16) // m)  # about 64k messages of kill sets per draw
-            for done in range(0, repeats, chunk):
-                count = min(chunk, repeats - done)
-                ctx = StepContext(state.step_index + 2 * done, state.topo, state)
-                kills = np.asarray(draw(ctx, step, budget, count), dtype=np.int64)
-                check_kill_rows(kills, m, budget, adversary, rounds=count, exhaustive=True)
+            drawn.append((pos, step, budget))
+    if p == 2 and len(drawn) == 1:
+        pos, step, budget = drawn[0]
+        draw = getattr(adversary, "decide_rounds", None)
+        draw = draw or partial(AdversaryPolicy.decide_rounds, adversary)
+        chunk = max(1, (1 << 16) // step.m)  # about 64k messages of kill sets per draw
+        for done in range(0, repeats, chunk):
+            count = min(chunk, repeats - done)
+            ctx = StepContext(state.step_index + pos + 2 * done, state.topo, state)
+            kills = np.asarray(draw(ctx, step, budget, count), dtype=np.int64)
+            check_kill_rows(kills, step.m, budget, adversary, rounds=count, exhaustive=True)
+    elif drawn:
+        for first in range(state.step_index, state.step_index + steps, p):
+            for pos, step, budget in drawn:
+                ctx = StepContext(first + pos, state.topo, state)
+                kills = np.asarray(adversary.decide(ctx, step, budget), dtype=np.int64)
+                check_kill_rows(kills.reshape(1, -1), step.m, budget, adversary,
+                                exhaustive=True)
     trace.record_block(state, rows, repeats)
     state.step_index += steps
 

@@ -142,6 +142,9 @@ def test_make_adversary_parsing():
         with pytest.raises(InvalidParameterError, match="outside 0..7"):
             make_adversary(f"victim_guard:{victim}", topo)
     assert make_adversary("victim_guard:99").victim == 99
+    for spec in ("random:-5", "ack_suppressor:-1"):  # a generator seed must be >= 0
+        with pytest.raises(InvalidParameterError, match="seed"):
+            make_adversary(spec)
 
 
 @settings(max_examples=60, deadline=None)

@@ -321,7 +321,8 @@ def _digit_runs_trace(executed=True):
 # (first step, repetitions) of periodic blocks.  With period 2 the runs from
 # steps 7, 995 and 99,999 have a period that straddles a step-digit width, with
 # period 3 those from steps 98, 995, 9,990 and 99,999; the others change width
-# between periods.
+# between periods.  With periods 4 and 8, as multiplexed lanes give, every run
+# has a period that straddles a width.
 _PERIODIC_RUNS = [(7, 3), (98, 4), (995, 5), (9_990, 7), (99_999, 3)]
 
 
@@ -332,7 +333,7 @@ def _periodic_runs_trace(period):
     state = NetworkState(topo)
     trace = Trace(topo)
     adv = RandomAdversary(1)
-    rows = [(2, 2), (13, 3), (0, 0)][:period]
+    rows = [(2, 2), (13, 3), (0, 0), (508, 254), (1, 1), (0, 0), (381, 190), (2, 2)][:period]
     for first, repeats in _PERIODIC_RUNS:
         state.step_index = first - 2
         arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
@@ -350,11 +351,13 @@ def _periodic_runs_trace(period):
     lambda: _digit_runs_trace(executed=False),
     lambda: _periodic_runs_trace(2),
     lambda: _periodic_runs_trace(3),
+    lambda: _periodic_runs_trace(4),
+    lambda: _periodic_runs_trace(8),
     lambda: almost_complete_kn(64, 0.7, 2.0, RandomAdversary(0)),
     lambda: broadcast_hypercube(5, 0.5, 0.5, RandomAdversary(1)),
     lambda: Trace(build_complete(4)),
-], ids=["executed", "runs", "digit-runs", "runs-only", "period-2", "period-3", "steady",
-        "hypercube", "empty"])
+], ids=["executed", "runs", "digit-runs", "runs-only", "period-2", "period-3", "period-4",
+        "period-8", "steady", "hypercube", "empty"])
 def test_to_jsonl_matches_per_row_writer(build, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "_JSONL_CHUNK", 5)
     trace = build()

@@ -52,6 +52,22 @@ def test_config_errors_enumerated():
         with pytest.raises(ConfigError):
             run(config)
     assert _small_config(protocol="simple-rounds", horizon=1).check() == []
+    # Every adversary spec is checked against every size, also before
+    # anything runs: unknown ids, arguments that are not integers, negative
+    # seeds, and victims outside 0..n-1 for each size.
+    for kw, count in ((dict(adversary=["random", "victim_guard:8"]), 1),
+                      (dict(adversary=["bogus"]), 1),
+                      (dict(adversary=["random:x", "ack_suppressor:1.5"]), 2),
+                      (dict(adversary=["random:-5"]), 1),
+                      (dict(adversary=["victim_guard:12"], size=[8, 16]), 1),
+                      (dict(adversary=["victim_guard:9", "victim_guard:-1"], size=[4, 8]), 4),
+                      (dict(topology="hypercube", protocol="hypercube", eps=0.5, size=[3],
+                            adversary=["victim_guard:8"]), 1)):
+        config = _small_config(**kw)
+        assert len(config.check()) == count, kw
+        with pytest.raises(ConfigError):
+            run(config)
+    assert _small_config(adversary=["victim_guard:12"], size=[16, 13]).check() == []
 
 
 def test_make_driver_round_counts():
@@ -164,6 +180,17 @@ def test_cli_rejects_a_bad_adversary_argument(adversary, capsys):
                    "--adversary", adversary, "--seeds", "1"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("adversary", ["victim_guard:8", "bogus"])
+def test_cli_bad_adversary_writes_no_output(adversary, tmp_path, capsys):
+    """A spec that names no policy stops the sweep before ``--out`` is made,
+    even after a good spec."""
+    out = tmp_path / "outx"
+    rc = cli_main(["run", "--topology", "complete", "--size", "8", "--alpha", "0.5",
+                   "--adversary", "random", adversary, "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_cli_run_config_file(tmp_path):

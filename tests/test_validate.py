@@ -186,15 +186,18 @@ def _over_budget_run_trace():
     return trace
 
 
-def _over_budget_periodic_run_trace():
+def _over_budget_periodic_run_trace(rows=((20, 10), (10, 10))):
     """An executed step, then three repetitions of a template whose second
     row loses 10 of 10 on K_8 (budget 6)."""
     topo = build_complete(8)
     trace = Trace(topo)
     state = NetworkState(topo)
     trace.record(state, m_sent=10, m_lost=5, acks=0)
-    trace.record_block(state, [(20, 10), (10, 10)], 3)
+    trace.record_block(state, list(rows), 3)
     return trace
+
+
+_PERIOD_4_ROWS = ((20, 10), (10, 10), (0, 0), (8, 4))  # a multiplexed lane block's shape
 
 
 def _k_rises_after_run_trace():
@@ -239,6 +242,7 @@ def _doctored_traces():
         "thin-quorum": _thin_quorum_trace(),
         "over-budget-run": _over_budget_run_trace(),
         "over-budget-periodic-run": _over_budget_periodic_run_trace(),
+        "over-budget-period-4-run": _over_budget_periodic_run_trace(_PERIOD_4_ROWS),
         "k-rises-after-run": _k_rises_after_run_trace(),
         "straddled-kn-rounds": _straddled_rounds_trace(build_complete(40)),
         "straddled-qd-rounds": _straddled_rounds_trace(build_hypercube(4)),
@@ -260,6 +264,9 @@ def test_run_violations_land_on_record_indices():
     assert {v.message for v in bad} == {"lost 10 of 10 sent, budget 6"}
     bad = validate.check_budget(_over_budget_periodic_run_trace(), 0.5)
     assert [v.where for v in bad] == [2, 4, 6]
+    bad = validate.check_budget(_over_budget_periodic_run_trace(_PERIOD_4_ROWS), 0.5)
+    assert [v.where for v in bad] == [2, 6, 10]
+    assert {v.message for v in bad} == {"lost 10 of 10 sent, budget 6"}
     bad = validate.check_monotone(_k_rises_after_run_trace())
     assert [(v.check, v.where) for v in bad] == [("monotone_k", 6), ("monotone_b", 6)]
     bad = validate.check_kn_rounds(_straddled_rounds_trace(build_complete(40)), 0.5, 2.0)
