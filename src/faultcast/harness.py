@@ -74,18 +74,18 @@ class ExperimentConfig:
             problems.append(f"complete-graph eps must be > 1, got {self.eps}")
         if self.topology == HYPERCUBE and not 0.0 < self.eps < 1.0:
             problems.append(f"hypercube eps must be in (0, 1), got {self.eps}")
+        vertex_counts = []  # of the valid sizes, to check each adversary spec against
         for s in self.size:
             if self.topology == COMPLETE and s < 2:
                 problems.append(f"complete graph size {s} < 2")
-            if self.topology == HYPERCUBE and s < 1:
+            elif self.topology == HYPERCUBE and s < 1:
                 problems.append(f"hypercube dimension {s} < 1")
+            elif self.topology in (COMPLETE, HYPERCUBE):
+                vertex_counts.append(1 << s if self.topology == HYPERCUBE else s)
             if self.topology == HYPERCUBE and base == "hypercube" and s < 2:
                 problems.append(f"protocol hypercube needs dimension >= 2, got {s}")
             if self.topology == COMPLETE and base == "nosod-complete" and s < 3:
                 problems.append(f"protocol nosod-complete needs size >= 3, got {s}")
-        # Each spec against each valid size, without building the graphs.
-        vertex_counts = [1 << s if self.topology == HYPERCUBE else s for s in self.size
-                         if s >= (1 if self.topology == HYPERCUBE else 2)]
         for spec in self.adversary:
             found = (adversary_problem(spec, n) for n in vertex_counts or [None])
             problems.extend(problem for problem in dict.fromkeys(found) if problem)

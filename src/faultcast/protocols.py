@@ -312,7 +312,8 @@ class MultiplexDriver(Driver):
         return self.t >= self.total_steps
 
     def next(self, state, limit):
-        run = self.quiet_run(state) if limit else None
+        # Within a limit of 1 only the empty template fits, which stepping gives too.
+        run = self.quiet_run(state) if limit > 1 else None
         if run is not None:
             template, steps = run
             steps = min(steps, limit - limit % len(template))
@@ -545,6 +546,8 @@ class SimpleRoundsDriver(Driver):
 
     def skip(self, count):
         self.round_idx += count // 2
+        if count % 2:  # only an empty round, (0,), is skipped by odd counts
+            self._advance(np.empty(0, dtype=np.intp))
 
     def absorb(self, state, report):
         self.session.absorb(state, report)

@@ -247,6 +247,28 @@ def test_sweep_marks_deliveries_and_counts_empty_tail():
     assert sweep.done()
 
 
+def test_odd_skip_of_empty_rounds_keeps_the_step_position():
+    """An empty round's quiet run has period 1, so a multiplex may skip an odd
+    count of it; the driver then stands at the step B of a round."""
+    topo = build_complete(6)
+    state = NetworkState(topo)
+    session = Session(topo, 0)
+    session.marks[:] = True  # nothing left to flood
+    driver = SimpleRoundsDriver(session, 3, 0.5)
+    steps = 0
+    for _ in range(2):
+        assert driver.next(state, 1) == (protocols.BLOCK, [((0,), 1)])
+        steps += 1
+    assert driver.quiet_run(state) == ((0,), 4)
+    driver.skip(3)
+    steps += 3
+    assert not driver.done() and not driver.phase_a and driver.round_idx == 2
+    while not driver.done():
+        driver.next(state, 1)
+        steps += 1
+    assert steps == driver.total_steps
+
+
 def _jsonl_digest(trace, tmp_path):
     trace.to_jsonl(tmp_path / "t.jsonl")
     return hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
@@ -607,9 +629,10 @@ def test_stored_rows_are_executed_steps_plus_templates(case):
     multiplexed lanes give templates of more than two steps."""
     driver, trace = _run_wrapped(*_WRAPPED_CASES[case])
     stored = trace._data.shape[0]
-    assert stored <= driver.executed + driver.template_rows < len(trace) // 5
-    if case != "sod-complete-K64":
-        assert stored <= driver.executed + 2 * driver.blocks
+    if case == "sod-complete-K64":
+        assert stored <= driver.executed + driver.template_rows < len(trace) // 5
+    else:
+        assert stored <= driver.executed + 2 * driver.blocks < len(trace) // 5
 
 
 class _NeverDone(Driver):
