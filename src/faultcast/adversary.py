@@ -19,6 +19,16 @@ if one is short.  The default ``decide_rounds`` calls ``decide`` once per
 round; a subclass of a shipped policy that changes the draw in ``decide``
 must change it in ``decide_rounds`` too, or simple-round blocks will not
 see the change.
+
+A *speculative* block is a simple round whose step A sends to uninformed
+vertices, its *watched* messages: the round changes nothing only if its
+kill set kills all of them.  No structural rule can skip it, since some
+kill set spares one.  So ``decide_rounds`` is given the watch mask and
+returns its rows up to and including the first row that spares a watched
+message, leaving the generator right after that row.  The rule is exact
+because the run loop checks each drawn row, not every row the policy could
+draw: the rows before the sparing one are recorded as a block, and the
+sparing row is applied as a stepped step A would be.
 """
 
 from dataclasses import replace
@@ -38,25 +48,37 @@ class AdversaryPolicy:
     def decide(self, ctx, batch, budget: int) -> np.ndarray:
         raise NotImplementedError
 
-    def decide_rounds(self, ctx, batch, budget: int, rounds: int) -> np.ndarray:
+    def decide_rounds(self, ctx, batch, budget: int, rounds: int,
+                      watch: np.ndarray | None = None) -> np.ndarray:
         """The (rounds, min(m, budget)) kill sets of ``rounds`` steady step As.
 
         Row r is ``decide`` at step ``ctx.step_index + 2r`` on the unchanged
-        state.  Wrappers that define only ``decide`` may be passed here
-        unbound.
+        state.  Given ``watch``, an (m,) mask of watched messages, the rows
+        end with the first one that spares a watched message, if any (see the
+        module docstring).  Wrappers that define only ``decide`` may be
+        passed here unbound.
         """
         ksize = min(batch.m, budget)
         out = np.empty((rounds, ksize), dtype=np.int64)
         for r in range(rounds):
             step_ctx = replace(ctx, step_index=ctx.step_index + 2 * r)
             row = np.asarray(self.decide(step_ctx, batch, budget), dtype=np.int64)
-            if row.size != ksize:  # not a row of the block: the check raises
-                check_kill_rows(row.reshape(1, -1), batch.m, budget, self, exhaustive=True)
+            if row.size != ksize or watch is not None:  # a bad row raises here
+                killed = check_kill_rows(row.reshape(1, -1), batch.m, budget, self,
+                                         exhaustive=True)
             out[r] = row
+            if watch is not None and not killed[0, watch].all():
+                return out[:r + 1]
         return out
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
+
+
+def _first_spare(rows: np.ndarray, watch: np.ndarray) -> int | None:
+    """Index of the first row of kill sets that spares a watched message, or None."""
+    spares = np.count_nonzero(watch[rows], axis=1) < np.count_nonzero(watch)
+    return int(spares.argmax()) if spares.any() else None
 
 
 class _OrderedPolicy(AdversaryPolicy):
@@ -78,11 +100,37 @@ class _OrderedPolicy(AdversaryPolicy):
             return np.arange(ksize, dtype=np.int64)
         return self._order(*self._classes(ctx, batch))[:ksize]
 
-    def decide_rounds(self, ctx, batch, budget, rounds):
+    def decide_rounds(self, ctx, batch, budget, rounds, watch=None):
         ksize = min(batch.m, budget)
         if ksize in (0, batch.m):
-            return np.arange(ksize, dtype=np.int64)[None].repeat(rounds, axis=0)
-        fixed, shuffled = self._classes(ctx, batch)
+            rows = np.arange(ksize, dtype=np.int64)[None].repeat(rounds, axis=0)
+            spare = None if watch is None else _first_spare(rows, watch)
+            return rows if spare is None else rows[:spare + 1]
+        classes = self._classes(ctx, batch)
+        if watch is None:
+            return self._rows(classes, ksize, rounds)
+        # Chunks of 1, 2, 4, ... rows.  A chunk with a sparing row is redrawn
+        # up to that row from the generator state before it, so the generator
+        # stops right after it, and the draws cost at most about twice the rows.
+        out, size = [], 1
+        while rounds:
+            count = min(size, rounds)
+            saved = self._rng.bit_generator.state
+            rows = self._rows(classes, ksize, count)
+            spare = _first_spare(rows, watch)
+            if spare is not None and spare + 1 < count:
+                self._rng.bit_generator.state = saved
+                rows = self._rows(classes, ksize, spare + 1)
+            out.append(rows)
+            if spare is not None:
+                break
+            rounds -= count
+            size *= 2
+        return np.concatenate(out)
+
+    def _rows(self, classes, ksize, rounds):
+        """``rounds`` successive kill orders, each cut to its first ``ksize``."""
+        fixed, shuffled = classes
         if sum(cls.size > 1 for cls in shuffled) > 1:
             # Round by round, as the draws of two classes interleave.
             return np.array([self._order(fixed, shuffled)[:ksize] for _ in range(rounds)])

@@ -208,6 +208,17 @@ def execute_step(state: NetworkState, batch: SendBatch, adversary,
     ctx = StepContext(step_index=state.step_index, topo=state.topo, state=state)
     kills = np.asarray(adversary.decide(ctx, batch, budget), dtype=np.int64)
     killed = check_kill_rows(kills.reshape(1, -1), batch.m, budget, adversary)[0]
+    return apply_kills(state, batch, killed, budget)
+
+
+def apply_kills(state: NetworkState, batch: SendBatch, killed: np.ndarray,
+                budget: int) -> DeliveryReport:
+    """Run one step whose (m,) mask of killed messages is already checked.
+
+    Delivers the survivors and moves the state one step on.  ``batch`` must
+    pass the checks ``execute_step`` makes before its draw; ``budget`` is the
+    step's budget, for the report.
+    """
     delivered_idx = np.flatnonzero(~killed)
     new_informed = _deliver(state, batch, delivered_idx) if delivered_idx.size else _EMPTY
     state.step_index += 1

@@ -26,6 +26,18 @@ CSV_HEADER = ("topology", "size", "alpha", "eps", "protocol", "adversary", "seed
 
 DEFAULT_ADVERSARIES = ("random", "victim_guard", "ack_suppressor")
 
+# Each field's type once ``__post_init__`` has run, a list for a list field;
+# a bool is not a number here.
+_FIELD_TYPES = {"topology": str, "size": [int], "alpha": [(int, float)], "eps": (int, float),
+                "protocol": str, "adversary": [str], "seeds": int, "out": (str, type(None)),
+                "strict": bool, "horizon": (int, type(None))}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
 
 @dataclass
 class ExperimentConfig:
@@ -57,8 +69,16 @@ class ExperimentConfig:
         return ExperimentConfig(**_json_fields(path))
 
     def check(self) -> list[str]:
-        """All config errors at once, before anything runs."""
-        problems = []
+        """All config errors at once, before anything runs.
+
+        A field of the wrong type is reported alone, as the other checks
+        need the types.
+        """
+        problems = [f"{name} has the wrong type: {getattr(self, name)!r}"
+                    for name, kind in _FIELD_TYPES.items()
+                    if not _has_type(getattr(self, name), kind)]
+        if problems:
+            return problems
         if self.topology not in (COMPLETE, HYPERCUBE):
             problems.append(f"unknown topology {self.topology!r}")
         base = self.protocol.partition(":")[0]
@@ -100,8 +120,15 @@ class ExperimentConfig:
 
 def _json_fields(path) -> dict:
     """The fields a JSON config file sets, rejecting names that are not fields."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"config {path} is not JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} holds {type(raw).__name__}, not a JSON object")
     unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")

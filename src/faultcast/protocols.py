@@ -18,6 +18,14 @@ whatever the steps interleaved with them do reports it through
 ``quiet_run``; a MultiplexDriver merges its two lanes' quiet runs into one
 block.
 
+A *speculative* block repeats a simple round whose step A (a ``Watched``
+step) changes nothing only under the kill sets that kill every message to
+an uninformed vertex.  It is exact because the run loop checks each drawn
+kill set, not every kill set the adversary could draw: the block ends at
+the first round whose kill set spares such a message.  The rounds before it
+are recorded as a block; that round's step A is applied as a stepped one,
+and its report goes to the driver's ``absorb``.
+
 Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
 payload, while global informed/passive bookkeeping continues underneath.
@@ -40,14 +48,25 @@ import numpy as np
 
 from . import bounds
 from .adversary import AdversaryPolicy
-from .engine import (ACK, INFO, INFO_CANDS, NetworkState, SendBatch, StepContext, Trace,
-                     check_kill_rows, execute_step, fault_budget)
-from .errors import InvalidParameterError, ScheduleOverrun, UnsupportedTopologyError
+from .engine import (ACK, INFO, INFO_CANDS, DeliveryReport, NetworkState, SendBatch,
+                     StepContext, Trace, apply_kills, check_kill_rows, execute_step,
+                     fault_budget)
+from .errors import (AdversaryViolation, InvalidParameterError, ScheduleOverrun,
+                     UnsupportedTopologyError)
 from .topology import (COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube,
                        complete_arc_id)
 
 BATCH = "batch"
 BLOCK = "block"
+
+
+class Watched:
+    """A speculative block's step A: the round changes nothing exactly when
+    its kill set kills every message of the (m,) mask ``watch``."""
+
+    def __init__(self, batch: SendBatch, watch: np.ndarray):
+        self.batch = batch
+        self.watch = watch
 
 
 def _empty_step(limit: int):
@@ -162,7 +181,8 @@ class Driver:
     def next(self, state: NetworkState, limit: int):
         """Return (BATCH, SendBatch), or (BLOCK, [(template, steps)]) for
         ``steps <= limit`` steps, a multiple of p, that repeat a tuple of p
-        template steps (see the module docstring)."""
+        template steps (see the module docstring).  A speculative block that
+        ends early is followed by the ``absorb`` of its last, stepped, step."""
         raise NotImplementedError
 
     def absorb(self, state: NetworkState, report) -> None:
@@ -481,11 +501,17 @@ class SimpleRoundsDriver(Driver):
       messages survive the budget.  Its deliveries change neither the
       network nor the session and its acks die whole, so the remaining
       rounds are one block of the round (step A, its survivors), whose
-      step-A kill sets are still drawn.
+      step-A kill sets are still drawn;
+    - on a primary session, a step A that is steady but for its messages to
+      uninformed vertices, at most min(m, budget) of them, is a speculative
+      block of the remaining rounds: a round changes nothing when its drawn
+      kill set kills all those messages.  If one spares any, the run loop
+      applies that step A and ``absorb`` finds the round it belongs to from
+      ``state.step_index``.
 
-    The last two are the driver's quiet run at a round boundary once it has
-    started: a multiplexed lane skipped from its first step would mark its
-    segment at the wrong step.
+    The second and third are the driver's quiet run at a round boundary once
+    it has started: a multiplexed lane skipped from its first step would mark
+    its segment at the wrong step.
     """
 
     def __init__(self, session: Session, rounds: int, alpha: float, label: str = "thm2"):
@@ -498,6 +524,7 @@ class SimpleRoundsDriver(Driver):
         self.pending = None  # arcs delivered in the last step A
         self.total_steps = 2 * rounds
         self._started = False  # the first step is emitted and the segment marked
+        self._speculated = None  # (step index, round) where the last speculative block began
 
     def done(self):
         return self.round_idx >= self.rounds
@@ -509,8 +536,11 @@ class SimpleRoundsDriver(Driver):
                                 primary=self.session.primary, label=self.label)
             self._started = True
         if self.phase_a:
-            run = self.quiet_run(state) if 2 * (self.rounds - self.round_idx) <= limit else None
+            run = (self._remaining_rounds(state, speculate=True)
+                   if 2 * (self.rounds - self.round_idx) <= limit else None)
             if run is not None:
+                if isinstance(run[0][0], Watched):
+                    self._speculated = (state.step_index, self.round_idx)
                 self.skip(run[1])
                 return BLOCK, [run]
             arcs = self.session.sends(state)
@@ -526,6 +556,11 @@ class SimpleRoundsDriver(Driver):
 
     def quiet_run(self, state):
         """The round every remaining round repeats, if none can change state."""
+        return self._remaining_rounds(state, speculate=False)
+
+    def _remaining_rounds(self, state, speculate):
+        """(template, steps) of the remaining rounds if they are a block, a
+        speculative one only if ``speculate``; else None."""
         if not (self.phase_a and self._started):
             return None
         session = self.session
@@ -538,11 +573,22 @@ class SimpleRoundsDriver(Driver):
         if survivors > c - 1:
             return None
         opp, dst = topo.opp[arcs], topo.arc_dst[arcs]
-        if not (session.marks[opp].all() and session.aware[dst].all()
-                and state.passive[opp].all() and state.informed[dst].all()
-                and (session.also_aware is None or session.also_aware[dst].all())):
-            return None
-        return (SendBatch.uniform(arcs, session.payload_kind), survivors), steps
+        if not session.primary:  # its marks and aware set are its own
+            if not (session.marks[opp].all() and session.aware[dst].all()
+                    and state.passive[opp].all() and state.informed[dst].all()
+                    and (session.also_aware is None or session.also_aware[dst].all())):
+                return None
+            watch = None
+        else:
+            watch = ~state.informed[dst]  # the messages that could inform a vertex
+            if not (state.passive[opp] | watch).all():
+                return None
+            if not watch.any():
+                watch = None
+            elif not (speculate and np.count_nonzero(watch) <= m - survivors):
+                return None
+        batch = SendBatch.uniform(arcs, session.payload_kind)
+        return (batch if watch is None else Watched(batch, watch), survivors), steps
 
     def skip(self, count):
         self.round_idx += count // 2
@@ -550,6 +596,11 @@ class SimpleRoundsDriver(Driver):
             self._advance(np.empty(0, dtype=np.intp))
 
     def absorb(self, state, report):
+        if self._speculated is not None:  # the step A that ended a speculative block
+            start, round_idx = self._speculated
+            self.round_idx = round_idx + (state.step_index - 1 - start) // 2
+            self.phase_a = True
+            self._speculated = None
         self.session.absorb(state, report)
         self._advance(report.delivered_arcs)
 
@@ -866,7 +917,10 @@ def simulate(topo: Topology, driver: Driver, adversary: AdversaryPolicy, alpha: 
             trace.record_step(state, report)
         else:
             for template, steps in val:
-                _play_block(state, template, steps, adversary, alpha, trace)
+                report = _play_block(state, template, steps, adversary, alpha, trace)
+                if report is not None:  # a speculative block ended early
+                    driver.absorb(state, report)
+                    trace.record_step(state, report)
         if state.step_index - start > driver.total_steps:
             raise ScheduleOverrun(f"{type(driver).__name__} ran {state.step_index - start} "
                                   f"steps of a {driver.total_steps}-step schedule")
@@ -874,34 +928,55 @@ def simulate(topo: Topology, driver: Driver, adversary: AdversaryPolicy, alpha: 
 
 
 def _play_block(state: NetworkState, template: tuple, steps: int, adversary,
-                alpha: float, trace: Trace) -> None:
+                alpha: float, trace: Trace) -> DeliveryReport | None:
     """Record ``steps`` steps that repeat ``template``, each losing min(m, budget).
 
     Unless that kill set is forced (empty or the whole batch), the adversary
     gives each SendBatch step's kill set, which must be exactly min(m, budget).
     A simple round (one drawn step A and its dead acks) gets its kill sets a
     chunk of rounds at a time (``decide_rounds``); any other template gets
-    them one step at a time from ``decide``, in step order.
+    them one step at a time from ``decide``, in step order.  A speculative
+    block may end early; then the report of its last step is returned.
     """
     c, p = state.topo.edge_connectivity, len(template)
     repeats = steps // p
     rows, drawn = [], []
     for pos, step in enumerate(template):
-        m = step.m if isinstance(step, SendBatch) else step
+        batch = step.batch if isinstance(step, Watched) else step
+        m = batch.m if isinstance(batch, SendBatch) else batch
         budget = fault_budget(m, c, alpha)
         rows.append((m, min(m, budget)))
-        if isinstance(step, SendBatch) and 0 < budget < m:
-            drawn.append((pos, step, budget))
+        if isinstance(batch, SendBatch) and 0 < budget < m:
+            drawn.append((pos, batch, budget))
     if p == 2 and len(drawn) == 1:
-        pos, step, budget = drawn[0]
+        pos, batch, budget = drawn[0]
+        watch = template[pos].watch if isinstance(template[pos], Watched) else None
         draw = getattr(adversary, "decide_rounds", None)
         draw = draw or partial(AdversaryPolicy.decide_rounds, adversary)
-        chunk = max(1, (1 << 16) // step.m)  # about 64k messages of kill sets per draw
+        chunk = max(1, (1 << 16) // batch.m)  # about 64k messages of kill sets per draw
         for done in range(0, repeats, chunk):
             count = min(chunk, repeats - done)
             ctx = StepContext(state.step_index + pos + 2 * done, state.topo, state)
-            kills = np.asarray(draw(ctx, step, budget, count), dtype=np.int64)
-            check_kill_rows(kills, step.m, budget, adversary, rounds=count, exhaustive=True)
+            if watch is None:
+                kills = np.asarray(draw(ctx, batch, budget, count), dtype=np.int64)
+                check_kill_rows(kills, batch.m, budget, adversary, rounds=count, exhaustive=True)
+                continue
+            kills = np.asarray(draw(ctx, batch, budget, count, watch=watch), dtype=np.int64)
+            got = len(kills) if kills.ndim == 2 and 0 < len(kills) <= count else count
+            killed = check_kill_rows(kills, batch.m, budget, adversary, rounds=got,
+                                     exhaustive=True)  # raises on any other shape too
+            spared = np.flatnonzero(~killed[:, watch].all(axis=1))
+            if not spared.size and got == count:
+                continue
+            if not spared.size or spared[0] != got - 1:
+                raise AdversaryViolation(
+                    f"{adversary.id} gave {got} of {count} kill sets, but the first that "
+                    "spares a watched message must end them")
+            # The rounds before the sparing one change nothing; it is stepped.
+            if done + got - 1:
+                trace.record_block(state, rows, done + got - 1)
+            state.step_index += 2 * (done + got - 1)
+            return apply_kills(state, batch, killed[-1], budget)
     elif drawn:
         for first in range(state.step_index, state.step_index + steps, p):
             for pos, step, budget in drawn:
@@ -911,6 +986,7 @@ def _play_block(state: NetworkState, template: tuple, steps: int, adversary,
                                 exhaustive=True)
     trace.record_block(state, rows, repeats)
     state.step_index += steps
+    return None
 
 
 def _finalize(trace: Trace, state: NetworkState, protocol: str, adversary, alpha, eps,

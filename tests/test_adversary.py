@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultcast.adversary import AckSuppressor, RandomAdversary, VictimGuard, make_adversary
+from faultcast.adversary import (AckSuppressor, AdversaryPolicy, RandomAdversary, VictimGuard,
+                                 make_adversary)
 from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, StepContext,
                               execute_step, fault_budget)
 from faultcast.errors import InvalidParameterError
@@ -216,3 +217,46 @@ def test_ack_suppressor_interleaved_classes_draw_round_by_round():
     rows = [one.decide(ctx, batch, budget) for _ in range(5)]
     assert many.decide_rounds(ctx, batch, budget, 5).tolist() == [r.tolist() for r in rows]
     assert many._rng.bit_generator.state == one._rng.bit_generator.state
+
+
+def _stepped_until_spare(adv, ctx, batch, budget, rounds, watch):
+    """Successive ``decide`` rows, two steps apart, through the first that
+    spares a watched message, or ``rounds`` of them."""
+    rows = []
+    for r in range(rounds):
+        rows.append(adv.decide(replace(ctx, step_index=ctx.step_index + 2 * r), batch, budget))
+        if not np.isin(np.flatnonzero(watch), rows[-1]).all():
+            break
+    return rows
+
+
+@pytest.mark.parametrize("rounds", [1, 3, 20])
+@pytest.mark.parametrize("topo", [build_complete(8), build_hypercube(4)], ids=["K8", "Q4"])
+@pytest.mark.parametrize("make_adv", [RandomAdversary, lambda seed: VictimGuard(3, seed),
+                                      AckSuppressor], ids=["random", "victim_guard", "ack_suppressor"])
+def test_decide_rounds_with_watch_stops_after_the_first_sparing_row(make_adv, topo, rounds):
+    """Given a watch mask, ``decide_rounds`` gives the rows of successive
+    ``decide`` calls through the first that spares a watched message, and the
+    generator ends right after that row; so does the per-round default,
+    called unbound as for a wrapper that defines only ``decide``."""
+    stops = set()  # row counts that end before ``rounds``
+    for ctx, (seed, m) in itertools.product(
+            [_ctx(topo, [0, 1, 2, 5]), _ctx(topo, range(topo.n - 1))],
+            [(0, 12), (1, 20), (2, 2), (3, 1)]):
+        batch = _mixed_batch(topo, seed, m)
+        to_uninformed = ~ctx.state.informed[topo.arc_dst[batch.arcs]]
+        for watch in (to_uninformed, np.arange(m) == m // 2, np.zeros(m, dtype=bool)):
+            for budget in sorted({0, 1, m // 2, m - 1, m, m + 3}):
+                one, many, unbound = make_adv(seed), make_adv(seed), make_adv(seed)
+                rows = _stepped_until_spare(one, ctx, batch, budget, rounds, watch)
+                stops |= {len(rows)} - {rounds}
+                for got, adv in ((many.decide_rounds(ctx, batch, budget, rounds, watch=watch),
+                                  many),
+                                 (AdversaryPolicy.decide_rounds(unbound, ctx, batch, budget,
+                                                                rounds, watch=watch), unbound)):
+                    assert got.shape == (len(rows), min(m, budget)) and got.dtype == np.int64
+                    assert [row.tolist() for row in got] == [row.tolist() for row in rows]
+                    assert adv._rng.bit_generator.state == one._rng.bit_generator.state
+    assert rounds == 1 or stops
+    if rounds == 20 and make_adv is RandomAdversary:
+        assert stops - {1}  # past row 0, a chunk of 2, 4, ... rows is redrawn in part

@@ -68,6 +68,33 @@ def test_config_errors_enumerated():
         with pytest.raises(ConfigError):
             run(config)
     assert _small_config(adversary=["victim_guard:12"], size=[16, 13]).check() == []
+    # Fields of the wrong type, as a config file may give them, are reported
+    # by name; so are files that hold no JSON object.
+    for kw, names in ((dict(size="8"), ["size"]), (dict(alpha="0.5"), ["alpha"]),
+                      (dict(size=[8, True], seeds=2.0, eps="2"), ["size", "eps", "seeds"]),
+                      (dict(protocol=5, adversary=[None], horizon="3"),
+                       ["protocol", "adversary", "horizon"])):
+        problems = _small_config(**kw).check()
+        assert [p.split()[0] for p in problems] == names, kw
+        with pytest.raises(ConfigError):
+            run(_small_config(**kw))
+
+
+@pytest.mark.parametrize("text, match", [
+    (None, "cannot read"), ("{bad", "not JSON"), ("5", "holds int"), ("[1, 2]", "holds list"),
+    ('{"size": "8"}', "size has the wrong type"), ('{"alpha": "0.5"}', "alpha has the wrong"),
+])
+def test_config_file_errors_are_config_errors(tmp_path, text, match, capsys):
+    """A config file that is missing, not JSON, not an object, or gives a field
+    of the wrong type is a ConfigError, so the CLI exits 2 with ``error:``."""
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        run(ExperimentConfig.from_json(path))
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
 
 
 def test_make_driver_round_counts():

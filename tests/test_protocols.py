@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -558,6 +559,186 @@ def test_no_dead_batch_reaches_the_adversary(protocol, topo, make_adv, alpha):
     assert adv.log and not dead
 
 
+_SPECULATIVE_CASES = {
+    "almost-kn-K64-victim_guard": ("almost-kn", build_complete(64), ADVERSARIES[1]),
+    "almost-kn-K512-victim_guard": ("almost-kn", build_complete(512), ADVERSARIES[1]),
+    "hypercube-Q8-victim_guard": ("hypercube", build_hypercube(8), ADVERSARIES[1]),
+    "almost-kn-K16-ack_suppressor": ("almost-kn", build_complete(16), ADVERSARIES[2]),
+    "hypercube-Q8-ack_suppressor": ("hypercube", build_hypercube(8), ADVERSARIES[2]),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPECULATIVE_CASES))
+def test_speculative_blocks_match_stepped(case):
+    """At alpha 0.7 these policies starve a vertex for the rest of the run, so
+    its rounds are speculative blocks, which no structural rule could skip.
+    The shipped policy (vectorised draws) and a wrapper that defines only
+    ``decide`` (per-round draws) give the stepped run's columns, kill sets
+    and final generator state, while stepping under a fifth of its steps."""
+    protocol, topo, make_adv = _SPECULATIVE_CASES[case]
+    bare = make_adv(topo, 9)
+    fast = _Logging(make_adv(topo, 9), exhaustive=True)
+    stepped = _Logging(make_adv(topo, 9), exhaustive=False)
+    (_, trace), (_, trace_f), (_, trace_s) = (_traced(protocol, topo, 0.7, adv)
+                                              for adv in (bare, fast, stepped))
+    for name in ("step", "k", "h", "b", "m_sent", "m_lost", "acks", "M", "boundary"):
+        assert np.array_equal(trace.column(name), trace_s.column(name)), name
+        assert np.array_equal(trace_f.column(name), trace_s.column(name)), name
+    assert fast.log.items() <= stepped.log.items()
+    state = stepped.inner._rng.bit_generator.state
+    assert bare._rng.bit_generator.state == fast.inner._rng.bit_generator.state == state
+    assert trace_s.final_k > 0
+    assert 5 * trace.record_steps < trace_s.record_steps == len(trace_s)
+
+
+def _starving_state():
+    """K_32 with vertices 30 and 31 uninformed.  Vertex 0 alone may still send
+    to them; every other frontier arc joins informed vertices and has a
+    passive opposite.  The frontier has 40 arcs, at alpha 0.5 30 of them die
+    and 10 survive, so its rounds are a speculative block watching 2 arcs."""
+    topo = build_complete(32)
+    state = NetworkState(topo)
+    state.informed[:30] = True
+    src, dst = topo.arc_src, topo.arc_dst
+    state.passive[:] = state.informed[src] & state.informed[dst]
+    state.passive[(src > 0) & (src < 30) & (dst >= 30)] = True
+    state.passive[[topo.arc_id(u, u + 1) for u in range(29)]
+                  + [topo.arc_id(u, u + 2) for u in range(9)]] = False
+    state.version += 1
+    return topo, state
+
+
+class _Positions:
+    """Offers only what the benchmark's driver wrapper offers, and records the
+    simple-rounds driver's (round, phase A, pending arcs) after each absorb,
+    by step index."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.total_steps = inner.total_steps
+        self.at = {}
+
+    def attach(self, trace):
+        self.inner.attach(trace)
+
+    def done(self):
+        return self.inner.done()
+
+    def next(self, state, limit):
+        return self.inner.next(state, limit)
+
+    def absorb(self, state, report):
+        self.inner.absorb(state, report)
+        driver = self.inner
+        pending = None if driver.pending is None else driver.pending.tolist()
+        self.at[state.step_index] = (driver.round_idx, driver.phase_a, pending)
+
+
+def _starving_run(adversary, rounds=12):
+    topo, state = _starving_state()
+    driver = _Positions(SimpleRoundsDriver(Session(topo, 0, state=state), rounds, 0.5))
+    _, trace = protocols.simulate(topo, driver, adversary, 0.5, state=state,
+                                  trace=_StepCountingTrace(topo))
+    return driver, trace
+
+
+class _SparesAt(AdversaryPolicy):
+    """Kills the messages to uninformed vertices first, then the others in a
+    seeded random order; but at ``step`` it kills the others first, so it
+    spares every watched message, and ``fault`` may break that kill set.
+    It defines only ``decide``, so a speculative block asks it round by round."""
+
+    def __init__(self, step, fault=None):
+        self.id = f"spares_at:{step}"
+        self.step = step
+        self.fault = fault
+        self._rng = np.random.default_rng(3)
+
+    def decide(self, ctx, batch, budget):
+        ksize = min(batch.m, budget)
+        if ksize in (0, batch.m):
+            return np.arange(ksize, dtype=np.int64)
+        first = ~ctx.state.informed[ctx.topo.arc_dst[batch.arcs]]
+        if ctx.step_index == self.step:
+            first = ~first
+        order = self._rng.permutation(batch.m)
+        kills = order[np.argsort(~first[order], kind="stable")][:ksize]
+        if ctx.step_index == self.step and self.fault == "short":
+            return kills[1:]
+        if ctx.step_index == self.step and self.fault == "repeat":
+            kills[1] = kills[0]
+        return kills
+
+
+def _sparing_step(log, steps):
+    """The first logged step A whose kill set spares arc 0->30 or 0->31."""
+    topo, state = _starving_state()
+    arcs = Session(topo, 0, state=state).sends(state)
+    watched = np.flatnonzero(~state.informed[topo.arc_dst[arcs]])
+    return next(step for step in range(0, steps, 2)
+                if not np.isin(watched, np.frombuffer(log[step][1], dtype=np.int64)).all())
+
+
+@pytest.mark.parametrize("make_adv", [
+    *(partial(RandomAdversary, seed) for seed in range(4)),
+    *(partial(_SparesAt, step) for step in (0, 10, 22))],
+    ids=[f"random:{seed}" for seed in range(4)] + [f"spares_at:{r}" for r in (0, 5, 11)])
+def test_speculative_block_ends_at_a_sparing_kill_set(make_adv):
+    """A speculative block ends at the first round whose kill set spares a
+    watched message: at row 0, within a chunk of the vectorised draw
+    (``random:0`` at row 1, ``random:2`` at row 4), within the per-round
+    default's chunk, or at the last round.  That round's step A is applied;
+    the trace, the kill sets, the generator and the driver's position then
+    equal the stepped run's."""
+    bare = make_adv()
+    fast, stepped = _Logging(make_adv(), exhaustive=True), _Logging(make_adv(), exhaustive=False)
+    (driver, trace), (driver_f, trace_f), (driver_s, trace_s) = (
+        _starving_run(adv) for adv in (bare, fast, stepped))
+    spare = _sparing_step(stepped.log, len(trace_s))
+    k = trace_s.column("k")
+    assert (k[:spare] == 2).all() and k[spare] < 2
+    for name in ("step", "k", "h", "b", "m_sent", "m_lost", "acks", "M"):
+        assert np.array_equal(trace.column(name), trace_s.column(name)), name
+        assert np.array_equal(trace_f.column(name), trace_s.column(name)), name
+    assert fast.log.items() <= stepped.log.items()
+    state = stepped.inner._rng.bit_generator.state
+    assert bare._rng.bit_generator.state == fast.inner._rng.bit_generator.state == state
+    for positions in (driver.at, driver_f.at):
+        assert positions.items() <= driver_s.at.items()
+        assert min(positions) == spare + 1  # the first absorb is the sparing step's
+    assert trace.record_steps < trace_s.record_steps
+
+
+@pytest.mark.parametrize("fault, match", [("short", "exhaustive"), ("repeat", "twice")])
+def test_speculative_block_rejects_a_bad_sparing_row(fault, match):
+    with pytest.raises(AdversaryViolation, match=match):
+        _starving_run(_SparesAt(10, fault=fault))
+
+
+class _MisplacesSpare(RandomAdversary):
+    """``random``, but its watched rows either run past the sparing row or
+    stop one short of it."""
+
+    def __init__(self, fault):
+        super().__init__(0)
+        self.fault = fault
+
+    def decide_rounds(self, ctx, batch, budget, rounds, watch=None):
+        if watch is None:
+            return super().decide_rounds(ctx, batch, budget, rounds)
+        if self.fault == "past":
+            return super().decide_rounds(ctx, batch, budget, rounds)
+        return super().decide_rounds(ctx, batch, budget, rounds, watch)[:-1]
+
+
+@pytest.mark.parametrize("fault", ["past", "early"])
+def test_speculative_block_checks_where_the_rows_end(fault):
+    """``random:0`` spares at row 1 of this block: rows past it, or a stop
+    before it, are not the policy's kill sets."""
+    with pytest.raises(AdversaryViolation, match="watched"):
+        _starving_run(_MisplacesSpare(fault))
+
+
 class _Replies:
     """Wraps a driver as the benchmark's driver wrapper does, offering only
     ``total_steps``, ``attach``, ``done``, ``next`` and ``absorb``.  Counts
@@ -598,11 +779,12 @@ class _Replies:
         self.inner.absorb(state, report)
 
 
-def _run_wrapped(protocol, topo, alpha):
+def _run_wrapped(protocol, topo, alpha, adversary=None):
     eps = 0.5 if topo.kind == HYPERCUBE else 2.0
     state = NetworkState(topo)
     driver = _Replies(make_driver(protocol, topo, alpha, eps, state), state)
-    _, trace = protocols.simulate(topo, driver, RandomAdversary(0), alpha, state=state)
+    _, trace = protocols.simulate(topo, driver, adversary or RandomAdversary(0), alpha,
+                                  state=state)
     return driver, trace
 
 
@@ -633,6 +815,16 @@ def test_stored_rows_are_executed_steps_plus_templates(case):
         assert stored <= driver.executed + driver.template_rows < len(trace) // 5
     else:
         assert stored <= driver.executed + 2 * driver.blocks < len(trace) // 5
+
+
+def test_speculative_block_stores_its_template_once():
+    """``victim_guard:63`` starves vertex 63 on almost-kn K_64 at alpha 0.7.
+    Its last 662 rounds are one speculative block of two stored rows; stepped,
+    they stored one row per step."""
+    driver, trace = _run_wrapped("almost-kn", build_complete(64), 0.7, VictimGuard(63, 0))
+    assert trace.final_k == 1
+    stored = trace._data.shape[0]
+    assert stored <= driver.executed + 2 * driver.blocks < len(trace) // 5
 
 
 class _NeverDone(Driver):
