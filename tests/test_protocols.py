@@ -634,9 +634,9 @@ class _Positions:
         self.at[state.step_index] = (driver.round_idx, driver.phase_a, pending)
 
 
-def _starving_run(adversary, rounds=12):
+def _starving_run(adversary):
     topo, state = _starving_state()
-    driver = _Positions(SimpleRoundsDriver(Session(topo, 0, state=state), rounds, 0.5))
+    driver = _Positions(SimpleRoundsDriver(Session(topo, 0, state=state), 12, 0.5))
     _, trace = protocols.simulate(topo, driver, adversary, 0.5, state=state,
                                   trace=_StepCountingTrace(topo))
     return driver, trace
@@ -724,9 +724,7 @@ class _MisplacesSpare(RandomAdversary):
         self.fault = fault
 
     def decide_rounds(self, ctx, batch, budget, rounds, watch=None):
-        if watch is None:
-            return super().decide_rounds(ctx, batch, budget, rounds)
-        if self.fault == "past":
+        if watch is None or self.fault == "past":
             return super().decide_rounds(ctx, batch, budget, rounds)
         return super().decide_rounds(ctx, batch, budget, rounds, watch)[:-1]
 
