@@ -4,8 +4,8 @@ connectivity threshold: per step the adversary may destroy up to
 max{c(G)-1, floor(alpha*m)} of the m messages sent."""
 
 from . import bounds, validate
-from .adversary import (AckSuppressor, AdversaryPolicy, FixedKillAdversary,
-                        RandomAdversary, VictimGuard, make_adversary)
+from .adversary import (AckSuppressor, AdversaryPolicy, RandomAdversary,
+                        VictimGuard, make_adversary)
 from .engine import (ACK, INFO, NetworkState, SendBatch, Trace, classify_arc,
                      execute_step, fault_budget)
 from .errors import (AdversaryViolation, ConfigError, InvalidParameterError,

@@ -1,10 +1,11 @@
 """Fault strategies: pluggable kill-set policies.
 
 Every shipped policy is *exhaustive*: it kills exactly min(m, budget)
-messages, and it draws nothing from its generator when that kill set is
-forced, that is when it is empty or the whole batch.  A batch of at most c-1
-messages dies whole.  So the run loop skips ``decide`` on a forced kill set,
-and every block of steps (see ``faultcast.protocols``) records exactly the
+messages.  Neither ``engine.execute_step`` nor a block of steps (see
+``faultcast.protocols``) asks such a policy for a forced kill set, empty or
+the whole batch (``engine.forced``), as for a batch of at most c-1 messages.
+A shipped policy still draws nothing from its generator on one, since a
+non-exhaustive wrapper asks it anyway; so every block records exactly the
 trace of a stepped run.  A new exhaustive policy must keep both promises.
 
 A block whose template is one simple round (a steady step A, then its
@@ -192,19 +193,6 @@ class AckSuppressor(_OrderedPolicy):
         to_uninformed = ~acks & ~ctx.state.informed[ctx.topo.arc_dst[batch.arcs]]
         return [np.flatnonzero(acks)], [np.flatnonzero(to_uninformed),
                                         np.flatnonzero(~acks & ~to_uninformed)]
-
-
-class FixedKillAdversary(AdversaryPolicy):
-    """Plays one predetermined kill set; used by the exhaustive game search."""
-
-    exhaustive = False
-    id = "fixed"
-
-    def __init__(self, kills):
-        self.kills = np.asarray(kills, dtype=np.int64)
-
-    def decide(self, ctx, batch, budget):
-        return self.kills
 
 
 def adversary_problem(spec: str, n: int | None = None) -> str | None:

@@ -179,7 +179,50 @@ def classify_arc(state: NetworkState, arc: int) -> str:
     return HYPERACTIVE
 
 
-def _validate_batch(state: NetworkState, batch: SendBatch) -> None:
+def execute_step(state: NetworkState, batch: SendBatch, adversary,
+                 alpha: float) -> DeliveryReport:
+    """Run one synchronous step: adversary kill, delivery, bookkeeping.
+
+    An exhaustive adversary is not asked for a ``forced`` kill set.  A kill
+    set over budget or not drawn from the batch aborts the run with
+    AdversaryViolation; it is never clamped.  The work done grows with the
+    batch size plus the degree of each newly informed vertex, not with the
+    arc count.
+    """
+    check_batch(state, batch)
+    m = batch.m
+    budget = fault_budget(m, state.topo.edge_connectivity, alpha)
+    if adversary.exhaustive and forced(m, budget):
+        return apply_kills(state, batch, np.full(m, budget >= m), budget)
+    ctx = StepContext(step_index=state.step_index, topo=state.topo, state=state)
+    kills = np.asarray(adversary.decide(ctx, batch, budget), dtype=np.int64)
+    killed = check_kill_rows(kills.reshape(1, -1), m, budget, adversary)[0]
+    return apply_kills(state, batch, killed, budget)
+
+
+def forced(m: int, budget: int) -> bool:
+    """Whether an exhaustive adversary has one kill set for ``m`` messages:
+    none when the budget is 0, all of them when it is at least m."""
+    return not 0 < budget < m
+
+
+def apply_kills(state: NetworkState, batch: SendBatch, killed: np.ndarray,
+                budget: int) -> DeliveryReport:
+    """Run one step whose (m,) mask of killed messages is already checked.
+
+    Delivers the survivors and moves the state one step on.  ``batch`` must
+    pass ``check_batch``; ``budget`` is the step's budget, for the report.
+    """
+    delivered_idx = np.flatnonzero(~killed)
+    new_informed = _deliver(state, batch, delivered_idx) if delivered_idx.size else _EMPTY
+    state.step_index += 1
+    return DeliveryReport(batch=batch, delivered_idx=delivered_idx,
+                          lost_idx=np.flatnonzero(killed), budget=budget,
+                          new_informed=new_informed)
+
+
+def check_batch(state: NetworkState, batch: SendBatch) -> None:
+    """Raise InvalidParameterError unless informed vertices send at most one message per arc."""
     arcs = batch.arcs
     if arcs.size == 0:
         return
@@ -192,39 +235,6 @@ def _validate_batch(state: NetworkState, batch: SendBatch) -> None:
         raise InvalidParameterError("batch sends more than one message per arc")
     if not state.informed[state.topo.arc_src[arcs]].all():
         raise InvalidParameterError("only informed vertices may send")
-
-
-def execute_step(state: NetworkState, batch: SendBatch, adversary,
-                 alpha: float) -> DeliveryReport:
-    """Run one synchronous step: adversary kill, delivery, bookkeeping.
-
-    A kill set over budget or not drawn from the batch aborts the run with
-    AdversaryViolation; it is never clamped.  The work done grows with the
-    batch size plus the degree of each newly informed vertex, not with the
-    arc count.
-    """
-    _validate_batch(state, batch)
-    budget = fault_budget(batch.m, state.topo.edge_connectivity, alpha)
-    ctx = StepContext(step_index=state.step_index, topo=state.topo, state=state)
-    kills = np.asarray(adversary.decide(ctx, batch, budget), dtype=np.int64)
-    killed = check_kill_rows(kills.reshape(1, -1), batch.m, budget, adversary)[0]
-    return apply_kills(state, batch, killed, budget)
-
-
-def apply_kills(state: NetworkState, batch: SendBatch, killed: np.ndarray,
-                budget: int) -> DeliveryReport:
-    """Run one step whose (m,) mask of killed messages is already checked.
-
-    Delivers the survivors and moves the state one step on.  ``batch`` must
-    pass the checks ``execute_step`` makes before its draw; ``budget`` is the
-    step's budget, for the report.
-    """
-    delivered_idx = np.flatnonzero(~killed)
-    new_informed = _deliver(state, batch, delivered_idx) if delivered_idx.size else _EMPTY
-    state.step_index += 1
-    return DeliveryReport(batch=batch, delivered_idx=delivered_idx,
-                          lost_idx=np.flatnonzero(killed), budget=budget,
-                          new_informed=new_informed)
 
 
 def check_kill_rows(kills: np.ndarray, m: int, budget: int, adversary,

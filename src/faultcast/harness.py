@@ -16,7 +16,8 @@ from . import bounds
 from .adversary import adversary_problem, make_adversary
 from .engine import NetworkState
 from .errors import ConfigError
-from .protocols import PROTOCOL_TOPOLOGIES, _finalize, below_min, make_driver, simulate
+from .protocols import (PROTOCOL_TOPOLOGIES, _finalize, below_min, make_driver,
+                        protocol_problem, simulate)
 from .search import worst_case_search
 from .topology import COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube
 from .validate import errors_only, validate_trace
@@ -82,8 +83,11 @@ class ExperimentConfig:
         if self.topology not in (COMPLETE, HYPERCUBE):
             problems.append(f"unknown topology {self.topology!r}")
         base = self.protocol.partition(":")[0]
-        if (self.topology in (COMPLETE, HYPERCUBE)
-                and self.topology not in PROTOCOL_TOPOLOGIES.get(base, ())):
+        problem = protocol_problem(self.protocol)
+        if problem:
+            problems.append(problem)
+        elif (self.topology in (COMPLETE, HYPERCUBE)
+                and self.topology not in PROTOCOL_TOPOLOGIES[base]):
             problems.append(f"protocol {self.protocol!r} not available on {self.topology}")
         for a in self.alpha:
             if not 0.0 < a < 1.0:

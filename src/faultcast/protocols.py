@@ -6,14 +6,14 @@ up front from (n or d, alpha, eps) alone, because vertices cannot observe
 global progress; runs always execute their full schedule.
 
 Under an exhaustive adversary a driver may instead emit a *block* of steps
-it can prove will change nothing; ``next`` is told the longest block the run
-loop accepts (0 under any other adversary, so every step is stepped).  A
-block repeats a template of p steps.  A template step is a count m <= c-1 of
-messages, which die whole, or the SendBatch of a step A whose survivors
-change nothing.  The run loop records the block and touches no state; it
-asks the adversary only for the SendBatch steps' kill sets, in step order,
-so a block records exactly the trace of a stepped run (see
-``faultcast.adversary``).  A driver whose upcoming steps form such a block
+it can prove will change nothing; ``next`` is told whether the run loop takes
+blocks (only under such an adversary).  A block repeats a template of p
+steps.  A template step is a count m <= c-1 of messages, which die whole, or
+the SendBatch of a step A whose survivors change nothing.  The run loop
+records the block and touches no state; it asks the adversary only for the
+kill sets that are not forced (``engine.forced``), in step order, so a block
+records exactly the trace of a stepped run (see ``faultcast.adversary``).
+A driver whose upcoming steps form such a block
 whatever the steps interleaved with them do reports it through
 ``quiet_run``; a MultiplexDriver merges its two lanes' quiet runs into one
 block.
@@ -50,7 +50,7 @@ from . import bounds
 from .adversary import AdversaryPolicy
 from .engine import (ACK, INFO, INFO_CANDS, DeliveryReport, NetworkState, SendBatch,
                      StepContext, Trace, apply_kills, check_kill_rows, execute_step,
-                     fault_budget)
+                     fault_budget, forced)
 from .errors import (AdversaryViolation, InvalidParameterError, ScheduleOverrun,
                      UnsupportedTopologyError)
 from .topology import (COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube,
@@ -67,11 +67,6 @@ class Watched:
     def __init__(self, batch: SendBatch, watch: np.ndarray):
         self.batch = batch
         self.watch = watch
-
-
-def _empty_step(limit: int):
-    """The reply for one empty step: a one-step block if ``limit`` allows."""
-    return (BLOCK, [((0,), 1)]) if limit else (BATCH, SendBatch.empty())
 
 
 class Session:
@@ -172,17 +167,17 @@ class Driver:
         """Whether the schedule is exhausted.
 
         Like ``at_checkpoint``, this depends on the schedule position only,
-        never on which messages were killed: with ``limit=0`` every ``next``
+        never on which messages were killed: without ``blocks`` every ``next``
         emits one batch and advances the position by one step.  The search
         oracle settles completed states on this invariant.
         """
         raise NotImplementedError
 
-    def next(self, state: NetworkState, limit: int):
-        """Return (BATCH, SendBatch), or (BLOCK, [(template, steps)]) for
-        ``steps <= limit`` steps, a multiple of p, that repeat a tuple of p
-        template steps (see the module docstring).  A speculative block that
-        ends early is followed by the ``absorb`` of its last, stepped, step."""
+    def next(self, state: NetworkState, blocks: bool):
+        """Return (BATCH, SendBatch), or if ``blocks`` (BLOCK, [(template, steps)])
+        for ``steps`` steps, a multiple of p, that repeat a tuple of p template
+        steps (see the module docstring).  A speculative block that ends
+        early is followed by the ``absorb`` of its last, stepped, step."""
         raise NotImplementedError
 
     def absorb(self, state: NetworkState, report) -> None:
@@ -227,9 +222,9 @@ class IdleDriver(Driver):
     def done(self):
         return self.remaining <= 0
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         self.remaining -= 1
-        return _empty_step(limit)
+        return BATCH, SendBatch.empty()
 
     def quiet_run(self, state):
         return (0,), self.remaining
@@ -268,10 +263,10 @@ class SeqDriver(Driver):
     def done(self):
         return self._current() is None
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         cur = self._current()
         self._moved = True
-        return cur.next(state, limit)
+        return cur.next(state, blocks)
 
     def absorb(self, state, report):
         self.children[self.idx].absorb(state, report)
@@ -309,12 +304,12 @@ class MultiplexDriver(Driver):
 
     Even local steps belong to lane 0, odd to lane 1; a finished lane
     contributes empty steps.  While both lanes have a quiet run (a finished
-    lane's is empty steps), the steps both runs cover are one block, at most
-    ``limit`` long: the lane whose turn is next takes the even positions of
-    its template, position 2i taking row i mod p of its own template, and
-    the other lane the odd ones.  So nested multiplexes compose.  Otherwise
-    the lane whose turn it is takes the step, asked with a limit of at most
-    1, since its steps interleave with the other lane's.
+    lane's is empty steps), the steps both runs cover are one block: the
+    lane whose turn is next takes the even positions of its template,
+    position 2i taking row i mod p of its own template, and the other lane
+    the odd ones.  So nested multiplexes compose.  Otherwise the lane whose
+    turn it is takes the step, asked for a batch, since its steps interleave
+    with the other lane's.
     """
 
     def __init__(self, lane0: Driver, lane1: Driver):
@@ -331,23 +326,18 @@ class MultiplexDriver(Driver):
     def done(self):
         return self.t >= self.total_steps
 
-    def next(self, state, limit):
-        # Within a limit of 1 only the empty template fits, which stepping gives too.
-        run = self.quiet_run(state) if limit > 1 else None
+    def next(self, state, blocks):
+        run = self.quiet_run(state) if blocks else None
         if run is not None:
-            template, steps = run
-            steps = min(steps, limit - limit % len(template))
-            if steps:
-                self.skip(steps)
-                return BLOCK, [(template, steps)]
+            self.skip(run[1])
+            return BLOCK, [run]
         lane = self.lanes[self.t % 2]
         self.t += 1
         if lane.done():
             self._last_lane = None
-            return _empty_step(limit)
-        kind, val = lane.next(state, min(limit, 1))
-        self._last_lane = lane if kind == BATCH else None
-        return kind, val
+            return BATCH, SendBatch.empty()
+        self._last_lane = lane
+        return lane.next(state, False)
 
     def absorb(self, state, report):
         if self._last_lane is not None:
@@ -399,13 +389,13 @@ class LazyDriver(Driver):
     def done(self):
         return self.inner is not None and self.inner.done()
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         if self.inner is None:
             inner = self.build()
             self.inner = IdleDriver(self.total_steps) if inner is None else inner
             assert self.inner.total_steps == self.total_steps
             self.inner.attach(self.trace)
-        return self.inner.next(state, limit)
+        return self.inner.next(state, blocks)
 
     def absorb(self, state, report):
         self.inner.absorb(state, report)
@@ -431,7 +421,7 @@ class GreedyCompleteDriver(Driver):
     def done(self):
         return self.step >= 2
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         topo = self.session.topo
         if self.trace is not None and self.step == 0:
             self.trace.mark("greedy", primary=self.session.primary)
@@ -470,7 +460,7 @@ class GreedyHypercubeDriver(Driver):
     def done(self):
         return self.step >= 2
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         if self.trace is not None and self.step == 0:
             self.trace.mark("greedy", primary=True)
         if self.step == 0:
@@ -489,12 +479,12 @@ class SimpleRoundsDriver(Driver):
     """A fixed count of simple rounds on a session.
 
     Step A floods every non-marked out-arc of an aware vertex; step B returns
-    an acknowledgement on each arc that delivered in step A.  Under an
-    exhaustive adversary, blocks that fit the caller's ``limit`` skip steps:
+    an acknowledgement on each arc that delivered in step A.  If the caller
+    takes blocks, they skip steps:
 
-    - a step A or step B of at most c-1 messages dies whole: a one-step block;
-    - a step A of m <= c-1 messages also leaves nothing to change within this
-      schedule, so the remaining rounds are one block of the round (m, 0);
+    - a step A of m <= c-1 messages dies whole and leaves nothing to change
+      within this schedule, so the remaining rounds are one block of the
+      round (m, 0);
     - a step A is *steady* when, for every arc it sends on, the destination is
       aware and informed (and in ``also_aware``, if the session has one) and
       the opposite arc is marked by the session and passive, and at most c-1
@@ -509,7 +499,7 @@ class SimpleRoundsDriver(Driver):
       applies that step A and ``absorb`` finds the round it belongs to from
       ``state.step_index``.
 
-    The second and third are the driver's quiet run at a round boundary once
+    The first two are the driver's quiet run at a round boundary once
     it has started: a multiplexed lane skipped from its first step would mark
     its segment at the wrong step.
     """
@@ -529,30 +519,22 @@ class SimpleRoundsDriver(Driver):
     def done(self):
         return self.round_idx >= self.rounds
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         if not self._started:
             if self.trace is not None:
                 self.trace.mark("simple_rounds", rounds=self.rounds,
                                 primary=self.session.primary, label=self.label)
             self._started = True
         if self.phase_a:
-            run = (self._remaining_rounds(state, speculate=True)
-                   if 2 * (self.rounds - self.round_idx) <= limit else None)
+            run = self._remaining_rounds(state, speculate=True) if blocks else None
             if run is not None:
                 if isinstance(run[0][0], Watched):
                     self._speculated = (state.step_index, self.round_idx)
                 self.skip(run[1])
                 return BLOCK, [run]
-            arcs = self.session.sends(state)
-        else:
-            arcs = self.pending  # step B acks each on the opposite arc
-        if limit and arcs.size <= self.session.topo.edge_connectivity - 1:
-            # Every message dies, so no absorb follows: move on here.
-            self._advance(arcs[:0])
-            return BLOCK, [((int(arcs.size),), 1)]
-        if self.phase_a:
-            return BATCH, SendBatch.uniform(arcs, self.session.payload_kind)
-        return BATCH, SendBatch.uniform(np.sort(self.session.topo.opp[arcs]), ACK)
+            return BATCH, SendBatch.uniform(self.session.sends(state), self.session.payload_kind)
+        # Step B acks each delivery of step A on the opposite arc.
+        return BATCH, SendBatch.uniform(np.sort(self.session.topo.opp[self.pending]), ACK)
 
     def quiet_run(self, state):
         """The round every remaining round repeats, if none can change state."""
@@ -671,7 +653,7 @@ class Phase2CandidatesDriver(Driver):
     def done(self):
         return self.fired
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         topo = self.prev.topo
         deg = np.bincount(topo.arc_src[~self.prev.marks], minlength=topo.n)
         qualifying_all = int(np.count_nonzero(deg <= self.threshold))
@@ -713,8 +695,7 @@ class SweepDriver(Driver):
     each vertex of the i-th target group, then the schedule sends empty steps.
 
     ``start()`` runs at the first step and returns (senders, target groups).
-    Deliveries are copied into ``knows_sink``.  A step of at most c-1 messages
-    is a one-step block if the caller's ``limit`` allows.
+    Deliveries are copied into ``knows_sink``.
     """
 
     def __init__(self, topo: Topology, budget: int, start,
@@ -730,18 +711,15 @@ class SweepDriver(Driver):
     def done(self):
         return self.step >= self.total_steps
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         if self.groups is None:
             self.senders, self.groups = self.start()
         if self.step >= len(self.groups):
             self.step += 1
-            return _empty_step(limit)
+            return BATCH, SendBatch.empty()
         arcs = [_arcs_to(self.topo, self.senders, t) for t in self.groups[self.step]]
-        arcs = np.sort(np.concatenate(arcs))
         self.step += 1
-        if limit and arcs.size <= self.topo.edge_connectivity - 1:
-            return BLOCK, [((int(arcs.size),), 1)]  # every message dies, so nothing to absorb
-        return BATCH, SendBatch.uniform(arcs, INFO)
+        return BATCH, SendBatch.uniform(np.sort(np.concatenate(arcs)), INFO)
 
     def absorb(self, state, report):
         darr = report.delivered_arcs
@@ -832,7 +810,7 @@ class EliminationDriver(Driver):
     sends on E union P for L3 steps, where P collects the opposite arcs of
     everything delivered within the iteration.  When an iteration starts with
     |E| <= c-1, an exhaustive adversary kills every batch left in the pass,
-    which is emitted as one block of dead steps if it fits the caller's ``limit``.
+    which is emitted as one block of dead steps if the caller takes blocks.
     """
 
     def __init__(self, topo: Topology, l2: int, l3: int, pass_idx: int):
@@ -848,13 +826,13 @@ class EliminationDriver(Driver):
     def done(self):
         return self.i2 >= self.l2
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         if self.i3 == 0:
             np.logical_and(state.informed[self.topo.arc_src], ~state.passive, out=self.e_mask)
             self.p_mask[:] = False
             m = int(np.count_nonzero(self.e_mask))
             remaining = (self.l2 - self.i2) * self.l3
-            if remaining <= limit and m <= self.topo.edge_connectivity - 1:
+            if blocks and m <= self.topo.edge_connectivity - 1:
                 if self.trace is not None:
                     self.trace.mark("nosod_inert_tail", l1=self.pass_idx, l2=self.i2, m=m)
                 self.i2 = self.l2
@@ -907,10 +885,9 @@ def simulate(topo: Topology, driver: Driver, adversary: AdversaryPolicy, alpha: 
     if trace is None:
         trace = Trace(topo, track_boundary=(topo.kind == HYPERCUBE))
     driver.attach(trace)
-    limit = driver.total_steps if adversary.exhaustive else 0
     start = state.step_index
     while not driver.done():
-        kind, val = driver.next(state, limit)
+        kind, val = driver.next(state, adversary.exhaustive)
         if kind == BATCH:
             report = execute_step(state, val, adversary, alpha)
             driver.absorb(state, report)
@@ -931,8 +908,8 @@ def _play_block(state: NetworkState, template: tuple, steps: int, adversary,
                 alpha: float, trace: Trace) -> DeliveryReport | None:
     """Record ``steps`` steps that repeat ``template``, each losing min(m, budget).
 
-    Unless that kill set is forced (empty or the whole batch), the adversary
-    gives each SendBatch step's kill set, which must be exactly min(m, budget).
+    Unless that kill set is forced (``engine.forced``), the adversary gives
+    each SendBatch step's kill set, which must be exactly min(m, budget).
     A simple round (one drawn step A and its dead acks) gets its kill sets a
     chunk of rounds at a time (``decide_rounds``); any other template gets
     them one step at a time from ``decide``, in step order.  A speculative
@@ -946,7 +923,7 @@ def _play_block(state: NetworkState, template: tuple, steps: int, adversary,
         m = batch.m if isinstance(batch, SendBatch) else batch
         budget = fault_budget(m, c, alpha)
         rows.append((m, min(m, budget)))
-        if isinstance(batch, SendBatch) and 0 < budget < m:
+        if isinstance(batch, SendBatch) and not forced(m, budget):
             drawn.append((pos, batch, budget))
     if p == 2 and len(drawn) == 1:
         pos, batch, budget = drawn[0]
@@ -1050,12 +1027,26 @@ PROTOCOL_TOPOLOGIES = {
 }
 
 
+def protocol_problem(protocol: str) -> str | None:
+    """Why ``protocol`` names no schedule, or None if it does.  Only
+    simple-rounds takes an argument, its round count: ``simple-rounds:N``."""
+    name, colon, arg = protocol.partition(":")
+    if name not in PROTOCOL_TOPOLOGIES:
+        return f"unknown protocol id: {protocol!r}"
+    if colon and name != "simple-rounds":
+        return f"protocol {name} takes no argument, got {protocol!r}"
+    if colon and not (arg.isdecimal() and int(arg) >= 1):
+        return f"simple-rounds needs at least 1 round, got {arg!r}"
+    return None
+
+
 def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
                 state: NetworkState, rounds: int | None = None) -> Driver:
     """Build the schedule for a CLI protocol id."""
+    problem = protocol_problem(protocol)
+    if problem:
+        raise InvalidParameterError(problem)
     name, _, arg = protocol.partition(":")
-    if name not in PROTOCOL_TOPOLOGIES:
-        raise InvalidParameterError(f"unknown protocol id: {protocol!r}")
     if topo.kind not in PROTOCOL_TOPOLOGIES[name]:
         raise UnsupportedTopologyError(
             f"protocol {name} needs a {' or '.join(PROTOCOL_TOPOLOGIES[name])} topology")

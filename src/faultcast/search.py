@@ -23,8 +23,9 @@ what each one delivers) gives every child's post-step informed and passive
 arrays, by the rule of the engine: a surviving INFO or INFO_CANDS message
 informs its destination, and every surviving message marks the opposite arc
 passive.  A child completes when no vertex is left uninformed.  Only the
-first completed child is built and stepped through the validated engine; its
-siblings take its value.
+first completed child is built; its siblings take its value.  A built child
+applies its kill mask with ``engine.apply_kills``, after one ``check_batch``
+of the batch all children share; its kill set is legal by construction.
 
 A canonical key is the least image of the stacked informed and passive bits
 over the permutations, as one integer per permutation (``rows @ W`` for a
@@ -48,8 +49,8 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 
-from .adversary import FixedKillAdversary
-from .engine import INFO, INFO_CANDS, NetworkState, SendBatch, execute_step, fault_budget
+from .engine import (INFO, INFO_CANDS, NetworkState, SendBatch, apply_kills, check_batch,
+                     fault_budget)
 from .errors import TooLargeError, UnsupportedTopologyError
 from .protocols import BATCH, make_driver
 from .topology import COMPLETE, Topology, build_complete, complete_arc_id
@@ -107,10 +108,11 @@ def _least_images(rows: np.ndarray, weights: np.ndarray) -> tuple[list, np.ndarr
 
 
 def _children(state: NetworkState, batch: SendBatch, sizes, kill_sets: dict):
-    """Every kill set of the given sizes, a chunk at a time, with each child's
-    post-step informed and passive arrays side by side (one row per kill set)
-    and whether the step completes it.  ``kill_sets`` caches the kill sets of
-    each (batch size, kill count) in order, one per row.
+    """Every kill set of the given sizes, a chunk at a time, as a mask of the
+    killed messages, with each child's post-step informed and passive arrays
+    side by side (one row per kill set) and whether the step completes it.
+    ``kill_sets`` caches the kill sets of each (batch size, kill count) in
+    order, one per row.
 
     The rows follow the rule of ``engine._deliver``: a surviving message marks
     the opposite of its arc passive, and a surviving INFO or INFO_CANDS
@@ -134,7 +136,7 @@ def _children(state: NetworkState, batch: SendBatch, sizes, kill_sets: dict):
             alive = np.ones((kills.shape[0], m), dtype=np.float32)
             np.put_along_axis(alive, kills, 0, axis=1)
             after = (alive @ effects > 0) | before
-            yield kills, after[:, :n].all(axis=1), after
+            yield alive == 0, after[:, :n].all(axis=1), after
 
 
 def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
@@ -197,9 +199,11 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
             dr = driver.clone(st)
             value = HORIZON_EXCEEDED
             while not dr.done() and st.step_index < horizon:
-                kind, batch = dr.next(st, 0)
+                kind, batch = dr.next(st, False)
                 assert kind == BATCH
-                dr.absorb(st, execute_step(st, batch, FixedKillAdversary(()), alpha))
+                check_batch(st, batch)
+                dr.absorb(st, apply_kills(st, batch, np.zeros(batch.m, dtype=bool),
+                                          fault_budget(batch.m, c, alpha)))
                 if dr.at_checkpoint():
                     value = float(st.step_index)
                     break
@@ -222,8 +226,9 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
         # and clone every child from the probe after its next().
         probe_state = state.clone()
         probe = driver.clone(probe_state)
-        kind, batch = probe.next(probe_state, 0)
+        kind, batch = probe.next(probe_state, False)
         assert kind == BATCH
+        check_batch(state, batch)  # the one batch of every child
         m = batch.m
         budget = fault_budget(m, c, alpha)
         ksize = min(m, budget)
@@ -237,7 +242,7 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
         shared = table = None  # key_parts(identity) and parts_table of that driver
         worst = 0.0
         completed = None  # value of every child the step completes
-        for chunk, completes, after in _children(state, batch, sizes, kill_sets):
+        for killed, completes, after in _children(state, batch, sizes, kill_sets):
             open_ = np.flatnonzero(~completes)
             if open_.size:
                 least, ties = _least_images(after[open_], weights)
@@ -254,7 +259,7 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
                 else:
                     st = state.clone()
                     dr = probe.clone(st)
-                    dr.absorb(st, execute_step(st, batch, FixedKillAdversary(chunk[j]), alpha))
+                    dr.absorb(st, apply_kills(st, batch, killed[j], budget))
                     assert (st.k == 0) == completes[j]
                     assert (st.informed == after[j, :n]).all()
                     assert (st.passive == after[j, n:]).all()

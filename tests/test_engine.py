@@ -4,14 +4,16 @@ import hashlib
 import json
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from faultcast import engine
-from faultcast.adversary import FixedKillAdversary, RandomAdversary
-from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, Trace,
-                              classify_arc, execute_step, fault_budget)
+from faultcast.adversary import AdversaryPolicy, RandomAdversary
+from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, Trace, apply_kills,
+                              check_batch, check_kill_rows, classify_arc, execute_step,
+                              fault_budget)
 from faultcast.errors import (AdversaryViolation, InvalidParameterError,
                               PreconditionViolation)
 from faultcast.protocols import (almost_complete_kn, broadcast_hypercube, make_driver,
@@ -33,8 +35,16 @@ def test_fault_budget_examples():
         fault_budget(-1, 4, 0.5)
 
 
-def _kill_none():
-    return FixedKillAdversary([])
+_GIVEN = SimpleNamespace(id="given")  # names a given kill set in check errors
+
+
+def _apply(state, batch, kills, alpha=0.5):
+    """One step that kills the given batch indices, checked as ``execute_step``
+    checks a drawn kill set."""
+    check_batch(state, batch)
+    budget = fault_budget(batch.m, state.topo.edge_connectivity, alpha)
+    kills = np.array(kills, dtype=np.int64).reshape(1, -1)
+    return apply_kills(state, batch, check_kill_rows(kills, batch.m, budget, _GIVEN)[0], budget)
 
 
 def test_k2_message_always_delivered():
@@ -55,8 +65,7 @@ def test_k3_budget_formula():
     state.informed[:] = True
     arcs = np.sort([topo.arc_id(0, 1), topo.arc_id(0, 2), topo.arc_id(1, 0),
                     topo.arc_id(1, 2)])
-    report = execute_step(state, SendBatch.uniform(np.array(arcs), INFO),
-                          FixedKillAdversary([0, 1]), 0.5)
+    report = _apply(state, SendBatch.uniform(np.array(arcs), INFO), [0, 1])
     assert report.budget == 2  # max{1, 2}
     assert len(report.delivered_idx) == 2
 
@@ -68,11 +77,68 @@ def test_adversary_violations():
     arcs = np.arange(4)
     batch = SendBatch.uniform(arcs, INFO)
     with pytest.raises(AdversaryViolation):
-        execute_step(state.clone(), batch, FixedKillAdversary([0, 1, 2]), 0.5)
+        _apply(state.clone(), batch, [0, 1, 2])
     with pytest.raises(AdversaryViolation):
-        execute_step(state.clone(), batch, FixedKillAdversary([7]), 0.5)
+        _apply(state.clone(), batch, [7])
     with pytest.raises(AdversaryViolation):
-        execute_step(state.clone(), batch, FixedKillAdversary([1, 1]), 0.5)
+        _apply(state.clone(), batch, [1, 1])
+
+
+class _NeverAsked(AdversaryPolicy):
+    """Exhaustive, and fails if it is ever asked for a kill set."""
+
+    id = "never_asked"
+
+    def decide(self, ctx, batch, budget):
+        raise AssertionError(f"asked for a forced kill set: m={batch.m}, budget={budget}")
+
+
+class _Gives(AdversaryPolicy):
+    """Gives the same kill set at every step."""
+
+    id = "gives"
+
+    def __init__(self, kills, exhaustive=False):
+        self.kills = np.array(kills, dtype=np.int64)
+        self.exhaustive = exhaustive
+        self.asked = 0
+
+    def decide(self, ctx, batch, budget):
+        self.asked += 1
+        return self.kills
+
+
+def test_forced_kill_sets_are_not_asked():
+    """With a budget of 0 or at least m an exhaustive policy has one kill set,
+    none or the whole batch, which execute_step applies without asking it.
+    A policy that is not exhaustive is asked, and may kill fewer."""
+    k4, k2 = build_complete(4), build_complete(2)  # c = 3 and c = 1
+    from_0 = k4.out_arcs_of(np.array([0]))
+    cases = [(k4, SendBatch.empty(), 2, []),
+             (k4, SendBatch.uniform(from_0[:1], INFO), 2, [0]),
+             (k4, SendBatch.uniform(from_0[:2], INFO), 2, [0, 1]),
+             (k2, SendBatch.uniform(np.array([k2.arc_id(0, 1)]), INFO), 0, [])]
+    for topo, batch, budget, lost in cases:
+        state = NetworkState(topo)
+        report = execute_step(state, batch, _NeverAsked(), 0.5)
+        assert report.budget == budget and report.lost_idx.tolist() == lost
+        assert state.step_index == 1 and state.k == topo.n - 1 - (batch.m - len(lost))
+        policy = _Gives([])
+        report = execute_step(NetworkState(topo), batch, policy, 0.5)
+        assert policy.asked == 1 and report.lost_idx.size == 0
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+@pytest.mark.parametrize("kills, match", [([0, 1, 2], "budget"), ([7], "not sent"),
+                                          ([1, 1], "twice")],
+                         ids=["over_budget", "unsent", "repeated"])
+def test_bad_kill_sets_raise_through_execute_step(kills, match, exhaustive):
+    topo = build_complete(3)
+    state = NetworkState(topo)
+    state.informed[:] = True
+    batch = SendBatch.uniform(np.arange(4), INFO)  # budget 2 of 4: not forced
+    with pytest.raises(AdversaryViolation, match=match):
+        execute_step(state, batch, _Gives(kills, exhaustive), 0.5)
 
 
 def test_batch_validation():
@@ -80,13 +146,13 @@ def test_batch_validation():
     state = NetworkState(topo)  # only vertex 0 informed
     bad_sender = SendBatch.uniform(np.array([topo.arc_id(1, 2)]), INFO)
     with pytest.raises(InvalidParameterError):
-        execute_step(state, bad_sender, _kill_none(), 0.5)
+        _apply(state, bad_sender, [])
     dup = SendBatch.uniform(np.array([0, 0]), INFO)
     with pytest.raises(InvalidParameterError):
-        execute_step(state, dup, _kill_none(), 0.5)
+        _apply(state, dup, [])
     out_of_range = SendBatch.uniform(np.array([99]), INFO)
     with pytest.raises(InvalidParameterError):
-        execute_step(state, out_of_range, _kill_none(), 0.5)
+        _apply(state, out_of_range, [])
 
 
 def test_batch_validation_unsorted_and_ends():
@@ -95,15 +161,13 @@ def test_batch_validation_unsorted_and_ends():
     # Unsorted batches get the full range check, not just their ends.
     for arcs in ([1, 99, 0], [1, -1, 0], [0, 1, -5, 1], [99, 0]):
         with pytest.raises(InvalidParameterError):
-            execute_step(state.clone(), SendBatch.uniform(np.array(arcs), INFO),
-                         _kill_none(), 0.5)
+            _apply(state.clone(), SendBatch.uniform(np.array(arcs), INFO), [])
     # Ascending batches are bounded by their ends.
     for arcs in ([-1, 0], [0, 1, 99]):
         with pytest.raises(InvalidParameterError):
-            execute_step(state.clone(), SendBatch.uniform(np.array(arcs), INFO),
-                         _kill_none(), 0.5)
+            _apply(state.clone(), SendBatch.uniform(np.array(arcs), INFO), [])
     # A duplicate-free unsorted batch is legal.
-    report = execute_step(state, SendBatch.uniform(np.array([1, 0]), INFO), _kill_none(), 0.5)
+    report = _apply(state, SendBatch.uniform(np.array([1, 0]), INFO), [])
     assert report.delivered_idx.tolist() == [0, 1]
     assert state.k == 0
 
@@ -147,7 +211,7 @@ def test_ack_does_not_inform():
     topo = build_complete(2)
     state = NetworkState(topo)
     batch = SendBatch.uniform(np.array([topo.arc_id(0, 1)]), ACK)
-    execute_step(state, batch, _kill_none(), 0.5)
+    _apply(state, batch, [])
     assert not state.informed[1]
     assert state.passive[topo.arc_id(1, 0)]
 
@@ -157,8 +221,8 @@ def test_k2_simple_round_by_hand():
     topo = build_complete(2)
     state = NetworkState(topo)
     a01, a10 = topo.arc_id(0, 1), topo.arc_id(1, 0)
-    execute_step(state, SendBatch.uniform(np.array([a01]), INFO), _kill_none(), 0.5)
-    execute_step(state, SendBatch.uniform(np.array([a10]), ACK), _kill_none(), 0.5)
+    _apply(state, SendBatch.uniform(np.array([a01]), INFO), [])
+    _apply(state, SendBatch.uniform(np.array([a10]), ACK), [])
     assert state.informed.all()
     assert state.passive.all()
     assert state.k == 0
@@ -174,8 +238,7 @@ def test_k3_round_informs_third_for_every_kill_set():
         state.passive[topo.arc_id(0, 1)] = True
         state.passive[topo.arc_id(1, 0)] = True
         arcs = np.sort([topo.arc_id(0, 2), topo.arc_id(1, 2)])
-        execute_step(state, SendBatch.uniform(np.array(arcs), INFO),
-                     FixedKillAdversary(kills), 0.5)
+        _apply(state, SendBatch.uniform(np.array(arcs), INFO), kills)
         assert state.informed[2]
 
 
@@ -212,7 +275,7 @@ def test_trace_records_and_jsonl(tmp_path):
     state = NetworkState(topo)
     trace = Trace(topo)
     batch = SendBatch.uniform(np.sort([topo.arc_id(0, 1), topo.arc_id(0, 2)]), INFO)
-    report = execute_step(state, batch, FixedKillAdversary([0]), 0.5)
+    report = _apply(state, batch, [0])
     trace.record_step(state, report)
     trace.record_block(state, [(1, 1)], 3)
     trace.summary = {"protocol": "test"}
@@ -236,9 +299,9 @@ def test_trace_first_complete_step():
     state = NetworkState(topo)
     trace = Trace(topo)
     a01, a10 = topo.arc_id(0, 1), topo.arc_id(1, 0)
-    r = execute_step(state, SendBatch.uniform(np.array([a01]), INFO), _kill_none(), 0.5)
+    r = _apply(state, SendBatch.uniform(np.array([a01]), INFO), [])
     trace.record_step(state, r)
-    r = execute_step(state, SendBatch.uniform(np.array([a10]), ACK), _kill_none(), 0.5)
+    r = _apply(state, SendBatch.uniform(np.array([a10]), ACK), [])
     trace.record_step(state, r)
     assert trace.final_k == 0
     assert trace.first_complete_step() == 1

@@ -220,6 +220,23 @@ def test_cli_bad_adversary_writes_no_output(adversary, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("protocol", ["simple-rounds:abc", "simple-rounds:0", "simple-rounds:",
+                                      "almost-kn:7", "nosod-complete:3"])
+def test_cli_bad_protocol_argument_writes_no_output(protocol, tmp_path, capsys):
+    """Only simple-rounds takes an argument, a round count of at least 1.  Any
+    other argument is a config error before ``--out`` is made, and
+    ``make_driver`` rejects it too."""
+    out = tmp_path / "outx"
+    rc = cli_main(["run", "--protocol", protocol, "--size", "8", "--seeds", "1",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    topo = build_complete(8)
+    with pytest.raises(InvalidParameterError):
+        protocols.make_driver(protocol, topo, 0.5, 2.0, NetworkState(topo))
+
+
 def test_cli_run_config_file(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"topology": "complete", "size": 8, "alpha": 0.5,

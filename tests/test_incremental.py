@@ -11,8 +11,8 @@ frontier expression written out.
 import numpy as np
 import pytest
 
-from faultcast.adversary import FixedKillAdversary, RandomAdversary, make_adversary
-from faultcast.engine import INFO, NetworkState, SendBatch, execute_step
+from faultcast.adversary import RandomAdversary, make_adversary
+from faultcast.engine import INFO, NetworkState, SendBatch, apply_kills, check_batch, fault_budget
 from faultcast.protocols import (Driver, GreedyCompleteDriver, IdleDriver, MultiplexDriver,
                                  SeqDriver, Session, make_driver, simulate)
 from faultcast.topology import build_complete, build_hypercube, edge_boundary
@@ -70,8 +70,8 @@ class CheckingDriver:
     def done(self):
         return self.inner.done()
 
-    def next(self, state, limit):
-        return self.inner.next(state, limit)
+    def next(self, state, blocks):
+        return self.inner.next(state, blocks)
 
     def absorb(self, state, report):
         self.inner.absorb(state, report)
@@ -113,17 +113,28 @@ def test_bookkeeping_matches_scratch(protocol, build, alpha, eps, adversary):
     assert checker.frontiers > 0
 
 
+def _step(state, arcs, kills):
+    """One step of INFO on ``arcs`` that kills the batch indices ``kills``."""
+    batch = SendBatch.uniform(arcs, INFO)
+    check_batch(state, batch)
+    killed = np.zeros(batch.m, dtype=bool)
+    killed[kills] = True
+    budget = fault_budget(batch.m, state.topo.edge_connectivity, 0.5)
+    assert np.count_nonzero(killed) <= budget
+    return apply_kills(state, batch, killed, budget)
+
+
 def test_direct_writes_with_version_bump_recount():
     topo = build_complete(6)
     state = NetworkState(topo)
     arcs = topo.out_arcs_of(np.array([0]))
-    execute_step(state, SendBatch.uniform(arcs, INFO), FixedKillAdversary([0, 1]), 0.5)
+    _step(state, arcs, [0, 1])
     state.counts()
     state.informed[5] = True
     state.passive[topo.arc_id(5, 0)] = True
     state.version += 1
     arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
-    execute_step(state, SendBatch.uniform(arcs, INFO), FixedKillAdversary([]), 0.5)
+    _step(state, arcs, [])
     assert state.counts()[0] == 0
     assert state.counts() == _scratch_counts(state)
 
@@ -135,13 +146,11 @@ def test_primary_session_resyncs_after_foreign_steps(absorb_next):
     session = Session(topo, 0, state=state)
     assert np.array_equal(session.sends(state), topo.out_arcs_of(np.array([0])))
     # A step the session does not absorb moves the state under it ...
-    execute_step(state, SendBatch.uniform(session.sends(state), INFO),
-                 FixedKillAdversary([0, 1]), 0.5)
+    _step(state, session.sends(state), [0, 1])
     if absorb_next:
         # ... and the next step it does absorb must not be applied to the old frontier.
         arcs = np.sort(topo.opp[topo.out_arcs_of(np.array([0]))[2:]])
-        session.absorb(state, execute_step(state, SendBatch.uniform(arcs, INFO),
-                                           FixedKillAdversary([]), 0.5))
+        session.absorb(state, _step(state, arcs, []))
     expected = _scratch_frontier(state.informed, state.passive, topo)
     assert np.array_equal(session.sends(state), expected)
 

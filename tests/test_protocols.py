@@ -13,7 +13,7 @@ from faultcast import bounds, protocols
 from faultcast.adversary import (AckSuppressor, AdversaryPolicy, RandomAdversary, VictimGuard,
                                  make_adversary)
 from faultcast.engine import (INFO, NetworkState, SendBatch, Trace, execute_step,
-                              fault_budget)
+                              fault_budget, forced)
 from faultcast.errors import (AdversaryViolation, InvalidParameterError, ScheduleOverrun,
                               SimError, UnsupportedAlphaError, UnsupportedTopologyError)
 from faultcast.protocols import (AllButOneDriver, BATCH, Driver, EliminationDriver,
@@ -194,7 +194,7 @@ def test_phase4_pair_order():
     session.aware[[1, 3]] = True
     sent = []
     while not sweep.done():
-        kind, batch = sweep.next(state, 0)
+        kind, batch = sweep.next(state, False)
         assert kind == BATCH
         sent.append((set(topo.arc_src[batch.arcs].tolist()),
                      set(topo.arc_dst[batch.arcs].tolist())))
@@ -211,7 +211,7 @@ def test_intersection_semantics():
     driver = AllButOneDriver(topo, 0, 0.5, 2.0, state=state)
     driver.ctx.received[0] = [frozenset({3, 7, 9}), frozenset({3, 7})]
     for b in (0, 1):
-        _sod_lane(driver, b)[0].next(state, 0)
+        _sod_lane(driver, b)[0].next(state, False)
     assert driver.ctx.u_final[0] == frozenset({3, 7})
     assert isinstance(_sod_lane(driver, 0)[0].inner, SeqDriver)
     # Collector 1 received no candidate set: its phase 3 idles.
@@ -236,12 +236,12 @@ def test_sweep_marks_deliveries_and_counts_empty_tail():
     sweep = SweepDriver(topo, 5, lambda: (np.array([0]), [(3,), (1, 4)]), knows_sink=knows)
     assert sweep.quiet_run(state) is None  # the groups are not known yet
     for _ in range(2):
-        _, batch = sweep.next(state, 0)
+        _, batch = sweep.next(state, False)
         sweep.absorb(state, execute_step(state, batch, KillFirst(), 0.5))
     # Step 2 sent 0->1 and 0->4; the adversary killed 0->1.
     assert np.flatnonzero(knows).tolist() == [3, 4]
     assert sweep.quiet_run(state) == ((0,), 3)
-    kind, batch = sweep.next(state, 0)
+    kind, batch = sweep.next(state, False)
     assert kind == BATCH and batch.m == 0
     assert sweep.quiet_run(state) == ((0,), 2)
     sweep.skip(2)
@@ -257,15 +257,21 @@ def test_odd_skip_of_empty_rounds_keeps_the_step_position():
     session.marks[:] = True  # nothing left to flood
     driver = SimpleRoundsDriver(session, 3, 0.5)
     steps = 0
-    for _ in range(2):
-        assert driver.next(state, 1) == (protocols.BLOCK, [((0,), 1)])
+
+    def step():
+        kind, batch = driver.next(state, False)
+        assert kind == BATCH and batch.m == 0
+        driver.absorb(state, execute_step(state, batch, RandomAdversary(0), 0.5))
+
+    for _ in range(2):  # the first round
+        step()
         steps += 1
     assert driver.quiet_run(state) == ((0,), 4)
     driver.skip(3)
     steps += 3
     assert not driver.done() and not driver.phase_a and driver.round_idx == 2
     while not driver.done():
-        driver.next(state, 1)
+        step()
         steps += 1
     assert steps == driver.total_steps
 
@@ -388,9 +394,11 @@ class _Logging(AdversaryPolicy):
 
 class _StepCountingTrace(Trace):
     record_steps = 0
+    drawn_steps = 0  # of them, the steps whose kill set is not forced
 
     def record_step(self, state, report):
         self.record_steps += 1
+        self.drawn_steps += not forced(report.batch.m, report.budget)
         super().record_step(state, report)
 
 
@@ -420,8 +428,8 @@ _FAST_FORWARD_CASES = [
     for case, protocol, topo, alphas in _FAST_FORWARD_CASES
     for make_adv, adv_id in zip(ADVERSARIES, ADVERSARY_IDS) for alpha in alphas])
 def test_inert_fast_forward_matches_stepped(protocol, topo, make_adv, alpha):
-    """Blocks (dead-round tails, elimination tails, dead step As and Bs, idle
-    lanes, steady rounds) agree row for row with stepping every batch through
+    """Blocks (dead-round tails, elimination tails, idle lanes, steady rounds)
+    and forced kill sets agree row for row with stepping every batch through
     the same policy.  At alpha 0.3, sod-complete K_16 against
     ``victim_guard:15`` skips hundreds of dead info batches; sod-complete
     K_64 and K_256 take most of their blocks inside multiplexed lanes."""
@@ -436,10 +444,10 @@ def test_inert_fast_forward_matches_stepped(protocol, topo, make_adv, alpha):
     assert fast.log.items() <= stepped.log.items()
     # A steady round asks for its step-A kill set but steps nothing; under
     # ``random`` K_64 at alpha 0.7 and Q_8 at every alpha end in steady rounds.
-    assert trace.record_steps <= len(fast.log)
+    assert trace.drawn_steps <= len(fast.log)
     if make_adv is ADVERSARIES[0] and (topo.d == 8 if topo.kind == HYPERCUBE
                                        else topo.n == 64 and alpha == 0.7):
-        assert trace.record_steps < len(fast.log)
+        assert trace.drawn_steps < len(fast.log)
 
 
 class _SparesInRound(AdversaryPolicy):
@@ -550,12 +558,13 @@ def test_steady_block_rejects_a_bad_row_mid_chunk(adversary, match):
 ], ids=["almost-kn", "hypercube", "nosod-complete", "sod-complete", "sod-complete-0.3",
         "sod-complete-K24-0.7", "sod-complete-K64", "sod-complete-K256"])
 def test_no_dead_batch_reaches_the_adversary(protocol, topo, make_adv, alpha):
-    """A batch of 1..c-1 messages dies whole under an exhaustive policy, so
-    the drivers emit it as a block instead, inside multiplexed lanes too."""
+    """A batch of at most c-1 messages, an empty one included, dies whole
+    under an exhaustive policy.  The engine applies such a forced kill set
+    without asking the policy, inside multiplexed lanes too."""
     adv = _Logging(make_adv(topo, 4), exhaustive=True)
     _traced(protocol, topo, alpha, adv)
     c = topo.edge_connectivity
-    dead = [m for m, _ in adv.log.values() if 1 <= m <= c - 1]
+    dead = [m for m, _ in adv.log.values() if m <= c - 1]
     assert adv.log and not dead
 
 
@@ -624,8 +633,8 @@ class _Positions:
     def done(self):
         return self.inner.done()
 
-    def next(self, state, limit):
-        return self.inner.next(state, limit)
+    def next(self, state, blocks):
+        return self.inner.next(state, blocks)
 
     def absorb(self, state, report):
         self.inner.absorb(state, report)
@@ -761,8 +770,8 @@ class _Replies:
             self._claim = None
         return self.inner.done()
 
-    def next(self, state, limit):
-        kind, val = self.inner.next(state, limit)
+    def next(self, state, blocks):
+        kind, val = self.inner.next(state, blocks)
         if kind == BATCH:
             self.executed += 1
         else:
@@ -831,7 +840,7 @@ class _NeverDone(Driver):
     def done(self):
         return False
 
-    def next(self, state, limit):
+    def next(self, state, blocks):
         return BATCH, SendBatch.empty()
 
 
@@ -857,7 +866,7 @@ def test_almost_kn_vertex_locality_replay():
     adv = RandomAdversary(13)
     step_log = []  # (arcs sent, delivered arc/kind pairs)
     while not driver.done():
-        kind, batch = driver.next(state, 0)
+        kind, batch = driver.next(state, False)
         assert kind == BATCH
         report = execute_step(state, batch, adv, alpha)
         driver.absorb(state, report)

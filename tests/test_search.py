@@ -6,8 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from faultcast.adversary import AckSuppressor, FixedKillAdversary, RandomAdversary, VictimGuard
-from faultcast.engine import NetworkState, execute_step, fault_budget
+from faultcast.adversary import AckSuppressor, RandomAdversary, VictimGuard
+from faultcast.engine import NetworkState, apply_kills, check_batch, fault_budget
 from faultcast.errors import TooLargeError
 from faultcast.protocols import (EliminationDriver, SeqDriver, Session, SimpleRoundsDriver,
                                  almost_complete_kn, make_driver)
@@ -17,10 +17,20 @@ from faultcast.topology import build_complete, build_hypercube
 from faultcast.errors import UnsupportedTopologyError
 
 
+def _step(state, batch, kills, alpha):
+    """Check the batch, then apply the kill set of batch indices ``kills``."""
+    check_batch(state, batch)
+    killed = np.zeros(batch.m, dtype=bool)
+    killed[list(kills)] = True
+    budget = fault_budget(batch.m, state.topo.edge_connectivity, alpha)
+    assert np.count_nonzero(killed) == len(kills) <= budget
+    return apply_kills(state, batch, killed, budget)
+
+
 def brute_force_search(n, protocol, alpha, horizon=None, eps=2.0, all_sizes=False):
     """Plain minimax over every kill set: no memo, no symmetry, no settling of
-    completed states; every step, each child's own batch included, goes
-    through execute_step."""
+    completed states; every step, each child's own batch included, is checked
+    and applied through the engine."""
     topo = build_complete(n, port_seed=None)
     state0 = NetworkState(topo)
     driver0 = make_driver(protocol, topo, alpha, eps, state0)
@@ -32,15 +42,15 @@ def brute_force_search(n, protocol, alpha, horizon=None, eps=2.0, all_sizes=Fals
         if driver.done() or state.step_index >= horizon:
             return HORIZON_EXCEEDED
         probe_state = state.clone()
-        m = driver.clone(probe_state).next(probe_state, 0)[1].m
+        m = driver.clone(probe_state).next(probe_state, False)[1].m
         ksize = min(m, fault_budget(m, c, alpha))
         worst = 0.0
         for size in (range(ksize + 1) if all_sizes else (ksize,)):
             for kills in combinations(range(m), size):
                 st = state.clone()
                 dr = driver.clone(st)
-                _, batch = dr.next(st, 0)
-                dr.absorb(st, execute_step(st, batch, FixedKillAdversary(kills), alpha))
+                _, batch = dr.next(st, False)
+                dr.absorb(st, _step(st, batch, kills, alpha))
                 if dr.at_checkpoint() and st.k == 0:
                     worst = max(worst, float(st.step_index))
                 else:
@@ -139,9 +149,9 @@ def test_seq_key_parts_settle_position():
     state = NetworkState(topo)
     driver = make_driver("almost-kn", topo, 0.5, 2.0, state)
     for _ in range(2):
-        _, batch = driver.next(state, 0)
+        _, batch = driver.next(state, False)
         kills = range(min(batch.m, fault_budget(batch.m, topo.edge_connectivity, 0.5)))
-        driver.absorb(state, execute_step(state, batch, FixedKillAdversary(kills), 0.5))
+        driver.absorb(state, _step(state, batch, kills, 0.5))
         key = driver.key_parts(identity)
         driver.done()
         assert driver.key_parts(identity) == key
@@ -210,12 +220,12 @@ def _reachable(topo, driver, state, rng, steps):
         if driver.done() or state.k == 0:
             return
         yield state, driver
-        _, batch = driver.next(state, 0)
+        _, batch = driver.next(state, False)
         ksize = min(batch.m, fault_budget(batch.m, c, 0.5))
         dst = topo.arc_dst[batch.arcs]
         order = np.lexsort((rng.permutation(topo.n)[dst],
                             np.bincount(dst, minlength=topo.n)[dst], state.informed[dst]))
-        driver.absorb(state, execute_step(state, batch, FixedKillAdversary(order[:ksize]), 0.5))
+        driver.absorb(state, _step(state, batch, order[:ksize], 0.5))
 
 
 def _plays(n, rng):
@@ -228,8 +238,8 @@ def _plays(n, rng):
         state = NetworkState(topo)
         yield from _reachable(topo, make_driver(protocol, topo, 0.5, 2.0, state), state, rng, 8)
     state = NetworkState(topo)
-    _, batch = make_driver("greedy-kn", topo, 0.5, 2.0, state).next(state, 0)
-    execute_step(state, batch, FixedKillAdversary(range(n - 2)), 0.5)
+    _, batch = make_driver("greedy-kn", topo, 0.5, 2.0, state).next(state, False)
+    _step(state, batch, range(n - 2), 0.5)
     session = Session(topo, 0, state=state)
     passes = [driver for i in range(2)
               for driver in (EliminationDriver(topo, 1, 2, i),
@@ -254,8 +264,9 @@ def test_precomputed_children_are_honest(n):
     for state, driver in _plays(n, rng):
         probe_state = state.clone()
         probe = driver.clone(probe_state)
-        _, batch = probe.next(probe_state, 0)
-        ksize = min(batch.m, fault_budget(batch.m, topo.edge_connectivity, 0.5))
+        _, batch = probe.next(probe_state, False)
+        budget = fault_budget(batch.m, topo.edge_connectivity, 0.5)
+        ksize = min(batch.m, budget)
         if math.comb(batch.m, ksize) > 500:
             continue
         keeps = probe.keeps_deliveries()
@@ -263,12 +274,13 @@ def test_precomputed_children_are_honest(n):
         if isinstance(current, EliminationDriver) or getattr(current, "label", "") == "nosod_l4":
             extended.add(type(current))
         driver_keys = set()
-        for kills, completes, after in _children(state, batch, (ksize,), {}):
+        for killed, completes, after in _children(state, batch, (ksize,), {}):
             least, ties = _least_images(after, weights)
-            for j, row_kills in enumerate(kills):
+            for j, row_killed in enumerate(killed):
+                assert np.count_nonzero(row_killed) == ksize
                 st = state.clone()
                 dr = probe.clone(st)
-                dr.absorb(st, execute_step(st, batch, FixedKillAdversary(row_kills), 0.5))
+                dr.absorb(st, apply_kills(st, batch, row_killed, budget))
                 assert (st.k == 0) == completes[j]
                 assert (st.informed == after[j, :n]).all()
                 assert (st.passive == after[j, n:]).all()
