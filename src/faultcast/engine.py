@@ -333,6 +333,7 @@ _JSONL_ROW = "{" + ", ".join(f'"{name}": %d' for name in _COLUMNS) + "}\n"
 _JSONL_TAIL = "".join(f', "{name}": %d' for name in _COLUMNS[1:]) + "}\n"
 _STEP_AT = len('{"step": ')  # offset of the step digits in a record
 _JSONL_CHUNK = 1 << 16  # records formatted per write
+_PIECE_DIGITS = 4  # a long run is written as reused pieces of 10**_PIECE_DIGITS lines
 _BLOCK = 1024  # rows converted to int64 at a time
 
 
@@ -485,9 +486,10 @@ class Trace:
     def to_jsonl(self, path) -> None:
         """One JSON line per step, then the summary line.
 
-        Stored rows are formatted a chunk at a time; a run is copied from its
-        template lines a piece at a time (see ``_write_run``).  Every line is
-        ASCII, so the file is written as bytes.
+        Stored rows are formatted a chunk at a time.  A run is formatted from
+        its template lines a piece at a time, and a long run is written from
+        one reused piece whose high step digits are rewritten in place (see
+        ``_write_run``).  Every line is ASCII, so the file is written as bytes.
         """
         data = self._data[:, :len(_COLUMNS)]
         with open(path, "wb") as fh:
@@ -509,15 +511,57 @@ def _write_run(fh, first: int, count: int, tails: list[str]) -> None:
     """Write the lines of steps ``first .. first+count-1``; the line of step
     ``first + i`` ends in ``tails[i % p]``, and ``count`` is a multiple of p.
 
-    Each piece is one period, or whole periods of at most ``_JSONL_CHUNK``
-    lines whose steps have the same number of digits.
+    When p divides U = 10**_PIECE_DIGITS, the whole pieces of U lines whose
+    steps have as many digits as ``first`` come from one reused piece (see
+    ``_write_pieces``).  Every other piece is one period, or whole periods of
+    at most ``_JSONL_CHUNK`` lines whose steps have the same number of digits.
     """
     p = len(tails)
+    piece = 10 ** _PIECE_DIGITS
     end = first + count
     while first < end:
-        periods = max(1, (min(end, first + _JSONL_CHUNK, 10 ** len(str(first))) - first) // p)
-        fh.write(_run_piece(first, periods, tails))
-        first += periods * p
+        width_end = min(end, 10 ** len(str(first)))
+        pieces = (width_end - first) // piece if piece % p == 0 else 0
+        if pieces:
+            _write_pieces(fh, first, pieces, tails)
+            first += pieces * piece
+        else:
+            periods = max(1, (min(width_end, first + _JSONL_CHUNK) - first) // p)
+            fh.write(_run_piece(first, periods, tails))
+            first += periods * p
+
+
+def _write_pieces(fh, first: int, pieces: int, tails: list[str]) -> None:
+    """Write ``pieces`` pieces of U = 10**_PIECE_DIGITS lines from step
+    ``first``, whose steps all have as many digits as ``first``; p divides U.
+
+    Line i of piece j is line i of the first piece with j*U added to its step,
+    so only the digits above the last ``_PIECE_DIGITS`` differ.  Within a
+    piece they read one number before the carry line, the first whose step is
+    a multiple of U, and one more from it on.  So the first piece is formatted
+    once, and each further piece fills those digit columns with two constants
+    each and writes the same buffer again.
+    """
+    p = len(tails)
+    piece = 10 ** _PIECE_DIGITS
+    buf = _run_piece(first, piece // p, tails)
+    fh.write(buf)
+    table = np.frombuffer(buf, dtype=np.uint8).reshape(piece // p, -1)
+    digits = len(str(first))
+    carry = -first % piece  # index of the carry line
+    columns = []  # per line of a period: (first step column, periods before the carry line)
+    at = _STEP_AT
+    for i, tail in enumerate(tails):
+        columns.append((at, (carry - i + p - 1) // p))
+        at += _STEP_AT + digits + len(tail)
+    for j in range(1, pieces):
+        before = str(first // piece + j).encode()
+        after = str((first + carry) // piece + j).encode()
+        for col in range(digits - _PIECE_DIGITS):
+            for at, split in columns:
+                table[:split, at + col] = before[col]
+                table[split:, at + col] = after[col]
+        fh.write(buf)
 
 
 def _run_piece(first: int, periods: int, tails: list[str]) -> bytearray:

@@ -104,10 +104,9 @@ def build_complete(n: int, port_seed: int | None = 0, chordal: bool = False) -> 
     if n < 2:
         raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
     src = np.repeat(np.arange(n, dtype=np.int32), n - 1)
-    dst = np.empty(n * (n - 1), dtype=np.int32)
-    for u in range(n):
-        row = np.concatenate([np.arange(u, dtype=np.int32), np.arange(u + 1, n, dtype=np.int32)])
-        dst[u * (n - 1):(u + 1) * (n - 1)] = row
+    # Arc u*(n-1) + j leads to j below u, and to j + 1 from u on.
+    j = np.arange(n - 1, dtype=np.int32)
+    dst = (j + (j >= np.arange(n, dtype=np.int32)[:, None])).ravel()
     opp = complete_arc_id(n, dst, src)
 
     out_start = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int32)
@@ -120,10 +119,9 @@ def build_complete(n: int, port_seed: int | None = 0, chordal: bool = False) -> 
     else:
         out_arcs = np.arange(n * (n - 1), dtype=np.int32)
         if port_seed is not None:
-            rng = np.random.default_rng(port_seed)
-            for u in range(n):
-                block = out_arcs[u * (n - 1):(u + 1) * (n - 1)]
-                rng.shuffle(block)
+            # Shuffles each vertex's row in turn, as rng.shuffle row by row would.
+            rows = out_arcs.reshape(n, n - 1)
+            np.random.default_rng(port_seed).permuted(rows, axis=1, out=rows)
         labeling = None
     return Topology(
         kind=COMPLETE, n=n, d=None, arc_src=src, arc_dst=dst, opp=opp,

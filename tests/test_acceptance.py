@@ -28,11 +28,20 @@ def _audit(trace, alpha):
     _BUDGET_AUDIT["violations"] += len(validate.check_budget(trace, alpha))
 
 
-def _finish(num, name, t0, budget, problems, capsys):
+def _finish(num, name, t0, budget, problems, capsys, domain=None, minimum="n_min"):
+    """Print and assert a criterion's verdict.  ``domain`` maps each alpha of
+    a K_n or Q_d grid to whether each of its configs ran at or above the size
+    minimum, where the theorem and the validator's error-level checks apply."""
     elapsed = time.perf_counter() - t0
+    detail = f"{elapsed:.1f}s of {budget:.0f}s budget"
+    if domain is not None:
+        problems = problems + [f"alpha={a}: no config at or above {minimum}"
+                               for a, above in domain.items() if not any(above)]
+        detail += (f", {sum(map(sum, domain.values()))} of "
+                   f"{sum(map(len, domain.values()))} configs at or above {minimum}")
     ok = not problems and elapsed <= budget
     status = "PASS" if ok else "FAIL"
-    detail = problems[0] if problems else f"{elapsed:.1f}s of {budget:.0f}s budget"
+    detail = problems[0] if problems else detail
     with capsys.disabled():
         print(f"\nCRITERION {num} [{name}]: {status} ({detail})", flush=True)
     assert not problems, "; ".join(problems[:10])
@@ -49,6 +58,7 @@ def _adversaries(topo, random_seeds):
 def test_criterion_1_theorem2_complete(capsys):
     t0 = time.perf_counter()
     problems = []
+    domain = {}
     eps = 2.0
     for n in (16, 64, 256, 1024):
         for alpha in (0.3, 0.5, 0.7):
@@ -58,6 +68,7 @@ def test_criterion_1_theorem2_complete(capsys):
             for adv in _adversaries(topo, random_seeds=10):
                 trace = protocols.almost_complete_kn(n, alpha, eps, adv)
                 _audit(trace, alpha)
+                domain.setdefault(alpha, []).append(asserted)
                 tag = f"n={n} a={alpha} {adv.id}"
                 if asserted:
                     if trace.final_k > cc.x * eps:
@@ -66,36 +77,44 @@ def test_criterion_1_theorem2_complete(capsys):
                         problems.append(f"{tag}: final h {trace.final_h} > X(n-2)")
                 bad = validate.errors_only(validate.validate_trace(trace, alpha, eps))
                 problems.extend(f"{tag}: {v}" for v in bad)
-    _finish(1, "Theorem 2, K_n almost-complete", t0, 120.0, problems, capsys)
+    _finish(1, "Theorem 2, K_n almost-complete", t0, 120.0, problems, capsys, domain)
 
 
 def test_criterion_2_theorem3_hypercube(capsys):
     t0 = time.perf_counter()
     problems = []
+    domain = {}
     eps = 0.5
-    for d in (6, 8, 10, 12):
-        for alpha in (0.3, 0.5):
-            cc = bounds.constants(alpha)
-            topo = topology.build_hypercube(d)
-            for adv in _adversaries(topo, random_seeds=10):
-                trace = protocols.broadcast_hypercube(d, alpha, eps, adv)
-                _audit(trace, alpha)
-                tag = f"d={d} a={alpha} {adv.id}"
-                t1, t2 = bounds.rounds_hypercube(d, alpha, eps)
-                if trace.total_steps != 2 + 2 * (t1 + t2):
-                    problems.append(f"{tag}: schedule length {trace.total_steps}")
-                if trace.final_k > cc.x / (1.0 - eps):
-                    problems.append(f"{tag}: final k {trace.final_k} > X/(1-eps)")
-                if trace.final_h > cc.x * (d - 1):
-                    problems.append(f"{tag}: final h {trace.final_h} > X(d-1)")
-                bad = validate.errors_only(validate.validate_trace(trace, alpha, eps))
-                problems.extend(f"{tag}: {v}" for v in bad)
-    _finish(2, "Theorem 3, hypercube", t0, 180.0, problems, capsys)
+    grid = [(d, alpha, 10) for d in (6, 8, 10, 12) for alpha in (0.3, 0.5)]
+    # Theorem 3's own domain, where the validator's round checks are errors:
+    # d_min is 14 at alpha 0.3, 13 at 0.5 and 18 at 0.7.  One random seed on
+    # Q_18, whose runs send about 33M messages each.
+    grid += [(bounds.d_min(alpha, eps), alpha, 10) for alpha in (0.3, 0.5)]
+    grid.append((bounds.d_min(0.7, eps), 0.7, 1))
+    for d, alpha, random_seeds in grid:
+        cc = bounds.constants(alpha)
+        topo = topology.build_hypercube(d)
+        for adv in _adversaries(topo, random_seeds=random_seeds):
+            trace = protocols.broadcast_hypercube(d, alpha, eps, adv)
+            _audit(trace, alpha)
+            domain.setdefault(alpha, []).append(d >= bounds.d_min(alpha, eps))
+            tag = f"d={d} a={alpha} {adv.id}"
+            t1, t2 = bounds.rounds_hypercube(d, alpha, eps)
+            if trace.total_steps != 2 + 2 * (t1 + t2):
+                problems.append(f"{tag}: schedule length {trace.total_steps}")
+            if trace.final_k > cc.x / (1.0 - eps):
+                problems.append(f"{tag}: final k {trace.final_k} > X/(1-eps)")
+            if trace.final_h > cc.x * (d - 1):
+                problems.append(f"{tag}: final h {trace.final_h} > X(d-1)")
+            bad = validate.errors_only(validate.validate_trace(trace, alpha, eps))
+            problems.extend(f"{tag}: {v}" for v in bad)
+    _finish(2, "Theorem 3, hypercube", t0, 180.0, problems, capsys, domain, "d_min")
 
 
 def test_criterion_3_theorem8_sod(capsys):
     t0 = time.perf_counter()
     problems = []
+    domain = {}
     eps = 2.0
     for n in (16, 64, 256):
         for alpha in (0.3, 0.5, 0.7):
@@ -103,6 +122,7 @@ def test_criterion_3_theorem8_sod(capsys):
             for adv in _adversaries(topo, random_seeds=2):
                 trace = protocols.sod_complete(n, alpha, eps, adv)
                 _audit(trace, alpha)
+                domain.setdefault(alpha, []).append(n >= bounds.n_min(alpha, eps))
                 tag = f"n={n} a={alpha} {adv.id}"
                 if trace.final_k != 0:
                     problems.append(f"{tag}: final k {trace.final_k} != 0")
@@ -110,12 +130,13 @@ def test_criterion_3_theorem8_sod(capsys):
                 problems.extend(f"{tag}: {v}" for v in quorum)  # any level
                 bad = validate.errors_only(validate.validate_trace(trace, alpha, eps))
                 problems.extend(f"{tag}: {v}" for v in bad)
-    _finish(3, "Theorem 8, SoD complete broadcast", t0, 60.0, problems, capsys)
+    _finish(3, "Theorem 8, SoD complete broadcast", t0, 60.0, problems, capsys, domain)
 
 
 def test_criterion_4_theorem9_nosod(capsys):
     t0 = time.perf_counter()
     problems = []
+    domain = {}
     eps = 2.0
     for n in (16, 64, 256):
         for alpha in (0.3, 0.5, 0.55):
@@ -129,6 +150,7 @@ def test_criterion_4_theorem9_nosod(capsys):
             for adv in _adversaries(topo, random_seeds=2):
                 trace = protocols.nosod_complete(n, alpha, eps, adv)
                 _audit(trace, alpha)
+                domain.setdefault(alpha, []).append(n >= bounds.n_min(alpha, eps))
                 tag = f"n={n} a={alpha} {adv.id}"
                 if trace.final_k != 0:
                     problems.append(f"{tag}: final k {trace.final_k} != 0")
@@ -140,7 +162,7 @@ def test_criterion_4_theorem9_nosod(capsys):
                 problems.extend(f"{tag}: {v}" for v in bad)
     with pytest.raises(UnsupportedAlphaError):
         protocols.nosod_complete(64, 0.6, eps, RandomAdversary(0))
-    _finish(4, "Theorem 9, Algorithm 1 without SoD", t0, 120.0, problems, capsys)
+    _finish(4, "Theorem 9, Algorithm 1 without SoD", t0, 120.0, problems, capsys, domain)
 
 
 def test_criterion_5_greedy_lower_bounds(capsys):

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import tempfile
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultcast import engine
 from faultcast.adversary import AdversaryPolicy, RandomAdversary
@@ -357,9 +360,13 @@ def _runs_trace():
 
 # (first step, steps) of one-step templates: runs that cross 9 -> 10, 99 -> 100,
 # 999 -> 1000 and 99,999 -> 100,000, runs whose 5-record pieces change two or
-# three trailing digits, and one-step blocks.
-_DIGIT_RUNS = [(8, 5), (98, 16), (197, 10), (998, 4), (1007, 10), (1017, 1),
-               (99_997, 9), (100_006, 1), (100_007, 3)]
+# three trailing digits, and one-step blocks.  With pieces of 10 steps, the
+# runs from steps 8, 98, 197, 1,023, 99,987 and 1,000,003 hold two or more
+# pieces within one digit width, those from 197, 1,023 and 1,000,003 from a
+# step not aligned to a piece; with pieces of 1,000 steps the run from
+# 1,000,003 does.
+_DIGIT_RUNS = [(8, 25), (98, 36), (197, 25), (998, 4), (1007, 10), (1017, 1), (1023, 45),
+               (99_987, 39), (100_026, 1), (100_027, 3), (1_000_003, 2_502)]
 
 
 def _digit_runs_trace(executed=True):
@@ -382,11 +389,14 @@ def _digit_runs_trace(executed=True):
 
 
 # (first step, repetitions) of periodic blocks.  With period 2 the runs from
-# steps 7, 995 and 99,999 have a period that straddles a step-digit width, with
-# period 3 those from steps 98, 995, 9,990 and 99,999; the others change width
-# between periods.  With periods 4 and 8, as multiplexed lanes give, every run
-# has a period that straddles a width.
-_PERIODIC_RUNS = [(7, 3), (98, 4), (995, 5), (9_990, 7), (99_999, 3)]
+# steps 7, 995, 99,999 and 999,003 have a period that straddles a step-digit
+# width, with period 3 those from steps 98, 995, 9,990 and 99,999; the others
+# change width between periods.  With periods 4 and 8, as multiplexed lanes
+# give, every run has a period that straddles a width.  The last two runs hold
+# several pieces of 10 steps at period 2, and the last one several pieces of
+# 1,000 steps at periods 2, 4 and 8.
+_PERIODIC_RUNS = [(7, 3), (98, 4), (995, 5), (9_990, 7), (99_999, 3), (100_037, 40),
+                  (999_003, 1_500)]
 
 
 def _periodic_runs_trace(period):
@@ -424,9 +434,37 @@ def _periodic_runs_trace(period):
 def test_to_jsonl_matches_per_row_writer(build, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "_JSONL_CHUNK", 5)
     trace = build()
-    trace.to_jsonl(tmp_path / "t.jsonl")
     _reference_jsonl(trace, tmp_path / "ref.jsonl")
-    assert (tmp_path / "t.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+    # Reused pieces of 10 steps, which periods 1 and 2 divide, and of 1,000
+    # steps, which periods 4 and 8 divide too; period 3 divides neither.
+    for piece_digits in (1, 3):
+        monkeypatch.setattr(engine, "_PIECE_DIGITS", piece_digits)
+        trace.to_jsonl(tmp_path / "t.jsonl")
+        assert ((tmp_path / "t.jsonl").read_bytes()
+                == (tmp_path / "ref.jsonl").read_bytes()), piece_digits
+
+
+@settings(max_examples=60, deadline=None)
+@given(piece_digits=st.integers(1, 2),
+       first=st.integers(1, 7).flatmap(lambda e: st.integers(max(1, 10 ** e - 150),
+                                                            10 ** e + 150)),
+       rows=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 99)), min_size=1,
+                     max_size=8),
+       repeats=st.integers(1, 120))
+def test_to_jsonl_block_matches_per_row_writer(piece_digits, first, rows, repeats):
+    topo = build_complete(4)
+    state = NetworkState(topo)
+    state.step_index = first - 1
+    trace = Trace(topo)
+    trace.record_block(state, rows, repeats)
+    trace.summary = {"protocol": "test"}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(engine, "_PIECE_DIGITS", piece_digits):
+        trace.to_jsonl(os.path.join(tmp, "t.jsonl"))
+        _reference_jsonl(trace, os.path.join(tmp, "ref.jsonl"))
+        with open(os.path.join(tmp, "t.jsonl"), "rb") as got, \
+                open(os.path.join(tmp, "ref.jsonl"), "rb") as want:
+            assert got.read() == want.read()
 
 
 def test_to_jsonl_digest_unchanged(tmp_path):
@@ -500,7 +538,8 @@ def test_stored_rows_grow_with_executed_steps():
 
 def test_trace_consumers_memory_does_not_grow_with_steps():
     # The 1.55M-step trace above stores 231 rows; expanding a column to
-    # one entry per step costs 12.4 MB.
+    # one entry per step costs 12.4 MB.  The export reuses one piece of 10,000
+    # lines, about 0.7 MB, for its long runs.
     trace = nosod_complete(64, 0.55, 2.0, RandomAdversary(0))
     peaks = {}
     for name, consume in (("validate", lambda: validate_trace(trace)),
@@ -512,4 +551,4 @@ def test_trace_consumers_memory_does_not_grow_with_steps():
         finally:
             tracemalloc.stop()
     assert peaks["validate"] < 5e6
-    assert peaks["to_jsonl"] <= 15.2e6
+    assert peaks["to_jsonl"] <= 2e6

@@ -69,6 +69,22 @@ def test_port_seed_shuffles_reproducibly():
     assert not np.array_equal(a.out_arcs, c.out_arcs)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+@pytest.mark.parametrize("port_seed", [0, 1, 2024])
+def test_complete_arcs_match_per_vertex_loop(n, port_seed):
+    # The arc layout and seeded port order that every stored trace and frozen
+    # oracle value was made with: one rng.shuffle per vertex, in vertex order.
+    topo = topology.build_complete(n, port_seed=port_seed)
+    dst = np.concatenate([np.delete(np.arange(n), u) for u in range(n)])
+    out_arcs = np.arange(n * (n - 1), dtype=np.int32)
+    rng = np.random.default_rng(port_seed)
+    for u in range(n):
+        rng.shuffle(out_arcs[u * (n - 1):(u + 1) * (n - 1)])
+    assert np.array_equal(topo.arc_dst, dst)
+    assert np.array_equal(topo.out_arcs, out_arcs)
+    assert topo.arc_dst.dtype == topo.out_arcs.dtype == np.int32
+
+
 def test_chordal_labeling():
     topo = topology.build_complete(7, chordal=True)
     lab = topo.labeling
