@@ -140,6 +140,8 @@ class _OrderedPolicy(AdversaryPolicy):
         tiles = [cls[None].repeat(rounds, axis=0) for cls in shuffled]
         for tile in tiles:
             self._rng.permuted(tile, axis=1, out=tile)
+        if not fixed and len(tiles) == 1:
+            return tiles[0][:, :ksize]  # no copy to join
         fixed = [np.broadcast_to(cls, (rounds, cls.size)) for cls in fixed]
         return np.concatenate(fixed + tiles, axis=1)[:, :ksize]
 

@@ -49,8 +49,8 @@ import numpy as np
 from . import bounds
 from .adversary import AdversaryPolicy
 from .engine import (ACK, INFO, INFO_CANDS, DeliveryReport, NetworkState, SendBatch,
-                     StepContext, Trace, apply_kills, check_kill_rows, execute_step,
-                     fault_budget, forced)
+                     StepContext, Trace, apply_kills, check_kill_rows, distinct_vertices,
+                     execute_step, fault_budget, forced)
 from .errors import (AdversaryViolation, InvalidParameterError, ScheduleOverrun,
                      UnsupportedTopologyError)
 from .topology import (COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube,
@@ -94,7 +94,8 @@ class Session:
         if self.primary and also_aware is not None:
             raise InvalidParameterError("a primary session is aware of exactly the informed set")
         self.also_aware = also_aware
-        self.frontier = None  # built on first use
+        self._frontier = None  # built on first use; may hold arcs marked since
+        self._filtered = True  # ... the last read, unless this is set
         self.synced = -1  # state version the primary frontier describes
         if self.primary:
             self.aware = state.informed
@@ -110,46 +111,57 @@ class Session:
     def payload_kind(self) -> int:
         return INFO if self.payload is None else INFO_CANDS
 
+    @property
+    def frontier(self) -> np.ndarray | None:
+        """The send frontier, or None until the first ``sends``.
+
+        ``absorb`` leaves newly marked arcs in place and they are dropped
+        here, so the two steps of a simple round cost one pass over it.
+        """
+        if not self._filtered:
+            # np.compress: a boolean index is several times slower on a mixed mask.
+            self._frontier = np.compress(~self.marks[self._frontier], self._frontier)
+            self._filtered = True
+        return self._frontier
+
     def sends(self, state: NetworkState) -> np.ndarray:
         """Arcs this session floods in a step A; the caller must not modify them."""
-        if self.frontier is None or (self.primary and self.synced != state.version):
-            self.frontier = np.flatnonzero(self.aware[self.topo.arc_src] & ~self.marks)
+        if self._frontier is None or (self.primary and self.synced != state.version):
+            self._frontier = np.flatnonzero(self.aware[self.topo.arc_src] & ~self.marks)
+            self._filtered = True
             self.synced = state.version
         return self.frontier
 
     def absorb(self, state: NetworkState, report) -> None:
-        darr = report.delivered_arcs
-        if not darr.size:
+        if not report.delivered_idx.size:
             return
         if self.primary:
             fresh = report.new_informed
             if self.synced != state.version - 1:
-                self.frontier = None  # the state moved without this session
+                self._frontier, self._filtered = None, True  # the state moved without it
             self.synced = state.version
         else:
-            self.marks[self.topo.opp[darr]] = True
-            dsts = self.topo.arc_dst[darr[report.batch.kinds[report.delivered_idx] != ACK]]
-            fresh = dsts[~self.aware[dsts]]
-            if fresh.size > 1:
-                fresh = np.unique(fresh)
+            self.marks[report.marked] = True
+            dsts = report.info_dsts
+            fresh = distinct_vertices(dsts[~self.aware[dsts]], self.topo.n)
             self.aware[fresh] = True
             if self.also_aware is not None:
                 self.also_aware[dsts] = True
-        if self.frontier is not None:
+        if self._frontier is not None:
             self._advance(fresh)
 
     def _advance(self, fresh: np.ndarray) -> None:
-        """Drop newly marked arcs; add the unmarked out-arcs of newly aware vertices."""
-        frontier = self.frontier[~self.marks[self.frontier]]
+        """Add the out-arcs of newly aware vertices; marked arcs go on the next read."""
+        self._filtered = False
         if fresh.size:
-            outs = self.topo.out_arcs_of(fresh)
-            frontier = np.sort(np.concatenate([frontier, outs[~self.marks[outs]]]))
-        self.frontier = frontier
+            # Two ascending runs, which a stable sort merges in one pass.
+            self._frontier = np.sort(
+                np.concatenate([self._frontier, self.topo.out_arcs_of(fresh)]), kind="stable")
 
     def clone_primary(self, new_state: NetworkState) -> "Session":
         assert self.primary
         other = Session(self.topo, self.origin, self.payload, state=new_state)
-        other.frontier = self.frontier  # replaced, never modified, on update
+        other._frontier = self.frontier  # replaced, never modified, on update
         other.synced = self.synced
         return other
 
@@ -511,7 +523,7 @@ class SimpleRoundsDriver(Driver):
         self.label = label
         self.round_idx = 0
         self.phase_a = True
-        self.pending = None  # arcs delivered in the last step A
+        self.pending = None  # opposite arcs of the last step A's deliveries
         self.total_steps = 2 * rounds
         self._started = False  # the first step is emitted and the segment marked
         self._speculated = None  # (step index, round) where the last speculative block began
@@ -534,7 +546,7 @@ class SimpleRoundsDriver(Driver):
                 return BLOCK, [run]
             return BATCH, SendBatch.uniform(self.session.sends(state), self.session.payload_kind)
         # Step B acks each delivery of step A on the opposite arc.
-        return BATCH, SendBatch.uniform(np.sort(self.session.topo.opp[self.pending]), ACK)
+        return BATCH, SendBatch.uniform(np.sort(self.pending), ACK)
 
     def quiet_run(self, state):
         """The round every remaining round repeats, if none can change state."""
@@ -584,11 +596,11 @@ class SimpleRoundsDriver(Driver):
             self.phase_a = True
             self._speculated = None
         self.session.absorb(state, report)
-        self._advance(report.delivered_arcs)
+        self._advance(report.marked)
 
-    def _advance(self, delivered: np.ndarray) -> None:
+    def _advance(self, marked: np.ndarray) -> None:
         if self.phase_a:
-            self.pending = delivered
+            self.pending = marked
             self.phase_a = False
         else:
             self.pending = None
@@ -722,9 +734,8 @@ class SweepDriver(Driver):
         return BATCH, SendBatch.uniform(np.sort(np.concatenate(arcs)), INFO)
 
     def absorb(self, state, report):
-        darr = report.delivered_arcs
-        if self.knows_sink is not None and darr.size:
-            self.knows_sink[self.topo.arc_dst[darr]] = True
+        if self.knows_sink is not None:
+            self.knows_sink[report.info_dsts] = True
 
     def quiet_run(self, state):
         if self.groups is None or self.step < len(self.groups):
@@ -844,9 +855,7 @@ class EliminationDriver(Driver):
         return BATCH, SendBatch.uniform(np.flatnonzero(self.e_mask | self.p_mask), INFO)
 
     def absorb(self, state, report):
-        darr = report.delivered_arcs
-        if darr.size:
-            self.p_mask[self.topo.opp[darr]] = True
+        self.p_mask[report.marked] = True
         self.i3 += 1
         if self.i3 >= self.l3:
             self.i3 = 0

@@ -156,6 +156,23 @@ def test_batch_validation():
     out_of_range = SendBatch.uniform(np.array([99]), INFO)
     with pytest.raises(InvalidParameterError):
         _apply(state, out_of_range, [])
+    # An ascending batch's senders are its arcs // degree; an unsorted one's
+    # come from arc_src.  Only vertex 3 is uninformed, and it sends on the
+    # first, a middle or the last of its out-arcs between vertices 2 and 4.
+    for topo in (build_complete(8), build_hypercube(3)):
+        state = NetworkState(topo)
+        state.informed[:] = True
+        state.informed[3] = False
+        state.version += 1
+        own = topo.out_arcs_of(np.array([3]))
+        for arc in (own[0], own[topo.degree // 2], own[-1]):
+            arcs = np.concatenate([topo.out_arcs_of(np.array([2])), [arc],
+                                   topo.out_arcs_of(np.array([4]))])
+            for order in (arcs, arcs[::-1]):
+                with pytest.raises(InvalidParameterError):
+                    _apply(state.clone(), SendBatch.uniform(order, INFO), [])
+        # Without vertex 3's arc the same batch is legal.
+        _apply(state.clone(), SendBatch.uniform(np.delete(arcs, topo.degree), INFO), [])
 
 
 def test_batch_validation_unsorted_and_ends():

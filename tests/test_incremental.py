@@ -1,18 +1,20 @@
 """Step-by-step bookkeeping equals a recomputation from scratch.
 
 ``execute_step`` carries (k, h, b) and the edge boundary of the informed set
-across the steps it executes, and every Session keeps its send frontier up to
-date from the reports it absorbs.  A delegating driver checks both against
-full scans after every executed step of real schedules: the counts of a fresh
-state holding copies of the arrays, ``topology.edge_boundary`` and the
-frontier expression written out.
+across the steps it executes, fills each delivery report once, and every
+Session keeps its send frontier up to date from the reports it absorbs.  A
+delegating driver checks all three against full scans after every executed
+step of real schedules: the counts of a fresh state holding copies of the
+arrays, ``topology.edge_boundary``, the report fields gathered again from the
+batch and the frontier expression written out.
 """
 
 import numpy as np
 import pytest
 
 from faultcast.adversary import RandomAdversary, make_adversary
-from faultcast.engine import INFO, NetworkState, SendBatch, apply_kills, check_batch, fault_budget
+from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, apply_kills, check_batch,
+                              fault_budget)
 from faultcast.protocols import (Driver, GreedyCompleteDriver, IdleDriver, MultiplexDriver,
                                  SeqDriver, Session, make_driver, simulate)
 from faultcast.topology import build_complete, build_hypercube, edge_boundary
@@ -59,6 +61,7 @@ class CheckingDriver:
         self.steps = 0
         self.carried = 0  # steps whose counts execute_step carried forward
         self.frontiers = 0  # session frontiers compared
+        self.acks = 0  # acks delivered
 
     @property
     def total_steps(self):
@@ -78,6 +81,15 @@ class CheckingDriver:
         self.steps += 1
         self.carried += state._counts_version == state.version
         topo = state.topo
+        # The report's fields, which the driver has just read and must not have modified.
+        darr = report.batch.arcs[report.delivered_idx]
+        kinds = report.batch.kinds[report.delivered_idx]
+        assert np.array_equal(report.delivered_arcs, darr), f"step {state.step_index}"
+        assert np.array_equal(report.marked, topo.opp[darr]), f"step {state.step_index}"
+        assert np.array_equal(report.info_dsts, topo.arc_dst[darr[kinds != ACK]]), \
+            f"step {state.step_index}"
+        assert report.acks_delivered == np.count_nonzero(kinds == ACK)
+        self.acks += report.acks_delivered
         assert state.counts() == _scratch_counts(state), f"step {state.step_index}"
         assert state.boundary() == edge_boundary(topo, state.informed), \
             f"step {state.step_index}"
@@ -111,6 +123,7 @@ def test_bookkeeping_matches_scratch(protocol, build, alpha, eps, adversary):
     assert checker.steps > 0
     assert checker.carried == checker.steps - 1  # all but the first, before counts exist
     assert checker.frontiers > 0
+    assert checker.acks > 0
 
 
 def _step(state, arcs, kills):
