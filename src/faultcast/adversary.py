@@ -8,35 +8,33 @@ A shipped policy still draws nothing from its generator on one, since a
 non-exhaustive wrapper asks it anyway; so every block records exactly the
 trace of a stepped run.  A new exhaustive policy must keep both promises.
 
-A block whose template is one simple round (a steady step A, then its
-dead acks) is not stepped, and the run loop asks for many of its step-A
-kill sets at once through ``decide_rounds``: their rows equal that many
-successive ``decide`` calls, two steps apart, on the unchanged state, and
-the policy's generator moves exactly as those calls would move it.  Any
-other template with a drawn step, such as two multiplexed lanes' steady
-rounds interleaved, gets its kill sets from ``decide``, one step at a time
-in step order.  The run loop checks every row and raises AdversaryViolation
+A block repeats a template of p steps and steps nothing.  Its *drawn*
+steps, the SendBatch steps whose kill set is not forced, get their kill sets
+from ``decide_rounds``, a chunk of repetitions at a time: row r of a drawn
+step's rows equals ``decide`` r*p steps on, on the unchanged state, and the
+policy's generator moves exactly as those ``decide`` calls, in step order,
+would move it.  The run loop checks every row and raises AdversaryViolation
 if one is short.  The default ``decide_rounds`` calls ``decide`` once per
-round; a subclass of a shipped policy that changes the draw in ``decide``
-must change it in ``decide_rounds`` too, or simple-round blocks will not
-see the change.
+drawn step and repetition; a subclass of a shipped policy that changes the
+draw in ``decide`` must change it in ``decide_rounds`` too, or blocks will
+not see the change.
 
 A *speculative* block is a simple round whose step A sends to uninformed
 vertices, its *watched* messages: the round changes nothing only if its
 kill set kills all of them.  No structural rule can skip it, since some
-kill set spares one.  So ``decide_rounds`` is given the watch mask and
-returns its rows up to and including the first row that spares a watched
-message, leaving the generator right after that row.  The rule is exact
-because the run loop checks each drawn row, not every row the policy could
-draw: the rows before the sparing one are recorded as a block, and the
-sparing row is applied as a stepped step A would be.
+kill set spares one.  So ``decide_rounds`` is given the watch mask of that
+lone drawn step and returns its rows up to and including the first row that
+spares a watched message, leaving the generator right after that row.  The
+rule is exact because the run loop checks each drawn row, not every row the
+policy could draw: the rows before the sparing one are recorded as a block,
+and the sparing row is applied as a stepped step A would be.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from .engine import ACK, check_kill_rows
+from .engine import ACK, check_kill_rows, forced
 from .errors import InvalidParameterError
 
 
@@ -49,37 +47,32 @@ class AdversaryPolicy:
     def decide(self, ctx, batch, budget: int) -> np.ndarray:
         raise NotImplementedError
 
-    def decide_rounds(self, ctx, batch, budget: int, rounds: int,
-                      watch: np.ndarray | None = None) -> np.ndarray:
-        """The (rounds, min(m, budget)) kill sets of ``rounds`` steady step As.
+    def decide_rounds(self, ctx, period: int, steps: list, rounds: int,
+                      watch: np.ndarray | None = None) -> list[np.ndarray]:
+        """One (rounds, min(m, budget)) array of kill sets per drawn step
+        (offset, batch, budget) of a template of ``period`` steps.
 
-        Row r is ``decide`` at step ``ctx.step_index + 2r`` on the unchanged
-        state.  Given ``watch``, an (m,) mask of watched messages, the rows
-        end with the first one that spares a watched message, if any (see the
-        module docstring).  Wrappers that define only ``decide`` may be
-        passed here unbound.
+        Row r is ``decide`` at step ``ctx.step_index + r*period + offset`` on
+        the unchanged state.  Given ``watch``, the (m,) mask of a lone drawn
+        step's watched messages, the rows end with the first one that spares
+        one, if any (see the module docstring).  Wrappers that define only
+        ``decide`` may be passed here unbound.
         """
-        ksize = min(batch.m, budget)
-        out = np.empty((rounds, ksize), dtype=np.int64)
+        out = [np.empty((rounds, min(batch.m, budget)), dtype=np.int64)
+               for _, batch, budget in steps]
         for r in range(rounds):
-            step_ctx = replace(ctx, step_index=ctx.step_index + 2 * r)
-            row = np.asarray(self.decide(step_ctx, batch, budget), dtype=np.int64)
-            if row.size != ksize or watch is not None:  # a bad row raises here
+            for (offset, batch, budget), rows in zip(steps, out):
+                step_ctx = replace(ctx, step_index=ctx.step_index + r * period + offset)
+                row = np.asarray(self.decide(step_ctx, batch, budget))
                 killed = check_kill_rows(row.reshape(1, -1), batch.m, budget, self,
-                                         exhaustive=True)
-            out[r] = row
-            if watch is not None and not killed[0, watch].all():
-                return out[:r + 1]
+                                         exhaustive=True)  # a bad row raises here
+                rows[r] = row
+                if watch is not None and not killed[0, watch].all():
+                    return [rows[:r + 1]]
         return out
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
-
-
-def _first_spare(rows: np.ndarray, watch: np.ndarray) -> int | None:
-    """Index of the first row of kill sets that spares a watched message, or None."""
-    spares = np.count_nonzero(watch[rows], axis=1) < np.count_nonzero(watch)
-    return int(spares.argmax()) if spares.any() else None
 
 
 class _OrderedPolicy(AdversaryPolicy):
@@ -101,15 +94,14 @@ class _OrderedPolicy(AdversaryPolicy):
             return np.arange(ksize, dtype=np.int64)
         return self._order(*self._classes(ctx, batch))[:ksize]
 
-    def decide_rounds(self, ctx, batch, budget, rounds, watch=None):
-        ksize = min(batch.m, budget)
-        if ksize in (0, batch.m):
-            rows = np.arange(ksize, dtype=np.int64)[None].repeat(rounds, axis=0)
-            spare = None if watch is None else _first_spare(rows, watch)
-            return rows if spare is None else rows[:spare + 1]
-        classes = self._classes(ctx, batch)
+    def decide_rounds(self, ctx, period, steps, rounds, watch=None):
+        classes = [self._classes(ctx, batch) for _, batch, _ in steps]
+        lengths = {cls.size for _, shuffled in classes for cls in shuffled if cls.size > 1}
+        if len(lengths) > 1 or any(forced(batch.m, budget) for _, batch, budget in steps):
+            # Classes of two lengths interleave their draws; a forced step draws nothing.
+            return super().decide_rounds(ctx, period, steps, rounds, watch)
         if watch is None:
-            return self._rows(classes, ksize, rounds)
+            return self._rows(classes, steps, rounds)
         # Chunks of 1, 2, 4, ... rows.  A chunk with a sparing row is redrawn
         # up to that row from the generator state before it, so the generator
         # stops right after it, and the draws cost at most about twice the rows.
@@ -117,33 +109,39 @@ class _OrderedPolicy(AdversaryPolicy):
         while rounds:
             count = min(size, rounds)
             saved = self._rng.bit_generator.state
-            rows = self._rows(classes, ksize, count)
-            spare = _first_spare(rows, watch)
+            [rows] = self._rows(classes, steps, count)
+            spares = np.count_nonzero(watch[rows], axis=1) < np.count_nonzero(watch)
+            spare = int(spares.argmax()) if spares.any() else None
             if spare is not None and spare + 1 < count:
                 self._rng.bit_generator.state = saved
-                rows = self._rows(classes, ksize, spare + 1)
+                [rows] = self._rows(classes, steps, spare + 1)
             out.append(rows)
             if spare is not None:
                 break
             rounds -= count
             size *= 2
-        return np.concatenate(out)
+        return [np.concatenate(out)]
 
-    def _rows(self, classes, ksize, rounds):
-        """``rounds`` successive kill orders, each cut to its first ``ksize``."""
-        fixed, shuffled = classes
-        if sum(cls.size > 1 for cls in shuffled) > 1:
-            # Round by round, as the draws of two classes interleave.
-            return np.array([self._order(fixed, shuffled)[:ksize] for _ in range(rounds)])
-        # One call per class shuffles each row in turn, as successive
-        # permutations would; a class of at most one entry draws nothing.
-        tiles = [cls[None].repeat(rounds, axis=0) for cls in shuffled]
-        for tile in tiles:
+    def _rows(self, classes, steps, rounds):
+        """Each step's ``rounds`` successive kill orders, cut to min(m, budget).
+
+        The shuffled classes of more than one entry, which share one length,
+        are the rows of one tile in draw order (round, step, class), and one
+        call shuffles it row by row, as successive permutations would; a
+        class of at most one entry draws nothing.
+        """
+        drawn = [cls for _, shuffled in classes for cls in shuffled if cls.size > 1]
+        if drawn:
+            tile = np.tile(np.stack(drawn), (rounds, 1))
             self._rng.permuted(tile, axis=1, out=tile)
-        if not fixed and len(tiles) == 1:
-            return tiles[0][:, :ksize]  # no copy to join
-        fixed = [np.broadcast_to(cls, (rounds, cls.size)) for cls in fixed]
-        return np.concatenate(fixed + tiles, axis=1)[:, :ksize]
+        out, k = [], iter(range(len(drawn)))
+        for (fixed, shuffled), (_, batch, budget) in zip(classes, steps):
+            parts = [np.broadcast_to(cls, (rounds, cls.size)) for cls in fixed]
+            parts += [tile[next(k)::len(drawn)] if cls.size > 1
+                      else np.broadcast_to(cls, (rounds, cls.size)) for cls in shuffled]
+            rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            out.append(rows[:, :min(batch.m, budget)])
+        return out
 
     def _order(self, fixed, shuffled):
         """One round's kill order: the fixed classes, then each shuffled class."""

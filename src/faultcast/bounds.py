@@ -107,8 +107,8 @@ def kn_inequalities_hold(n: int, alpha: float, eps: float) -> bool:
 
 def n_min(alpha: float, eps: float) -> int:
     """Smallest n for which the complete-graph bound analysis applies."""
-    if eps <= 1.0:
-        raise InvalidParameterError(f"complete-graph eps must be > 1, got {eps}")
+    if not 1.0 < eps < math.inf:
+        raise InvalidParameterError(f"complete-graph eps must be in (1, inf), got {eps}")
     n = 2
     while not kn_inequalities_hold(n, alpha, eps):
         n += 1

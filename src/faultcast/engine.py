@@ -204,7 +204,7 @@ def execute_step(state: NetworkState, batch: SendBatch, adversary,
     if adversary.exhaustive and forced(m, budget):
         return apply_kills(state, batch, np.full(m, budget >= m), budget)
     ctx = StepContext(step_index=state.step_index, topo=state.topo, state=state)
-    kills = np.asarray(adversary.decide(ctx, batch, budget), dtype=np.int64)
+    kills = np.asarray(adversary.decide(ctx, batch, budget))
     killed = check_kill_rows(kills.reshape(1, -1), m, budget, adversary)[0]
     return apply_kills(state, batch, killed, budget)
 
@@ -256,9 +256,9 @@ def check_kill_rows(kills: np.ndarray, m: int, budget: int, adversary,
                     rounds: int = 1, exhaustive: bool = False) -> np.ndarray:
     """Check ``rounds`` kill sets on one batch of ``m`` messages, one per row.
 
-    Each row must hold at most ``budget`` distinct indices into the batch, and
-    exactly min(m, budget) if ``exhaustive``; any other kill set raises
-    AdversaryViolation.  Returns the (rounds, m) mask of killed messages.
+    Each row must hold at most ``budget`` distinct integer indices into the
+    batch, and exactly min(m, budget) if ``exhaustive``; any other kill set
+    raises AdversaryViolation.  Returns the (rounds, m) mask of killed messages.
     """
     if kills.ndim != 2 or kills.shape[0] != rounds:
         raise AdversaryViolation(
@@ -271,12 +271,15 @@ def check_kill_rows(kills: np.ndarray, m: int, budget: int, adversary,
     if width > budget:
         raise AdversaryViolation(f"{adversary.id} killed {width} messages with budget {budget}")
     killed = np.zeros((rounds, m), dtype=bool)
-    if not width:
+    if not width:  # a legal empty kill set of any dtype, as numpy makes of []
         return killed
+    if kills.dtype.kind not in "iu":
+        raise AdversaryViolation(f"{adversary.id} gave kill sets of dtype {kills.dtype}")
     if kills.min() < 0 or kills.max() >= m:
         raise AdversaryViolation(f"{adversary.id} killed a message that was not sent")
     # One flat index scatters every row at once, faster than a 2-D index.
-    flat = kills if rounds == 1 else kills + np.arange(0, rounds * m, m)[:, None]
+    flat = kills if rounds == 1 else (kills.astype(np.intp, copy=False)
+                                      + np.arange(0, rounds * m, m)[:, None])
     killed.reshape(-1)[flat.reshape(-1)] = True
     if np.count_nonzero(killed) != kills.size:
         raise AdversaryViolation(f"{adversary.id} killed the same message twice")

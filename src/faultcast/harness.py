@@ -8,6 +8,7 @@ is the sorted grid order, so identical configs produce byte-identical outputs.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -94,8 +95,8 @@ class ExperimentConfig:
                 problems.append(f"alpha {a} outside (0, 1)")
             elif base == "nosod-complete" and bounds.constants(a).y <= 0.0:
                 problems.append(f"alpha {a} unsupported by nosod-complete (Y <= 0)")
-        if self.topology == COMPLETE and base != "simple-rounds" and self.eps <= 1.0:
-            problems.append(f"complete-graph eps must be > 1, got {self.eps}")
+        if self.topology == COMPLETE and base != "simple-rounds" and not 1.0 < self.eps < math.inf:
+            problems.append(f"complete-graph eps must be in (1, inf), got {self.eps}")
         if self.topology == HYPERCUBE and not 0.0 < self.eps < 1.0:
             problems.append(f"hypercube eps must be in (0, 1), got {self.eps}")
         vertex_counts = []  # of the valid sizes, to check each adversary spec against

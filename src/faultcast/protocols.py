@@ -10,21 +10,20 @@ it can prove will change nothing; ``next`` is told whether the run loop takes
 blocks (only under such an adversary).  A block repeats a template of p
 steps.  A template step is a count m <= c-1 of messages, which die whole, or
 the SendBatch of a step A whose survivors change nothing.  The run loop
-records the block and touches no state; it asks the adversary only for the
-kill sets that are not forced (``engine.forced``), in step order, so a block
-records exactly the trace of a stepped run (see ``faultcast.adversary``).
-A driver whose upcoming steps form such a block
-whatever the steps interleaved with them do reports it through
-``quiet_run``; a MultiplexDriver merges its two lanes' quiet runs into one
-block.
+records the block and touches no state.  Whatever p is, it draws the kill
+sets that are not forced (``engine.forced``) in step order, a chunk of
+repetitions per ``decide_rounds`` call, so a block records exactly the trace
+of a stepped run (see ``faultcast.adversary``).  A driver whose upcoming
+steps form such a block whatever the steps interleaved with them do reports
+it through ``quiet_run``; a MultiplexDriver merges its two lanes' quiet runs
+into one block.
 
 A *speculative* block repeats a simple round whose step A (a ``Watched``
 step) changes nothing only under the kill sets that kill every message to
-an uninformed vertex.  It is exact because the run loop checks each drawn
-kill set, not every kill set the adversary could draw: the block ends at
-the first round whose kill set spares such a message.  The rounds before it
-are recorded as a block; that round's step A is applied as a stepped one,
-and its report goes to the driver's ``absorb``.
+an uninformed vertex.  The run loop checks each drawn kill set and ends the
+block at the first round whose kill set spares such a message: the rounds
+before it are recorded as a block, and that round's step A is applied as a
+stepped one, its report going to the driver's ``absorb``.
 
 Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
 Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
@@ -918,15 +917,13 @@ def _play_block(state: NetworkState, template: tuple, steps: int, adversary,
     """Record ``steps`` steps that repeat ``template``, each losing min(m, budget).
 
     Unless that kill set is forced (``engine.forced``), the adversary gives
-    each SendBatch step's kill set, which must be exactly min(m, budget).
-    A simple round (one drawn step A and its dead acks) gets its kill sets a
-    chunk of rounds at a time (``decide_rounds``); any other template gets
-    them one step at a time from ``decide``, in step order.  A speculative
-    block may end early; then the report of its last step is returned.
+    each SendBatch step's kill set, which must be exactly min(m, budget), by
+    ``decide_rounds``, a chunk of repetitions at a time.  A speculative block
+    may end early; then the report of its last step is returned.
     """
     c, p = state.topo.edge_connectivity, len(template)
     repeats = steps // p
-    rows, drawn = [], []
+    rows, drawn, watch = [], [], None
     for pos, step in enumerate(template):
         batch = step.batch if isinstance(step, Watched) else step
         m = batch.m if isinstance(batch, SendBatch) else batch
@@ -934,42 +931,39 @@ def _play_block(state: NetworkState, template: tuple, steps: int, adversary,
         rows.append((m, min(m, budget)))
         if isinstance(batch, SendBatch) and not forced(m, budget):
             drawn.append((pos, batch, budget))
-    if p == 2 and len(drawn) == 1:
-        pos, batch, budget = drawn[0]
-        watch = template[pos].watch if isinstance(template[pos], Watched) else None
-        draw = getattr(adversary, "decide_rounds", None)
-        draw = draw or partial(AdversaryPolicy.decide_rounds, adversary)
-        chunk = max(1, (1 << 16) // batch.m)  # about 64k messages of kill sets per draw
-        for done in range(0, repeats, chunk):
-            count = min(chunk, repeats - done)
-            ctx = StepContext(state.step_index + pos + 2 * done, state.topo, state)
-            if watch is None:
-                kills = np.asarray(draw(ctx, batch, budget, count), dtype=np.int64)
-                check_kill_rows(kills, batch.m, budget, adversary, rounds=count, exhaustive=True)
-                continue
-            kills = np.asarray(draw(ctx, batch, budget, count, watch=watch), dtype=np.int64)
-            got = len(kills) if kills.ndim == 2 and 0 < len(kills) <= count else count
-            killed = check_kill_rows(kills, batch.m, budget, adversary, rounds=got,
+            watch = step.watch if isinstance(step, Watched) else watch
+    draw = getattr(adversary, "decide_rounds", None)
+    draw = draw or partial(AdversaryPolicy.decide_rounds, adversary)
+    sent = sum(batch.m for _, batch, _ in drawn)
+    chunk = max(1, (1 << 16) // max(1, sent))  # about 64k messages of kill sets per draw
+    for done in range(0, repeats if drawn else 0, chunk):
+        count = min(chunk, repeats - done)
+        ctx = StepContext(state.step_index + p * done, state.topo, state)
+        kills = draw(ctx, p, drawn, count, watch=watch)
+        if len(kills) != len(drawn):
+            raise AdversaryViolation(
+                f"{adversary.id} gave kill sets for {len(kills)} of {len(drawn)} drawn steps")
+        for (_, batch, budget), step_kills in zip(drawn, kills):
+            step_kills = np.asarray(step_kills)
+            short = watch is not None and step_kills.ndim == 2 and 0 < len(step_kills) < count
+            got = len(step_kills) if short else count
+            killed = check_kill_rows(step_kills, batch.m, budget, adversary, rounds=got,
                                      exhaustive=True)  # raises on any other shape too
-            spared = np.flatnonzero(~killed[:, watch].all(axis=1))
-            if not spared.size and got == count:
-                continue
-            if not spared.size or spared[0] != got - 1:
-                raise AdversaryViolation(
-                    f"{adversary.id} gave {got} of {count} kill sets, but the first that "
-                    "spares a watched message must end them")
-            # The rounds before the sparing one change nothing; it is stepped.
-            if done + got - 1:
-                trace.record_block(state, rows, done + got - 1)
-            state.step_index += 2 * (done + got - 1)
-            return apply_kills(state, batch, killed[-1], budget)
-    elif drawn:
-        for first in range(state.step_index, state.step_index + steps, p):
-            for pos, step, budget in drawn:
-                ctx = StepContext(first + pos, state.topo, state)
-                kills = np.asarray(adversary.decide(ctx, step, budget), dtype=np.int64)
-                check_kill_rows(kills.reshape(1, -1), step.m, budget, adversary,
-                                exhaustive=True)
+        if watch is None:
+            continue
+        # A watch mask belongs to the lone drawn step, the last one checked.
+        spared = np.flatnonzero(~killed[:, watch].all(axis=1))
+        if not spared.size and got == count:
+            continue
+        if not spared.size or spared[0] != got - 1:
+            raise AdversaryViolation(
+                f"{adversary.id} gave {got} of {count} kill sets, but the first that "
+                "spares a watched message must end them")
+        # The rounds before the sparing one change nothing; it is stepped.
+        if done + got - 1:
+            trace.record_block(state, rows, done + got - 1)
+        state.step_index += p * (done + got - 1)
+        return apply_kills(state, batch, killed[-1], budget)
     trace.record_block(state, rows, repeats)
     state.step_index += steps
     return None
@@ -999,7 +993,7 @@ def below_min(topo: Topology, alpha: float, eps: float) -> bool:
 
     False when eps lies outside the topology's analysed domain.
     """
-    if topo.kind == COMPLETE and eps > 1.0:
+    if topo.kind == COMPLETE and 1.0 < eps < math.inf:
         return topo.n < bounds.n_min(alpha, eps)
     if topo.kind == HYPERCUBE and 0.0 < eps < 1.0:
         return topo.d < bounds.d_min(alpha, eps)
@@ -1121,11 +1115,11 @@ def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
                  adversary: AdversaryPolicy) -> tuple[NetworkState, Driver, Trace]:
     """Run a protocol's full schedule from vertex 0 and write the trace summary.
 
-    eps must lie in the topology's analysed domain: eps > 1 on K_n, 0 < eps < 1
-    on Q_d.
+    eps must lie in the topology's analysed domain: 1 < eps < inf on K_n,
+    0 < eps < 1 on Q_d.
     """
-    if topo.kind == COMPLETE and eps <= 1.0:
-        raise InvalidParameterError(f"complete-graph eps must be > 1, got {eps}")
+    if topo.kind == COMPLETE and not 1.0 < eps < math.inf:
+        raise InvalidParameterError(f"complete-graph eps must be in (1, inf), got {eps}")
     if topo.kind == HYPERCUBE and not 0.0 < eps < 1.0:
         raise InvalidParameterError(f"hypercube eps must be in (0, 1), got {eps}")
     below = below_min(topo, alpha, eps)

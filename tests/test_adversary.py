@@ -199,7 +199,7 @@ def test_decide_rounds_equals_successive_decides(make_adv, topo, rounds):
             one, many = make_adv(seed), make_adv(seed)
             rows = [one.decide(replace(ctx, step_index=ctx.step_index + 2 * r), batch, budget)
                     for r in range(rounds)]
-            block = many.decide_rounds(ctx, batch, budget, rounds)
+            [block] = many.decide_rounds(ctx, 2, [(0, batch, budget)], rounds)
             assert block.shape == (rounds, min(m, budget)) and block.dtype == np.int64
             assert [row.tolist() for row in block] == [row.tolist() for row in rows]
             assert many._rng.bit_generator.state == one._rng.bit_generator.state
@@ -207,7 +207,8 @@ def test_decide_rounds_equals_successive_decides(make_adv, topo, rounds):
 
 def test_ack_suppressor_interleaved_classes_draw_round_by_round():
     """With both shuffled classes of two or more entries, a block draws as the
-    same count of ``decide`` calls would: each round's fresh class, then its rest."""
+    same count of ``decide`` calls would: each round's fresh class, then its
+    rest, whether the two share one length or not."""
     topo = build_complete(8)
     ctx = _ctx(topo, [0, 1, 2, 5])
     batch = _mixed_batch(topo, 1, 20)
@@ -215,7 +216,8 @@ def test_ack_suppressor_interleaved_classes_draw_round_by_round():
     one, many = AckSuppressor(4), AckSuppressor(4)
     budget = batch.m - 2
     rows = [one.decide(ctx, batch, budget) for _ in range(5)]
-    assert many.decide_rounds(ctx, batch, budget, 5).tolist() == [r.tolist() for r in rows]
+    [block] = many.decide_rounds(ctx, 1, [(0, batch, budget)], 5)
+    assert block.tolist() == [r.tolist() for r in rows]
     assert many._rng.bit_generator.state == one._rng.bit_generator.state
 
 
@@ -250,13 +252,58 @@ def test_decide_rounds_with_watch_stops_after_the_first_sparing_row(make_adv, to
                 one, many, unbound = make_adv(seed), make_adv(seed), make_adv(seed)
                 rows = _stepped_until_spare(one, ctx, batch, budget, rounds, watch)
                 stops |= {len(rows)} - {rounds}
-                for got, adv in ((many.decide_rounds(ctx, batch, budget, rounds, watch=watch),
-                                  many),
-                                 (AdversaryPolicy.decide_rounds(unbound, ctx, batch, budget,
-                                                                rounds, watch=watch), unbound)):
+                steps = [(0, batch, budget)]
+                for [got], adv in ((many.decide_rounds(ctx, 2, steps, rounds, watch=watch), many),
+                                   (AdversaryPolicy.decide_rounds(unbound, ctx, 2, steps, rounds,
+                                                                  watch=watch), unbound)):
                     assert got.shape == (len(rows), min(m, budget)) and got.dtype == np.int64
                     assert [row.tolist() for row in got] == [row.tolist() for row in rows]
                     assert adv._rng.bit_generator.state == one._rng.bit_generator.state
     assert rounds == 1 or stops
     if rounds == 20 and make_adv is RandomAdversary:
         assert stops - {1}  # past row 0, a chunk of 2, 4, ... rows is redrawn in part
+
+
+def _template(topo, seed, ms, acks=4):
+    """One all-informed context and a SendBatch of m messages per entry of
+    ``ms``, none to vertex 3, ``acks`` of them acks: each policy's one
+    shuffled class has one length across the batches exactly when their m do."""
+    rng = np.random.default_rng(seed)
+    arcs = np.flatnonzero(topo.arc_dst != 3)
+    batches = []
+    for m in ms:
+        kinds = np.full(m, INFO, dtype=np.int8)
+        kinds[rng.choice(m, size=acks, replace=False)] = ACK
+        batches.append(SendBatch(arcs=np.sort(rng.choice(arcs, size=m, replace=False)),
+                                 kinds=kinds))
+    return _ctx(topo, range(topo.n)), batches
+
+
+@pytest.mark.parametrize("period, ms", [(4, [12, 12]), (8, [12, 12, 12, 12]), (4, [12, 9])],
+                         ids=["two-lanes", "four-steps", "two-lengths"])
+@pytest.mark.parametrize("make_adv", [RandomAdversary, lambda seed: VictimGuard(3, seed),
+                                      AckSuppressor], ids=["random", "victim_guard", "ack_suppressor"])
+def test_decide_rounds_of_a_template_equals_interleaved_decides(make_adv, period, ms):
+    """Row r of a drawn step's rows is ``decide`` at step first + r*p + its
+    offset, asked step after step in step order, and the generator ends
+    where those calls leave it.  Classes of one length across the steps, as
+    in two merged lanes, are drawn without ``decide``; classes of two
+    lengths take the per-round default."""
+    topo = build_complete(16)
+    ctx, batches = _template(topo, len(ms), ms)
+    first = 40
+    ctx = replace(ctx, step_index=first)
+    one, many = make_adv(5), make_adv(5)
+    steps = [(2 * i + 1, batch, batch.m // 2 + i) for i, batch in enumerate(batches)]
+    if len(set(ms)) == 1:
+        many.decide = None  # the vectorised draw must not ask it
+    else:
+        many._rows = None  # the per-round default must not need it
+    rows = [[one.decide(replace(ctx, step_index=first + r * period + offset), batch, budget)
+             for offset, batch, budget in steps] for r in range(7)]
+    got = many.decide_rounds(ctx, period, steps, 7)
+    assert len(got) == len(steps)
+    for i, (_, batch, budget) in enumerate(steps):
+        assert got[i].shape == (7, min(batch.m, budget))
+        assert [row.tolist() for row in got[i]] == [r[i].tolist() for r in rows]
+    assert many._rng.bit_generator.state == one._rng.bit_generator.state

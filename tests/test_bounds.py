@@ -132,6 +132,13 @@ def test_n_min_frozen(alpha, eps, expected):
     assert bounds.n_min(alpha, eps) == expected
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 1.0])
+def test_n_min_rejects_eps_outside_its_domain(eps):
+    """An infinite or NaN eps fails at once, not after the search for n_min."""
+    with pytest.raises(InvalidParameterError, match=r"eps must be in \(1, inf\)"):
+        bounds.n_min(0.5, eps)
+
+
 @pytest.mark.parametrize("alpha,eps", [(0.5, 2.0), (0.3, 2.0), (0.7, 2.0)])
 def test_n_min_inequalities_hold_above(alpha, eps):
     n0 = bounds.n_min(alpha, eps)

@@ -97,12 +97,12 @@ class _NeverAsked(AdversaryPolicy):
 
 
 class _Gives(AdversaryPolicy):
-    """Gives the same kill set at every step."""
+    """Gives the same kill set at every step, as the array numpy makes of it."""
 
     id = "gives"
 
     def __init__(self, kills, exhaustive=False):
-        self.kills = np.array(kills, dtype=np.int64)
+        self.kills = np.array(kills)
         self.exhaustive = exhaustive
         self.asked = 0
 
@@ -126,15 +126,15 @@ def test_forced_kill_sets_are_not_asked():
         report = execute_step(state, batch, _NeverAsked(), 0.5)
         assert report.budget == budget and report.lost_idx.tolist() == lost
         assert state.step_index == 1 and state.k == topo.n - 1 - (batch.m - len(lost))
-        policy = _Gives([])
+        policy = _Gives([])  # float64, as numpy makes an empty list, and legal
         report = execute_step(NetworkState(topo), batch, policy, 0.5)
         assert policy.asked == 1 and report.lost_idx.size == 0
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
 @pytest.mark.parametrize("kills, match", [([0, 1, 2], "budget"), ([7], "not sent"),
-                                          ([1, 1], "twice")],
-                         ids=["over_budget", "unsent", "repeated"])
+                                          ([1, 1], "twice"), ([0.5, 1.5], "dtype")],
+                         ids=["over_budget", "unsent", "repeated", "float"])
 def test_bad_kill_sets_raise_through_execute_step(kills, match, exhaustive):
     topo = build_complete(3)
     state = NetworkState(topo)
@@ -142,6 +142,22 @@ def test_bad_kill_sets_raise_through_execute_step(kills, match, exhaustive):
     batch = SendBatch.uniform(np.arange(4), INFO)  # budget 2 of 4: not forced
     with pytest.raises(AdversaryViolation, match=match):
         execute_step(state, batch, _Gives(kills, exhaustive), 0.5)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64, np.int64])
+def test_kill_rows_of_any_integer_dtype(dtype):
+    """Kill sets of any integer dtype are indices, checked row by row; a
+    float or bool array is not, whatever its values."""
+    kills = np.array([[0, 1], [3, 0], [2, 3]], dtype=dtype)
+    killed = check_kill_rows(kills, 4, 2, _GIVEN, rounds=3, exhaustive=True)
+    assert killed.tolist() == [[True, True, False, False], [True, False, False, True],
+                               [False, False, True, True]]
+    kills[1, 1] = 3
+    with pytest.raises(AdversaryViolation, match="twice"):
+        check_kill_rows(kills, 4, 2, _GIVEN, rounds=3)
+    for other in (np.float64, bool):
+        with pytest.raises(AdversaryViolation, match="dtype"):
+            check_kill_rows(kills[:, :1].astype(other), 4, 2, _GIVEN, rounds=3)
 
 
 def test_batch_validation():

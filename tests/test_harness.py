@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -30,6 +31,17 @@ def test_defaults():
     hc = ExperimentConfig(topology="hypercube")
     assert hc.eps == 0.5
     assert hc.protocol == "hypercube"
+
+
+def test_config_rejects_a_non_finite_eps():
+    """On K_n eps must lie in (1, inf); inf and NaN are reported before
+    anything runs, and the public runner rejects them too."""
+    for eps in (math.inf, math.nan):
+        assert _small_config(eps=eps).check() == [
+            f"complete-graph eps must be in (1, inf), got {eps}"]
+        with pytest.raises(InvalidParameterError, match="eps"):
+            protocols.run_protocol("almost-kn", build_complete(8), 0.5, eps,
+                                   make_adversary("random:0"))
 
 
 def test_config_errors_enumerated():

@@ -394,12 +394,23 @@ class _Logging(AdversaryPolicy):
 
 class _StepCountingTrace(Trace):
     record_steps = 0
-    drawn_steps = 0  # of them, the steps whose kill set is not forced
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.drawn_steps = []  # of them, the steps whose kill set is not forced
 
     def record_step(self, state, report):
         self.record_steps += 1
-        self.drawn_steps += not forced(report.batch.m, report.budget)
+        if not forced(report.batch.m, report.budget):
+            self.drawn_steps.append(state.step_index - 1)
         super().record_step(state, report)
+
+
+def _assert_same_state(state, other):
+    """Both runs end on the same informed and passive sets at the same step."""
+    assert np.array_equal(state.informed, other.informed)
+    assert np.array_equal(state.passive, other.passive)
+    assert state.step_index == other.step_index
 
 
 def _traced(protocol, topo, alpha, adversary):
@@ -435,19 +446,21 @@ def test_inert_fast_forward_matches_stepped(protocol, topo, make_adv, alpha):
     K_64 and K_256 take most of their blocks inside multiplexed lanes."""
     fast = _Logging(make_adv(topo, 9), exhaustive=True)
     stepped = _Logging(make_adv(topo, 9), exhaustive=False)
-    (_, trace), (_, trace_s) = (_traced(protocol, topo, alpha, adv) for adv in (fast, stepped))
+    (state, trace), (state_s, trace_s) = (_traced(protocol, topo, alpha, adv)
+                                          for adv in (fast, stepped))
     assert len(fast.log) < len(stepped.log) == len(trace_s)
     for name in ("step", "k", "h", "b", "m_sent", "m_lost", "acks", "M", "boundary"):
         assert np.array_equal(trace.column(name), trace_s.column(name)), name
+    _assert_same_state(state, state_s)
     # The columns are blind to which arcs delivered, the kill sets are not:
     # skipping a dead batch must not shift the policy's random stream.
     assert fast.log.items() <= stepped.log.items()
     # A steady round asks for its step-A kill set but steps nothing; under
     # ``random`` K_64 at alpha 0.7 and Q_8 at every alpha end in steady rounds.
-    assert trace.drawn_steps <= len(fast.log)
+    assert len(trace.drawn_steps) <= len(fast.log)
     if make_adv is ADVERSARIES[0] and (topo.d == 8 if topo.kind == HYPERCUBE
                                        else topo.n == 64 and alpha == 0.7):
-        assert trace.drawn_steps < len(fast.log)
+        assert len(trace.drawn_steps) < len(fast.log)
 
 
 class _SparesInRound(AdversaryPolicy):
@@ -488,14 +501,16 @@ def test_steady_block_draw_matches_round_by_round(protocol, topo, make_adv, alph
     trace and leaves the generator as the per-round default does, which
     ``_Logging`` takes since it defines only ``decide``.  K_64 under
     ``random`` asks for its 663-round block in three chunks.  On sod-complete
-    the blocks of multiplexed lanes ask both policies step by step; there
-    lanes can turn steady some steps apart (under ``victim_guard`` on K_256),
-    and a steady lane is stepped until the other lane is quiet too."""
+    the blocks of two merged lanes draw two or four steps per repetition;
+    there lanes can turn steady some steps apart (under ``victim_guard`` on
+    K_256), and a steady lane is stepped until the other lane is quiet too."""
     bare = make_adv(topo, 9)
     logged = _Logging(make_adv(topo, 9), exhaustive=True)
-    (_, trace), (_, trace_l) = (_traced(protocol, topo, alpha, adv) for adv in (bare, logged))
+    (state, trace), (state_l, trace_l) = (_traced(protocol, topo, alpha, adv)
+                                          for adv in (bare, logged))
     for name in ("step", "k", "h", "b", "m_sent", "m_lost", "acks", "M", "boundary"):
         assert np.array_equal(trace.column(name), trace_l.column(name)), name
+    _assert_same_state(state, state_l)
     assert bare._rng.bit_generator.state == logged.inner._rng.bit_generator.state
     if make_adv is ADVERSARIES[0] or topo.kind == HYPERCUBE or protocol == "sod-complete":
         assert trace.record_steps < len(logged.log)  # the run had a steady block
@@ -512,38 +527,89 @@ def test_multiplexed_steady_lanes_are_blocks():
 
 
 class _BreaksBlock(RandomAdversary):
-    """``random``, but the middle row of each steady chunk of at least three
-    rounds breaks the kill-set contract as ``fault`` says."""
+    """``random``, but in each block chunk of at least three rounds that draws
+    more than one step if ``lanes`` (else one), the middle row of the last
+    drawn step breaks the kill-set contract as ``fault`` says, or the last
+    step's rows are left out."""
 
-    def __init__(self, fault):
+    def __init__(self, fault, lanes=False):
         super().__init__(0)
         self.fault = fault
+        self.lanes = lanes
 
-    def decide_rounds(self, ctx, batch, budget, rounds):
-        kills = super().decide_rounds(ctx, batch, budget, rounds).copy()
+    def decide_rounds(self, ctx, period, steps, rounds, watch=None):
+        kills = [rows.copy() for rows in super().decide_rounds(ctx, period, steps, rounds)]
         mid = rounds // 2
-        if rounds < 3:
+        if rounds < 3 or (len(steps) > 1) != self.lanes:
             return kills
         if self.fault == "repeat":
-            kills[mid, 1] = kills[mid, 0]
+            kills[-1][mid, 1] = kills[-1][mid, 0]
         elif self.fault == "unsent":
-            kills[mid, 0] = batch.m
+            kills[-1][mid, 0] = steps[-1][1].m
         elif self.fault == "rows":
-            kills = np.delete(kills, mid, axis=0)
+            kills[-1] = np.delete(kills[-1], mid, axis=0)
+        elif self.fault == "steps":
+            kills.pop()
         return kills
 
 
+class _FloatsAt(_SparesInRound):
+    """``random``, but its kill set at ``step`` is a float array."""
+
+    def decide(self, ctx, batch, budget):
+        kills = self.inner.decide(ctx, batch, budget)
+        return kills + 0.5 if ctx.step_index == self.step else kills
+
+
+_BAD_ROWS = [("repeat", "twice"), ("unsent", "not sent"), ("rows", "shape"),
+             ("steps", "0 of 1 drawn steps")]
+
+
 @pytest.mark.parametrize("adversary, match", [
-    (_BreaksBlock("repeat"), "twice"), (_BreaksBlock("unsent"), "not sent"),
-    (_BreaksBlock("rows"), "shape"),
+    *((_BreaksBlock(fault), match) for fault, match in _BAD_ROWS),
     (_SparesInRound(2 * bounds.rounds_kn(64, 0.7) - 600), "exhaustive"),
-], ids=["repeat", "unsent", "rows", "short"])
+    (_FloatsAt(2 * bounds.rounds_kn(64, 0.7) - 600), "dtype"),
+], ids=[fault for fault, _ in _BAD_ROWS] + ["short", "float"])
 def test_steady_block_rejects_a_bad_row_mid_chunk(adversary, match):
     """Every row of a steady chunk is checked, not only its first or last.
-    The short row comes through the per-round default, 44 rounds into the
-    second of the three chunks of K_64's steady block under ``random``."""
+    The short and float rows come through the per-round default, 44 rounds
+    into the second of the three chunks of K_64's steady block under
+    ``random``; a float kill set is not cast to indices."""
     with pytest.raises(AdversaryViolation, match=match):
         protocols.almost_complete_kn(64, 0.7, 2.0, adversary)
+
+
+@pytest.mark.parametrize("fault, match", [*_BAD_ROWS[:3], ("steps", "1 of 2 drawn steps")],
+                         ids=[fault for fault, _ in _BAD_ROWS])
+def test_merged_lane_block_rejects_a_bad_row_mid_chunk(fault, match):
+    """The same faults in the blocks of two merged lanes, which draw two or
+    four steps per repetition on sod-complete K_64: a missing step's rows
+    are reported, not cut short by pairing the steps with the rows."""
+    with pytest.raises(AdversaryViolation, match=match):
+        protocols.sod_complete(64, 0.5, 2.0, _BreaksBlock(fault, lanes=True))
+
+
+class _AsksAt(RandomAdversary):
+    """``random``, logging the step of every ``decide`` call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.asked = []
+
+    def decide(self, ctx, batch, budget):
+        self.asked.append(ctx.step_index)
+        return super().decide(ctx, batch, budget)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_blocks_do_not_ask_decide(n):
+    """A shipped policy draws every block through ``decide_rounds``, so only
+    executed steps whose kill set is drawn ask ``decide``, each once; the
+    blocks of merged lanes on sod-complete ask it at none of their steps."""
+    adv = _AsksAt(9)
+    _, trace = _traced("sod-complete", build_complete(n, chordal=True), 0.5, adv)
+    assert adv.asked and len(set(adv.asked)) == len(adv.asked)
+    assert set(adv.asked) <= set(trace.drawn_steps)
 
 
 @pytest.mark.parametrize("make_adv", ADVERSARIES, ids=ADVERSARY_IDS)
@@ -732,10 +798,10 @@ class _MisplacesSpare(RandomAdversary):
         super().__init__(0)
         self.fault = fault
 
-    def decide_rounds(self, ctx, batch, budget, rounds, watch=None):
+    def decide_rounds(self, ctx, period, steps, rounds, watch=None):
         if watch is None or self.fault == "past":
-            return super().decide_rounds(ctx, batch, budget, rounds)
-        return super().decide_rounds(ctx, batch, budget, rounds, watch)[:-1]
+            return super().decide_rounds(ctx, period, steps, rounds)
+        return [rows[:-1] for rows in super().decide_rounds(ctx, period, steps, rounds, watch)]
 
 
 @pytest.mark.parametrize("fault", ["past", "early"])
