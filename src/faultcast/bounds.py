@@ -179,14 +179,18 @@ class BoundSet:
 
 
 def bound_set(alpha: float, eps: float, n: int | None = None, d: int | None = None) -> BoundSet:
+    """Constants and schedule lengths; n_min, L1-L4 and d_min only in their eps domains."""
     cc = constants(alpha)
+    if not math.isfinite(eps):
+        raise InvalidParameterError(f"eps must be finite, got {eps}")
     kw: dict = {}
     if n is not None:
         kw["n"] = n
         kw["r_kn"] = rounds_kn(n, alpha)
-        kw["n_min"] = n_min(alpha, eps) if eps > 1.0 else None
-        if cc.y > 0.0 and n >= 3:
-            kw["l1"], kw["l2"], kw["l3"], kw["l4"] = l_params(n, alpha, eps if eps > 0 else 2.0)
+        if eps > 1.0:
+            kw["n_min"] = n_min(alpha, eps)
+            if cc.y > 0.0 and n >= 3:
+                kw["l1"], kw["l2"], kw["l3"], kw["l4"] = l_params(n, alpha, eps)
     if d is not None:
         kw["d"] = d
         kw["t1"], kw["t2"] = rounds_hypercube(d, alpha)

@@ -123,15 +123,21 @@ class ExperimentConfig:
         return problems
 
 
-def _json_fields(path) -> dict:
-    """The fields a JSON config file sets, rejecting names that are not fields."""
+def _read_json(path, what: str):
+    """The value a JSON file holds; a file that cannot be read or is not JSON
+    is a ConfigError naming it as ``what``."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # not JSON, or not text
-        raise ConfigError(f"config {path} is not JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not JSON: {exc}") from exc
+
+
+def _json_fields(path) -> dict:
+    """The fields a JSON config file sets, rejecting names that are not fields."""
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} holds {type(raw).__name__}, not a JSON object")
     unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
@@ -242,7 +248,13 @@ def verify_regressions(path=None) -> list[dict]:
         raise ConfigError(
             f"regression file {path} missing; regenerate it with worst_case_search "
             "and freeze the results before shipping")
-    entries = json.loads(path.read_text())
+    entries = _read_json(path, "regression file")
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ConfigError(f"regression file {path} is not a JSON list of objects")
+    for i, entry in enumerate(entries):
+        missing = [k for k in ("name", "n", "protocol", "alpha", "worst_steps") if k not in entry]
+        if missing:
+            raise ConfigError(f"regression entry {i} of {path} lacks {missing}")
     results = []
     for entry in entries:
         got = worst_case_search(entry["n"], entry["protocol"], entry["alpha"],

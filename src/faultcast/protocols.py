@@ -437,7 +437,7 @@ class GreedyCompleteDriver(Driver):
         if self.trace is not None and self.step == 0:
             self.trace.mark("greedy", primary=self.session.primary)
         if self.step == 0:
-            arcs = np.sort(topo.out_slice(self.session.origin))
+            arcs = topo.out_arcs_of([self.session.origin])
         else:
             arcs = topo.out_arcs_of(np.flatnonzero(self.session.aware))
         return BATCH, SendBatch.uniform(arcs, self.session.payload_kind)
@@ -475,7 +475,7 @@ class GreedyHypercubeDriver(Driver):
         if self.trace is not None and self.step == 0:
             self.trace.mark("greedy", primary=True)
         if self.step == 0:
-            arcs = np.sort(self.topo.out_slice(self.initiator))
+            arcs = self.topo.out_arcs_of([self.initiator])
         else:
             mask = state.informed[self.topo.arc_src] & ~(
                 (self.topo.arc_dst == self.initiator) & (self.topo.arc_src != self.initiator))
@@ -675,7 +675,7 @@ class Phase2CandidatesDriver(Driver):
         messages = []
         for v in senders:
             v = int(v)
-            out = topo.out_slice(v)
+            out = topo.out_arcs_of([v])
             u_v = frozenset(int(x) for x in topo.arc_dst[out[~self.prev.marks[out]]])
             if v in (0, 1):
                 self.ctx.received[v].append(u_v)
@@ -1000,9 +1000,8 @@ def below_min(topo: Topology, alpha: float, eps: float) -> bool:
     return False
 
 
-def greedy_init_complete(n: int, alpha: float, adversary: AdversaryPolicy,
-                         port_seed: int | None = 0) -> NetworkState:
-    topo = build_complete(n, port_seed=port_seed)
+def greedy_init_complete(n: int, alpha: float, adversary: AdversaryPolicy) -> NetworkState:
+    topo = build_complete(n)
     state = NetworkState(topo)
     simulate(topo, make_driver("greedy-kn", topo, alpha, 2.0, state), adversary, alpha,
              state=state)
@@ -1111,17 +1110,20 @@ def _sod_complete_driver(topo: Topology, alpha: float, eps: float,
     return SeqDriver([stage_a, MultiplexDriver(lane(0), lane(1))])
 
 
-def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
-                 adversary: AdversaryPolicy) -> tuple[NetworkState, Driver, Trace]:
-    """Run a protocol's full schedule from vertex 0 and write the trace summary.
-
-    eps must lie in the topology's analysed domain: 1 < eps < inf on K_n,
-    0 < eps < 1 on Q_d.
-    """
+def check_eps(topo: Topology, eps: float) -> None:
+    """Raise unless eps lies in the topology's analysed domain: 1 < eps < inf
+    on K_n, 0 < eps < 1 on Q_d."""
     if topo.kind == COMPLETE and not 1.0 < eps < math.inf:
         raise InvalidParameterError(f"complete-graph eps must be in (1, inf), got {eps}")
     if topo.kind == HYPERCUBE and not 0.0 < eps < 1.0:
         raise InvalidParameterError(f"hypercube eps must be in (0, 1), got {eps}")
+
+
+def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
+                 adversary: AdversaryPolicy) -> tuple[NetworkState, Driver, Trace]:
+    """Run a protocol's full schedule from vertex 0 and write the trace summary;
+    eps must pass ``check_eps``."""
+    check_eps(topo, eps)
     below = below_min(topo, alpha, eps)
     state = NetworkState(topo)
     driver = make_driver(protocol, topo, alpha, eps, state)
@@ -1131,7 +1133,7 @@ def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
 
 
 def almost_complete_kn(n: int, alpha: float, eps: float, adversary: AdversaryPolicy,
-                       port_seed: int | None = 0) -> Trace:
+                       port_seed: None = None) -> Trace:
     """Theorem-2 schedule: greedy init plus R_kn(n, alpha) simple rounds."""
     topo = build_complete(n, port_seed=port_seed)
     return run_protocol("almost-kn", topo, alpha, eps, adversary)[2]
@@ -1159,8 +1161,7 @@ def sod_complete(n: int, alpha: float, eps: float, adversary: AdversaryPolicy) -
     return run_protocol("sod-complete", topo, alpha, eps, adversary)[2]
 
 
-def nosod_complete(n: int, alpha: float, eps: float, adversary: AdversaryPolicy,
-                   port_seed: int | None = 0) -> Trace:
+def nosod_complete(n: int, alpha: float, eps: float, adversary: AdversaryPolicy) -> Trace:
     """Complete broadcast without sense of direction (needs 1-a-2a^2+a^3 > 0)."""
-    topo = build_complete(n, port_seed=port_seed)
+    topo = build_complete(n)
     return run_protocol("nosod-complete", topo, alpha, eps, adversary)[2]

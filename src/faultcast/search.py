@@ -51,8 +51,8 @@ import numpy as np
 
 from .engine import (INFO, INFO_CANDS, NetworkState, SendBatch, apply_kills, check_batch,
                      fault_budget)
-from .errors import TooLargeError, UnsupportedTopologyError
-from .protocols import BATCH, make_driver
+from .errors import InvalidParameterError, TooLargeError, UnsupportedTopologyError
+from .protocols import BATCH, check_eps, make_driver
 from .topology import COMPLETE, Topology, build_complete, complete_arc_id
 
 HORIZON_EXCEEDED = math.inf
@@ -82,7 +82,7 @@ def _vertex_perms(n: int, initiator: int) -> tuple[np.ndarray, np.ndarray]:
     vmaps = np.empty((math.factorial(n - 1), n), dtype=np.int64)
     vmaps[:, initiator] = initiator
     vmaps[:, others] = list(permutations(others))
-    topo = build_complete(n, port_seed=None)
+    topo = build_complete(n)
     return vmaps, complete_arc_id(n, vmaps[:, topo.arc_src], vmaps[:, topo.arc_dst])
 
 
@@ -144,11 +144,14 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
                       all_sizes: bool = False, initiator: int = 0) -> SearchResult:
     """Maximum steps any budget-respecting adversary can force, or horizon excess."""
     if isinstance(topo, int):
-        topo = build_complete(topo, port_seed=None)
+        topo = build_complete(topo)
     if topo.kind != COMPLETE:
         raise UnsupportedTopologyError("worst-case search supports complete graphs only")
     if topo.n > _SIZE_CAP:
         raise TooLargeError(f"search capped at n <= {_SIZE_CAP}, got n = {topo.n}")
+    check_eps(topo, eps)
+    if horizon is not None and horizon < 0:
+        raise InvalidParameterError(f"horizon {horizon} < 0")
 
     state0 = NetworkState(topo, initiator=initiator)
     driver0 = make_driver(protocol, topo, alpha, eps, state0)

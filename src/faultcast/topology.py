@@ -2,9 +2,9 @@
 
 Vertices are integers 0..n-1; a hypercube vertex is the value of its d-bit
 string.  Every undirected edge is stored as two opposite arcs.  Arc ids are
-canonical (source-major); per-vertex port order is a separate, optionally
-seeded permutation so that protocols without sense of direction cannot exploit
-id structure through port numbering.
+canonical (source-major).  No port order is kept: every schedule sends on a
+set of arcs (all out-arcs, or all unmarked ones), never on a port number, so
+a run is the same under every port numbering.
 """
 
 from dataclasses import dataclass
@@ -50,20 +50,13 @@ class Topology:
     arc_src: np.ndarray  # int32[A]
     arc_dst: np.ndarray  # int32[A]
     opp: np.ndarray  # int32[A], index of the opposite arc
-    out_arcs: np.ndarray  # int32[A], arc ids grouped by source in port order
-    out_start: np.ndarray  # int32[n+1]
     edge_connectivity: int
     degree: int
     labeling: ChordalLabeling | None = None
-    port_seed: int | None = None
 
     @property
     def num_arcs(self) -> int:
         return int(self.arc_src.shape[0])
-
-    def out_slice(self, v: int) -> np.ndarray:
-        """Out-arc ids of v in port order (port p -> out_slice(v)[p])."""
-        return self.out_arcs[self.out_start[v]:self.out_start[v + 1]]
 
     def out_arcs_of(self, vertices: np.ndarray) -> np.ndarray:
         """Every out-arc of the given vertices, ascending for ascending vertices.
@@ -93,14 +86,15 @@ def complete_arc_id(n: int, u, v):
     return u * (n - 1) + v - (v > u)
 
 
-def build_complete(n: int, port_seed: int | None = 0, chordal: bool = False) -> Topology:
+def build_complete(n: int, port_seed: None = None, chordal: bool = False) -> Topology:
     """K_n with n(n-1) arcs and edge connectivity n-1.
 
-    Without ``chordal``, each vertex's port order is an independent seeded
-    permutation of its out-arcs.  With ``chordal``, port p of vertex u leads to
-    (u+p+1) mod n, i.e. ports are ordered by chordal label, and the labeling is
-    attached.
+    No port order is kept, as no schedule reads one; ``port_seed`` only
+    accepts None.  With ``chordal``, the chordal labeling is attached.
     """
+    if port_seed is not None:
+        raise InvalidParameterError(f"port_seed must be None, got {port_seed}: "
+                                    "no port order is kept")
     if n < 2:
         raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
     src = np.repeat(np.arange(n, dtype=np.int32), n - 1)
@@ -108,25 +102,10 @@ def build_complete(n: int, port_seed: int | None = 0, chordal: bool = False) -> 
     j = np.arange(n - 1, dtype=np.int32)
     dst = (j + (j >= np.arange(n, dtype=np.int32)[:, None])).ravel()
     opp = complete_arc_id(n, dst, src)
-
-    out_start = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int32)
-    if chordal:
-        # Port p of u leads to (u+p+1) mod n.
-        dests = (src + 1 + np.tile(np.arange(n - 1, dtype=np.int32), n)) % n
-        out_arcs = complete_arc_id(n, src, dests)
-        labeling = ChordalLabeling(n)
-        port_seed = None
-    else:
-        out_arcs = np.arange(n * (n - 1), dtype=np.int32)
-        if port_seed is not None:
-            # Shuffles each vertex's row in turn, as rng.shuffle row by row would.
-            rows = out_arcs.reshape(n, n - 1)
-            np.random.default_rng(port_seed).permuted(rows, axis=1, out=rows)
-        labeling = None
     return Topology(
         kind=COMPLETE, n=n, d=None, arc_src=src, arc_dst=dst, opp=opp,
-        out_arcs=out_arcs, out_start=out_start, edge_connectivity=n - 1,
-        degree=n - 1, labeling=labeling, port_seed=port_seed,
+        edge_connectivity=n - 1, degree=n - 1,
+        labeling=ChordalLabeling(n) if chordal else None,
     )
 
 
@@ -139,12 +118,8 @@ def build_hypercube(d: int) -> Topology:
     dims = np.tile(np.arange(d, dtype=np.int32), n)
     dst = src ^ (np.int32(1) << dims)
     opp = (dst.astype(np.int64) * d + dims).astype(np.int32)
-    out_arcs = np.arange(n * d, dtype=np.int32)  # port p = dimension p
-    out_start = np.arange(0, n * d + 1, d, dtype=np.int32)
-    return Topology(
-        kind=HYPERCUBE, n=n, d=d, arc_src=src, arc_dst=dst, opp=opp,
-        out_arcs=out_arcs, out_start=out_start, edge_connectivity=d, degree=d,
-    )
+    return Topology(kind=HYPERCUBE, n=n, d=d, arc_src=src, arc_dst=dst, opp=opp,
+                    edge_connectivity=d, degree=d)
 
 
 def chordal_labels(topo: Topology) -> ChordalLabeling:
@@ -155,10 +130,13 @@ def chordal_labels(topo: Topology) -> ChordalLabeling:
 
 
 def edge_boundary(topo: Topology, s) -> int:
-    """Number of undirected edges with exactly one endpoint in s."""
+    """Number of undirected edges with exactly one endpoint in s, given as
+    vertex ids or as a boolean mask of length n."""
     member = np.zeros(topo.n, dtype=bool)
     idx = np.asarray(list(s) if not isinstance(s, np.ndarray) else s)
     if idx.dtype == bool:
+        if idx.shape != (topo.n,):
+            raise InvalidParameterError(f"vertex mask of shape {idx.shape}, need ({topo.n},)")
         member = idx
     elif idx.size:
         if idx.min() < 0 or idx.max() >= topo.n:

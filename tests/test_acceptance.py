@@ -172,8 +172,7 @@ def test_criterion_5_greedy_lower_bounds(capsys):
     for i in range(1000):
         alpha = float(rng.uniform(0.05, 0.95))
         n = int(rng.integers(2, 25))
-        state = protocols.greedy_init_complete(n, alpha, RandomAdversary(i),
-                                               port_seed=i)
+        state = protocols.greedy_init_complete(n, alpha, RandomAdversary(i))
         informed = int(np.count_nonzero(state.informed))
         lower = 1.0 + min(n / 2.0, (n - 1) * (1.0 - alpha))
         if informed < lower - 1e-9:
@@ -245,11 +244,11 @@ def test_criterion_8_oracle_regression(capsys):
     w3 = worst_case_search(3, "almost-kn", 0.5).worst_steps
     w4 = worst_case_search(4, "nosod-complete", 0.5, horizon=200).worst_steps
     for adv in (RandomAdversary(0), RandomAdversary(7), VictimGuard(2), AckSuppressor(3)):
-        tr = protocols.almost_complete_kn(3, 0.5, 2.0, adv, port_seed=None)
+        tr = protocols.almost_complete_kn(3, 0.5, 2.0, adv)
         if tr.final_k != 0 or tr.first_complete_step() > w3:
             problems.append(f"K_3 heuristic {adv.id} beat or missed the oracle")
     for adv in (RandomAdversary(0), VictimGuard(3), AckSuppressor(3)):
-        tr = protocols.nosod_complete(4, 0.5, 2.0, adv, port_seed=None)
+        tr = protocols.nosod_complete(4, 0.5, 2.0, adv)
         if tr.final_k != 0 or tr.first_complete_step() > w4:
             problems.append(f"K_4 heuristic {adv.id} beat or missed the oracle")
     _finish(8, "worst-case oracle regression", t0, 300.0, problems, capsys)

@@ -171,3 +171,10 @@ def test_bound_set_json_shape():
     assert d["r_kn"] == 146 and d["n_min"] == 17 and d["l2"] == 86
     bs2 = bounds.bound_set(0.5, 0.5, d=8)
     assert bs2.to_dict()["t1"] == 191
+
+
+def test_bound_set_fills_kn_lengths_only_in_the_kn_eps_domain():
+    # L1 = ceil(X*eps) is only defined for 1 < eps < inf; eps = -1 once gave
+    # the L1 of eps = 2.
+    bs = bounds.bound_set(0.5, -1.0, n=64)
+    assert bs.l1 is None and bs.n_min is None

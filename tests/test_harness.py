@@ -275,6 +275,36 @@ def test_cli_search(capsys):
     assert data["worst_steps"] == 2
 
 
+_SEARCH_NOSOD = ["search", "--n", "4", "--alpha", "0.5", "--protocol", "nosod-complete"]
+
+
+@pytest.mark.parametrize("argv, regression_text", [
+    pytest.param([*_SEARCH_NOSOD, "--eps", "inf"], None, id="search-eps-inf"),
+    pytest.param([*_SEARCH_NOSOD, "--eps", "nan"], None, id="search-eps-nan"),
+    pytest.param(["search", "--n", "4", "--alpha", "0.5", "--horizon", "-3"], None,
+                 id="search-horizon-negative"),
+    pytest.param(["bounds", "--alpha", "0.5", "--eps", "nan", "--n", "64"], None,
+                 id="bounds-eps-nan"),
+    pytest.param(["verify-regressions"], "{bad", id="regressions-not-json"),
+    pytest.param(["verify-regressions"], "[1, 2]", id="regressions-not-objects"),
+    pytest.param(["verify-regressions"],
+                 '[{"name": "x", "protocol": "almost-kn", "alpha": 0.5, "worst_steps": 4}]',
+                 id="regressions-entry-lacks-n"),
+])
+def test_cli_bad_input_exits_2(argv, regression_text, tmp_path, capsys):
+    """Bad input to search, bounds and verify-regressions is a typed error:
+    exit 2 with ``error:``, never a traceback, and never exit 0 or the exit 1
+    that a MISMATCH gives."""
+    if regression_text is not None:
+        path = tmp_path / "reg.json"
+        path.write_text(regression_text)
+        argv = [*argv, "--file", str(path)]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def _cli_rows(tmp_path, *argv):
     out = tmp_path / "o"
     assert cli_main(["run", *argv, "--out", str(out)]) == 0

@@ -943,7 +943,7 @@ def test_almost_kn_vertex_locality_replay():
     r = bounds.rounds_kn(8, alpha)
     for v in range(8):
         aware = v == 0
-        marks = {int(a): False for a in topo.out_slice(v)}
+        marks = {int(a): False for a in topo.out_arcs_of([v])}
         got_last_step_a: list[int] = []
         for t, (sent, delivered) in enumerate(step_log):
             # Predict v's sends from local knowledge only.

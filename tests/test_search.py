@@ -31,7 +31,7 @@ def brute_force_search(n, protocol, alpha, horizon=None, eps=2.0, all_sizes=Fals
     """Plain minimax over every kill set: no memo, no symmetry, no settling of
     completed states; every step, each child's own batch included, is checked
     and applied through the engine."""
-    topo = build_complete(n, port_seed=None)
+    topo = build_complete(n)
     state0 = NetworkState(topo)
     driver0 = make_driver(protocol, topo, alpha, eps, state0)
     if horizon is None:
@@ -95,7 +95,7 @@ def test_search_matches_brute_force(n, protocol, kwargs):
 def test_vertex_perms_match_arc_ids(n, initiator):
     """Each row is a distinct vertex permutation fixing the initiator, with
     the arc permutation it induces, arc by arc through ``arc_id``."""
-    topo = build_complete(n, port_seed=None)
+    topo = build_complete(n)
     vmaps, arc_perms = _vertex_perms(n, initiator)
     assert len({tuple(row) for row in vmaps.tolist()}) == vmaps.shape[0] == math.factorial(n - 1)
     for vmap, arc_perm in zip(vmaps.tolist(), arc_perms.tolist()):
@@ -144,7 +144,7 @@ def test_seq_key_parts_settle_position():
     """A SeqDriver keys on its current child whether or not ``done`` has run
     since the last ``absorb``: after the two greedy steps of almost-kn, the
     key names the rounds child straight away."""
-    topo = build_complete(5, port_seed=None)
+    topo = build_complete(5)
     identity = np.arange(topo.num_arcs)
     state = NetworkState(topo)
     driver = make_driver("almost-kn", topo, 0.5, 2.0, state)
@@ -201,7 +201,7 @@ def test_size_cap_and_topology():
 def test_heuristics_never_beat_oracle():
     oracle = worst_case_search(4, "almost-kn", 0.5).worst_steps
     for adv in (RandomAdversary(0), RandomAdversary(3), VictimGuard(3), AckSuppressor(1)):
-        trace = almost_complete_kn(4, 0.5, 2.0, adv, port_seed=None)
+        trace = almost_complete_kn(4, 0.5, 2.0, adv)
         assert trace.final_k == 0
         assert trace.first_complete_step() <= oracle
 
@@ -233,7 +233,7 @@ def _plays(n, rng):
     two short extended rounds (an elimination pass of one 2-step iteration,
     then 2 simple rounds, twice) started after a greedy step that left
     vertices uninformed."""
-    topo = build_complete(n, port_seed=None)
+    topo = build_complete(n)
     for protocol in ("almost-kn", "nosod-complete"):
         state = NetworkState(topo)
         yield from _reachable(topo, make_driver(protocol, topo, 0.5, 2.0, state), state, rng, 8)
@@ -254,7 +254,7 @@ def test_precomputed_children_are_honest(n):
     keeps no deliveries leaves one driver key, and the integer key's tied
     permutations are those of the least packed-bytes image."""
     rng = np.random.default_rng(n)
-    topo = build_complete(n, port_seed=None)
+    topo = build_complete(n)
     vmaps, arc_perms = _vertex_perms(n, 0)
     weights = _image_weights(vmaps, arc_perms)
     vinv, ainv = np.argsort(vmaps, axis=1), np.argsort(arc_perms, axis=1)

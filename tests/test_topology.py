@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from faultcast import topology
+from faultcast.adversary import RandomAdversary
 from faultcast.errors import InvalidParameterError, UnsupportedTopologyError
+from faultcast.protocols import almost_complete_kn
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16])
@@ -53,46 +55,37 @@ def test_arc_id_rejects_non_arcs():
         qd.arc_id(0, 3)  # Hamming distance 2
 
 
-def test_out_slice_covers_all_arcs():
+def test_out_arcs_of_covers_all_arcs():
     for topo in (topology.build_complete(5), topology.build_hypercube(3)):
-        seen = np.concatenate([topo.out_slice(v) for v in range(topo.n)])
+        seen = np.concatenate([topo.out_arcs_of([v]) for v in range(topo.n)])
         assert sorted(seen) == list(range(topo.num_arcs))
         for v in range(topo.n):
-            assert np.all(topo.arc_src[topo.out_slice(v)] == v)
+            assert np.all(topo.arc_src[topo.out_arcs_of([v])] == v)
 
 
-def test_port_seed_shuffles_reproducibly():
-    a = topology.build_complete(8, port_seed=1)
-    b = topology.build_complete(8, port_seed=1)
-    c = topology.build_complete(8, port_seed=2)
-    assert np.array_equal(a.out_arcs, b.out_arcs)
-    assert not np.array_equal(a.out_arcs, c.out_arcs)
+def test_port_seed_rejected():
+    # No port order is kept, so the one keyword left for it accepts only None.
+    with pytest.raises(InvalidParameterError, match="no port order is kept"):
+        topology.build_complete(8, port_seed=1)
+    with pytest.raises(InvalidParameterError, match="no port order is kept"):
+        almost_complete_kn(8, 0.5, 2.0, RandomAdversary(0), port_seed=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
-@pytest.mark.parametrize("port_seed", [0, 1, 2024])
-def test_complete_arcs_match_per_vertex_loop(n, port_seed):
-    # The arc layout and seeded port order that every stored trace and frozen
-    # oracle value was made with: one rng.shuffle per vertex, in vertex order.
-    topo = topology.build_complete(n, port_seed=port_seed)
+def test_complete_arcs_match_per_vertex_loop(n):
+    topo = topology.build_complete(n)
     dst = np.concatenate([np.delete(np.arange(n), u) for u in range(n)])
-    out_arcs = np.arange(n * (n - 1), dtype=np.int32)
-    rng = np.random.default_rng(port_seed)
-    for u in range(n):
-        rng.shuffle(out_arcs[u * (n - 1):(u + 1) * (n - 1)])
     assert np.array_equal(topo.arc_dst, dst)
-    assert np.array_equal(topo.out_arcs, out_arcs)
-    assert topo.arc_dst.dtype == topo.out_arcs.dtype == np.int32
+    assert topo.arc_src.dtype == topo.arc_dst.dtype == topo.opp.dtype == np.int32
 
 
 def test_chordal_labeling():
     topo = topology.build_complete(7, chordal=True)
     lab = topo.labeling
     assert lab is not None
-    # Port p of u leads to (u+p+1) mod n, so labels at u are 1..n-1 in order.
     for u in range(7):
-        dests = topo.arc_dst[topo.out_slice(u)]
-        assert [lab.arc_label(u, int(v)) for v in dests] == list(range(1, 7))
+        dests = topo.arc_dst[topo.out_arcs_of([u])]
+        assert sorted(lab.arc_label(u, int(v)) for v in dests) == list(range(1, 7))
         for v in dests:
             assert lab.dest(u, lab.arc_label(u, int(v))) == int(v)
     assert lab.labels_at(0) == list(range(1, 7))
@@ -119,6 +112,14 @@ def test_edge_boundary_accepts_mask():
     mask = np.zeros(6, dtype=bool)
     mask[:2] = True
     assert topology.edge_boundary(topo, mask) == 2 * 4
+
+
+@pytest.mark.parametrize("length", [4, 7])
+def test_edge_boundary_rejects_mask_of_wrong_length(length):
+    # At length 7 the first five entries alone give a boundary of 4.
+    topo = topology.build_complete(5)
+    with pytest.raises(InvalidParameterError):
+        topology.edge_boundary(topo, np.arange(length) == 0)
 
 
 def test_iso_lower_bound_subcubes_tight():
