@@ -1,4 +1,6 @@
-"""Closed-form constants and schedule lengths shared by protocols and checks.
+"""Closed-form constants and schedule lengths shared by protocols and checks,
+and the analysed domain every other module asks about: ``check_eps``,
+``default_eps`` and ``asserted``.
 
 All schedule lengths are rounded outward (ceil), so schedules can only be
 longer than the analysis requires, never shorter.  Round budgets use exact
@@ -9,6 +11,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from .errors import InvalidParameterError, UnsupportedAlphaError
+from .topology import COMPLETE, HYPERCUBE, Topology
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,20 @@ def constants(alpha: float) -> CoreConstants:
     return CoreConstants(alpha=alpha, x=x, beta=beta, c=c, y=y)
 
 
+def default_eps(kind: str) -> float:
+    """The eps a run on topology ``kind`` takes when none is given."""
+    return 2.0 if kind == COMPLETE else 0.5
+
+
+def check_eps(kind: str, eps: float) -> None:
+    """Raise unless eps lies in the domain of the bounds on topology ``kind``:
+    (1, inf) for X*eps on K_n, (0, 1) for X/(1-eps) on Q_d."""
+    if kind == COMPLETE and not 1.0 < eps < math.inf:
+        raise InvalidParameterError(f"complete-graph eps must be in (1, inf), got {eps}")
+    if kind == HYPERCUBE and not 0.0 < eps < 1.0:
+        raise InvalidParameterError(f"hypercube eps must be in (0, 1), got {eps}")
+
+
 def rounds_kn(n: int, alpha: float) -> int:
     """Simple-round count for the complete-graph almost-complete broadcast.
 
@@ -57,8 +74,8 @@ def rounds_hypercube(d: int, alpha: float, eps: float | None = None) -> tuple[in
     """
     if d < 2:
         raise InvalidParameterError(f"d must be >= 2, got {d}")
-    if eps is not None and not 0.0 < eps < 1.0:
-        raise InvalidParameterError(f"hypercube eps must be in (0, 1), got {eps}")
+    if eps is not None:
+        check_eps(HYPERCUBE, eps)
     cc = constants(alpha)
     t1 = math.ceil(math.log2(d * 2**d / 3.0) * d / (cc.beta * math.log2(3.0)))
     rho = 1.0 + cc.beta * math.log2(2.0 / 3.0) / d
@@ -107,8 +124,7 @@ def kn_inequalities_hold(n: int, alpha: float, eps: float) -> bool:
 
 def n_min(alpha: float, eps: float) -> int:
     """Smallest n for which the complete-graph bound analysis applies."""
-    if not 1.0 < eps < math.inf:
-        raise InvalidParameterError(f"complete-graph eps must be in (1, inf), got {eps}")
+    check_eps(COMPLETE, eps)
     n = 2
     while not kn_inequalities_hold(n, alpha, eps):
         n += 1
@@ -135,14 +151,21 @@ def qd_inequalities_hold(d: int, alpha: float, eps: float) -> bool:
 
 def d_min(alpha: float, eps: float) -> int:
     """Smallest d for which the hypercube bound analysis applies."""
-    if not 0.0 < eps < 1.0:
-        raise InvalidParameterError(f"hypercube eps must be in (0, 1), got {eps}")
+    check_eps(HYPERCUBE, eps)
     d = 2
     while not qd_inequalities_hold(d, alpha, eps):
         d += 1
         if d > 10**4:
             raise InvalidParameterError(f"no reasonable d_min for alpha={alpha}, eps={eps}")
     return d
+
+
+def asserted(topo: Topology, alpha: float, eps: float) -> bool:
+    """Whether the paper's bounds hold for a run on ``topo``: n >= n_min on
+    K_n, d >= d_min on Q_d.  An eps outside the domain raises (``check_eps``)."""
+    if topo.kind == COMPLETE:
+        return topo.n >= n_min(alpha, eps)
+    return topo.d >= d_min(alpha, eps)
 
 
 def sanity_lemma9(x: float) -> bool:
@@ -178,21 +201,23 @@ class BoundSet:
         return asdict(self)
 
 
-def bound_set(alpha: float, eps: float, n: int | None = None, d: int | None = None) -> BoundSet:
-    """Constants and schedule lengths; n_min, L1-L4 and d_min only in their eps domains."""
+def bound_set(alpha: float, eps: float | None = None, n: int | None = None,
+              d: int | None = None) -> BoundSet:
+    """Constants, and the schedule lengths of K_n given n or of Q_d given d, for
+    an eps in that topology's domain; eps defaults to its ``default_eps``."""
     cc = constants(alpha)
-    if not math.isfinite(eps):
-        raise InvalidParameterError(f"eps must be finite, got {eps}")
+    kind = HYPERCUBE if d is not None else COMPLETE
+    eps = default_eps(kind) if eps is None else eps
+    check_eps(kind, eps)
     kw: dict = {}
     if n is not None:
         kw["n"] = n
         kw["r_kn"] = rounds_kn(n, alpha)
-        if eps > 1.0:
-            kw["n_min"] = n_min(alpha, eps)
-            if cc.y > 0.0 and n >= 3:
-                kw["l1"], kw["l2"], kw["l3"], kw["l4"] = l_params(n, alpha, eps)
+        kw["n_min"] = n_min(alpha, eps)
+        if cc.y > 0.0 and n >= 3:
+            kw["l1"], kw["l2"], kw["l3"], kw["l4"] = l_params(n, alpha, eps)
     if d is not None:
         kw["d"] = d
         kw["t1"], kw["t2"] = rounds_hypercube(d, alpha)
-        kw["d_min"] = d_min(alpha, eps) if 0.0 < eps < 1.0 else None
+        kw["d_min"] = d_min(alpha, eps)
     return BoundSet(alpha=alpha, eps=eps, x=cc.x, beta=cc.beta, c=cc.c, y=cc.y, **kw)

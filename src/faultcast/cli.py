@@ -100,7 +100,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bounds", help="print schedule lengths and constants as JSON")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eps", type=float, default=2.0)
+    p.add_argument("--eps", type=float, help="default: Q_d's with --d, else K_n's")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
 
@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--protocol", default="almost-kn")
-    p.add_argument("--eps", type=float, default=2.0)
+    p.add_argument("--eps", type=float)
     p.add_argument("--horizon", type=int)
     p.add_argument("--all-sizes", action="store_true",
                    help="explore non-maximal kill sets too")

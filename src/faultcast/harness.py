@@ -8,7 +8,6 @@ is the sorted grid order, so identical configs produce byte-identical outputs.
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -16,9 +15,8 @@ from pathlib import Path
 from . import bounds
 from .adversary import adversary_problem, make_adversary
 from .engine import NetworkState
-from .errors import ConfigError
-from .protocols import (PROTOCOL_TOPOLOGIES, _finalize, below_min, make_driver,
-                        protocol_problem, simulate)
+from .errors import ConfigError, InvalidParameterError
+from .protocols import PROTOCOL_TOPOLOGIES, _finalize, make_driver, protocol_problem, simulate
 from .search import worst_case_search
 from .topology import COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube
 from .validate import errors_only, validate_trace
@@ -34,6 +32,10 @@ _FIELD_TYPES = {"topology": str, "size": [int], "alpha": [(int, float)], "eps": 
                 "protocol": str, "adversary": [str], "seeds": int, "out": (str, type(None)),
                 "strict": bool, "horizon": (int, type(None))}
 
+# The same for the fields of a regression file entry; the first five are required.
+_ENTRY_TYPES = {"name": str, "n": int, "protocol": str, "alpha": (int, float),
+                "worst_steps": (int, float), "horizon": (int, type(None)), "eps": (int, float)}
+
 
 def _has_type(value, kind) -> bool:
     if isinstance(kind, list):
@@ -46,7 +48,7 @@ class ExperimentConfig:
     topology: str = COMPLETE
     size: list[int] = field(default_factory=lambda: [16])
     alpha: list[float] = field(default_factory=lambda: [0.5])
-    eps: float | None = None  # default 2 on complete, 0.5 on hypercube
+    eps: float | None = None  # default bounds.default_eps(topology)
     protocol: str | None = None  # default almost-kn / hypercube
     adversary: list[str] = field(default_factory=lambda: list(DEFAULT_ADVERSARIES))
     seeds: int = 10
@@ -62,7 +64,7 @@ class ExperimentConfig:
         if isinstance(self.adversary, str):
             self.adversary = [self.adversary]
         if self.eps is None:
-            self.eps = 2.0 if self.topology == COMPLETE else 0.5
+            self.eps = bounds.default_eps(self.topology)
         if self.protocol is None:
             self.protocol = "almost-kn" if self.topology == COMPLETE else "hypercube"
 
@@ -95,10 +97,10 @@ class ExperimentConfig:
                 problems.append(f"alpha {a} outside (0, 1)")
             elif base == "nosod-complete" and bounds.constants(a).y <= 0.0:
                 problems.append(f"alpha {a} unsupported by nosod-complete (Y <= 0)")
-        if self.topology == COMPLETE and base != "simple-rounds" and not 1.0 < self.eps < math.inf:
-            problems.append(f"complete-graph eps must be in (1, inf), got {self.eps}")
-        if self.topology == HYPERCUBE and not 0.0 < self.eps < 1.0:
-            problems.append(f"hypercube eps must be in (0, 1), got {self.eps}")
+        try:
+            bounds.check_eps(self.topology, self.eps)
+        except InvalidParameterError as exc:
+            problems.append(str(exc))
         vertex_counts = []  # of the valid sizes, to check each adversary spec against
         for s in self.size:
             if self.topology == COMPLETE and s < 2:
@@ -187,7 +189,7 @@ def run(config: ExperimentConfig) -> RunReport:
                                          state, rounds=config.horizon)
                     _, trace = simulate(topo, driver, adversary, alpha, state=state)
                     _finalize(trace, state, config.protocol, adversary, alpha,
-                              config.eps, topo, below_min(topo, alpha, config.eps))
+                              config.eps, topo, not bounds.asserted(topo, alpha, config.eps))
                     violations = errors_only(validate_trace(trace, alpha, config.eps))
                     row = {
                         "topology": config.topology,
@@ -252,13 +254,17 @@ def verify_regressions(path=None) -> list[dict]:
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise ConfigError(f"regression file {path} is not a JSON list of objects")
     for i, entry in enumerate(entries):
-        missing = [k for k in ("name", "n", "protocol", "alpha", "worst_steps") if k not in entry]
+        missing = [k for k in list(_ENTRY_TYPES)[:5] if k not in entry]
         if missing:
             raise ConfigError(f"regression entry {i} of {path} lacks {missing}")
+        wrong = [k for k, kind in _ENTRY_TYPES.items()
+                 if k in entry and not _has_type(entry[k], kind)]
+        if wrong:
+            raise ConfigError(f"regression entry {i} of {path} has the wrong type in {wrong}")
     results = []
     for entry in entries:
         got = worst_case_search(entry["n"], entry["protocol"], entry["alpha"],
-                                horizon=entry.get("horizon"), eps=entry.get("eps", 2.0))
+                                horizon=entry.get("horizon"), eps=entry.get("eps"))
         results.append({
             "name": entry["name"],
             "expected": entry["worst_steps"],

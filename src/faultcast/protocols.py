@@ -643,12 +643,6 @@ class SodContext:
         self.session = {0: None, 1: None}
 
 
-def candidate_cap(n: int, alpha: float, eps: float) -> int:
-    """Upper bound on candidate-set size, 3X(1+eps), capped by the graph size."""
-    x = bounds.constants(alpha).x
-    return min(math.floor(3.0 * x * (1.0 + eps)), n - 1)
-
-
 class Phase2CandidatesDriver(Driver):
     """One step: every aware vertex with few unmarked out-arcs reports the
     destinations of those arcs to vertices 0 and 1."""
@@ -763,8 +757,9 @@ class AllButOneDriver(SeqDriver):
             raise UnsupportedTopologyError("sense-of-direction protocols need a chordal labeling")
         self.ctx = ctx = SodContext()
         r_kn = bounds.rounds_kn(topo.n, alpha)
-        cap = candidate_cap(topo.n, alpha, eps)
         self.threshold = math.floor(3.0 * bounds.constants(alpha).x * (1.0 + eps))
+        # The candidate sets' size bound, 3X(1+eps), capped by the graph size.
+        self.cap = cap = min(self.threshold, topo.n - 1)
         if state is not None:
             session = Session(topo, origin, payload=payload, state=state)
             knows = state.informed
@@ -988,22 +983,11 @@ def _finalize(trace: Trace, state: NetworkState, protocol: str, adversary, alpha
     }
 
 
-def below_min(topo: Topology, alpha: float, eps: float) -> bool:
-    """Whether the topology is below the smallest size the bound analysis covers.
-
-    False when eps lies outside the topology's analysed domain.
-    """
-    if topo.kind == COMPLETE and 1.0 < eps < math.inf:
-        return topo.n < bounds.n_min(alpha, eps)
-    if topo.kind == HYPERCUBE and 0.0 < eps < 1.0:
-        return topo.d < bounds.d_min(alpha, eps)
-    return False
-
-
 def greedy_init_complete(n: int, alpha: float, adversary: AdversaryPolicy) -> NetworkState:
     topo = build_complete(n)
     state = NetworkState(topo)
-    simulate(topo, make_driver("greedy-kn", topo, alpha, 2.0, state), adversary, alpha,
+    eps = bounds.default_eps(topo.kind)
+    simulate(topo, make_driver("greedy-kn", topo, alpha, eps, state), adversary, alpha,
              state=state)
     return state
 
@@ -1011,7 +995,8 @@ def greedy_init_complete(n: int, alpha: float, adversary: AdversaryPolicy) -> Ne
 def greedy_init_hypercube(d: int, alpha: float, adversary: AdversaryPolicy) -> NetworkState:
     topo = build_hypercube(d)
     state = NetworkState(topo)
-    simulate(topo, make_driver("greedy-qd", topo, alpha, 0.5, state), adversary, alpha,
+    eps = bounds.default_eps(topo.kind)
+    simulate(topo, make_driver("greedy-qd", topo, alpha, eps, state), adversary, alpha,
              state=state)
     return state
 
@@ -1091,7 +1076,7 @@ def _sod_complete_driver(topo: Topology, alpha: float, eps: float,
     then every vertex that learnt U sends the information to each member."""
     stage_a = AllButOneDriver(topo, state.initiator, alpha, eps, state=state)
     ctx = stage_a.ctx
-    cap = candidate_cap(topo.n, alpha, eps)
+    cap = stage_a.cap
 
     def rerun_of(b):
         u = ctx.u_final[b]
@@ -1110,21 +1095,11 @@ def _sod_complete_driver(topo: Topology, alpha: float, eps: float,
     return SeqDriver([stage_a, MultiplexDriver(lane(0), lane(1))])
 
 
-def check_eps(topo: Topology, eps: float) -> None:
-    """Raise unless eps lies in the topology's analysed domain: 1 < eps < inf
-    on K_n, 0 < eps < 1 on Q_d."""
-    if topo.kind == COMPLETE and not 1.0 < eps < math.inf:
-        raise InvalidParameterError(f"complete-graph eps must be in (1, inf), got {eps}")
-    if topo.kind == HYPERCUBE and not 0.0 < eps < 1.0:
-        raise InvalidParameterError(f"hypercube eps must be in (0, 1), got {eps}")
-
-
 def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
                  adversary: AdversaryPolicy) -> tuple[NetworkState, Driver, Trace]:
     """Run a protocol's full schedule from vertex 0 and write the trace summary;
-    eps must pass ``check_eps``."""
-    check_eps(topo, eps)
-    below = below_min(topo, alpha, eps)
+    eps must pass ``bounds.check_eps``."""
+    below = not bounds.asserted(topo, alpha, eps)
     state = NetworkState(topo)
     driver = make_driver(protocol, topo, alpha, eps, state)
     _, trace = simulate(topo, driver, adversary, alpha, state=state)

@@ -49,10 +49,11 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 
+from . import bounds
 from .engine import (INFO, INFO_CANDS, NetworkState, SendBatch, apply_kills, check_batch,
                      fault_budget)
 from .errors import InvalidParameterError, TooLargeError, UnsupportedTopologyError
-from .protocols import BATCH, check_eps, make_driver
+from .protocols import BATCH, make_driver
 from .topology import COMPLETE, Topology, build_complete, complete_arc_id
 
 HORIZON_EXCEEDED = math.inf
@@ -140,16 +141,19 @@ def _children(state: NetworkState, batch: SendBatch, sizes, kill_sets: dict):
 
 
 def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
-                      horizon: int | None = None, eps: float = 2.0,
+                      horizon: int | None = None, eps: float | None = None,
                       all_sizes: bool = False, initiator: int = 0) -> SearchResult:
-    """Maximum steps any budget-respecting adversary can force, or horizon excess."""
+    """Maximum steps any budget-respecting adversary can force, or horizon excess.
+
+    eps defaults to ``bounds.default_eps`` of the complete graph."""
     if isinstance(topo, int):
         topo = build_complete(topo)
     if topo.kind != COMPLETE:
         raise UnsupportedTopologyError("worst-case search supports complete graphs only")
     if topo.n > _SIZE_CAP:
         raise TooLargeError(f"search capped at n <= {_SIZE_CAP}, got n = {topo.n}")
-    check_eps(topo, eps)
+    eps = bounds.default_eps(topo.kind) if eps is None else eps
+    bounds.check_eps(topo.kind, eps)
     if horizon is not None and horizon < 0:
         raise InvalidParameterError(f"horizon {horizon} < 0")
 

@@ -2,8 +2,9 @@
 
 Each check walks a recorded trace and returns Violation records instead of
 raising, so the harness can aggregate and strict mode can decide the exit
-code.  Checks whose analysis only applies above n_min/d_min are downgraded to
-informational below those sizes (level "info"); everything else is "error".
+code.  Checks whose analysis only applies above n_min/d_min take their level
+from ``bounds.asserted``, and are informational (level "info") below those
+sizes; everything else is "error".
 """
 
 import math
@@ -119,7 +120,7 @@ def check_kn_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
         return []
     n = trace.topo.n
     cc = bounds.constants(alpha)
-    level = ERROR if eps > 1.0 and n >= bounds.n_min(alpha, eps) else INFO
+    level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
     cols, row_of = _stored_columns(trace)
     k_col, h_col, m_col, acks_col = cols["k"], cols["h"], cols["M"], cols["acks"]
     out = []
@@ -153,7 +154,7 @@ def check_qd_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     d = trace.topo.d
     n = trace.topo.n
     cc = bounds.constants(alpha)
-    level = ERROR if 0.0 < eps < 1.0 and d >= bounds.d_min(alpha, eps) else INFO
+    level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
     if not trace.track_boundary:
         raise InvalidParameterError("trace was not recorded with boundary tracking")
     cols, row_of = _stored_columns(trace)
@@ -201,7 +202,7 @@ def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Viola
     cc = bounds.constants(alpha)
     if cc.y <= 0.0:
         return []
-    level = ERROR if eps > 1.0 and n >= bounds.n_min(alpha, eps) else INFO
+    level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
     cols, row_of = _stored_columns(trace)
     k_col, h_col = cols["k"], cols["h"]
     out = []
@@ -229,13 +230,13 @@ def check_phase2_quorum(trace: Trace, alpha: float, eps: float) -> list[Violatio
     if trace.topo.kind != COMPLETE:
         return []
     n = trace.topo.n
-    below = eps <= 1.0 or n < bounds.n_min(alpha, eps)
+    size_level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
     out = []
     for seg in trace.segments:
         if seg.kind != "sod_phase2":
             continue
-        trivially = seg.meta["threshold"] >= n - 1
-        level = INFO if below and not trivially else ERROR
+        # With a threshold of n-1 or more every vertex qualifies, at any size.
+        level = ERROR if seg.meta["threshold"] >= n - 1 else size_level
         if seg.meta["qualifying"] < 2.0 * n / 3.0:
             out.append(Violation("phase2_quorum", seg.start,
                                  f"only {seg.meta['qualifying']} of {n} vertices "
@@ -248,7 +249,6 @@ def check_final_bounds(trace: Trace, alpha: float, eps: float) -> list[Violation
     protocol = trace.summary.get("protocol")
     if protocol is None:
         return []
-    below = trace.summary.get("below_min", False)
     cc = bounds.constants(alpha)
     k, h = trace.final_k, trace.final_h
     out = []
@@ -259,11 +259,11 @@ def check_final_bounds(trace: Trace, alpha: float, eps: float) -> list[Violation
                                  f"final {value} > {limit:.3f}", level))
 
     if protocol == "almost-kn":
-        level = INFO if below else ERROR
+        level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
         bound("final_k", k, cc.x * eps, level)
         bound("final_h", h, cc.x * (trace.topo.n - 2), level)
     elif protocol == "hypercube":
-        level = INFO if below else ERROR
+        level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
         bound("final_k", k, cc.x / (1.0 - eps), level)
         bound("final_h", h, cc.x * (trace.topo.d - 1), level)
     elif protocol == "sod-all-but-one":
@@ -277,18 +277,19 @@ def validate_trace(trace: Trace, alpha: float | None = None,
                    eps: float | None = None) -> list[Violation]:
     """Run every applicable check; alpha/eps default to the trace summary.
 
-    Without an eps in the summary, eps defaults as in ExperimentConfig: 2 on
-    K_n and 0.5 on Q_d.
+    Without an eps in the summary, eps defaults to ``bounds.default_eps`` of
+    the trace's topology; an eps outside its domain raises before any check.
     """
     if alpha is None:
         alpha = trace.summary["alpha"]
     if eps is None:
-        eps = trace.summary.get("eps", 2.0 if trace.topo.kind == COMPLETE else 0.5)
+        eps = trace.summary.get("eps", bounds.default_eps(trace.topo.kind))
+    bounds.check_eps(trace.topo.kind, eps)
     out = []
     out += check_budget(trace, alpha)
     out += check_monotone(trace)
     out += check_kn_rounds(trace, alpha, eps)
-    out += check_qd_rounds(trace, alpha, eps) if trace.topo.kind == HYPERCUBE else []
+    out += check_qd_rounds(trace, alpha, eps)
     out += check_nosod_iterations(trace, alpha, eps)
     out += check_phase2_quorum(trace, alpha, eps)
     out += check_final_bounds(trace, alpha, eps)

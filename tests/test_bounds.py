@@ -175,6 +175,13 @@ def test_bound_set_json_shape():
 
 def test_bound_set_fills_kn_lengths_only_in_the_kn_eps_domain():
     # L1 = ceil(X*eps) is only defined for 1 < eps < inf; eps = -1 once gave
-    # the L1 of eps = 2.
-    bs = bounds.bound_set(0.5, -1.0, n=64)
-    assert bs.l1 is None and bs.n_min is None
+    # the L1 of eps = 2.  An eps outside K_n's domain is rejected with n, as
+    # one outside Q_d's is with d, so n and d never go together.
+    with pytest.raises(InvalidParameterError, match=r"complete-graph eps .* got -1.0"):
+        bounds.bound_set(0.5, -1.0, n=64)
+    with pytest.raises(InvalidParameterError, match=r"hypercube eps .* got 2.0"):
+        bounds.bound_set(0.5, 2.0, d=13)
+    with pytest.raises(InvalidParameterError, match=r"complete-graph eps .* got 0.5"):
+        bounds.bound_set(0.5, n=64, d=13)
+    assert bounds.bound_set(0.5, n=64).l1 == 8
+    assert bounds.bound_set(0.5, d=13).d_min == 13

@@ -13,7 +13,9 @@ from faultcast.engine import NetworkState
 from faultcast.errors import ConfigError, InvalidParameterError
 from faultcast.harness import (CSV_HEADER, ExperimentConfig, run,
                                verify_regressions)
-from faultcast.topology import build_complete
+from faultcast.search import worst_case_search
+from faultcast.topology import build_complete, build_hypercube
+from faultcast.validate import validate_trace
 
 
 def _small_config(**kw):
@@ -42,6 +44,47 @@ def test_config_rejects_a_non_finite_eps():
         with pytest.raises(InvalidParameterError, match="eps"):
             protocols.run_protocol("almost-kn", build_complete(8), 0.5, eps,
                                    make_adversary("random:0"))
+
+
+@pytest.mark.parametrize("topology, eps", [
+    *(("complete", eps) for eps in (0.5, 1.0, math.inf, math.nan)),
+    *(("hypercube", eps) for eps in (0.0, 1.0, math.nan)),
+])
+def test_every_entry_point_applies_one_eps_rule(topology, eps, capsys):
+    """An eps outside the topology's analysed domain, (1, inf) on K_n and
+    (0, 1) on Q_d, gets the same message from every entry point before
+    anything runs: the config check and the public runner, for bare
+    simple-rounds as for the topology's own schedule, the search, the
+    validator, n_min or d_min, and the CLI, which exits 2 with ``error:``."""
+    complete = topology == "complete"
+    message = (f"complete-graph eps must be in (1, inf), got {eps}" if complete
+               else f"hypercube eps must be in (0, 1), got {eps}")
+    size, topo = (8, build_complete(8)) if complete else (3, build_hypercube(3))
+    schedules = ("simple-rounds", "almost-kn" if complete else "hypercube")
+    for protocol in schedules:
+        config = _small_config(topology=topology, size=[size], protocol=protocol, eps=eps)
+        assert config.check() == [message], protocol
+    _, _, trace = protocols.run_protocol(schedules[1], topo, 0.5, bounds.default_eps(topology),
+                                         make_adversary("random:0"))
+    calls = [*(lambda p=p: protocols.run_protocol(p, topo, 0.5, eps, make_adversary("random:0"))
+               for p in schedules),
+             lambda: validate_trace(trace, 0.5, eps),
+             lambda: (bounds.n_min if complete else bounds.d_min)(0.5, eps)]
+    argvs = [["run", "--topology", topology, "--size", str(size), "--protocol", "simple-rounds",
+              "--eps", str(eps), "--adversary", "random", "--seeds", "1"],
+             ["bounds", "--alpha", "0.5", "--n" if complete else "--d", str(size),
+              "--eps", str(eps)]]
+    if complete:
+        calls.append(lambda: worst_case_search(4, "almost-kn", 0.5, eps=eps))
+        argvs.append(["search", "--n", "4", "--alpha", "0.5", "--eps", str(eps)])
+    for call in calls:
+        with pytest.raises(InvalidParameterError) as raised:
+            call()
+        assert str(raised.value) == message
+    for argv in argvs:
+        assert cli_main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and "Traceback" not in captured.out
 
 
 def test_config_errors_enumerated():
@@ -263,6 +306,17 @@ def test_cli_bounds_json(capsys):
     assert data["r_kn"] == 146 and data["x"] == 4.0
 
 
+def test_cli_bounds_eps_follows_the_topology(capsys):
+    """Without --eps, sim bounds takes the default eps of the topology it is
+    asked about: with --d the hypercube's, so d_min is reported."""
+    assert cli_main(["bounds", "--alpha", "0.5", "--d", "13"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["eps"] == 0.5 and data["d_min"] == 13
+    assert cli_main(["bounds", "--alpha", "0.5", "--n", "64"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["eps"] == 2.0 and data["n_min"] == 17
+
+
 def test_cli_verify_regressions(capsys):
     assert cli_main(["verify-regressions"]) == 0
     assert "ok" in capsys.readouterr().out
@@ -290,6 +344,10 @@ _SEARCH_NOSOD = ["search", "--n", "4", "--alpha", "0.5", "--protocol", "nosod-co
     pytest.param(["verify-regressions"],
                  '[{"name": "x", "protocol": "almost-kn", "alpha": 0.5, "worst_steps": 4}]',
                  id="regressions-entry-lacks-n"),
+    *(pytest.param(["verify-regressions"],
+                   json.dumps([{"name": "x", "n": 4, "protocol": "almost-kn", "alpha": 0.5,
+                                "worst_steps": 4, **field}]), id=f"regressions-{name}-string")
+      for name, field in (("n", {"n": "4"}), ("alpha", {"alpha": "0.5"}), ("eps", {"eps": "2"}))),
 ])
 def test_cli_bad_input_exits_2(argv, regression_text, tmp_path, capsys):
     """Bad input to search, bounds and verify-regressions is a typed error:

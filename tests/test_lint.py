@@ -1,4 +1,5 @@
-"""Dead code, by two plain ``ast`` scans, so tier-1 needs no linter installed.
+"""Dead code and restated decisions, by plain ``ast`` scans, so tier-1 needs
+no linter installed.
 
 Unused imports: every name a module imports must be read somewhere in it.  A
 package's ``__init__.py`` is exempt: its imports are the package's re-exports.
@@ -6,6 +7,11 @@ package's ``__init__.py`` is exempt: its imports are the package's re-exports.
 Unreferenced definitions: every module-level name and every method defined
 in the package must be named somewhere outside its own definition, in any
 scanned file.  Dunder names are exempt: Python calls them itself.
+
+One analysed domain: ``faultcast.bounds`` alone decides which eps a topology
+takes, which it takes by default and whether a run is at least n_min or
+d_min.  No other module compares a bare eps with a number, gives eps a number
+as a default, or calls n_min or d_min.
 """
 
 import ast
@@ -117,6 +123,62 @@ def _unreferenced(package: Path, scanned: list[Path], root: Path = ROOT) -> list
     return out
 
 
+def _number(node: ast.AST) -> bool:
+    """Whether ``node`` is a number, or a conditional that may give one."""
+    if isinstance(node, ast.IfExp):
+        return _number(node.body) or _number(node.orelse)
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return False
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _bare_eps(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "eps"
+            or isinstance(node, ast.Attribute) and node.attr == "eps")
+
+
+def _eps_defaults(node: ast.AST) -> list[ast.AST]:
+    """Values given for eps in ``node``: an assignment, a parameter default, a
+    keyword, an ``--eps`` option's default or a ``.get("eps", value)``
+    fallback."""
+    if isinstance(node, ast.Assign):
+        return [node.value] if any(map(_bare_eps, node.targets)) else []
+    if isinstance(node, ast.arguments):
+        positional = node.posonlyargs + node.args
+        pairs = [*zip(positional[len(positional) - len(node.defaults):], node.defaults),
+                 *zip(node.kwonlyargs, node.kw_defaults)]
+        return [value for arg, value in pairs if arg.arg == "eps" and value is not None]
+    if not isinstance(node, ast.Call):
+        return []
+    strings = [a.value for a in node.args if isinstance(a, ast.Constant)]
+    values = [k.value for k in node.keywords
+              if k.arg == "eps" or k.arg == "default" and "--eps" in strings]
+    if (isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+            and strings[:1] == ["eps"] and len(node.args) == 2):
+        values.append(node.args[1])
+    return values
+
+
+def _domain_leaks(path: Path, root: Path = ROOT) -> list[str]:
+    """Places where ``path`` decides the analysed domain itself."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_bare_eps, operands)) and any(map(_number, operands)):
+                found.append((node.lineno, "eps compared with a number"))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("n_min", "d_min"):
+                found.append((node.lineno, f"call to {name}"))
+        found += [(value.lineno, "a number as default eps")
+                  for value in _eps_defaults(node) if _number(value)]
+    return [f"{path.relative_to(root)}:{line}: {what}" for line, what in sorted(found)]
+
+
 def test_scan_finds_modules():
     assert len(list(_modules())) > 20
 
@@ -162,3 +224,34 @@ def test_scan_rule(tmp_path, source, unused):
     path = tmp_path / "mod.py"
     path.write_text(source)
     assert [entry.rsplit(": ", 1)[1] for entry in _unused(path, tmp_path)] == unused
+
+
+def test_one_analysed_domain():
+    package = ROOT / "src" / "faultcast"
+    leaks = [entry for path in sorted(package.rglob("*.py")) if path.name != "bounds.py"
+             for entry in _domain_leaks(path)]
+    assert not leaks, "analysed domain decided outside faultcast.bounds:\n" + "\n".join(leaks)
+
+
+@pytest.mark.parametrize("source, leaks", [
+    ("if eps > 1.0:\n    pass\n", ["eps compared with a number"]),
+    ("ok = 0.0 < self.eps < 1.0\n", ["eps compared with a number"]),
+    ("ok = eps <= -1\n", ["eps compared with a number"]),
+    ("ok = k > x * eps or eps is None\n", []),
+    ("bounds.n_min(a, e)\nd_min(a, e)\n", ["call to n_min", "call to d_min"]),
+    ("def f(n, eps=2.0):\n    pass\n", ["a number as default eps"]),
+    ("def f(*, eps=0.5, k=1):\n    pass\n", ["a number as default eps"]),
+    ("def f(eps=None, k=2.0):\n    pass\n", []),
+    ("run(8, eps=2)\n", ["a number as default eps"]),
+    ("p.add_argument('--eps', type=float, default=0.5)\n", ["a number as default eps"]),
+    ("p.add_argument('--n', type=int, default=8)\n", []),
+    ("s.get('eps', 2.0)\n", ["a number as default eps"]),
+    ("self.eps = 2.0 if kind == 'complete' else 0.5\n", ["a number as default eps"]),
+    ("s.get('eps', 2.0 if complete else e)\n", ["a number as default eps"]),
+    ("eps = bounds.default_eps(kind) if eps is None else eps\n", []),
+    ("s.get('eps', bounds.default_eps(kind))\ns.get('n', 2)\n", []),
+])
+def test_domain_rule(tmp_path, source, leaks):
+    path = tmp_path / "mod.py"
+    path.write_text(source)
+    assert [entry.rsplit(": ", 1)[1] for entry in _domain_leaks(path, tmp_path)] == leaks

@@ -119,6 +119,19 @@ def test_phase2_quorum_fires():
     assert len(bad) == 1 and bad[0].level == validate.ERROR
 
 
+@pytest.mark.parametrize("n, below_min, level", [(32, True, validate.ERROR),
+                                                  (8, False, validate.INFO)])
+def test_final_bound_level_follows_the_arguments(n, below_min, level):
+    """The level of a final bound comes from the (alpha, eps) the check is
+    given, through bounds.asserted, not from the summary's run-time below_min.
+    At alpha 0.5 and eps 1.5, n_min is 15."""
+    trace = Trace(build_complete(n))
+    trace.record(NetworkState(trace.topo), 0, 0, 0)  # nobody informed: k = n - 1
+    trace.summary = {"protocol": "almost-kn", "alpha": 0.5, "eps": 2.0, "below_min": below_min}
+    bad = validate.check_final_bounds(trace, 0.5, 1.5)
+    assert [(v.check, v.level) for v in bad] == [("final_k", level)]
+
+
 def test_validate_trace_default_eps_follows_topology(monkeypatch):
     trace = broadcast_hypercube(4, 0.5, 0.5, RandomAdversary(0))
     trace.summary = {}
