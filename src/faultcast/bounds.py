@@ -1,4 +1,5 @@
 """Closed-form constants and schedule lengths shared by protocols and checks,
+the almost-complete limits the theorems leave (``almost_complete_limits``),
 and the analysed domain every other module asks about: ``check_eps``,
 ``default_eps`` and ``asserted``.
 
@@ -102,6 +103,14 @@ def l_params(n: int, alpha: float, eps: float) -> tuple[int, int, int, int]:
     return l1, l2, l3, l4
 
 
+def candidate_params(n: int, alpha: float, eps: float) -> tuple[int, int]:
+    """(threshold, cap) of the sense-of-direction phase 2: a vertex with at
+    most threshold = floor(3X(1+eps)) unmarked out-arcs reports them, and the
+    candidate sets' size bound, 3X(1+eps), is capped by the graph size."""
+    threshold = math.floor(3.0 * constants(alpha).x * (1.0 + eps))
+    return threshold, min(threshold, n - 1)
+
+
 def f_root(n: int, alpha: float) -> float:
     """Smaller root (n - sqrt(n^2 - 4X(n-2))) / 2 of k^2 - nk + X(n-2) = 0."""
     x = constants(alpha).x
@@ -166,6 +175,15 @@ def asserted(topo: Topology, alpha: float, eps: float) -> bool:
     if topo.kind == COMPLETE:
         return topo.n >= n_min(alpha, eps)
     return topo.d >= d_min(alpha, eps)
+
+
+def almost_complete_limits(topo: Topology, alpha: float, eps: float) -> tuple[float, float]:
+    """(k limit, h limit) an almost-complete broadcast leaves: (X*eps, X(n-2))
+    on K_n (Theorem 2) and (X/(1-eps), X(d-1)) on Q_d (Theorem 3)."""
+    x = constants(alpha).x
+    if topo.kind == COMPLETE:
+        return x * eps, x * (topo.n - 2)
+    return x / (1.0 - eps), x * (topo.d - 1)
 
 
 def sanity_lemma9(x: float) -> bool:

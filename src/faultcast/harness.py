@@ -16,9 +16,9 @@ from . import bounds
 from .adversary import adversary_problem, make_adversary
 from .engine import NetworkState
 from .errors import ConfigError, InvalidParameterError
-from .protocols import PROTOCOL_TOPOLOGIES, _finalize, make_driver, protocol_problem, simulate
+from .protocols import _finalize, build_topology, make_driver, protocol_entry, simulate
 from .search import worst_case_search
-from .topology import COMPLETE, HYPERCUBE, Topology, build_complete, build_hypercube
+from .topology import COMPLETE, HYPERCUBE
 from .validate import errors_only, validate_trace
 
 CSV_HEADER = ("topology", "size", "alpha", "eps", "protocol", "adversary", "seed",
@@ -85,40 +85,49 @@ class ExperimentConfig:
             return problems
         if self.topology not in (COMPLETE, HYPERCUBE):
             problems.append(f"unknown topology {self.topology!r}")
-        base = self.protocol.partition(":")[0]
-        problem = protocol_problem(self.protocol)
-        if problem:
-            problems.append(problem)
-        elif (self.topology in (COMPLETE, HYPERCUBE)
-                and self.topology not in PROTOCOL_TOPOLOGIES[base]):
+        try:
+            entry = protocol_entry(self.protocol)
+        except InvalidParameterError as exc:
+            problems.append(str(exc))
+            entry = None
+        applies = entry is not None and self.topology in entry.topologies
+        if entry is not None and not applies and self.topology in (COMPLETE, HYPERCUBE):
             problems.append(f"protocol {self.protocol!r} not available on {self.topology}")
+        alphas = []
         for a in self.alpha:
-            if not 0.0 < a < 1.0:
+            if 0.0 < a < 1.0:
+                alphas.append(a)
+            else:
                 problems.append(f"alpha {a} outside (0, 1)")
-            elif base == "nosod-complete" and bounds.constants(a).y <= 0.0:
-                problems.append(f"alpha {a} unsupported by nosod-complete (Y <= 0)")
         try:
             bounds.check_eps(self.topology, self.eps)
         except InvalidParameterError as exc:
             problems.append(str(exc))
-        vertex_counts = []  # of the valid sizes, to check each adversary spec against
+            applies = False  # the closed forms need an eps in the domain
+        sizes = []  # (n, d) of the valid sizes, d None on K_n
         for s in self.size:
             if self.topology == COMPLETE and s < 2:
                 problems.append(f"complete graph size {s} < 2")
             elif self.topology == HYPERCUBE and s < 1:
                 problems.append(f"hypercube dimension {s} < 1")
             elif self.topology in (COMPLETE, HYPERCUBE):
-                vertex_counts.append(1 << s if self.topology == HYPERCUBE else s)
-            if self.topology == HYPERCUBE and base == "hypercube" and s < 2:
-                problems.append(f"protocol hypercube needs dimension >= 2, got {s}")
-            if self.topology == COMPLETE and base == "nosod-complete" and s < 3:
-                problems.append(f"protocol nosod-complete needs size >= 3, got {s}")
+                sizes.append((1 << s, s) if self.topology == HYPERCUBE else (s, None))
+        # The sizes and alphas the schedule's closed forms reject.
+        found = []
+        for n, d in sizes if applies else []:
+            for a in alphas:
+                try:
+                    entry.steps(n, d, a, self.eps, self.horizon)
+                except InvalidParameterError as exc:
+                    found.append(f"protocol {self.protocol!r} unsupported: {exc}")
+        problems.extend(dict.fromkeys(found))
         for spec in self.adversary:
-            found = (adversary_problem(spec, n) for n in vertex_counts or [None])
-            problems.extend(problem for problem in dict.fromkeys(found) if problem)
+            found = (adversary_problem(spec, n) for n, _ in sizes or [(None, None)])
+            problems.extend(p for p in dict.fromkeys(found) if p)
         if self.seeds < 1:
             problems.append("seeds must be >= 1")
-        if self.horizon is not None and self.protocol != "simple-rounds":
+        takes_horizon = entry is not None and entry.rounds and ":" not in self.protocol
+        if self.horizon is not None and not takes_horizon:
             problems.append(f"horizon needs protocol simple-rounds, got {self.protocol!r}")
         if self.horizon is not None and self.horizon < 1:
             problems.append(f"horizon {self.horizon} < 1")
@@ -159,13 +168,6 @@ class RunReport:
         return not self.violations
 
 
-def _build_topology(config: ExperimentConfig, size: int) -> Topology:
-    if config.topology == HYPERCUBE:
-        return build_hypercube(size)
-    chordal = config.protocol.startswith("sod")
-    return build_complete(size, chordal=chordal)
-
-
 def run(config: ExperimentConfig) -> RunReport:
     problems = config.check()
     if problems:
@@ -179,7 +181,7 @@ def run(config: ExperimentConfig) -> RunReport:
     rows = []
     bad = []
     for size in sorted(config.size):
-        topo = _build_topology(config, size)
+        topo = build_topology(config.protocol, config.topology, size)
         for alpha in sorted(config.alpha):
             for adv_id in config.adversary:
                 for seed in range(config.seeds):

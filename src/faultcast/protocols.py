@@ -41,6 +41,7 @@ to, or each finished run stays alive in a reference cycle until a GC pass.
 """
 
 import math
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -210,10 +211,10 @@ class Driver:
 
     # Search support; only the unoriented complete-graph drivers implement it.
     def clone(self, new_state: NetworkState) -> "Driver":
-        raise NotImplementedError(f"{type(self).__name__} does not support search")
+        raise InvalidParameterError(f"{type(self).__name__} does not support search")
 
     def key_parts(self, arc_perm: np.ndarray) -> tuple:
-        raise NotImplementedError(f"{type(self).__name__} does not support search")
+        raise InvalidParameterError(f"{type(self).__name__} does not support search")
 
     def keeps_deliveries(self) -> bool:
         """Whether the coming ``absorb`` (asked between ``next`` and it) keeps
@@ -757,9 +758,8 @@ class AllButOneDriver(SeqDriver):
             raise UnsupportedTopologyError("sense-of-direction protocols need a chordal labeling")
         self.ctx = ctx = SodContext()
         r_kn = bounds.rounds_kn(topo.n, alpha)
-        self.threshold = math.floor(3.0 * bounds.constants(alpha).x * (1.0 + eps))
-        # The candidate sets' size bound, 3X(1+eps), capped by the graph size.
-        self.cap = cap = min(self.threshold, topo.n - 1)
+        threshold, cap = bounds.candidate_params(topo.n, alpha, eps)
+        self.threshold, self.cap = threshold, cap
         if state is not None:
             session = Session(topo, origin, payload=payload, state=state)
             knows = state.informed
@@ -792,7 +792,7 @@ class AllButOneDriver(SeqDriver):
             GreedyCompleteDriver(session),
             SimpleRoundsDriver(session, r_kn, alpha,
                                label="sod_p1" if state is None else "thm2"),
-            Phase2CandidatesDriver(session, ctx, self.threshold),
+            Phase2CandidatesDriver(session, ctx, threshold),
             MultiplexDriver(lane(0), lane(1)),
         ])
 
@@ -1001,77 +1001,53 @@ def greedy_init_hypercube(d: int, alpha: float, adversary: AdversaryPolicy) -> N
     return state
 
 
-# The topologies each CLI protocol id runs on.
-PROTOCOL_TOPOLOGIES = {
-    "simple-rounds": (COMPLETE, HYPERCUBE),
-    "greedy-kn": (COMPLETE,),
-    "greedy-qd": (HYPERCUBE,),
-    "almost-kn": (COMPLETE,),
-    "hypercube": (HYPERCUBE,),
-    "sod-all-but-one": (COMPLETE,),
-    "sod-complete": (COMPLETE,),
-    "nosod-complete": (COMPLETE,),
-}
+ALMOST_COMPLETE = "almost-complete"  # the claim of bounds.almost_complete_limits
 
 
-def protocol_problem(protocol: str) -> str | None:
-    """Why ``protocol`` names no schedule, or None if it does.  Only
-    simple-rounds takes an argument, its round count: ``simple-rounds:N``."""
-    name, colon, arg = protocol.partition(":")
-    if name not in PROTOCOL_TOPOLOGIES:
-        return f"unknown protocol id: {protocol!r}"
-    if colon and name != "simple-rounds":
-        return f"protocol {name} takes no argument, got {protocol!r}"
-    if colon and not (arg.isdecimal() and int(arg) >= 1):
-        return f"simple-rounds needs at least 1 round, got {arg!r}"
-    return None
+@dataclass(frozen=True)
+class Protocol:
+    """One protocol id's entry in PROTOCOLS.
+
+    ``build(topo, alpha, eps, state, rounds)`` returns its driver, whose
+    length ``steps(n, d, alpha, eps, rounds)`` gives from the closed forms of
+    ``bounds`` (d is None on K_n), raising their size and alpha errors.
+    ``claim`` is the final state its theorem claims: ALMOST_COMPLETE at or
+    above n_min or d_min, a final k at every size, or None for no theorem.
+    """
+
+    topologies: tuple
+    build: object
+    steps: object
+    claim: int | str | None = None
+    chordal: bool = False  # runs on K_n with the chordal labeling
+    rounds: bool = False  # takes a round count: simple-rounds:N, or ``rounds``
 
 
-def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
-                state: NetworkState, rounds: int | None = None) -> Driver:
-    """Build the schedule for a CLI protocol id."""
-    problem = protocol_problem(protocol)
-    if problem:
-        raise InvalidParameterError(problem)
-    name, _, arg = protocol.partition(":")
-    if topo.kind not in PROTOCOL_TOPOLOGIES[name]:
-        raise UnsupportedTopologyError(
-            f"protocol {name} needs a {' or '.join(PROTOCOL_TOPOLOGIES[name])} topology")
-    if name == "simple-rounds":
-        count = int(arg) if arg else bounds.rounds_kn(topo.n, alpha) if rounds is None else rounds
-        if count < 1:
-            raise InvalidParameterError(f"simple-rounds needs at least 1 round, got {count}")
-        return SimpleRoundsDriver(Session(topo, state.initiator, state=state), count, alpha)
-    if name == "greedy-kn":
-        return GreedyCompleteDriver(Session(topo, state.initiator, state=state))
-    if name == "greedy-qd":
-        return GreedyHypercubeDriver(topo, state.initiator)
-    if name == "almost-kn":
-        session = Session(topo, state.initiator, state=state)
-        return SeqDriver([GreedyCompleteDriver(session),
-                          SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha), alpha)])
-    if name == "hypercube":
-        t1, t2 = bounds.rounds_hypercube(topo.d, alpha, eps)
-        session = Session(topo, state.initiator, state=state)
-        return SeqDriver([GreedyHypercubeDriver(topo, state.initiator),
-                          SimpleRoundsDriver(session, t1 + t2, alpha, label="qd")])
-    if name == "sod-all-but-one":
-        return AllButOneDriver(topo, state.initiator, alpha, eps, state=state)
-    if name == "sod-complete":
-        return _sod_complete_driver(topo, alpha, eps, state)
-    # nosod-complete: L1 extended rounds, each an elimination pass then L4 simple rounds
-    l1, l2, l3, l4 = bounds.l_params(topo.n, alpha, eps)
+def _rounds(n: int, alpha: float, rounds: int | None) -> int:
+    return bounds.rounds_kn(n, alpha) if rounds is None else rounds
+
+
+def _simple_rounds_driver(topo, alpha, eps, state, rounds):
+    count = _rounds(topo.n, alpha, rounds)
+    if count < 1:
+        raise InvalidParameterError(f"simple-rounds needs at least 1 round, got {count}")
+    return SimpleRoundsDriver(Session(topo, state.initiator, state=state), count, alpha)
+
+
+def _almost_kn_driver(topo, alpha, eps, state, rounds):
     session = Session(topo, state.initiator, state=state)
-    passes = [driver for i in range(l1)
-              for driver in (EliminationDriver(topo, l2, l3, i),
-                             SimpleRoundsDriver(session, l4, alpha, label="nosod_l4"))]
     return SeqDriver([GreedyCompleteDriver(session),
-                      SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha), alpha),
-                      *passes])
+                      SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha), alpha)])
 
 
-def _sod_complete_driver(topo: Topology, alpha: float, eps: float,
-                         state: NetworkState) -> Driver:
+def _hypercube_driver(topo, alpha, eps, state, rounds):
+    t1, t2 = bounds.rounds_hypercube(topo.d, alpha, eps)
+    session = Session(topo, state.initiator, state=state)
+    return SeqDriver([GreedyHypercubeDriver(topo, state.initiator),
+                      SimpleRoundsDriver(session, t1 + t2, alpha, label="qd")])
+
+
+def _sod_complete_driver(topo, alpha, eps, state, rounds):
     """All-but-one, then the collector holding U re-runs it with U as payload,
     then every vertex that learnt U sends the information to each member."""
     stage_a = AllButOneDriver(topo, state.initiator, alpha, eps, state=state)
@@ -1093,6 +1069,100 @@ def _sod_complete_driver(topo: Topology, alpha: float, eps: float,
         return SeqDriver([rerun, SweepDriver(topo, cap, member_targets)])
 
     return SeqDriver([stage_a, MultiplexDriver(lane(0), lane(1))])
+
+
+def _nosod_driver(topo, alpha, eps, state, rounds):
+    """The almost-kn schedule, then L1 extended rounds, each an elimination
+    pass then L4 simple rounds."""
+    l1, l2, l3, l4 = bounds.l_params(topo.n, alpha, eps)
+    session = Session(topo, state.initiator, state=state)
+    passes = [driver for i in range(l1)
+              for driver in (EliminationDriver(topo, l2, l3, i),
+                             SimpleRoundsDriver(session, l4, alpha, label="nosod_l4"))]
+    return SeqDriver([GreedyCompleteDriver(session),
+                      SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha), alpha),
+                      *passes])
+
+
+def _all_but_one_steps(n, d, alpha, eps, rounds):
+    """Greedy init, R_kn rounds and phase 2, then two multiplexed lanes of a
+    phase 3 (greedy init, R_kn rounds) and a sweep over cap^2 pairs."""
+    r, (_, cap) = bounds.rounds_kn(n, alpha), bounds.candidate_params(n, alpha, eps)
+    return 2 + 2 * r + 1 + 2 * (2 + 2 * r + cap * cap)
+
+
+def _sod_complete_steps(n, d, alpha, eps, rounds):
+    """All-but-one, then two multiplexed lanes of its re-run and a sweep over
+    cap members."""
+    _, cap = bounds.candidate_params(n, alpha, eps)
+    return 3 * _all_but_one_steps(n, d, alpha, eps, rounds) + 2 * cap
+
+
+def _nosod_steps(n, d, alpha, eps, rounds):
+    l1, l2, l3, l4 = bounds.l_params(n, alpha, eps)
+    return 2 + 2 * bounds.rounds_kn(n, alpha) + l1 * (l2 * l3 + 2 * l4)
+
+
+PROTOCOLS = {
+    "simple-rounds": Protocol(
+        (COMPLETE, HYPERCUBE), _simple_rounds_driver,
+        lambda n, d, alpha, eps, rounds: 2 * _rounds(n, alpha, rounds), rounds=True),
+    "greedy-kn": Protocol(
+        (COMPLETE,), lambda topo, alpha, eps, state, rounds: GreedyCompleteDriver(
+            Session(topo, state.initiator, state=state)), lambda *_: 2),
+    "greedy-qd": Protocol(
+        (HYPERCUBE,), lambda topo, alpha, eps, state, rounds: GreedyHypercubeDriver(
+            topo, state.initiator), lambda *_: 2),
+    "almost-kn": Protocol(  # Theorem 2
+        (COMPLETE,), _almost_kn_driver,
+        lambda n, d, alpha, eps, rounds: 2 + 2 * bounds.rounds_kn(n, alpha),
+        claim=ALMOST_COMPLETE),
+    "hypercube": Protocol(  # Theorem 3
+        (HYPERCUBE,), _hypercube_driver,
+        lambda n, d, alpha, eps, rounds: 2 + 2 * sum(bounds.rounds_hypercube(d, alpha, eps)),
+        claim=ALMOST_COMPLETE),
+    "sod-all-but-one": Protocol(  # Theorem 8's first stage
+        (COMPLETE,), lambda topo, alpha, eps, state, rounds: AllButOneDriver(
+            topo, state.initiator, alpha, eps, state=state),
+        _all_but_one_steps, claim=1, chordal=True),
+    "sod-complete": Protocol(  # Theorem 8
+        (COMPLETE,), _sod_complete_driver, _sod_complete_steps, claim=0, chordal=True),
+    "nosod-complete": Protocol(  # Theorem 9
+        (COMPLETE,), _nosod_driver, _nosod_steps, claim=0),
+}
+
+
+def protocol_entry(protocol: str) -> Protocol:
+    """The PROTOCOLS entry of a protocol id; only an id that takes a round
+    count takes an argument, as ``simple-rounds:N``.  An id that names no
+    schedule raises InvalidParameterError."""
+    name, colon, arg = protocol.partition(":")
+    if name not in PROTOCOLS:
+        raise InvalidParameterError(f"unknown protocol id: {protocol!r}")
+    if colon and not PROTOCOLS[name].rounds:
+        raise InvalidParameterError(f"protocol {name} takes no argument, got {protocol!r}")
+    if colon and not (arg.isdecimal() and int(arg) >= 1):
+        raise InvalidParameterError(f"{name} needs at least 1 round, got {arg!r}")
+    return PROTOCOLS[name]
+
+
+def build_topology(protocol: str, kind: str, size: int) -> Topology:
+    """Q_size, or K_size with the chordal labeling if ``protocol`` needs it."""
+    if kind == HYPERCUBE:
+        return build_hypercube(size)
+    return build_complete(size, chordal=protocol_entry(protocol).chordal)
+
+
+def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
+                state: NetworkState, rounds: int | None = None) -> Driver:
+    """Build the schedule of a protocol id; ``simple-rounds:N`` overrides
+    ``rounds``."""
+    entry = protocol_entry(protocol)
+    name, _, arg = protocol.partition(":")
+    if topo.kind not in entry.topologies:
+        raise UnsupportedTopologyError(
+            f"protocol {name} needs a {' or '.join(entry.topologies)} topology")
+    return entry.build(topo, alpha, eps, state, int(arg) if arg else rounds)
 
 
 def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
@@ -1125,14 +1195,14 @@ def sod_all_but_one(n: int, alpha: float, eps: float, adversary: AdversaryPolicy
     Returns (trace, (origin, candidate set)) where the candidate set covers
     every vertex still uninformed.
     """
-    topo = build_complete(n, chordal=True)
+    topo = build_topology("sod-all-but-one", COMPLETE, n)
     _, driver, trace = run_protocol("sod-all-but-one", topo, alpha, eps, adversary)
     return trace, driver.candidate_set()
 
 
 def sod_complete(n: int, alpha: float, eps: float, adversary: AdversaryPolicy) -> Trace:
     """Complete broadcast with chordal sense of direction."""
-    topo = build_complete(n, chordal=True)
+    topo = build_topology("sod-complete", COMPLETE, n)
     return run_protocol("sod-complete", topo, alpha, eps, adversary)[2]
 
 

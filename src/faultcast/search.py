@@ -53,7 +53,7 @@ from . import bounds
 from .engine import (INFO, INFO_CANDS, NetworkState, SendBatch, apply_kills, check_batch,
                      fault_budget)
 from .errors import InvalidParameterError, TooLargeError, UnsupportedTopologyError
-from .protocols import BATCH, make_driver
+from .protocols import BATCH, build_topology, make_driver
 from .topology import COMPLETE, Topology, build_complete, complete_arc_id
 
 HORIZON_EXCEEDED = math.inf
@@ -146,12 +146,13 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
     """Maximum steps any budget-respecting adversary can force, or horizon excess.
 
     eps defaults to ``bounds.default_eps`` of the complete graph."""
+    n = topo if isinstance(topo, int) else topo.n
+    if n > _SIZE_CAP:  # checked before a size is built: K_n has n(n-1) arcs
+        raise TooLargeError(f"search capped at n <= {_SIZE_CAP}, got n = {n}")
     if isinstance(topo, int):
-        topo = build_complete(topo)
+        topo = build_topology(protocol, COMPLETE, topo)
     if topo.kind != COMPLETE:
         raise UnsupportedTopologyError("worst-case search supports complete graphs only")
-    if topo.n > _SIZE_CAP:
-        raise TooLargeError(f"search capped at n <= {_SIZE_CAP}, got n = {topo.n}")
     eps = bounds.default_eps(topo.kind) if eps is None else eps
     bounds.check_eps(topo.kind, eps)
     if horizon is not None and horizon < 0:

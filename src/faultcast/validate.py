@@ -2,9 +2,10 @@
 
 Each check walks a recorded trace and returns Violation records instead of
 raising, so the harness can aggregate and strict mode can decide the exit
-code.  Checks whose analysis only applies above n_min/d_min take their level
-from ``bounds.asserted``, and are informational (level "info") below those
-sizes; everything else is "error".
+code.  The per-round and final checks of an analysis are errors only where
+it applies: the trace's protocol claims a theorem (``protocols.PROTOCOLS``)
+and the run is at or above n_min/d_min (``bounds.asserted``).  Elsewhere they
+are informational (level "info"); everything else is "error".
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 from . import bounds
 from .engine import Trace
 from .errors import InvalidParameterError
+from .protocols import ALMOST_COMPLETE, PROTOCOLS
 from .topology import COMPLETE, HYPERCUBE
 
 _TOL = 1e-9
@@ -33,6 +35,21 @@ class Violation:
 
     def __str__(self):
         return f"[{self.level}] {self.check} @ record {self.where}: {self.message}"
+
+
+def _claim(trace: Trace):
+    """The final claim of the trace's protocol (``protocols.PROTOCOLS``), None
+    for a trace without a protocol id."""
+    protocol = trace.summary.get("protocol")
+    entry = PROTOCOLS.get(protocol.partition(":")[0]) if protocol else None
+    return None if entry is None else entry.claim
+
+
+def _level(trace: Trace, alpha: float, eps: float) -> str:
+    """ERROR where the trace's protocol claims a theorem and the run is at or
+    above n_min or d_min, else INFO."""
+    asserted = _claim(trace) is not None and bounds.asserted(trace.topo, alpha, eps)
+    return ERROR if asserted else INFO
 
 
 def check_budget(trace: Trace, alpha: float) -> list[Violation]:
@@ -111,22 +128,23 @@ def _primary_rounds(trace: Trace, row_of):
 def check_kn_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     """Complete-graph per-round checks on primary simple-round segments.
 
-    While k > X*eps or h > X(n-2): the round's step B must deliver at least
-    (1-alpha)^2 (k(n-k) + h) acks, and the measure M = 2(n-1)k + h must
-    contract by a factor (1-c).  Both are analysis guarantees for n >= n_min;
-    below that they are reported as informational.
+    While k > X*eps or h > X(n-2) (``bounds.almost_complete_limits``): the
+    round's step B must deliver at least (1-alpha)^2 (k(n-k) + h) acks, and
+    the measure M = 2(n-1)k + h must contract by a factor (1-c).  Both are
+    Theorem 2's guarantees, errors where ``_level`` says so.
     """
     if trace.topo.kind != COMPLETE:
         return []
     n = trace.topo.n
     cc = bounds.constants(alpha)
-    level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
+    k_limit, h_limit = bounds.almost_complete_limits(trace.topo, alpha, eps)
+    level = _level(trace, alpha, eps)
     cols, row_of = _stored_columns(trace)
     k_col, h_col, m_col, acks_col = cols["k"], cols["h"], cols["M"], cols["acks"]
     out = []
     for b_rec, pre_row, b_row in _primary_rounds(trace, row_of):
         k, h = int(k_col[pre_row]), int(h_col[pre_row])
-        if not (k > cc.x * eps or h > cc.x * (n - 2)):
+        if not (k > k_limit or h > h_limit):
             continue
         need_acks = (1.0 - alpha) ** 2 * (k * (n - k) + h)
         if acks_col[b_row] < need_acks - _TOL:
@@ -143,18 +161,20 @@ def check_kn_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
 def check_qd_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     """Hypercube per-round checks: ack bound, passive growth, measure contraction.
 
-    Ack bound (k > X/(1-eps) or h > X(d-1)): step B delivers at least
-    (1-alpha)^2 (h + boundary) acks.  Passive growth (k >= (2/3)2^d): passive
-    count grows by beta*boundary per round, and multiplicatively by
-    (1 + beta*lg3/d) once b >= d.  Measure contraction (ack-bound gate and
-    k <= (2/3)2^d): M = 2dk + h shrinks by factor 1 + beta*lg(2/3)/d.
+    Ack bound (k > X/(1-eps) or h > X(d-1), ``bounds.almost_complete_limits``):
+    step B delivers at least (1-alpha)^2 (h + boundary) acks.  Passive growth
+    (k >= (2/3)2^d): passive count grows by beta*boundary per round, and
+    multiplicatively by (1 + beta*lg3/d) once b >= d.  Measure contraction
+    (ack-bound gate and k <= (2/3)2^d): M = 2dk + h shrinks by factor
+    1 + beta*lg(2/3)/d.
     """
     if trace.topo.kind != HYPERCUBE:
         return []
     d = trace.topo.d
     n = trace.topo.n
     cc = bounds.constants(alpha)
-    level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
+    k_limit, h_limit = bounds.almost_complete_limits(trace.topo, alpha, eps)
+    level = _level(trace, alpha, eps)
     if not trace.track_boundary:
         raise InvalidParameterError("trace was not recorded with boundary tracking")
     cols, row_of = _stored_columns(trace)
@@ -166,7 +186,7 @@ def check_qd_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     for b_rec, pre_row, b_row in _primary_rounds(trace, row_of):
         k, h = int(k_col[pre_row]), int(h_col[pre_row])
         b, bd = int(b_col[pre_row]), int(bd_col[pre_row])
-        gate_ack = k > cc.x / (1.0 - eps) or h > cc.x * (d - 1)
+        gate_ack = k > k_limit or h > h_limit
         if gate_ack:
             need = (1.0 - alpha) ** 2 * (h + bd)
             if acks_col[b_row] < need - _TOL:
@@ -198,11 +218,11 @@ def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Viola
     """
     if trace.topo.kind != COMPLETE:
         return []
-    n = trace.topo.n
     cc = bounds.constants(alpha)
     if cc.y <= 0.0:
         return []
-    level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
+    _, h_limit = bounds.almost_complete_limits(trace.topo, alpha, eps)
+    level = _level(trace, alpha, eps)
     cols, row_of = _stored_columns(trace)
     k_col, h_col = cols["k"], cols["h"]
     out = []
@@ -213,7 +233,7 @@ def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Viola
         if last >= end:
             continue
         k0, h0 = seg.meta["k0"], seg.meta["h0"]
-        if k0 < 1 or h0 > cc.x * (n - 2):
+        if k0 < 1 or h0 > h_limit:
             continue
         row = row_of(last)
         informed_new = k_col[row] < k0
@@ -230,7 +250,7 @@ def check_phase2_quorum(trace: Trace, alpha: float, eps: float) -> list[Violatio
     if trace.topo.kind != COMPLETE:
         return []
     n = trace.topo.n
-    size_level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
+    size_level = _level(trace, alpha, eps)
     out = []
     for seg in trace.segments:
         if seg.kind != "sod_phase2":
@@ -245,32 +265,20 @@ def check_phase2_quorum(trace: Trace, alpha: float, eps: float) -> list[Violatio
 
 
 def check_final_bounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
-    """Theorem-level final-state guarantees, chosen by the summary's protocol id."""
-    protocol = trace.summary.get("protocol")
-    if protocol is None:
+    """The final state the trace's protocol claims: the topology's
+    almost-complete limits, at the level ``_level`` gives, or a final k at
+    every size, always an error."""
+    claim = _claim(trace)
+    if claim is None:
         return []
-    cc = bounds.constants(alpha)
-    k, h = trace.final_k, trace.final_h
-    out = []
-
-    def bound(name, value, limit, level):
-        if value > limit + _TOL:
-            out.append(Violation(name, len(trace) - 1,
-                                 f"final {value} > {limit:.3f}", level))
-
-    if protocol == "almost-kn":
-        level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
-        bound("final_k", k, cc.x * eps, level)
-        bound("final_h", h, cc.x * (trace.topo.n - 2), level)
-    elif protocol == "hypercube":
-        level = ERROR if bounds.asserted(trace.topo, alpha, eps) else INFO
-        bound("final_k", k, cc.x / (1.0 - eps), level)
-        bound("final_h", h, cc.x * (trace.topo.d - 1), level)
-    elif protocol == "sod-all-but-one":
-        bound("final_k", k, 1, ERROR)
-    elif protocol in ("sod-complete", "nosod-complete"):
-        bound("final_k", k, 0, ERROR)
-    return out
+    if claim == ALMOST_COMPLETE:
+        level = _level(trace, alpha, eps)
+        limits = zip(("final_k", "final_h"), (trace.final_k, trace.final_h),
+                     bounds.almost_complete_limits(trace.topo, alpha, eps))
+    else:
+        level, limits = ERROR, [("final_k", trace.final_k, claim)]
+    return [Violation(name, len(trace) - 1, f"final {value} > {limit:.3f}", level)
+            for name, value, limit in limits if value > limit + _TOL]
 
 
 def validate_trace(trace: Trace, alpha: float | None = None,

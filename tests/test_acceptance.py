@@ -62,18 +62,21 @@ def test_criterion_1_theorem2_complete(capsys):
     eps = 2.0
     for n in (16, 64, 256, 1024):
         for alpha in (0.3, 0.5, 0.7):
-            cc = bounds.constants(alpha)
-            asserted = n >= bounds.n_min(alpha, eps)
             topo = topology.build_complete(n)
+            asserted = bounds.asserted(topo, alpha, eps)
+            k_limit, h_limit = bounds.almost_complete_limits(topo, alpha, eps)
+            steps = protocols.PROTOCOLS["almost-kn"].steps(n, None, alpha, eps, None)
             for adv in _adversaries(topo, random_seeds=10):
                 trace = protocols.almost_complete_kn(n, alpha, eps, adv)
                 _audit(trace, alpha)
                 domain.setdefault(alpha, []).append(asserted)
                 tag = f"n={n} a={alpha} {adv.id}"
+                if trace.total_steps != steps:
+                    problems.append(f"{tag}: schedule length {trace.total_steps}")
                 if asserted:
-                    if trace.final_k > cc.x * eps:
+                    if trace.final_k > k_limit:
                         problems.append(f"{tag}: final k {trace.final_k} > X*eps")
-                    if trace.final_h > cc.x * (n - 2):
+                    if trace.final_h > h_limit:
                         problems.append(f"{tag}: final h {trace.final_h} > X(n-2)")
                 bad = validate.errors_only(validate.validate_trace(trace, alpha, eps))
                 problems.extend(f"{tag}: {v}" for v in bad)
@@ -92,19 +95,19 @@ def test_criterion_2_theorem3_hypercube(capsys):
     grid += [(bounds.d_min(alpha, eps), alpha, 10) for alpha in (0.3, 0.5)]
     grid.append((bounds.d_min(0.7, eps), 0.7, 1))
     for d, alpha, random_seeds in grid:
-        cc = bounds.constants(alpha)
         topo = topology.build_hypercube(d)
+        k_limit, h_limit = bounds.almost_complete_limits(topo, alpha, eps)
+        steps = protocols.PROTOCOLS["hypercube"].steps(topo.n, d, alpha, eps, None)
         for adv in _adversaries(topo, random_seeds=random_seeds):
             trace = protocols.broadcast_hypercube(d, alpha, eps, adv)
             _audit(trace, alpha)
             domain.setdefault(alpha, []).append(d >= bounds.d_min(alpha, eps))
             tag = f"d={d} a={alpha} {adv.id}"
-            t1, t2 = bounds.rounds_hypercube(d, alpha, eps)
-            if trace.total_steps != 2 + 2 * (t1 + t2):
+            if trace.total_steps != steps:
                 problems.append(f"{tag}: schedule length {trace.total_steps}")
-            if trace.final_k > cc.x / (1.0 - eps):
+            if trace.final_k > k_limit:
                 problems.append(f"{tag}: final k {trace.final_k} > X/(1-eps)")
-            if trace.final_h > cc.x * (d - 1):
+            if trace.final_h > h_limit:
                 problems.append(f"{tag}: final h {trace.final_h} > X(d-1)")
             bad = validate.errors_only(validate.validate_trace(trace, alpha, eps))
             problems.extend(f"{tag}: {v}" for v in bad)
@@ -118,12 +121,15 @@ def test_criterion_3_theorem8_sod(capsys):
     eps = 2.0
     for n in (16, 64, 256):
         for alpha in (0.3, 0.5, 0.7):
-            topo = topology.build_complete(n, chordal=True)
+            topo = protocols.build_topology("sod-complete", topology.COMPLETE, n)
+            steps = protocols.PROTOCOLS["sod-complete"].steps(n, None, alpha, eps, None)
             for adv in _adversaries(topo, random_seeds=2):
                 trace = protocols.sod_complete(n, alpha, eps, adv)
                 _audit(trace, alpha)
                 domain.setdefault(alpha, []).append(n >= bounds.n_min(alpha, eps))
                 tag = f"n={n} a={alpha} {adv.id}"
+                if trace.total_steps != steps:
+                    problems.append(f"{tag}: schedule length {trace.total_steps}")
                 if trace.final_k != 0:
                     problems.append(f"{tag}: final k {trace.final_k} != 0")
                 quorum = validate.check_phase2_quorum(trace, alpha, eps)
@@ -144,8 +150,7 @@ def test_criterion_4_theorem9_nosod(capsys):
             if cc.y <= 0.0:
                 problems.append(f"alpha={alpha}: Y unexpectedly <= 0")
                 continue
-            r = bounds.rounds_kn(n, alpha)
-            l1, l2, l3, l4 = bounds.l_params(n, alpha, eps)
+            steps = protocols.PROTOCOLS["nosod-complete"].steps(n, None, alpha, eps, None)
             topo = topology.build_complete(n)
             for adv in _adversaries(topo, random_seeds=2):
                 trace = protocols.nosod_complete(n, alpha, eps, adv)
@@ -154,7 +159,7 @@ def test_criterion_4_theorem9_nosod(capsys):
                 tag = f"n={n} a={alpha} {adv.id}"
                 if trace.final_k != 0:
                     problems.append(f"{tag}: final k {trace.final_k} != 0")
-                if trace.total_steps > 2 + 2 * r + l1 * (l2 * l3 + 2 * l4):
+                if trace.total_steps > steps:
                     problems.append(f"{tag}: steps {trace.total_steps} over schedule")
                 inner = validate.check_nosod_iterations(trace, alpha, eps)
                 problems.extend(f"{tag}: {v}" for v in inner)  # any level

@@ -10,12 +10,12 @@ from faultcast import bounds, protocols
 from faultcast.adversary import make_adversary
 from faultcast.cli import main as cli_main
 from faultcast.engine import NetworkState
-from faultcast.errors import ConfigError, InvalidParameterError
+from faultcast.errors import ConfigError, InvalidParameterError, SimError
 from faultcast.harness import (CSV_HEADER, ExperimentConfig, run,
                                verify_regressions)
 from faultcast.search import worst_case_search
-from faultcast.topology import build_complete, build_hypercube
-from faultcast.validate import validate_trace
+from faultcast.topology import COMPLETE, HYPERCUBE, build_complete, build_hypercube
+from faultcast.validate import INFO, errors_only, validate_trace
 
 
 def _small_config(**kw):
@@ -165,6 +165,56 @@ def test_make_driver_round_counts():
     for spec, rounds in (("simple-rounds", 0), ("simple-rounds", -3), ("simple-rounds:0", None)):
         with pytest.raises(InvalidParameterError, match="at least 1 round"):
             rounds_of(spec, rounds)
+
+
+@pytest.mark.parametrize("protocol, kind", [(name, kind) for name, entry in
+                                            protocols.PROTOCOLS.items()
+                                            for kind in entry.topologies])
+def test_protocol_table_agrees_with_drivers_and_runs(protocol, kind):
+    """On K_2..K_6 or Q_1..Q_5 at alpha 0.3, 0.6 and 0.9: an entry's
+    closed-form schedule length is its driver's length, and the two raise on
+    the same sizes and alphas; the config check reports a problem exactly
+    where the public runner raises."""
+    entry, eps = protocols.PROTOCOLS[protocol], bounds.default_eps(kind)
+    for size in range(2, 7) if kind == COMPLETE else range(1, 6):
+        topo = protocols.build_topology(protocol, kind, size)
+        for alpha in (0.3, 0.6, 0.9):
+            where = (size, alpha)
+            try:
+                steps = entry.steps(topo.n, topo.d, alpha, eps, None)
+            except SimError:
+                steps = None
+            try:
+                driver = protocols.make_driver(protocol, topo, alpha, eps, NetworkState(topo))
+                assert driver.total_steps == steps, where
+            except SimError:
+                assert steps is None, where
+            problems = ExperimentConfig(topology=kind, size=[size], alpha=[alpha],
+                                        protocol=protocol, adversary=["random:0"],
+                                        seeds=1).check()
+            try:
+                protocols.run_protocol(protocol, topo, alpha, eps, make_adversary("random:0"))
+                assert problems == [], where
+            except SimError:
+                assert problems, where
+
+
+@pytest.mark.parametrize("kind, size, eps, check", [(COMPLETE, 24, 2.0, "thm2_acks"),
+                                                    (HYPERCUBE, 13, 0.5, "lemma4_acks")])
+def test_bare_simple_rounds_claims_no_theorem(kind, size, eps, check):
+    """Bare simple-rounds starts without the greedy init that Theorems 2 and 3
+    assume, so its round checks are informational even at n_min or d_min:
+    K_24 and Q_13 at alpha 0.5."""
+    report = run(ExperimentConfig(topology=kind, size=[size], alpha=[0.5], eps=eps,
+                                  protocol="simple-rounds", horizon=5, seeds=2))
+    assert report.ok and [r["violations"] for r in report.rows] == [0] * 6
+    topo = protocols.build_topology("simple-rounds", kind, size)
+    assert bounds.asserted(topo, 0.5, eps)
+    _, _, trace = protocols.run_protocol("simple-rounds:5", topo, 0.5, eps,
+                                         make_adversary("ack_suppressor:0"))
+    found = validate_trace(trace)
+    assert errors_only(found) == []
+    assert check in {v.check for v in found if v.level == INFO}
 
 
 def test_config_rejects_nosod_above_root():
@@ -327,6 +377,16 @@ def test_cli_search(capsys):
                      "--protocol", "simple-rounds"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["worst_steps"] == 2
+
+
+@pytest.mark.parametrize("protocol", ["sod-all-but-one", "sod-complete"])
+def test_cli_search_refuses_sod_schedules(protocol, capsys):
+    """The sense-of-direction schedules get their chordal K_n, and their
+    drivers refuse the search with a typed error: exit 2, no traceback."""
+    assert cli_main(["search", "--n", "4", "--alpha", "0.5", "--protocol", protocol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "does not support search" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 _SEARCH_NOSOD = ["search", "--n", "4", "--alpha", "0.5", "--protocol", "nosod-complete"]

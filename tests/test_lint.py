@@ -10,14 +10,27 @@ scanned file.  Dunder names are exempt: Python calls them itself.
 
 One analysed domain: ``faultcast.bounds`` alone decides which eps a topology
 takes, which it takes by default and whether a run is at least n_min or
-d_min.  No other module compares a bare eps with a number, gives eps a number
-as a default, or calls n_min or d_min.
+d_min, and alone computes with eps.  No other module compares a bare eps with
+a number, gives eps a number as a default, calls n_min or d_min, or has eps
+as an operand of arithmetic.
+
+One protocol table: ``faultcast.protocols.PROTOCOLS`` alone states what each
+protocol id runs on and claims.  Outside it, no module compares a string that
+names a protocol id or calls ``startswith`` on a prefix of one.
+
+One import set: ``import faultcast`` loads no top-level package outside the
+standard library but faultcast and numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from faultcast.protocols import PROTOCOLS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "perfbench")
@@ -179,6 +192,50 @@ def _domain_leaks(path: Path, root: Path = ROOT) -> list[str]:
     return [f"{path.relative_to(root)}:{line}: {what}" for line, what in sorted(found)]
 
 
+def _eps_arithmetic(path: Path, root: Path = ROOT) -> list[str]:
+    """Binary operations in ``path`` with a bare eps operand."""
+    return [f"{path.relative_to(root)}:{node.lineno}: eps in arithmetic"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.BinOp) and (_bare_eps(node.left) or _bare_eps(node.right))]
+
+
+def _names_protocol(node: ast.AST, ids) -> bool:
+    """Whether ``node`` is a string naming a protocol id, with or without its
+    argument, or a tuple, list or set holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_protocol(elt, ids) for elt in node.elts)
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.partition(":")[0] in ids)
+
+
+def _prefixes_protocol(node: ast.AST, ids) -> bool:
+    """Whether ``node`` is a string that starts some protocol id, or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return any(_prefixes_protocol(elt, ids) for elt in node.elts)
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and any(i.startswith(node.value) for i in ids))
+
+
+def _protocol_leaks(path: Path, root: Path = ROOT, ids=tuple(PROTOCOLS)) -> list[str]:
+    """Places where ``path``, outside a ``PROTOCOLS`` assignment, decides by
+    protocol id itself."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    table = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "PROTOCOLS" for t in node.targets)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                _names_protocol(operand, ids) for operand in [node.left, *node.comparators]):
+            found.append((node.lineno, "protocol id compared"))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "startswith"
+                and any(_prefixes_protocol(arg, ids) for arg in node.args)):
+            found.append((node.lineno, "startswith on a protocol id"))
+    return [f"{path.relative_to(root)}:{line}: {what}" for line, what in sorted(found)
+            if not any(line in lines for lines in table)]
+
+
 def test_scan_finds_modules():
     assert len(list(_modules())) > 20
 
@@ -229,7 +286,7 @@ def test_scan_rule(tmp_path, source, unused):
 def test_one_analysed_domain():
     package = ROOT / "src" / "faultcast"
     leaks = [entry for path in sorted(package.rglob("*.py")) if path.name != "bounds.py"
-             for entry in _domain_leaks(path)]
+             for entry in _domain_leaks(path) + _eps_arithmetic(path)]
     assert not leaks, "analysed domain decided outside faultcast.bounds:\n" + "\n".join(leaks)
 
 
@@ -255,3 +312,50 @@ def test_domain_rule(tmp_path, source, leaks):
     path = tmp_path / "mod.py"
     path.write_text(source)
     assert [entry.rsplit(": ", 1)[1] for entry in _domain_leaks(path, tmp_path)] == leaks
+
+
+@pytest.mark.parametrize("source, found", [
+    ("limit = x * eps\n", 1),
+    ("rho = 1.0 - self.eps\nt = 3 * x * (1.0 + eps)\n", 2),
+    ("k_limit, _ = bounds.almost_complete_limits(topo, alpha, eps)\ne = -eps\n", 0),
+    ("ok = k > limit or eps is None\n", 0),
+])
+def test_eps_arithmetic_rule(tmp_path, source, found):
+    path = tmp_path / "mod.py"
+    path.write_text(source)
+    assert len(_eps_arithmetic(path, tmp_path)) == found
+
+
+def test_one_protocol_table():
+    package = ROOT / "src" / "faultcast"
+    leaks = [entry for path in sorted(package.rglob("*.py")) for entry in _protocol_leaks(path)]
+    assert not leaks, "protocol ids decided outside PROTOCOLS:\n" + "\n".join(leaks)
+
+
+@pytest.mark.parametrize("source, leaks", [
+    ("if protocol == 'almost-kn':\n    pass\n", ["protocol id compared"]),
+    ("ok = protocol != 'simple-rounds:5'\n", ["protocol id compared"]),
+    ("ok = name in ('sod-complete', 'nosod-complete')\n", ["protocol id compared"]),
+    ("chordal = config.protocol.startswith('sod')\n", ["startswith on a protocol id"]),
+    ("ok = p.startswith(('x', 'greedy'))\n", ["startswith on a protocol id"]),
+    ("ok = kind == 'complete' or seg.kind != 'simple_rounds'\n", []),
+    ("ok = spec.startswith('random')\nrun('almost-kn')\n", []),
+    ("PROTOCOLS = {'almost-kn': f(x == 'almost-kn')}\nok = y == 'hypercube'\n",
+     ["protocol id compared"]),
+])
+def test_protocol_rule(tmp_path, source, leaks):
+    path = tmp_path / "mod.py"
+    path.write_text(source)
+    assert [entry.rsplit(": ", 1)[1] for entry in _protocol_leaks(path, tmp_path)] == leaks
+
+
+def test_import_set():
+    """The top-level packages ``import faultcast`` loads beyond what a bare
+    interpreter has: the standard library, faultcast and numpy, read from a
+    fresh interpreter with the source tree on its path."""
+    code = ("import sys; before = set(sys.modules); import faultcast; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert set(out) - set(sys.stdlib_module_names) == {"faultcast", "numpy"}

@@ -8,9 +8,10 @@ import pytest
 
 from faultcast.adversary import AckSuppressor, RandomAdversary, VictimGuard
 from faultcast.engine import NetworkState, apply_kills, check_batch, fault_budget
-from faultcast.errors import TooLargeError
+from faultcast.errors import InvalidParameterError, TooLargeError
 from faultcast.protocols import (EliminationDriver, SeqDriver, Session, SimpleRoundsDriver,
                                  almost_complete_kn, make_driver)
+from faultcast import search
 from faultcast.search import (HORIZON_EXCEEDED, _children, _image_weights, _least_images,
                               _vertex_perms, worst_case_search)
 from faultcast.topology import build_complete, build_hypercube
@@ -196,6 +197,25 @@ def test_size_cap_and_topology():
         worst_case_search(7, "almost-kn", 0.5)
     with pytest.raises(UnsupportedTopologyError):
         worst_case_search(build_hypercube(2), "simple-rounds", 0.5)
+
+
+def test_size_cap_comes_before_the_build(monkeypatch):
+    """A size above the cap is refused before K_n, with its n(n-1) arcs, is
+    built: ``sim search --n 100000`` must not allocate 10^10 arcs first."""
+    def build(*args):
+        raise AssertionError("built a topology above the size cap")
+    monkeypatch.setattr(search, "build_topology", build)
+    with pytest.raises(TooLargeError, match="n = 100000"):
+        worst_case_search(100_000, "almost-kn", 0.5)
+
+
+@pytest.mark.parametrize("protocol", ["sod-all-but-one", "sod-complete"])
+def test_search_refuses_sod_schedules(protocol):
+    """A size builds the chordal K_n the schedule needs, as a given chordal
+    K_n does; either way its drivers refuse the search with a typed error."""
+    for topo in (4, build_complete(4, chordal=True)):
+        with pytest.raises(InvalidParameterError, match="does not support search"):
+            worst_case_search(topo, protocol, 0.5)
 
 
 def test_heuristics_never_beat_oracle():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from faultcast.adversary import AdversaryPolicy, RandomAdversary
-from faultcast import engine
+from faultcast import bounds, engine
 from faultcast.engine import INFO, NetworkState, SendBatch, Trace, execute_step
 from faultcast.errors import AdversaryViolation
 from faultcast.protocols import almost_complete_kn, broadcast_hypercube, nosod_complete
@@ -130,6 +130,26 @@ def test_final_bound_level_follows_the_arguments(n, below_min, level):
     trace.summary = {"protocol": "almost-kn", "alpha": 0.5, "eps": 2.0, "below_min": below_min}
     bad = validate.check_final_bounds(trace, 0.5, 1.5)
     assert [(v.check, v.level) for v in bad] == [("final_k", level)]
+
+
+@pytest.mark.parametrize("topo, protocol, eps, limits", [
+    (build_complete(32), "almost-kn", 1.5, (6, 120)),
+    (build_hypercube(13), "hypercube", 0.5, (8, 48)),
+], ids=["K_32", "Q_13"])
+def test_final_bounds_are_the_almost_complete_limits(topo, protocol, eps, limits):
+    """At alpha 0.5, X = 4: Theorem 2 leaves k <= X*eps = 6 and h <= X(n-2) =
+    120 on K_32 at eps 1.5, Theorem 3 k <= X/(1-eps) = 8 and h <= X(d-1) = 48
+    on Q_13 at eps 0.5.  Both sizes are at or above n_min or d_min, so one
+    more of either is an error."""
+    assert bounds.almost_complete_limits(topo, 0.5, eps) == limits
+    trace = Trace(topo)
+    trace.record(NetworkState(topo), 0, 0, 0)
+    trace.summary = {"protocol": protocol}
+    k, h = limits
+    for final, found in (((k, h), []), ((k + 1, h), ["final_k"]), ((k, h + 1), ["final_h"])):
+        trace._data[-1, 1:3] = final
+        bad = validate.check_final_bounds(trace, 0.5, eps)
+        assert [(v.check, v.level) for v in bad] == [(c, validate.ERROR) for c in found]
 
 
 def test_validate_trace_default_eps_follows_topology(monkeypatch):
