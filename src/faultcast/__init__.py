@@ -18,8 +18,7 @@ from .protocols import (almost_complete_kn, broadcast_hypercube,
                         sod_complete)
 from .search import SearchResult, worst_case_search
 from .topology import (ChordalLabeling, Topology, build_complete,
-                       build_hypercube, chordal_labels, edge_boundary,
-                       iso_lower_bound)
+                       build_hypercube, edge_boundary)
 from .validate import validate_trace
 
 __version__ = "0.1.0"

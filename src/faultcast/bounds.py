@@ -9,7 +9,7 @@ logarithm ratios rather than simplified inequalities.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError, UnsupportedAlphaError
 from .topology import COMPLETE, HYPERCUBE, Topology
@@ -193,49 +193,24 @@ def sanity_lemma9(x: float) -> bool:
     return math.log2((x + 1.0) / x) >= 1.0 / x
 
 
-@dataclass(frozen=True)
-class BoundSet:
-    """Everything the CLI `bounds` subcommand prints for one parameter point."""
-
-    alpha: float
-    eps: float
-    x: float
-    beta: float
-    c: float
-    y: float
-    n: int | None = None
-    d: int | None = None
-    r_kn: int | None = None
-    t1: int | None = None
-    t2: int | None = None
-    l1: int | None = None
-    l2: int | None = None
-    l3: int | None = None
-    l4: int | None = None
-    n_min: int | None = None
-    d_min: int | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def bound_set(alpha: float, eps: float | None = None, n: int | None = None,
-              d: int | None = None) -> BoundSet:
-    """Constants, and the schedule lengths of K_n given n or of Q_d given d, for
-    an eps in that topology's domain; eps defaults to its ``default_eps``."""
+              d: int | None = None) -> dict:
+    """Everything `sim bounds` prints: the constants, and the schedule lengths
+    of K_n given n or of Q_d given d, for an eps in that topology's domain;
+    eps defaults to its ``default_eps``.  Values that do not apply are None."""
     cc = constants(alpha)
     kind = HYPERCUBE if d is not None else COMPLETE
     eps = default_eps(kind) if eps is None else eps
     check_eps(kind, eps)
-    kw: dict = {}
+    out = dict(alpha=alpha, eps=eps, x=cc.x, beta=cc.beta, c=cc.c, y=cc.y, n=n, d=d,
+               r_kn=None, t1=None, t2=None, l1=None, l2=None, l3=None, l4=None,
+               n_min=None, d_min=None)
     if n is not None:
-        kw["n"] = n
-        kw["r_kn"] = rounds_kn(n, alpha)
-        kw["n_min"] = n_min(alpha, eps)
+        out["r_kn"] = rounds_kn(n, alpha)
+        out["n_min"] = n_min(alpha, eps)
         if cc.y > 0.0 and n >= 3:
-            kw["l1"], kw["l2"], kw["l3"], kw["l4"] = l_params(n, alpha, eps)
+            out["l1"], out["l2"], out["l3"], out["l4"] = l_params(n, alpha, eps)
     if d is not None:
-        kw["d"] = d
-        kw["t1"], kw["t2"] = rounds_hypercube(d, alpha)
-        kw["d_min"] = d_min(alpha, eps)
-    return BoundSet(alpha=alpha, eps=eps, x=cc.x, beta=cc.beta, c=cc.c, y=cc.y, **kw)
+        out["t1"], out["t2"] = rounds_hypercube(d, alpha)
+        out["d_min"] = d_min(alpha, eps)
+    return out

@@ -24,7 +24,7 @@ def _add_run_parser(sub):
     p.add_argument("--out", help="output directory for traces, CSV, and plot data")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on any trace-invariant violation")
-    p.add_argument("--horizon", type=int, help="round-count override for simple-rounds")
+    p.add_argument("--horizon", type=int, help="round count of simple-rounds")
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -59,8 +59,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    bs = bounds.bound_set(args.alpha, args.eps, n=args.n, d=args.d)
-    print(json.dumps(bs.to_dict(), indent=2))
+    print(json.dumps(bounds.bound_set(args.alpha, args.eps, n=args.n, d=args.d), indent=2))
     return 0
 
 
@@ -101,8 +100,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("bounds", help="print schedule lengths and constants as JSON")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps", type=float, help="default: Q_d's with --d, else K_n's")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--n", type=int)
+    size.add_argument("--d", type=int)
 
     p = sub.add_parser("verify-regressions",
                        help="recompute tiny worst-case searches against frozen values")

@@ -72,7 +72,6 @@ class DeliveryReport:
     delivered_idx: np.ndarray  # indices into the batch, ascending
     budget: int
     new_informed: np.ndarray  # intp: vertices the step informed, ascending
-    delivered_arcs: np.ndarray  # the survivors' arcs, in batch order
     marked: np.ndarray  # intp: their opposite arcs, which the deliveries marked passive
     info_dsts: np.ndarray  # intp: the non-ack survivors' destinations, repeats kept
     acks_delivered: int
@@ -80,13 +79,6 @@ class DeliveryReport:
     @property
     def budget_used(self) -> int:
         return self.batch.m - int(self.delivered_idx.shape[0])
-
-    @property
-    def lost_idx(self) -> np.ndarray:
-        """Indices of the killed messages, ascending; a run only counts them."""
-        lost = np.ones(self.batch.m, dtype=bool)
-        lost[self.delivered_idx] = False
-        return np.flatnonzero(lost)
 
 
 @dataclass(frozen=True)
@@ -225,7 +217,7 @@ def apply_kills(state: NetworkState, batch: SendBatch, killed: np.ndarray,
     """
     delivered_idx = np.flatnonzero(~killed)
     report = DeliveryReport(batch=batch, delivered_idx=delivered_idx, budget=budget,
-                            new_informed=_EMPTY, delivered_arcs=_EMPTY, marked=_EMPTY,
+                            new_informed=_EMPTY, marked=_EMPTY,
                             info_dsts=_EMPTY, acks_delivered=0)
     if delivered_idx.size:
         _deliver(state, report)
@@ -351,7 +343,7 @@ def _deliver(state: NetworkState, report: DeliveryReport) -> None:
     if counted:
         state._counts = (k, h, b, active)
         state._counts_version = state.version
-    report.delivered_arcs, report.marked = darr, marked
+    report.marked = marked
     report.info_dsts, report.acks_delivered = info_dsts, acks_delivered
     report.new_informed = new_informed
 

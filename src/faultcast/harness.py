@@ -54,7 +54,7 @@ class ExperimentConfig:
     seeds: int = 10
     out: str | None = None
     strict: bool = False
-    horizon: int | None = None  # round-count override for simple-rounds
+    horizon: int | None = None  # round count of simple-rounds
 
     def __post_init__(self):
         if isinstance(self.size, int):
@@ -126,8 +126,7 @@ class ExperimentConfig:
             problems.extend(p for p in dict.fromkeys(found) if p)
         if self.seeds < 1:
             problems.append("seeds must be >= 1")
-        takes_horizon = entry is not None and entry.rounds and ":" not in self.protocol
-        if self.horizon is not None and not takes_horizon:
+        if self.horizon is not None and not (entry is not None and entry.rounds):
             problems.append(f"horizon needs protocol simple-rounds, got {self.protocol!r}")
         if self.horizon is not None and self.horizon < 1:
             problems.append(f"horizon {self.horizon} < 1")

@@ -33,11 +33,12 @@ Every schedule is a composition of phase drivers; only the combinators
 (SeqDriver, MultiplexDriver, LazyDriver) hold other drivers.  The schedule
 without sense of direction is one flat SeqDriver: greedy init, R_kn simple
 rounds, then L1 times an EliminationDriver pass and L4 simple rounds.  The
-sense-of-direction schedules are SeqDriver/MultiplexDriver compositions of
-two generic phases: a LazyDriver, whose builder picks the phase's driver
-from what earlier phases found, and a SweepDriver, which sends to one group
-of targets per step.  A phase builder must not capture the driver it belongs
-to, or each finished run stays alive in a reference cycle until a GC pass.
+sense-of-direction schedules are SeqDriver/MultiplexDriver compositions
+whose later phases are LazyDrivers: each builder picks its phase's driver
+from what earlier phases found, a re-broadcast or a SweepDriver, which sends
+to one group of targets per step.  A phase builder must not capture the
+driver it belongs to, or each finished run stays alive in a reference cycle
+until a GC pass.
 """
 
 import math
@@ -700,26 +701,22 @@ class SweepDriver(Driver):
     """Targeted sweep on K_n: in step i every sender sends the information to
     each vertex of the i-th target group, then the schedule sends empty steps.
 
-    ``start()`` runs at the first step and returns (senders, target groups).
     Deliveries are copied into ``knows_sink``.
     """
 
-    def __init__(self, topo: Topology, budget: int, start,
+    def __init__(self, topo: Topology, budget: int, senders: np.ndarray, groups: list,
                  knows_sink: np.ndarray | None = None):
         self.topo = topo
         self.total_steps = budget
-        self.start = start
+        self.senders = senders
+        self.groups = groups
         self.knows_sink = knows_sink
         self.step = 0
-        self.senders = None
-        self.groups = None
 
     def done(self):
         return self.step >= self.total_steps
 
     def next(self, state, blocks):
-        if self.groups is None:
-            self.senders, self.groups = self.start()
         if self.step >= len(self.groups):
             self.step += 1
             return BATCH, SendBatch.empty()
@@ -732,7 +729,7 @@ class SweepDriver(Driver):
             self.knows_sink[report.info_dsts] = True
 
     def quiet_run(self, state):
-        if self.groups is None or self.step < len(self.groups):
+        if self.step < len(self.groups):
             return None
         return (0,), self.total_steps - self.step
 
@@ -777,16 +774,17 @@ class AllButOneDriver(SeqDriver):
             return SeqDriver([GreedyCompleteDriver(sub),
                               SimpleRoundsDriver(sub, r_kn, alpha, label="sod_p3")])
 
-        def pair_targets(b):
-            if ctx.u_final[b] is None:
-                return None, []
+        def pair_sweep(b):
+            if not ctx.u_final[b]:
+                return None
             members = sorted(ctx.u_final[b])
             pairs = [(i,) if i == j else (i, j) for i in members for j in members]
-            return np.flatnonzero(ctx.session[b].aware), pairs
+            return SweepDriver(topo, cap * cap, np.flatnonzero(ctx.session[b].aware), pairs,
+                               knows_sink=knows)
 
         lane = lambda b: SeqDriver([
             LazyDriver(2 + 2 * r_kn, lambda: broadcast_u(b)),
-            SweepDriver(topo, cap * cap, lambda: pair_targets(b), knows_sink=knows),
+            LazyDriver(cap * cap, lambda: pair_sweep(b)),
         ])
         super().__init__([
             GreedyCompleteDriver(session),
@@ -843,9 +841,7 @@ class EliminationDriver(Driver):
                 self.i2 = self.l2
                 return BLOCK, [((m,), remaining)]
             if self.trace is not None:
-                k0, h0, _ = state.counts()
-                self.trace.mark("nosod_iter", l1=self.pass_idx, l2=self.i2, k0=k0, h0=h0,
-                                steps=self.l3)
+                self.trace.mark("nosod_iter", l1=self.pass_idx, l2=self.i2, steps=self.l3)
         return BATCH, SendBatch.uniform(np.flatnonzero(self.e_mask | self.p_mask), INFO)
 
     def absorb(self, state, report):
@@ -1020,7 +1016,7 @@ class Protocol:
     steps: object
     claim: int | str | None = None
     chordal: bool = False  # runs on K_n with the chordal labeling
-    rounds: bool = False  # takes a round count: simple-rounds:N, or ``rounds``
+    rounds: bool = False  # takes a round count, ``rounds``
 
 
 def _rounds(n: int, alpha: float, rounds: int | None) -> int:
@@ -1061,12 +1057,13 @@ def _sod_complete_driver(topo, alpha, eps, state, rounds):
     def lane(b):
         rerun = LazyDriver(stage_a.total_steps, lambda: rerun_of(b))
 
-        def member_targets():
+        def member_sweep():
             if not ctx.u_final[b]:
-                return None, []
-            return np.flatnonzero(rerun.inner.knows), [(t,) for t in sorted(ctx.u_final[b])]
+                return None
+            return SweepDriver(topo, cap, np.flatnonzero(rerun.inner.knows),
+                               [(t,) for t in sorted(ctx.u_final[b])])
 
-        return SeqDriver([rerun, SweepDriver(topo, cap, member_targets)])
+        return SeqDriver([rerun, LazyDriver(cap, member_sweep)])
 
     return SeqDriver([stage_a, MultiplexDriver(lane(0), lane(1))])
 
@@ -1133,17 +1130,11 @@ PROTOCOLS = {
 
 
 def protocol_entry(protocol: str) -> Protocol:
-    """The PROTOCOLS entry of a protocol id; only an id that takes a round
-    count takes an argument, as ``simple-rounds:N``.  An id that names no
-    schedule raises InvalidParameterError."""
-    name, colon, arg = protocol.partition(":")
-    if name not in PROTOCOLS:
+    """The PROTOCOLS entry of a protocol id; an id that names no schedule
+    raises InvalidParameterError."""
+    if protocol not in PROTOCOLS:
         raise InvalidParameterError(f"unknown protocol id: {protocol!r}")
-    if colon and not PROTOCOLS[name].rounds:
-        raise InvalidParameterError(f"protocol {name} takes no argument, got {protocol!r}")
-    if colon and not (arg.isdecimal() and int(arg) >= 1):
-        raise InvalidParameterError(f"{name} needs at least 1 round, got {arg!r}")
-    return PROTOCOLS[name]
+    return PROTOCOLS[protocol]
 
 
 def build_topology(protocol: str, kind: str, size: int) -> Topology:
@@ -1155,14 +1146,13 @@ def build_topology(protocol: str, kind: str, size: int) -> Topology:
 
 def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
                 state: NetworkState, rounds: int | None = None) -> Driver:
-    """Build the schedule of a protocol id; ``simple-rounds:N`` overrides
-    ``rounds``."""
+    """Build the schedule of a protocol id; ``rounds`` sets the round count
+    of one that takes it (``Protocol.rounds``)."""
     entry = protocol_entry(protocol)
-    name, _, arg = protocol.partition(":")
     if topo.kind not in entry.topologies:
         raise UnsupportedTopologyError(
-            f"protocol {name} needs a {' or '.join(entry.topologies)} topology")
-    return entry.build(topo, alpha, eps, state, int(arg) if arg else rounds)
+            f"protocol {protocol} needs a {' or '.join(entry.topologies)} topology")
+    return entry.build(topo, alpha, eps, state, rounds)
 
 
 def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,

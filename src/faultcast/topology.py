@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedTopologyError
+from .errors import InvalidParameterError
 
 COMPLETE = "complete"
 HYPERCUBE = "hypercube"
@@ -23,23 +23,11 @@ class ChordalLabeling:
 
     The label of arc u->v is (v-u) mod n; with the initiator at vertex 0,
     vertex ids coincide with distances from the initiator, so every vertex can
-    resolve the destination id of any of its ports.
+    resolve the destination id of any of its ports.  The schedules only ask
+    whether a topology carries it.
     """
 
     n: int
-
-    def arc_label(self, u: int, v: int) -> int:
-        if u == v:
-            raise InvalidParameterError("no self-loop arcs")
-        return (v - u) % self.n
-
-    def dest(self, u: int, label: int) -> int:
-        if not 1 <= label <= self.n - 1:
-            raise InvalidParameterError(f"label {label} outside 1..{self.n - 1}")
-        return (u + label) % self.n
-
-    def labels_at(self, u: int):
-        return [(v - u) % self.n for v in range(self.n) if v != u]
 
 
 @dataclass(frozen=True)
@@ -122,13 +110,6 @@ def build_hypercube(d: int) -> Topology:
                     edge_connectivity=d, degree=d)
 
 
-def chordal_labels(topo: Topology) -> ChordalLabeling:
-    """Chordal sense-of-direction labeling for a complete topology."""
-    if topo.kind != COMPLETE:
-        raise UnsupportedTopologyError("chordal labeling is defined on complete graphs only")
-    return ChordalLabeling(topo.n)
-
-
 def edge_boundary(topo: Topology, s) -> int:
     """Number of undirected edges with exactly one endpoint in s, given as
     vertex ids or as a boolean mask of length n."""
@@ -143,13 +124,3 @@ def edge_boundary(topo: Topology, s) -> int:
             raise InvalidParameterError("vertex set contains ids outside the topology")
         member[idx] = True
     return int(np.count_nonzero(member[topo.arc_src] & ~member[topo.arc_dst]))
-
-
-def iso_lower_bound(k: int, d: int) -> float:
-    """Isoperimetric lower bound k*(d - lg k) on the hypercube edge boundary.
-
-    Comparison baseline only; never a substitute for the exact boundary.
-    """
-    if not 1 <= k <= (1 << d):
-        raise InvalidParameterError(f"k={k} outside 1..2^{d}")
-    return k * (d - np.log2(k))

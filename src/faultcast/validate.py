@@ -40,8 +40,7 @@ class Violation:
 def _claim(trace: Trace):
     """The final claim of the trace's protocol (``protocols.PROTOCOLS``), None
     for a trace without a protocol id."""
-    protocol = trace.summary.get("protocol")
-    entry = PROTOCOLS.get(protocol.partition(":")[0]) if protocol else None
+    entry = PROTOCOLS.get(trace.summary.get("protocol"))
     return None if entry is None else entry.claim
 
 
@@ -212,9 +211,11 @@ def check_qd_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
 def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     """Each executed L2-iteration informs a new vertex or shrinks h by (1-Y/2).
 
-    Applicable when the iteration started with h' <= X(n-2) and at least one
-    uninformed vertex; iterations skipped in a block of dead steps start from
-    a frozen state with k = 0 and are not applicable by construction.
+    The iteration starts from the state of the record before it; one at the
+    trace's start has none and is skipped.  Applicable when that state has
+    h' <= X(n-2) and at least one uninformed vertex; iterations skipped in a
+    block of dead steps start from a frozen state with k = 0 and are not
+    applicable by construction.
     """
     if trace.topo.kind != COMPLETE:
         return []
@@ -230,12 +231,12 @@ def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Viola
         if seg.kind != "nosod_iter":
             continue
         last = seg.start + seg.meta["steps"] - 1
-        if last >= end:
+        if seg.start < 1 or last >= end:
             continue
-        k0, h0 = seg.meta["k0"], seg.meta["h0"]
+        pre, row = row_of(np.array([seg.start - 1, last]))
+        k0, h0 = int(k_col[pre]), int(h_col[pre])
         if k0 < 1 or h0 > h_limit:
             continue
-        row = row_of(last)
         informed_new = k_col[row] < k0
         shrunk = h_col[row] <= (1.0 - cc.y / 2.0) * h0 + _TOL
         if not (informed_new or shrunk):

@@ -166,11 +166,13 @@ def test_sanity_lemma9_examples_and_grid():
 
 
 def test_bound_set_json_shape():
-    bs = bounds.bound_set(0.5, 2.0, n=64)
-    d = bs.to_dict()
+    d = bounds.bound_set(0.5, 2.0, n=64)
+    assert list(d) == ["alpha", "eps", "x", "beta", "c", "y", "n", "d", "r_kn", "t1", "t2",
+                       "l1", "l2", "l3", "l4", "n_min", "d_min"]
     assert d["r_kn"] == 146 and d["n_min"] == 17 and d["l2"] == 86
-    bs2 = bounds.bound_set(0.5, 0.5, d=8)
-    assert bs2.to_dict()["t1"] == 191
+    assert d["d"] is None and d["t1"] is None and d["d_min"] is None
+    d2 = bounds.bound_set(0.5, 0.5, d=8)
+    assert d2["t1"] == 191 and d2["n"] is None and d2["l1"] is None
 
 
 def test_bound_set_fills_kn_lengths_only_in_the_kn_eps_domain():
@@ -183,5 +185,5 @@ def test_bound_set_fills_kn_lengths_only_in_the_kn_eps_domain():
         bounds.bound_set(0.5, 2.0, d=13)
     with pytest.raises(InvalidParameterError, match=r"complete-graph eps .* got 0.5"):
         bounds.bound_set(0.5, n=64, d=13)
-    assert bounds.bound_set(0.5, n=64).l1 == 8
-    assert bounds.bound_set(0.5, d=13).d_min == 13
+    assert bounds.bound_set(0.5, n=64)["l1"] == 8
+    assert bounds.bound_set(0.5, d=13)["d_min"] == 13

@@ -124,11 +124,12 @@ def test_forced_kill_sets_are_not_asked():
     for topo, batch, budget, lost in cases:
         state = NetworkState(topo)
         report = execute_step(state, batch, _NeverAsked(), 0.5)
-        assert report.budget == budget and report.lost_idx.tolist() == lost
+        assert report.budget == budget
+        assert report.delivered_idx.tolist() == [i for i in range(batch.m) if i not in lost]
         assert state.step_index == 1 and state.k == topo.n - 1 - (batch.m - len(lost))
         policy = _Gives([])  # float64, as numpy makes an empty list, and legal
         report = execute_step(NetworkState(topo), batch, policy, 0.5)
-        assert policy.asked == 1 and report.lost_idx.size == 0
+        assert policy.asked == 1 and report.delivered_idx.size == batch.m
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
@@ -353,7 +354,7 @@ def test_execute_step_deterministic_replay():
         for _ in range(6):
             arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
             report = execute_step(state, SendBatch.uniform(arcs, INFO), adv, 0.5)
-            log.append(report.delivered_arcs.tolist())
+            log.append(report.batch.arcs[report.delivered_idx].tolist())
         runs.append(log)
     assert runs[0] == runs[1]
 

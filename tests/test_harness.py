@@ -100,8 +100,7 @@ def test_config_errors_enumerated():
                dict(protocol="nosod-complete", size=[2]),
                dict(protocol="almost-kn", horizon=1),
                dict(protocol="simple-rounds", horizon=0),
-               dict(protocol="simple-rounds", horizon=-3),
-               dict(protocol="simple-rounds:5", horizon=2)):
+               dict(protocol="simple-rounds", horizon=-3)):
         config = _small_config(**kw)
         assert len(config.check()) == 1
         with pytest.raises(ConfigError):
@@ -161,10 +160,9 @@ def test_make_driver_round_counts():
 
     assert rounds_of("simple-rounds", None) == bounds.rounds_kn(8, 0.5)
     assert rounds_of("simple-rounds", 3) == 3
-    assert rounds_of("simple-rounds:4", None) == 4
-    for spec, rounds in (("simple-rounds", 0), ("simple-rounds", -3), ("simple-rounds:0", None)):
+    for rounds in (0, -3):
         with pytest.raises(InvalidParameterError, match="at least 1 round"):
-            rounds_of(spec, rounds)
+            rounds_of("simple-rounds", rounds)
 
 
 @pytest.mark.parametrize("protocol, kind", [(name, kind) for name, entry in
@@ -210,7 +208,7 @@ def test_bare_simple_rounds_claims_no_theorem(kind, size, eps, check):
     assert report.ok and [r["violations"] for r in report.rows] == [0] * 6
     topo = protocols.build_topology("simple-rounds", kind, size)
     assert bounds.asserted(topo, 0.5, eps)
-    _, _, trace = protocols.run_protocol("simple-rounds:5", topo, 0.5, eps,
+    _, _, trace = protocols.run_protocol("simple-rounds", topo, 0.5, eps,
                                          make_adversary("ack_suppressor:0"))
     found = validate_trace(trace)
     assert errors_only(found) == []
@@ -328,15 +326,17 @@ def test_cli_bad_adversary_writes_no_output(adversary, tmp_path, capsys):
 @pytest.mark.parametrize("protocol", ["simple-rounds:abc", "simple-rounds:0", "simple-rounds:",
                                       "almost-kn:7", "nosod-complete:3"])
 def test_cli_bad_protocol_argument_writes_no_output(protocol, tmp_path, capsys):
-    """Only simple-rounds takes an argument, a round count of at least 1.  Any
-    other argument is a config error before ``--out`` is made, and
-    ``make_driver`` rejects it too."""
+    """A protocol id takes no argument: ``horizon`` sets the round count.  An
+    id with one is unknown, a config error before ``--out`` is made; the
+    search and ``make_driver`` reject it too."""
     out = tmp_path / "outx"
     rc = cli_main(["run", "--protocol", protocol, "--size", "8", "--seeds", "1",
                    "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: unknown protocol id")
     assert not out.exists()
+    assert cli_main(["search", "--n", "3", "--alpha", "0.5", "--protocol", protocol]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown protocol id")
     topo = build_complete(8)
     with pytest.raises(InvalidParameterError):
         protocols.make_driver(protocol, topo, 0.5, 2.0, NetworkState(topo))
@@ -365,6 +365,16 @@ def test_cli_bounds_eps_follows_the_topology(capsys):
     assert cli_main(["bounds", "--alpha", "0.5", "--n", "64"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["eps"] == 2.0 and data["n_min"] == 17
+
+
+def test_cli_bounds_takes_n_or_d(capsys):
+    """--n and --d never go together: argparse refuses the pair with exit 2
+    before any eps is checked."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["bounds", "--alpha", "0.5", "--n", "64", "--d", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with" in err and "complete-graph eps" not in err
 
 
 def test_cli_verify_regressions(capsys):

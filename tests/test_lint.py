@@ -200,12 +200,12 @@ def _eps_arithmetic(path: Path, root: Path = ROOT) -> list[str]:
 
 
 def _names_protocol(node: ast.AST, ids) -> bool:
-    """Whether ``node`` is a string naming a protocol id, with or without its
-    argument, or a tuple, list or set holding one."""
+    """Whether ``node`` is a string naming a protocol id, or a tuple, list or
+    set holding one."""
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         return any(_names_protocol(elt, ids) for elt in node.elts)
     return (isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and node.value.partition(":")[0] in ids)
+            and node.value in ids)
 
 
 def _prefixes_protocol(node: ast.AST, ids) -> bool:
@@ -334,7 +334,7 @@ def test_one_protocol_table():
 
 @pytest.mark.parametrize("source, leaks", [
     ("if protocol == 'almost-kn':\n    pass\n", ["protocol id compared"]),
-    ("ok = protocol != 'simple-rounds:5'\n", ["protocol id compared"]),
+    ("ok = protocol != 'simple-rounds'\n", ["protocol id compared"]),
     ("ok = name in ('sod-complete', 'nosod-complete')\n", ["protocol id compared"]),
     ("chordal = config.protocol.startswith('sod')\n", ["startswith on a protocol id"]),
     ("ok = p.startswith(('x', 'greedy'))\n", ["startswith on a protocol id"]),

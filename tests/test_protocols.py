@@ -82,6 +82,31 @@ def test_schedule_lengths_exact():
     assert tr.total_steps == 2 + 2 * r + l1 * (l2 * l3 + 2 * l4)
 
 
+@pytest.mark.parametrize("protocol, alphas", [("almost-kn", (0.3, 0.5, 0.7)),
+                                              ("sod-all-but-one", (0.3, 0.5, 0.7)),
+                                              ("sod-complete", (0.3, 0.5, 0.7)),
+                                              ("nosod-complete", (0.3, 0.5, 0.55))])
+def test_kn_schedules_take_log_n_steps(protocol, alphas):
+    """The paper's time bound O(D log n) on K_n, where D = 1, from the closed
+    forms alone: from K_64 to K_{2^20} (eps 2), each 4-fold n adds about the
+    same number of steps, the largest increment at most 1.25 times the
+    smallest.  A length that grew as n or log^2 n would fail."""
+    for alpha in alphas:
+        lengths = [protocols.PROTOCOLS[protocol].steps(4 ** i, None, alpha, 2.0, None)
+                   for i in range(3, 11)]
+        added = np.diff(lengths)
+        assert 0 < added.min() and added.max() <= 1.25 * added.min(), (alpha, added.tolist())
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_hypercube_schedule_takes_d_squared_steps(alpha):
+    """The same bound on Q_d, where D = log n = d: from Q_4 to Q_30 (eps
+    0.5), steps/d^2 never increases."""
+    per_d2 = [protocols.PROTOCOLS["hypercube"].steps(1 << d, d, alpha, 0.5, None) / d ** 2
+              for d in range(4, 31)]
+    assert all(b <= a for a, b in zip(per_d2, per_d2[1:])), per_d2
+
+
 def test_eps_domains():
     with pytest.raises(InvalidParameterError):
         protocols.almost_complete_kn(16, 0.5, 0.5, RandomAdversary(0))
@@ -180,7 +205,7 @@ def test_sod_phase2_threshold_value():
 
 
 def _sod_lane(driver: AllButOneDriver, b: int):
-    """The (phase-3 LazyDriver, phase-4 SweepDriver) of collector b."""
+    """The (phase-3, phase-4) LazyDrivers of collector b."""
     return driver.children[3].lanes[b].children
 
 
@@ -198,11 +223,15 @@ def test_phase4_pair_order():
         assert kind == BATCH
         sent.append((set(topo.arc_src[batch.arcs].tolist()),
                      set(topo.arc_dst[batch.arcs].tolist())))
-    assert sweep.groups == [(2,), (2, 4), (4, 2), (4,)]
+    assert sweep.inner.groups == [(2,), (2, 4), (4, 2), (4,)]
     assert sent[:4] == [({0, 1, 3}, {2}), ({0, 1, 3}, {2, 4}), ({0, 1, 3}, {2, 4}),
                         ({0, 1, 3}, {4})]
     assert sent[4:] == [(set(), set())] * (sweep.total_steps - 4)
     assert sweep.total_steps == 25  # cap 5 on K_6, squared
+    # Collector 1 holds no candidate set: its phase 4 idles.
+    idle = _sod_lane(driver, 1)[1]
+    assert idle.next(state, False)[1].m == 0
+    assert isinstance(idle.inner, IdleDriver) and idle.inner.total_steps == 25
 
 
 def test_intersection_semantics():
@@ -233,8 +262,8 @@ def test_sweep_marks_deliveries_and_counts_empty_tail():
     topo = build_complete(6)
     state = NetworkState(topo)
     knows = np.zeros(topo.n, dtype=bool)
-    sweep = SweepDriver(topo, 5, lambda: (np.array([0]), [(3,), (1, 4)]), knows_sink=knows)
-    assert sweep.quiet_run(state) is None  # the groups are not known yet
+    sweep = SweepDriver(topo, 5, np.array([0]), [(3,), (1, 4)], knows_sink=knows)
+    assert sweep.quiet_run(state) is None  # the groups are still to be sent
     for _ in range(2):
         _, batch = sweep.next(state, False)
         sweep.absorb(state, execute_step(state, batch, KillFirst(), 0.5))

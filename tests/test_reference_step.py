@@ -53,8 +53,7 @@ class ReferenceStep:
                 if v not in self.informed:
                     newly.add(v)
         self.informed |= newly
-        return {"delivered_idx": delivered, "lost_idx": sorted(killed),
-                "delivered_arcs": [batch[i] for i in delivered], "marked": marked,
+        return {"delivered_idx": delivered, "marked": marked,
                 "info_dsts": info_dsts, "new_informed": sorted(newly),
                 "acks_delivered": sum(kinds[i] == ACK for i in delivered)}
 

@@ -79,7 +79,7 @@ def brute_force_search(n, protocol, alpha, horizon=None, eps=2.0, all_sizes=Fals
     # the memo before they are built; the horizon cuts them at 5, 6 and 7.
     (3, "almost-kn", {"alpha": 0.3}),
     (4, "almost-kn", {"alpha": 0.3}),
-    (4, "simple-rounds:3", {}),
+    (4, "simple-rounds", {"horizon": 6}),
     (4, "almost-kn", {"horizon": 5}),
     (4, "almost-kn", {"horizon": 6}),
     (4, "almost-kn", {"horizon": 7}),

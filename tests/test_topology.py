@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from faultcast import topology
 from faultcast.adversary import RandomAdversary
-from faultcast.errors import InvalidParameterError, UnsupportedTopologyError
+from faultcast.errors import InvalidParameterError
 from faultcast.protocols import almost_complete_kn
 
 
@@ -80,21 +80,9 @@ def test_complete_arcs_match_per_vertex_loop(n):
 
 
 def test_chordal_labeling():
-    topo = topology.build_complete(7, chordal=True)
-    lab = topo.labeling
-    assert lab is not None
-    for u in range(7):
-        dests = topo.arc_dst[topo.out_arcs_of([u])]
-        assert sorted(lab.arc_label(u, int(v)) for v in dests) == list(range(1, 7))
-        for v in dests:
-            assert lab.dest(u, lab.arc_label(u, int(v))) == int(v)
-    assert lab.labels_at(0) == list(range(1, 7))
-
-
-def test_chordal_labels_function():
-    assert topology.chordal_labels(topology.build_complete(5)).n == 5
-    with pytest.raises(UnsupportedTopologyError):
-        topology.chordal_labels(topology.build_hypercube(3))
+    assert topology.build_complete(7, chordal=True).labeling == topology.ChordalLabeling(7)
+    assert topology.build_complete(7).labeling is None
+    assert topology.build_hypercube(3).labeling is None
 
 
 def test_edge_boundary_brute_force():
@@ -123,21 +111,13 @@ def test_edge_boundary_rejects_mask_of_wrong_length(length):
 
 
 def test_iso_lower_bound_subcubes_tight():
-    # Subcubes achieve k(d - lg k) exactly.
+    # Subcubes achieve the isoperimetric bound k(d - lg k) exactly.
     for d in (3, 4):
         topo = topology.build_hypercube(d)
         for sub in range(d + 1):
             k = 1 << sub
             s = set(range(k))  # a sub-dimensional subcube
-            assert topology.edge_boundary(topo, s) == pytest.approx(
-                topology.iso_lower_bound(k, d))
-
-
-def test_iso_lower_bound_domain():
-    with pytest.raises(InvalidParameterError):
-        topology.iso_lower_bound(0, 3)
-    with pytest.raises(InvalidParameterError):
-        topology.iso_lower_bound(9, 3)
+            assert topology.edge_boundary(topo, s) == pytest.approx(k * (d - np.log2(k)))
 
 
 @given(st.integers(min_value=1, max_value=15))
@@ -145,7 +125,8 @@ def test_iso_bound_holds_on_random_sets_d4(bits):
     topo = topology.build_hypercube(4)
     rng = np.random.default_rng(bits)
     s = set(int(v) for v in rng.choice(16, size=bits, replace=False))
-    assert topology.edge_boundary(topo, s) >= topology.iso_lower_bound(len(s), 4) - 1e-9
+    k = len(s)
+    assert topology.edge_boundary(topo, s) >= k * (4 - np.log2(k)) - 1e-9
 
 
 def test_build_domain_errors():

@@ -80,14 +80,15 @@ def test_final_bounds_fire_on_incomplete_sod():
 
 
 def _stalled_iteration_trace(run=0):
-    """A nosod iteration that keeps k = 3 and h = 10; with ``run``, its last
-    ``run`` steps are one run."""
+    """A nosod iteration that keeps k = 3 and h = 10 from the record before
+    it; with ``run``, its last ``run`` steps are one run."""
     topo = build_complete(20)
     trace = Trace(topo)
     state = NetworkState(topo)
     state.informed[:] = True
     state.version += 1
-    trace.mark("nosod_iter", l1=0, l2=0, k0=3, h0=10, steps=2 + run)
+    trace.record(state, 5, 2, 0)
+    trace.mark("nosod_iter", l1=0, l2=0, steps=2 + run)
     for _ in range(2):
         trace.record(state, 5, 2, 0)
     if run:
