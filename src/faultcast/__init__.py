@@ -12,10 +12,7 @@ from .errors import (AdversaryViolation, ConfigError, InvalidParameterError,
                      PreconditionViolation, ScheduleOverrun, SimError,
                      TooLargeError, UnsupportedAlphaError, UnsupportedTopologyError)
 from .harness import ExperimentConfig, RunReport, run, verify_regressions
-from .protocols import (almost_complete_kn, broadcast_hypercube,
-                        greedy_init_complete, greedy_init_hypercube,
-                        make_driver, nosod_complete, simulate, sod_all_but_one,
-                        sod_complete)
+from .protocols import make_driver, run_protocol, simulate
 from .search import SearchResult, worst_case_search
 from .topology import (ChordalLabeling, Topology, build_complete,
                        build_hypercube, edge_boundary)

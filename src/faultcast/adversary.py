@@ -204,23 +204,34 @@ def adversary_problem(spec: str, n: int | None = None) -> str | None:
         return f"unknown adversary id: {spec!r}"
     if name == "victim_guard" and arg and n is not None and not 0 <= int(arg) < n:
         return f"victim {int(arg)} outside 0..{n - 1}"
-    if name != "victim_guard" and arg and int(arg) < 0:  # a generator seed
-        return f"adversary {spec!r}: seed {int(arg)} < 0"
+    if arg and int(arg) < 0:  # a victim, or a generator seed
+        what = "victim" if name == "victim_guard" else "seed"
+        return f"adversary {spec!r}: {what} {int(arg)} < 0"
     return None
+
+
+def adversary_id(spec: str, n: int | None = None, seed: int = 0) -> str:
+    """The id, ``name:argument``, of the policy that ``spec`` names on a graph
+    of ``n`` vertices with generator seed ``seed``: the victim of
+    ``victim_guard`` defaults to n-1, the seed of the others to ``seed``."""
+    problem = adversary_problem(spec, n)
+    if problem:
+        raise InvalidParameterError(problem)
+    name, _, arg = spec.partition(":")
+    if arg or name != "victim_guard":
+        return f"{name}:{int(arg) if arg else seed}"
+    if n is None:
+        raise InvalidParameterError("victim_guard needs a victim or a topology")
+    return f"{name}:{n - 1}"
 
 
 def make_adversary(spec: str, topo=None, seed: int = 0) -> AdversaryPolicy:
     """Build a policy from a CLI string id: random | victim_guard[:v] | ack_suppressor.
 
     Given a topology, a victim must be one of its vertices."""
-    problem = adversary_problem(spec, None if topo is None else topo.n)
-    if problem:
-        raise InvalidParameterError(problem)
-    name, _, arg = spec.partition(":")
+    name, _, arg = adversary_id(spec, None if topo is None else topo.n, seed).partition(":")
     if name == "random":
-        return RandomAdversary(seed=int(arg) if arg else seed)
+        return RandomAdversary(seed=int(arg))
     if name == "victim_guard":
-        if not arg and topo is None:
-            raise InvalidParameterError("victim_guard needs a victim or a topology")
-        return VictimGuard(victim=int(arg) if arg else topo.n - 1, seed=seed)
-    return AckSuppressor(seed=int(arg) if arg else seed)
+        return VictimGuard(victim=int(arg), seed=seed)
+    return AckSuppressor(seed=int(arg))

@@ -186,13 +186,6 @@ def almost_complete_limits(topo: Topology, alpha: float, eps: float) -> tuple[fl
     return x / (1.0 - eps), x * (topo.d - 1)
 
 
-def sanity_lemma9(x: float) -> bool:
-    """lg((x+1)/x) >= 1/x for x >= 2; sanity property only, unused by schedules."""
-    if x < 2:
-        raise InvalidParameterError(f"x must be >= 2, got {x}")
-    return math.log2((x + 1.0) / x) >= 1.0 / x
-
-
 def bound_set(alpha: float, eps: float | None = None, n: int | None = None,
               d: int | None = None) -> dict:
     """Everything `sim bounds` prints: the constants, and the schedule lengths

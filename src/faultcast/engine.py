@@ -91,23 +91,21 @@ class StepContext:
 class NetworkState:
     """Informed set plus global per-arc passive marks; the evolving run object.
 
-    ``version`` increments whenever a delivery may have changed anything, so
-    callers can cache derived quantities.  A caller that writes ``informed`` or
+    A run starts with only vertex 0, the initiator, informed.  ``version``
+    increments whenever a delivery may have changed anything, so callers can
+    cache derived quantities.  A caller that writes ``informed`` or
     ``passive`` directly must bump ``version`` too.  ``execute_step`` carries
     the cached counts across the versions it produces; any other version makes
     ``counts()`` and ``boundary()`` recompute them from scratch.
     """
 
-    __slots__ = ("topo", "informed", "passive", "step_index", "version", "initiator",
+    __slots__ = ("topo", "informed", "passive", "step_index", "version",
                  "_counts_version", "_counts")
 
-    def __init__(self, topo: Topology, initiator: int = 0):
-        if not 0 <= initiator < topo.n:
-            raise InvalidParameterError(f"initiator {initiator} outside 0..{topo.n - 1}")
+    def __init__(self, topo: Topology):
         self.topo = topo
-        self.initiator = initiator
         self.informed = np.zeros(topo.n, dtype=bool)
-        self.informed[initiator] = True
+        self.informed[0] = True
         self.passive = np.zeros(topo.num_arcs, dtype=bool)
         self.step_index = 0
         self.version = 0
@@ -141,7 +139,6 @@ class NetworkState:
     def clone(self) -> "NetworkState":
         other = NetworkState.__new__(NetworkState)
         other.topo = self.topo
-        other.initiator = self.initiator
         other.informed = self.informed.copy()
         other.passive = self.passive.copy()
         other.step_index = self.step_index

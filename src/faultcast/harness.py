@@ -8,12 +8,14 @@ is the sorted grid order, so identical configs produce byte-identical outputs.
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 from . import bounds
-from .adversary import adversary_problem, make_adversary
+from .adversary import adversary_id, adversary_problem, make_adversary
 from .engine import NetworkState
 from .errors import ConfigError, InvalidParameterError
 from .protocols import _finalize, build_topology, make_driver, protocol_entry, simulate
@@ -68,10 +70,6 @@ class ExperimentConfig:
         if self.protocol is None:
             self.protocol = "almost-kn" if self.topology == COMPLETE else "hypercube"
 
-    @staticmethod
-    def from_json(path) -> "ExperimentConfig":
-        return ExperimentConfig(**_json_fields(path))
-
     def check(self) -> list[str]:
         """All config errors at once, before anything runs.
 
@@ -124,6 +122,13 @@ class ExperimentConfig:
         for spec in self.adversary:
             found = (adversary_problem(spec, n) for n, _ in sizes or [(None, None)])
             problems.extend(p for p in dict.fromkeys(found) if p)
+        # Two runs with one key would write one JSONL file.
+        runs = Counter((n if d is None else d, a, adversary_id(spec, n, seed), seed)
+                       for (n, d), a, spec, seed in product(sizes, alphas, self.adversary,
+                                                            range(self.seeds))
+                       if not adversary_problem(spec, n))
+        problems.extend(f"run repeated: size {s}, alpha {a}, adversary {i}, seed {seed}"
+                        for (s, a, i, seed), count in runs.items() if count > 1)
         if self.seeds < 1:
             problems.append("seeds must be >= 1")
         if self.horizon is not None and not (entry is not None and entry.rounds):

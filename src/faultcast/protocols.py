@@ -461,12 +461,11 @@ class GreedyCompleteDriver(Driver):
 
 
 class GreedyHypercubeDriver(Driver):
-    """Two init steps on Q_d: the initiator floods twice; vertices informed by
-    the first step send to every neighbour except the initiator."""
+    """Two init steps on Q_d: the initiator, vertex 0, floods twice; vertices
+    informed by the first step send to every neighbour except the initiator."""
 
-    def __init__(self, topo: Topology, initiator: int):
+    def __init__(self, topo: Topology):
         self.topo = topo
-        self.initiator = initiator
         self.step = 0
         self.total_steps = 2
 
@@ -477,10 +476,10 @@ class GreedyHypercubeDriver(Driver):
         if self.trace is not None and self.step == 0:
             self.trace.mark("greedy", primary=True)
         if self.step == 0:
-            arcs = self.topo.out_arcs_of([self.initiator])
+            arcs = self.topo.out_arcs_of([0])
         else:
             mask = state.informed[self.topo.arc_src] & ~(
-                (self.topo.arc_dst == self.initiator) & (self.topo.arc_src != self.initiator))
+                (self.topo.arc_dst == 0) & (self.topo.arc_src != 0))
             arcs = np.flatnonzero(mask)
         return BATCH, SendBatch.uniform(arcs, INFO)
 
@@ -794,13 +793,6 @@ class AllButOneDriver(SeqDriver):
             MultiplexDriver(lane(0), lane(1)),
         ])
 
-    def candidate_set(self):
-        """(origin, members) for whichever collector holds a candidate set."""
-        for b in (0, 1):
-            if self.ctx.u_final[b] is not None:
-                return b, self.ctx.u_final[b]
-        return None, None
-
 
 # ---------------------------------------------------------------------------
 # Algorithm without sense of direction (small alpha)
@@ -979,24 +971,6 @@ def _finalize(trace: Trace, state: NetworkState, protocol: str, adversary, alpha
     }
 
 
-def greedy_init_complete(n: int, alpha: float, adversary: AdversaryPolicy) -> NetworkState:
-    topo = build_complete(n)
-    state = NetworkState(topo)
-    eps = bounds.default_eps(topo.kind)
-    simulate(topo, make_driver("greedy-kn", topo, alpha, eps, state), adversary, alpha,
-             state=state)
-    return state
-
-
-def greedy_init_hypercube(d: int, alpha: float, adversary: AdversaryPolicy) -> NetworkState:
-    topo = build_hypercube(d)
-    state = NetworkState(topo)
-    eps = bounds.default_eps(topo.kind)
-    simulate(topo, make_driver("greedy-qd", topo, alpha, eps, state), adversary, alpha,
-             state=state)
-    return state
-
-
 ALMOST_COMPLETE = "almost-complete"  # the claim of bounds.almost_complete_limits
 
 
@@ -1027,26 +1001,26 @@ def _simple_rounds_driver(topo, alpha, eps, state, rounds):
     count = _rounds(topo.n, alpha, rounds)
     if count < 1:
         raise InvalidParameterError(f"simple-rounds needs at least 1 round, got {count}")
-    return SimpleRoundsDriver(Session(topo, state.initiator, state=state), count, alpha)
+    return SimpleRoundsDriver(Session(topo, 0, state=state), count, alpha)
 
 
 def _almost_kn_driver(topo, alpha, eps, state, rounds):
-    session = Session(topo, state.initiator, state=state)
+    session = Session(topo, 0, state=state)
     return SeqDriver([GreedyCompleteDriver(session),
                       SimpleRoundsDriver(session, bounds.rounds_kn(topo.n, alpha), alpha)])
 
 
 def _hypercube_driver(topo, alpha, eps, state, rounds):
     t1, t2 = bounds.rounds_hypercube(topo.d, alpha, eps)
-    session = Session(topo, state.initiator, state=state)
-    return SeqDriver([GreedyHypercubeDriver(topo, state.initiator),
+    session = Session(topo, 0, state=state)
+    return SeqDriver([GreedyHypercubeDriver(topo),
                       SimpleRoundsDriver(session, t1 + t2, alpha, label="qd")])
 
 
 def _sod_complete_driver(topo, alpha, eps, state, rounds):
     """All-but-one, then the collector holding U re-runs it with U as payload,
     then every vertex that learnt U sends the information to each member."""
-    stage_a = AllButOneDriver(topo, state.initiator, alpha, eps, state=state)
+    stage_a = AllButOneDriver(topo, 0, alpha, eps, state=state)
     ctx = stage_a.ctx
     cap = stage_a.cap
 
@@ -1072,7 +1046,7 @@ def _nosod_driver(topo, alpha, eps, state, rounds):
     """The almost-kn schedule, then L1 extended rounds, each an elimination
     pass then L4 simple rounds."""
     l1, l2, l3, l4 = bounds.l_params(topo.n, alpha, eps)
-    session = Session(topo, state.initiator, state=state)
+    session = Session(topo, 0, state=state)
     passes = [driver for i in range(l1)
               for driver in (EliminationDriver(topo, l2, l3, i),
                              SimpleRoundsDriver(session, l4, alpha, label="nosod_l4"))]
@@ -1106,10 +1080,9 @@ PROTOCOLS = {
         lambda n, d, alpha, eps, rounds: 2 * _rounds(n, alpha, rounds), rounds=True),
     "greedy-kn": Protocol(
         (COMPLETE,), lambda topo, alpha, eps, state, rounds: GreedyCompleteDriver(
-            Session(topo, state.initiator, state=state)), lambda *_: 2),
+            Session(topo, 0, state=state)), lambda *_: 2),
     "greedy-qd": Protocol(
-        (HYPERCUBE,), lambda topo, alpha, eps, state, rounds: GreedyHypercubeDriver(
-            topo, state.initiator), lambda *_: 2),
+        (HYPERCUBE,), lambda topo, *_: GreedyHypercubeDriver(topo), lambda *_: 2),
     "almost-kn": Protocol(  # Theorem 2
         (COMPLETE,), _almost_kn_driver,
         lambda n, d, alpha, eps, rounds: 2 + 2 * bounds.rounds_kn(n, alpha),
@@ -1120,7 +1093,7 @@ PROTOCOLS = {
         claim=ALMOST_COMPLETE),
     "sod-all-but-one": Protocol(  # Theorem 8's first stage
         (COMPLETE,), lambda topo, alpha, eps, state, rounds: AllButOneDriver(
-            topo, state.initiator, alpha, eps, state=state),
+            topo, 0, alpha, eps, state=state),
         _all_but_one_steps, claim=1, chordal=True),
     "sod-complete": Protocol(  # Theorem 8
         (COMPLETE,), _sod_complete_driver, _sod_complete_steps, claim=0, chordal=True),
@@ -1172,31 +1145,3 @@ def almost_complete_kn(n: int, alpha: float, eps: float, adversary: AdversaryPol
     """Theorem-2 schedule: greedy init plus R_kn(n, alpha) simple rounds."""
     topo = build_complete(n, port_seed=port_seed)
     return run_protocol("almost-kn", topo, alpha, eps, adversary)[2]
-
-
-def broadcast_hypercube(d: int, alpha: float, eps: float, adversary: AdversaryPolicy) -> Trace:
-    """Hypercube schedule: two init steps plus T1+T2 simple rounds."""
-    return run_protocol("hypercube", build_hypercube(d), alpha, eps, adversary)[2]
-
-
-def sod_all_but_one(n: int, alpha: float, eps: float, adversary: AdversaryPolicy):
-    """All-but-one broadcast with chordal sense of direction.
-
-    Returns (trace, (origin, candidate set)) where the candidate set covers
-    every vertex still uninformed.
-    """
-    topo = build_topology("sod-all-but-one", COMPLETE, n)
-    _, driver, trace = run_protocol("sod-all-but-one", topo, alpha, eps, adversary)
-    return trace, driver.candidate_set()
-
-
-def sod_complete(n: int, alpha: float, eps: float, adversary: AdversaryPolicy) -> Trace:
-    """Complete broadcast with chordal sense of direction."""
-    topo = build_topology("sod-complete", COMPLETE, n)
-    return run_protocol("sod-complete", topo, alpha, eps, adversary)[2]
-
-
-def nosod_complete(n: int, alpha: float, eps: float, adversary: AdversaryPolicy) -> Trace:
-    """Complete broadcast without sense of direction (needs 1-a-2a^2+a^3 > 0)."""
-    topo = build_complete(n)
-    return run_protocol("nosod-complete", topo, alpha, eps, adversary)[2]

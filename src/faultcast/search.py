@@ -76,13 +76,11 @@ class SearchResult:
         return not math.isfinite(self.worst_steps)
 
 
-def _vertex_perms(n: int, initiator: int) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex and arc-id permutations induced by the vertex permutations fixing
-    the initiator, one permutation per row."""
-    others = [v for v in range(n) if v != initiator]
-    vmaps = np.empty((math.factorial(n - 1), n), dtype=np.int64)
-    vmaps[:, initiator] = initiator
-    vmaps[:, others] = list(permutations(others))
+    the initiator, vertex 0, one permutation per row."""
+    vmaps = np.zeros((math.factorial(n - 1), n), dtype=np.int64)
+    vmaps[:, 1:] = list(permutations(range(1, n)))
     topo = build_complete(n)
     return vmaps, complete_arc_id(n, vmaps[:, topo.arc_src], vmaps[:, topo.arc_dst])
 
@@ -142,7 +140,7 @@ def _children(state: NetworkState, batch: SendBatch, sizes, kill_sets: dict):
 
 def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
                       horizon: int | None = None, eps: float | None = None,
-                      all_sizes: bool = False, initiator: int = 0) -> SearchResult:
+                      all_sizes: bool = False) -> SearchResult:
     """Maximum steps any budget-respecting adversary can force, or horizon excess.
 
     eps defaults to ``bounds.default_eps`` of the complete graph."""
@@ -158,13 +156,13 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
     if horizon is not None and horizon < 0:
         raise InvalidParameterError(f"horizon {horizon} < 0")
 
-    state0 = NetworkState(topo, initiator=initiator)
+    state0 = NetworkState(topo)
     driver0 = make_driver(protocol, topo, alpha, eps, state0)
     driver0.attach(None)
     if horizon is None:
         horizon = driver0.total_steps
     n = topo.n
-    vmaps, arc_perms = _vertex_perms(n, initiator)
+    vmaps, arc_perms = _vertex_perms(n)
     identity = np.arange(topo.num_arcs)
     weights = _image_weights(vmaps, arc_perms)
     c = topo.edge_connectivity

@@ -120,6 +120,8 @@ def edge_boundary(topo: Topology, s) -> int:
             raise InvalidParameterError(f"vertex mask of shape {idx.shape}, need ({topo.n},)")
         member = idx
     elif idx.size:
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise InvalidParameterError(f"vertex ids of dtype {idx.dtype}, need integers")
         if idx.min() < 0 or idx.max() >= topo.n:
             raise InvalidParameterError("vertex set contains ids outside the topology")
         member[idx] = True

@@ -289,8 +289,9 @@ def validate_trace(trace: Trace, alpha: float | None = None,
     Without an eps in the summary, eps defaults to ``bounds.default_eps`` of
     the trace's topology; an eps outside its domain raises before any check.
     """
+    alpha = trace.summary.get("alpha") if alpha is None else alpha
     if alpha is None:
-        alpha = trace.summary["alpha"]
+        raise InvalidParameterError("validate_trace needs an alpha: none given or in the summary")
     if eps is None:
         eps = trace.summary.get("eps", bounds.default_eps(trace.topo.kind))
     bounds.check_eps(trace.topo.kind, eps)

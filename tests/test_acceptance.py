@@ -14,6 +14,7 @@ import pytest
 
 from faultcast import bounds, protocols, topology, validate
 from faultcast.adversary import AckSuppressor, RandomAdversary, VictimGuard
+from faultcast.engine import NetworkState
 from faultcast.errors import AdversaryViolation, UnsupportedAlphaError
 from faultcast.harness import ExperimentConfig, run, verify_regressions
 from faultcast.search import worst_case_search
@@ -99,7 +100,7 @@ def test_criterion_2_theorem3_hypercube(capsys):
         k_limit, h_limit = bounds.almost_complete_limits(topo, alpha, eps)
         steps = protocols.PROTOCOLS["hypercube"].steps(topo.n, d, alpha, eps, None)
         for adv in _adversaries(topo, random_seeds=random_seeds):
-            trace = protocols.broadcast_hypercube(d, alpha, eps, adv)
+            trace = protocols.run_protocol("hypercube", topo, alpha, eps, adv)[2]
             _audit(trace, alpha)
             domain.setdefault(alpha, []).append(d >= bounds.d_min(alpha, eps))
             tag = f"d={d} a={alpha} {adv.id}"
@@ -124,7 +125,7 @@ def test_criterion_3_theorem8_sod(capsys):
             topo = protocols.build_topology("sod-complete", topology.COMPLETE, n)
             steps = protocols.PROTOCOLS["sod-complete"].steps(n, None, alpha, eps, None)
             for adv in _adversaries(topo, random_seeds=2):
-                trace = protocols.sod_complete(n, alpha, eps, adv)
+                trace = protocols.run_protocol("sod-complete", topo, alpha, eps, adv)[2]
                 _audit(trace, alpha)
                 domain.setdefault(alpha, []).append(n >= bounds.n_min(alpha, eps))
                 tag = f"n={n} a={alpha} {adv.id}"
@@ -153,7 +154,7 @@ def test_criterion_4_theorem9_nosod(capsys):
             steps = protocols.PROTOCOLS["nosod-complete"].steps(n, None, alpha, eps, None)
             topo = topology.build_complete(n)
             for adv in _adversaries(topo, random_seeds=2):
-                trace = protocols.nosod_complete(n, alpha, eps, adv)
+                trace = protocols.run_protocol("nosod-complete", topo, alpha, eps, adv)[2]
                 _audit(trace, alpha)
                 domain.setdefault(alpha, []).append(n >= bounds.n_min(alpha, eps))
                 tag = f"n={n} a={alpha} {adv.id}"
@@ -166,8 +167,17 @@ def test_criterion_4_theorem9_nosod(capsys):
                 bad = validate.errors_only(validate.validate_trace(trace, alpha, eps))
                 problems.extend(f"{tag}: {v}" for v in bad)
     with pytest.raises(UnsupportedAlphaError):
-        protocols.nosod_complete(64, 0.6, eps, RandomAdversary(0))
+        protocols.run_protocol("nosod-complete", topology.build_complete(64), 0.6, eps,
+                               RandomAdversary(0))
     _finish(4, "Theorem 9, Algorithm 1 without SoD", t0, 120.0, problems, capsys, domain)
+
+
+def _greedy(protocol, topo, alpha, adversary):
+    """The state after the two greedy init steps of ``protocol`` on ``topo``."""
+    state = NetworkState(topo)
+    driver = protocols.make_driver(protocol, topo, alpha, bounds.default_eps(topo.kind), state)
+    protocols.simulate(topo, driver, adversary, alpha, state=state)
+    return state
 
 
 def test_criterion_5_greedy_lower_bounds(capsys):
@@ -177,7 +187,7 @@ def test_criterion_5_greedy_lower_bounds(capsys):
     for i in range(1000):
         alpha = float(rng.uniform(0.05, 0.95))
         n = int(rng.integers(2, 25))
-        state = protocols.greedy_init_complete(n, alpha, RandomAdversary(i))
+        state = _greedy("greedy-kn", topology.build_complete(n), alpha, RandomAdversary(i))
         informed = int(np.count_nonzero(state.informed))
         lower = 1.0 + min(n / 2.0, (n - 1) * (1.0 - alpha))
         if informed < lower - 1e-9:
@@ -185,7 +195,8 @@ def test_criterion_5_greedy_lower_bounds(capsys):
     for i in range(1000):
         alpha = float(rng.uniform(0.05, 0.95))
         d = int(rng.integers(1, 7))
-        state = protocols.greedy_init_hypercube(d, alpha, RandomAdversary(10_000 + i))
+        state = _greedy("greedy-qd", topology.build_hypercube(d), alpha,
+                        RandomAdversary(10_000 + i))
         informed = int(np.count_nonzero(state.informed))
         lower = (1.0 - alpha) * (2 * d - 1) / 2.0
         if informed < lower - 1e-9:
@@ -252,8 +263,9 @@ def test_criterion_8_oracle_regression(capsys):
         tr = protocols.almost_complete_kn(3, 0.5, 2.0, adv)
         if tr.final_k != 0 or tr.first_complete_step() > w3:
             problems.append(f"K_3 heuristic {adv.id} beat or missed the oracle")
+    k4 = topology.build_complete(4)
     for adv in (RandomAdversary(0), VictimGuard(3), AckSuppressor(3)):
-        tr = protocols.nosod_complete(4, 0.5, 2.0, adv)
+        tr = protocols.run_protocol("nosod-complete", k4, 0.5, 2.0, adv)[2]
         if tr.final_k != 0 or tr.first_complete_step() > w4:
             problems.append(f"K_4 heuristic {adv.id} beat or missed the oracle")
     _finish(8, "worst-case oracle regression", t0, 300.0, problems, capsys)

@@ -137,12 +137,14 @@ def test_make_adversary_parsing():
     for spec in ("random:x", "victim_guard:v", "ack_suppressor:2.0", "random:--5"):
         with pytest.raises(InvalidParameterError, match="not an integer"):
             make_adversary(spec, topo)
-    # Given a topology, a victim must be one of its vertices; without one it
-    # is taken as given.
+    # Given a topology, a victim must be one of its vertices; without one, a
+    # victim of at least 0 is taken as given.
     for victim in (8, 99, -1):
         with pytest.raises(InvalidParameterError, match="outside 0..7"):
             make_adversary(f"victim_guard:{victim}", topo)
     assert make_adversary("victim_guard:99").victim == 99
+    with pytest.raises(InvalidParameterError, match="victim -1 < 0"):
+        make_adversary("victim_guard:-1")
     for spec in ("random:-5", "ack_suppressor:-1"):  # a generator seed must be >= 0
         with pytest.raises(InvalidParameterError, match="seed"):
             make_adversary(spec)

@@ -155,16 +155,6 @@ def test_d_min_values():
         assert bounds.qd_inequalities_hold(d, 0.5, 0.5)
 
 
-def test_sanity_lemma9_examples_and_grid():
-    assert bounds.sanity_lemma9(2)  # lg 1.5 = 0.585 >= 0.5
-    assert bounds.sanity_lemma9(10)
-    assert bounds.sanity_lemma9(1000)
-    x = 2.0
-    while x <= 1e6:
-        assert bounds.sanity_lemma9(x)
-        x *= 1.3
-
-
 def test_bound_set_json_shape():
     d = bounds.bound_set(0.5, 2.0, n=64)
     assert list(d) == ["alpha", "eps", "x", "beta", "c", "y", "n", "d", "r_kn", "t1", "t2",

@@ -19,8 +19,7 @@ from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, Trace, apply_k
                               fault_budget)
 from faultcast.errors import (AdversaryViolation, InvalidParameterError,
                               PreconditionViolation)
-from faultcast.protocols import (almost_complete_kn, broadcast_hypercube, make_driver,
-                                 nosod_complete, simulate)
+from faultcast.protocols import almost_complete_kn, make_driver, run_protocol, simulate
 from faultcast.topology import build_complete, build_hypercube
 from faultcast.validate import validate_trace
 
@@ -461,7 +460,7 @@ def _periodic_runs_trace(period):
     lambda: _periodic_runs_trace(4),
     lambda: _periodic_runs_trace(8),
     lambda: almost_complete_kn(64, 0.7, 2.0, RandomAdversary(0)),
-    lambda: broadcast_hypercube(5, 0.5, 0.5, RandomAdversary(1)),
+    lambda: run_protocol("hypercube", build_hypercube(5), 0.5, 0.5, RandomAdversary(1))[2],
     lambda: Trace(build_complete(4)),
 ], ids=["executed", "runs", "digit-runs", "runs-only", "period-2", "period-3", "period-4",
         "period-8", "steady", "hypercube", "empty"])
@@ -503,7 +502,7 @@ def test_to_jsonl_block_matches_per_row_writer(piece_digits, first, rows, repeat
 
 def test_to_jsonl_digest_unchanged(tmp_path):
     # The digest of the per-row json.dumps writer this format started from.
-    trace = nosod_complete(16, 0.5, 2.0, RandomAdversary(0))
+    trace = run_protocol("nosod-complete", build_complete(16), 0.5, 2.0, RandomAdversary(0))[2]
     trace.to_jsonl(tmp_path / "t.jsonl")
     digest = hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
     assert digest == "938b119e010f3674d53385618cf55dd31f96831aed718ac388ea6912ebfe8495"
@@ -574,7 +573,7 @@ def test_trace_consumers_memory_does_not_grow_with_steps():
     # The 1.55M-step trace above stores 231 rows; expanding a column to
     # one entry per step costs 12.4 MB.  The export reuses one piece of 10,000
     # lines, about 0.7 MB, for its long runs.
-    trace = nosod_complete(64, 0.55, 2.0, RandomAdversary(0))
+    trace = run_protocol("nosod-complete", build_complete(64), 0.55, 2.0, RandomAdversary(0))[2]
     peaks = {}
     for name, consume in (("validate", lambda: validate_trace(trace)),
                           ("to_jsonl", lambda: trace.to_jsonl(os.devnull))):

@@ -144,8 +144,6 @@ def test_config_file_errors_are_config_errors(tmp_path, text, match, capsys):
     path = tmp_path / "c.json"
     if text is not None:
         path.write_text(text)
-    with pytest.raises(ConfigError, match=match):
-        run(ExperimentConfig.from_json(path))
     assert cli_main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and match in err and "Traceback" not in err
@@ -220,17 +218,17 @@ def test_config_rejects_nosod_above_root():
     assert any("unsupported" in p for p in config.check())
 
 
-def test_config_from_json(tmp_path):
+def test_config_from_json(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"topology": "complete", "size": 8, "alpha": 0.5,
                                 "protocol": "almost-kn", "adversary": "random",
                                 "seeds": 1}))
-    config = ExperimentConfig.from_json(path)
-    assert config.size == [8] and config.alpha == [0.5] and config.seeds == 1
+    rows = _cli_rows(tmp_path, "--config", str(path))
+    assert [(r["size"], r["alpha"], r["seed"]) for r in rows] == [("8", "0.5", "0")]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sizes": [8]}))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_json(bad)
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    assert "unknown config fields" in capsys.readouterr().err
 
 
 def test_run_rows_and_outputs(tmp_path):
@@ -320,6 +318,21 @@ def test_cli_bad_adversary_writes_no_output(adversary, tmp_path, capsys):
     rc = cli_main(["run", "--topology", "complete", "--size", "8", "--alpha", "0.5",
                    "--adversary", "random", adversary, "--seeds", "1", "--out", str(out)])
     assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--size", "8", "8", "--adversary", "random"],
+    ["--size", "8", "--adversary", "random", "random:0"],
+    ["--size", "8", "--adversary", "victim_guard", "victim_guard:7"],
+])
+def test_cli_repeated_run_writes_no_output(argv, tmp_path, capsys):
+    """Two runs of one (size, alpha, adversary id, seed) would write one JSONL
+    file: the sweep is a config error before ``--out`` is made."""
+    out = tmp_path / "outx"
+    rc = cli_main(["run", *argv, "--alpha", "0.5", "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    assert "run repeated: size 8, alpha 0.5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -467,18 +480,20 @@ def test_cli_config_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("topology,protocol,size,eps,runner", [
-    ("complete", "almost-kn", 16, 2.0, protocols.almost_complete_kn),
-    ("hypercube", "hypercube", 5, 0.5, protocols.broadcast_hypercube),
-    ("complete", "sod-complete", 16, 2.0, protocols.sod_complete),
-    ("complete", "nosod-complete", 16, 2.0, protocols.nosod_complete),
+@pytest.mark.parametrize("topology,protocol,size,eps", [
+    ("complete", "almost-kn", 16, 2.0),
+    ("hypercube", "hypercube", 5, 0.5),
+    ("complete", "sod-complete", 16, 2.0),
+    ("complete", "nosod-complete", 16, 2.0),
 ], ids=["kn16", "q5", "sod16", "nosod16"])
-def test_public_runner_matches_harness_jsonl(tmp_path, topology, protocol, size, eps, runner):
-    # harness.run repeats the public run sequence; both must write the same
+def test_public_runner_matches_harness_jsonl(tmp_path, topology, protocol, size, eps):
+    # harness.run repeats the run sequence of run_protocol; both must write the same
     # steps and the same summary line, below_min included.
     out = tmp_path / "harness"
     run(ExperimentConfig(topology=topology, size=[size], alpha=[0.5], eps=eps,
                          protocol=protocol, adversary=["random:0"], seeds=1, out=str(out)))
     (harness_jsonl,) = out.glob("*.jsonl")
-    runner(size, 0.5, eps, make_adversary("random:0")).to_jsonl(tmp_path / "runner.jsonl")
+    topo = protocols.build_topology(protocol, topology, size)
+    _, _, trace = protocols.run_protocol(protocol, topo, 0.5, eps, make_adversary("random:0"))
+    trace.to_jsonl(tmp_path / "runner.jsonl")
     assert (tmp_path / "runner.jsonl").read_bytes() == harness_jsonl.read_bytes()

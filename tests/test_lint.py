@@ -8,6 +8,11 @@ Unreferenced definitions: every module-level name and every method defined
 in the package must be named somewhere outside its own definition, in any
 scanned file.  Dunder names are exempt: Python calls them itself.
 
+No test-only API: every definition in the package must also be named by the
+program, in ``src`` or in the benchmark's ``perfbench``.  A name that only
+tests or a re-export of an ``__init__.py`` use does not count, save for the
+reference implementations in ``TEST_REFERENCES``.
+
 One analysed domain: ``faultcast.bounds`` alone decides which eps a topology
 takes, which it takes by default and whether a run is at least n_min or
 d_min, and alone computes with eps.  No other module compares a bare eps with
@@ -134,6 +139,19 @@ def _unreferenced(package: Path, scanned: list[Path], root: Path = ROOT) -> list
             if all(use == path and first <= line <= last for use, line in uses):
                 out.append(f"{path.relative_to(root)}:{first}: {name}")
     return out
+
+
+# Reference implementations that only tests call, each with the check it backs.
+TEST_REFERENCES = {
+    "classify_arc": "test_engine checks the engine's counts against it, arc by arc",
+    "edge_boundary": "test_incremental checks NetworkState.boundary() against it",
+}
+
+
+def _program_files(root: Path, tops) -> list[Path]:
+    """The modules under ``tops`` that are neither tests nor an ``__init__.py``."""
+    return [path for top in tops for path in sorted((root / top).rglob("*.py"))
+            if path.name != "__init__.py" and "tests" not in path.relative_to(root).parts]
 
 
 def _number(node: ast.AST) -> bool:
@@ -266,6 +284,32 @@ def test_unreferenced_rule(tmp_path, source, dead):
     package.mkdir()
     (package / "mod.py").write_text(source)
     found = _unreferenced(package, [package / "mod.py"], tmp_path)
+    assert [entry.rsplit(": ", 1)[1] for entry in found] == dead
+
+
+def test_no_test_only_definitions():
+    found = _unreferenced(ROOT / "src" / "faultcast", _program_files(ROOT, ("src", "perfbench")))
+    names = [entry.rsplit(": ", 1)[1] for entry in found]
+    stale = sorted(set(TEST_REFERENCES) - set(names))
+    assert not stale, f"the program names these, so TEST_REFERENCES need not: {stale}"
+    test_only = [entry for entry, name in zip(found, names) if name not in TEST_REFERENCES]
+    assert not test_only, "defined but named only by tests:\n" + "\n".join(test_only)
+
+
+@pytest.mark.parametrize("files, dead", [
+    ({"tests/test_mod.py": "from pkg.mod import f\nf()\n"}, ["f"]),
+    ({"bench/tests/test_run.py": "f()\n"}, ["f"]),
+    ({"pkg/__init__.py": "from .mod import f\n__all__ = ['f']\n"}, ["f"]),
+    ({"bench/run.py": "from pkg.mod import f\nf()\n"}, []),
+    ({"pkg/other.py": "from .mod import f\n\n\ndef g():\n    f()\n", "bench/run.py": "g()\n"},
+     []),
+])
+def test_test_only_rule(tmp_path, files, dead):
+    files = {"pkg/mod.py": "def f():\n    pass\n", **files}
+    for name, source in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+    found = _unreferenced(tmp_path / "pkg", _program_files(tmp_path, ("pkg", "bench")), tmp_path)
     assert [entry.rsplit(": ", 1)[1] for entry in found] == dead
 
 

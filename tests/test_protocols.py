@@ -19,7 +19,7 @@ from faultcast.errors import (AdversaryViolation, InvalidParameterError, Schedul
 from faultcast.protocols import (AllButOneDriver, BATCH, Driver, EliminationDriver,
                                  GreedyCompleteDriver, IdleDriver, SeqDriver, Session,
                                  SimpleRoundsDriver, SweepDriver, make_driver)
-from faultcast.topology import HYPERCUBE, build_complete, build_hypercube
+from faultcast.topology import COMPLETE, HYPERCUBE, build_complete, build_hypercube
 from faultcast.validate import errors_only, validate_trace
 
 ADVERSARIES = [
@@ -41,7 +41,8 @@ ADVERSARY_IDS = ["random", "victim_guard", "ack_suppressor"]
 ])
 def test_greedy_complete_examples(n, alpha, minimum):
     for seed in range(5):
-        state = protocols.greedy_init_complete(n, alpha, RandomAdversary(seed))
+        state = protocols.run_protocol("greedy-kn", build_complete(n), alpha, 2.0,
+                                       RandomAdversary(seed))[0]
         assert int(np.count_nonzero(state.informed)) >= minimum
 
 
@@ -52,14 +53,15 @@ def test_greedy_complete_examples(n, alpha, minimum):
 ])
 def test_greedy_hypercube_examples(d, alpha, minimum):
     for seed in range(5):
-        state = protocols.greedy_init_hypercube(d, alpha, RandomAdversary(seed))
+        state = protocols.run_protocol("greedy-qd", build_hypercube(d), alpha, 0.5,
+                                       RandomAdversary(seed))[0]
         assert int(np.count_nonzero(state.informed)) >= minimum
 
 
 def test_greedy_bounds_hold_for_adversarial_policies():
     for make in ADVERSARIES:
         topo = build_complete(12)
-        state = protocols.greedy_init_complete(12, 0.6, make(topo, 0))
+        state = protocols.run_protocol("greedy-kn", topo, 0.6, 2.0, make(topo, 0))[0]
         lower = 1 + min(12 / 2.0, 11 * 0.4)
         assert np.count_nonzero(state.informed) >= math.ceil(lower - 1e-9)
 
@@ -74,11 +76,12 @@ def test_schedule_lengths_exact():
     assert tr.total_steps == 2 + 2 * r
 
     t1, t2 = bounds.rounds_hypercube(5, 0.5, 0.5)
-    tr = protocols.broadcast_hypercube(5, 0.5, 0.5, RandomAdversary(0))
+    tr = protocols.run_protocol("hypercube", build_hypercube(5), 0.5, 0.5, RandomAdversary(0))[2]
     assert tr.total_steps == 2 + 2 * (t1 + t2)
 
     l1, l2, l3, l4 = bounds.l_params(16, 0.5, 2.0)
-    tr = protocols.nosod_complete(16, 0.5, 2.0, RandomAdversary(0))
+    tr = protocols.run_protocol("nosod-complete", build_complete(16), 0.5, 2.0,
+                                RandomAdversary(0))[2]
     assert tr.total_steps == 2 + 2 * r + l1 * (l2 * l3 + 2 * l4)
 
 
@@ -111,12 +114,13 @@ def test_eps_domains():
     with pytest.raises(InvalidParameterError):
         protocols.almost_complete_kn(16, 0.5, 0.5, RandomAdversary(0))
     with pytest.raises(InvalidParameterError):
-        protocols.broadcast_hypercube(4, 0.5, 2.0, RandomAdversary(0))
+        protocols.run_protocol("hypercube", build_hypercube(4), 0.5, 2.0, RandomAdversary(0))
 
 
 def test_nosod_rejects_alpha_06():
     with pytest.raises(UnsupportedAlphaError):
-        protocols.nosod_complete(16, 0.6, 2.0, RandomAdversary(0))
+        protocols.run_protocol("nosod-complete", build_complete(16), 0.6, 2.0,
+                               RandomAdversary(0))
 
 
 def test_make_driver_topology_mismatch():
@@ -154,8 +158,8 @@ def test_almost_kn_final_bounds():
 def test_hypercube_final_bounds():
     x = 4.0
     for make in ADVERSARIES:
-        probe = build_hypercube(6)
-        tr = protocols.broadcast_hypercube(6, 0.5, 0.5, make(probe, 1))
+        topo = build_hypercube(6)
+        tr = protocols.run_protocol("hypercube", topo, 0.5, 0.5, make(topo, 1))[2]
         assert tr.final_k <= x / 0.5
         assert tr.final_h <= x * 5
         assert not errors_only(validate_trace(tr, 0.5, 0.5))
@@ -163,23 +167,24 @@ def test_hypercube_final_bounds():
 
 def test_hypercube_round_lemmas_above_d_min():
     # d = 13 >= d_min(0.5, 0.5): the Lemma 4/5/6 per-round checks are strict.
-    tr = protocols.broadcast_hypercube(13, 0.5, 0.5, RandomAdversary(0))
+    tr = protocols.run_protocol("hypercube", build_hypercube(13), 0.5, 0.5,
+                                RandomAdversary(0))[2]
     assert tr.final_k <= 8
     assert not errors_only(validate_trace(tr, 0.5, 0.5))
 
 
 def test_sod_complete_all_adversaries():
     for make in ADVERSARIES:
-        probe = build_complete(24, chordal=True)
-        tr = protocols.sod_complete(24, 0.5, 2.0, make(probe, 2))
+        topo = protocols.build_topology("sod-complete", COMPLETE, 24)
+        tr = protocols.run_protocol("sod-complete", topo, 0.5, 2.0, make(topo, 2))[2]
         assert tr.final_k == 0
         assert not errors_only(validate_trace(tr, 0.5, 2.0))
 
 
 def test_nosod_complete_all_adversaries():
     for make in ADVERSARIES:
-        probe = build_complete(24)
-        tr = protocols.nosod_complete(24, 0.5, 2.0, make(probe, 2))
+        topo = build_complete(24)
+        tr = protocols.run_protocol("nosod-complete", topo, 0.5, 2.0, make(topo, 2))[2]
         assert tr.final_k == 0
         assert not errors_only(validate_trace(tr, 0.5, 2.0))
 
@@ -187,10 +192,12 @@ def test_nosod_complete_all_adversaries():
 def test_sod_candidate_set_covers_uninformed():
     # The harness-observer invariant: every uninformed vertex is in U, and
     # |U| stays within 3X(1+eps).
+    topo = protocols.build_topology("sod-all-but-one", COMPLETE, 32)
     for seed in range(4):
-        tr, (origin, u) = protocols.sod_all_but_one(32, 0.5, 2.0, VictimGuard(31, seed))
+        _, driver, tr = protocols.run_protocol("sod-all-but-one", topo, 0.5, 2.0,
+                                               VictimGuard(31, seed))
         assert tr.final_k <= 1
-        assert origin in (0, 1)
+        u = next((u for u in driver.ctx.u_final.values() if u is not None), None)
         assert u is not None
         assert len(u) <= 3 * 4.0 * 3.0
         # Reconstruct the uninformed set from the trace summary.
@@ -320,13 +327,16 @@ _SOD_COMPLETE_DIGESTS = {
 
 @pytest.mark.parametrize("n,alpha,adversary", list(_SOD_COMPLETE_DIGESTS))
 def test_sod_complete_digest_unchanged(tmp_path, n, alpha, adversary):
-    trace = protocols.sod_complete(n, alpha, 2.0, make_adversary(adversary))
+    topo = protocols.build_topology("sod-complete", COMPLETE, n)
+    trace = protocols.run_protocol("sod-complete", topo, alpha, 2.0, make_adversary(adversary))[2]
     assert _jsonl_digest(trace, tmp_path) == _SOD_COMPLETE_DIGESTS[n, alpha, adversary]
 
 
 def test_sod_all_but_one_digest_unchanged(tmp_path):
-    trace, cands = protocols.sod_all_but_one(24, 0.7, 2.0, make_adversary("ack_suppressor:2"))
-    assert cands == (0, frozenset({22, 23}))
+    topo = protocols.build_topology("sod-all-but-one", COMPLETE, 24)
+    _, driver, trace = protocols.run_protocol("sod-all-but-one", topo, 0.7, 2.0,
+                                              make_adversary("ack_suppressor:2"))
+    assert driver.ctx.u_final == {0: frozenset({22, 23}), 1: frozenset({22, 23})}
     assert _jsonl_digest(trace, tmp_path) == (
         "526f6f160c8968d5d8801a1f4e39350e9449ca350269d03b223777774ff612d9")
 
@@ -351,7 +361,8 @@ def test_finished_run_freed_by_refcount(protocol):
 
 
 def test_nosod_iteration_segments_present():
-    tr = protocols.nosod_complete(16, 0.5, 2.0, RandomAdversary(0))
+    tr = protocols.run_protocol("nosod-complete", build_complete(16), 0.5, 2.0,
+                                RandomAdversary(0))[2]
     kinds = {s.kind for s in tr.segments}
     assert "nosod_iter" in kinds or "nosod_inert_tail" in kinds
     assert "simple_rounds" in kinds and "greedy" in kinds
@@ -614,8 +625,9 @@ def test_merged_lane_block_rejects_a_bad_row_mid_chunk(fault, match):
     """The same faults in the blocks of two merged lanes, which draw two or
     four steps per repetition on sod-complete K_64: a missing step's rows
     are reported, not cut short by pairing the steps with the rows."""
+    topo = protocols.build_topology("sod-complete", COMPLETE, 64)
     with pytest.raises(AdversaryViolation, match=match):
-        protocols.sod_complete(64, 0.5, 2.0, _BreaksBlock(fault, lanes=True))
+        protocols.run_protocol("sod-complete", topo, 0.5, 2.0, _BreaksBlock(fault, lanes=True))
 
 
 class _AsksAt(RandomAdversary):

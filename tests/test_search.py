@@ -92,15 +92,15 @@ def test_search_matches_brute_force(n, protocol, kwargs):
     assert worst_case_search(n, protocol, alpha, **kwargs).worst_steps == expected
 
 
-@pytest.mark.parametrize("n, initiator", [(2, 0), (4, 1), (5, 0), (5, 4)])
-def test_vertex_perms_match_arc_ids(n, initiator):
-    """Each row is a distinct vertex permutation fixing the initiator, with
-    the arc permutation it induces, arc by arc through ``arc_id``."""
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_vertex_perms_match_arc_ids(n):
+    """Each row is a distinct vertex permutation fixing the initiator, vertex
+    0, with the arc permutation it induces, arc by arc through ``arc_id``."""
     topo = build_complete(n)
-    vmaps, arc_perms = _vertex_perms(n, initiator)
+    vmaps, arc_perms = _vertex_perms(n)
     assert len({tuple(row) for row in vmaps.tolist()}) == vmaps.shape[0] == math.factorial(n - 1)
     for vmap, arc_perm in zip(vmaps.tolist(), arc_perms.tolist()):
-        assert sorted(vmap) == list(range(n)) and vmap[initiator] == initiator
+        assert sorted(vmap) == list(range(n)) and vmap[0] == 0
         assert arc_perm == [topo.arc_id(vmap[u], vmap[v])
                             for u, v in zip(topo.arc_src.tolist(), topo.arc_dst.tolist())]
 
@@ -163,15 +163,6 @@ def test_k4_nosod_frozen():
     result = worst_case_search(4, "nosod-complete", 0.5, horizon=200)
     assert result.worst_steps == 6
     assert not result.horizon_exceeded
-
-
-def test_relabeling_invariance():
-    # The game on K_n is symmetric in the initiator, so the worst case must
-    # not depend on which vertex starts.
-    base = worst_case_search(4, "almost-kn", 0.5).worst_steps
-    for initiator in (1, 3):
-        assert worst_case_search(4, "almost-kn", 0.5,
-                                 initiator=initiator).worst_steps == base
 
 
 @pytest.mark.parametrize("n, protocol, alpha, horizon", [
@@ -275,7 +266,7 @@ def test_precomputed_children_are_honest(n):
     permutations are those of the least packed-bytes image."""
     rng = np.random.default_rng(n)
     topo = build_complete(n)
-    vmaps, arc_perms = _vertex_perms(n, 0)
+    vmaps, arc_perms = _vertex_perms(n)
     weights = _image_weights(vmaps, arc_perms)
     vinv, ainv = np.argsort(vmaps, axis=1), np.argsort(arc_perms, axis=1)
     identity = np.arange(topo.num_arcs)

@@ -110,6 +110,12 @@ def test_edge_boundary_rejects_mask_of_wrong_length(length):
         topology.edge_boundary(topo, np.arange(length) == 0)
 
 
+@pytest.mark.parametrize("s", [[0.5], [1.0, 2.0], ["1"]])
+def test_edge_boundary_rejects_ids_that_are_not_integers(s):
+    with pytest.raises(InvalidParameterError, match="need integers"):
+        topology.edge_boundary(topology.build_complete(4), s)
+
+
 def test_iso_lower_bound_subcubes_tight():
     # Subcubes achieve the isoperimetric bound k(d - lg k) exactly.
     for d in (3, 4):

@@ -7,8 +7,8 @@ import pytest
 from faultcast.adversary import AdversaryPolicy, RandomAdversary
 from faultcast import bounds, engine
 from faultcast.engine import INFO, NetworkState, SendBatch, Trace, execute_step
-from faultcast.errors import AdversaryViolation
-from faultcast.protocols import almost_complete_kn, broadcast_hypercube, nosod_complete
+from faultcast.errors import AdversaryViolation, InvalidParameterError
+from faultcast.protocols import almost_complete_kn, run_protocol
 from faultcast import validate
 from faultcast.topology import COMPLETE, HYPERCUBE, build_complete, build_hypercube
 
@@ -105,7 +105,7 @@ def test_nosod_iteration_check_fires_on_stalled_iteration():
 
 
 def test_nosod_iteration_quiet_on_honest_run():
-    trace = nosod_complete(20, 0.5, 2.0, RandomAdversary(1))
+    trace = run_protocol("nosod-complete", build_complete(20), 0.5, 2.0, RandomAdversary(1))[2]
     assert validate.check_nosod_iterations(trace, 0.5, 2.0) == []
 
 
@@ -154,13 +154,18 @@ def test_final_bounds_are_the_almost_complete_limits(topo, protocol, eps, limits
 
 
 def test_validate_trace_default_eps_follows_topology(monkeypatch):
-    trace = broadcast_hypercube(4, 0.5, 0.5, RandomAdversary(0))
+    trace = run_protocol("hypercube", build_hypercube(4), 0.5, 0.5, RandomAdversary(0))[2]
     trace.summary = {}
     seen = []
     monkeypatch.setattr(validate, "check_qd_rounds",
                         lambda trace, alpha, eps: seen.append(eps) or [])
     validate.validate_trace(trace, 0.5)
     assert seen == [0.5]  # ExperimentConfig's hypercube default, not K_n's 2.0
+
+
+def test_validate_trace_needs_an_alpha():
+    with pytest.raises(InvalidParameterError, match="needs an alpha"):
+        validate.validate_trace(Trace(build_complete(8)))
 
 
 def test_validate_trace_full_run_clean():
@@ -309,9 +314,12 @@ def test_run_violations_land_on_record_indices():
 
 
 @pytest.mark.parametrize("build,alpha,eps", [
-    (lambda: nosod_complete(16, 0.5, 2.0, RandomAdversary(0)), 0.5, 2.0),
-    (lambda: nosod_complete(64, 0.55, 2.0, RandomAdversary(0)), 0.55, 2.0),
-    (lambda: broadcast_hypercube(5, 0.5, 0.5, RandomAdversary(1)), 0.5, 0.5),
+    (lambda: run_protocol("nosod-complete", build_complete(16), 0.5, 2.0, RandomAdversary(0))[2],
+     0.5, 2.0),
+    (lambda: run_protocol("nosod-complete", build_complete(64), 0.55, 2.0, RandomAdversary(0))[2],
+     0.55, 2.0),
+    (lambda: run_protocol("hypercube", build_hypercube(5), 0.5, 0.5, RandomAdversary(1))[2],
+     0.5, 0.5),
     (lambda: almost_complete_kn(64, 0.7, 2.0, RandomAdversary(0)), 0.7, 2.0),
 ], ids=["nosod-16", "nosod-64", "hypercube-5", "almost-kn-64-steady"])
 def test_protocol_runs_validate_like_their_steps(build, alpha, eps):
