@@ -37,6 +37,8 @@ import numpy as np
 from .engine import ACK, check_kill_rows, forced
 from .errors import InvalidParameterError
 
+_NONE = np.empty(0, dtype=np.int64)  # an empty class of batch indices
+
 
 class AdversaryPolicy:
     """Maps (step context, send batch, budget) to a kill set of batch indices."""
@@ -162,7 +164,8 @@ class RandomAdversary(_OrderedPolicy):
 class VictimGuard(_OrderedPolicy):
     """Starves one vertex: kills messages to the victim first, then acks, then random fill.
 
-    Within the victim and ack classes, lowest arc id goes first.
+    Within the victim and ack classes, lowest arc id goes first; a batch is
+    all acks or all info, so one of the last two classes is empty.
     """
 
     def __init__(self, victim: int, seed: int = 0):
@@ -172,16 +175,15 @@ class VictimGuard(_OrderedPolicy):
 
     def _classes(self, ctx, batch):
         victim = ctx.topo.arc_dst[batch.arcs] == self.victim
-        acks = ~victim & (batch.kinds == ACK)
-        return ([np.flatnonzero(victim), np.flatnonzero(acks)],
-                [np.flatnonzero(~victim & ~acks)])
+        first, rest = np.flatnonzero(victim), np.flatnonzero(~victim)
+        return ([first, rest], [_NONE]) if batch.kind == ACK else ([first, _NONE], [rest])
 
 
 class AckSuppressor(_OrderedPolicy):
     """Kills acknowledgements first, then info to uninformed vertices, then the rest.
 
-    Acks die in arc-id order; the other classes are filled in seeded random
-    order, so an all-info batch degenerates to a victimless random kill.
+    An ack batch dies in arc-id order.  An info batch's two classes are
+    filled in seeded random order, a victimless random kill if all are informed.
     """
 
     def __init__(self, seed: int = 0):
@@ -189,10 +191,10 @@ class AckSuppressor(_OrderedPolicy):
         self.id = f"ack_suppressor:{seed}"
 
     def _classes(self, ctx, batch):
-        acks = batch.kinds == ACK
-        to_uninformed = ~acks & ~ctx.state.informed[ctx.topo.arc_dst[batch.arcs]]
-        return [np.flatnonzero(acks)], [np.flatnonzero(to_uninformed),
-                                        np.flatnonzero(~acks & ~to_uninformed)]
+        if batch.kind == ACK:
+            return [np.arange(batch.m, dtype=np.int64)], [_NONE, _NONE]
+        to_uninformed = ~ctx.state.informed[ctx.topo.arc_dst[batch.arcs]]
+        return [_NONE], [np.flatnonzero(to_uninformed), np.flatnonzero(~to_uninformed)]
 
 
 def adversary_problem(spec: str, n: int | None = None) -> str | None:

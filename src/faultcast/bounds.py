@@ -9,6 +9,7 @@ logarithm ratios rather than simplified inequalities.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, UnsupportedAlphaError
@@ -38,6 +39,16 @@ def constants(alpha: float) -> CoreConstants:
     return CoreConstants(alpha=alpha, x=x, beta=beta, c=c, y=y)
 
 
+@contextmanager
+def _float_range(name: str, size: int):
+    """Raise InvalidParameterError where a closed form overflows a float at n or d = size."""
+    try:
+        yield
+    except OverflowError as exc:
+        shown = size if size < 2**32 else f"2^{math.log2(size):.0f}"
+        raise InvalidParameterError(f"{name} = {shown} is beyond the float range") from exc
+
+
 def default_eps(kind: str) -> float:
     """The eps a run on topology ``kind`` takes when none is given."""
     return 2.0 if kind == COMPLETE else 0.5
@@ -61,8 +72,9 @@ def rounds_kn(n: int, alpha: float) -> int:
     if n < 2:
         raise InvalidParameterError(f"n must be >= 2, got {n}")
     c = constants(alpha).c
-    m1 = 3.0 * n * (n - 1)
-    return math.ceil(math.log(m1) / -math.log1p(-c))
+    with _float_range("n", n):
+        m1 = 3.0 * n * (n - 1)
+        return math.ceil(math.log(m1) / -math.log1p(-c))
 
 
 def rounds_hypercube(d: int, alpha: float, eps: float | None = None) -> tuple[int, int]:
@@ -78,12 +90,13 @@ def rounds_hypercube(d: int, alpha: float, eps: float | None = None) -> tuple[in
     if eps is not None:
         check_eps(HYPERCUBE, eps)
     cc = constants(alpha)
-    t1 = math.ceil(math.log2(d * 2**d / 3.0) * d / (cc.beta * math.log2(3.0)))
-    rho = 1.0 + cc.beta * math.log2(2.0 / 3.0) / d
-    if not 0.0 < rho < 1.0:
-        t2 = d * 2**d
-    else:
-        t2 = math.ceil(math.log2(7.0 / 3.0 * d * 2**d) / math.log2(1.0 / rho))
+    with _float_range("d", d):
+        t1 = math.ceil(math.log2(d * 2**d / 3.0) * d / (cc.beta * math.log2(3.0)))
+        rho = 1.0 + cc.beta * math.log2(2.0 / 3.0) / d
+        if not 0.0 < rho < 1.0:
+            t2 = d * 2**d
+        else:
+            t2 = math.ceil(math.log2(7.0 / 3.0 * d * 2**d) / math.log2(1.0 / rho))
     return t1, t2
 
 
@@ -97,7 +110,8 @@ def l_params(n: int, alpha: float, eps: float) -> tuple[int, int, int, int]:
     if n < 3:
         raise InvalidParameterError(f"n must be >= 3, got {n}")
     l1 = math.ceil(cc.x * eps)
-    l2 = math.ceil(math.log(cc.x * (n - 2)) / -math.log1p(-cc.y / 2.0))
+    with _float_range("n", n):
+        l2 = math.ceil(math.log(cc.x * (n - 2)) / -math.log1p(-cc.y / 2.0))
     l3 = math.ceil(2.0 / cc.y) + 1
     l4 = rounds_kn(n, alpha)
     return l1, l2, l3, l4
@@ -147,13 +161,16 @@ def qd_inequalities_hold(d: int, alpha: float, eps: float) -> bool:
 
     Needs 0.6*2^(eps*d) >= X(d-1) (mid-range set sizes) and
     f(L) >= X(d-1) with L the guaranteed post-init informed count,
-    L within the increasing range of f(x) = x(d - lg x).
+    L within the increasing range of f(x) = x(d - lg x).  From 2^1024 on,
+    past the float range, a power of 2 is compared by its logarithm, and
+    2^d / e exceeds every float.
     """
     cc = constants(alpha)
-    if not 0.6 * 2 ** (eps * d) >= cc.x * (d - 1):
+    if not (0.6 * 2 ** (eps * d) >= cc.x * (d - 1) if eps * d < 1024
+            else math.log2(0.6) + eps * d >= math.log2(cc.x * (d - 1))):
         return False
     low = (1.0 - alpha) / 2.0 * (2 * d - 1)
-    if low < 1.0 or low > 2**d / math.e:
+    if low < 1.0 or (d < 1024 and low > 2**d / math.e):
         return False
     return low * (d - math.log2(low)) >= cc.x * (d - 1)
 

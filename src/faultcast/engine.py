@@ -1,11 +1,11 @@
 """Synchronous step execution under the adversarial loss budget.
 
-One time step: informed vertices hand the engine a batch of at most one
-message per arc, the adversary picks a kill set within
+One time step: informed vertices hand the engine a batch of one kind of
+message, the information (INFO) or acknowledgements (ACK), on strictly
+ascending arcs; the adversary picks a kill set within
 max{c(G)-1, floor(alpha*m)}, survivors are delivered, and every delivery over
 an arc marks the opposite arc passive (the receiver now knows the far end is
-informed).  Deliveries carrying the broadcast information make the receiver
-informed.
+informed).  Surviving INFO messages make their receivers informed.
 """
 
 import json
@@ -18,10 +18,9 @@ import numpy as np
 from .errors import AdversaryViolation, InvalidParameterError, PreconditionViolation
 from .topology import COMPLETE, Topology
 
-# Message payload kinds.
+# What the messages of a batch carry: the information or acknowledgements.
 INFO = 0
 ACK = 1
-INFO_CANDS = 3
 
 ACTIVE = "active"
 PASSIVE = "passive"
@@ -32,15 +31,12 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 @dataclass
 class SendBatch:
-    """Messages of one time step: parallel arrays of arc ids and payload kinds.
-
-    ``payloads`` is only populated for candidate-carrying messages (a list
-    aligned with ``arcs``); plain info/ack traffic leaves it None.
-    """
+    """Messages of one time step: one message of ``kind``, INFO or ACK, on each
+    arc of the integer array ``arcs``, which must ascend strictly (see
+    ``check_batch``)."""
 
     arcs: np.ndarray
-    kinds: np.ndarray
-    payloads: list | None = None
+    kind: int
 
     @property
     def m(self) -> int:
@@ -48,15 +44,7 @@ class SendBatch:
 
     @staticmethod
     def empty() -> "SendBatch":
-        return SendBatch(arcs=_EMPTY, kinds=np.empty(0, dtype=np.int8))
-
-    @staticmethod
-    def uniform(arcs: np.ndarray, kind: int, payloads: list | None = None) -> "SendBatch":
-        return SendBatch(
-            arcs=np.asarray(arcs, dtype=np.int64),
-            kinds=np.full(len(arcs), kind, dtype=np.int8),
-            payloads=payloads,
-        )
+        return SendBatch(_EMPTY, INFO)
 
 
 @dataclass
@@ -73,7 +61,7 @@ class DeliveryReport:
     budget: int
     new_informed: np.ndarray  # intp: vertices the step informed, ascending
     marked: np.ndarray  # intp: their opposite arcs, which the deliveries marked passive
-    info_dsts: np.ndarray  # intp: the non-ack survivors' destinations, repeats kept
+    info_dsts: np.ndarray  # intp: an INFO batch's survivors' destinations, repeats kept
     acks_delivered: int
 
     @property
@@ -223,21 +211,19 @@ def apply_kills(state: NetworkState, batch: SendBatch, killed: np.ndarray,
 
 
 def check_batch(state: NetworkState, batch: SendBatch) -> None:
-    """Raise InvalidParameterError unless informed vertices send at most one message per arc."""
+    """Raise InvalidParameterError unless the batch's arcs ascend strictly,
+    lie in the topology and each leave an informed vertex."""
     arcs = batch.arcs
     if arcs.size == 0:
         return
-    # Drivers emit ascending batches: then the ends bound the range and no arc repeats.
-    ascending = (arcs[1:] > arcs[:-1]).all()
-    lo, hi = (arcs[0], arcs[-1]) if ascending else (arcs.min(), arcs.max())
-    if lo < 0 or hi >= state.topo.num_arcs:
+    # Strictly ascending: no arc repeats, and the ends bound the range.
+    if not (arcs[1:] > arcs[:-1]).all():
+        raise InvalidParameterError("batch arcs must ascend strictly, one message per arc")
+    if arcs[0] < 0 or arcs[-1] >= state.topo.num_arcs:
         raise InvalidParameterError("batch references arcs outside the topology")
-    if not ascending and np.unique(arcs).size != arcs.size:
-        raise InvalidParameterError("batch sends more than one message per arc")
-    # Arc ids are source-major (see ``Topology.out_arcs_of``), so an ascending
-    # batch's senders are its arcs // degree, cheaper than the arc_src gather.
-    senders = arcs // state.topo.degree if ascending else state.topo.arc_src[arcs]
-    if not state.informed[senders].all():
+    # Arc ids are source-major (see ``Topology.out_arcs_of``), so the senders
+    # are the arcs // degree, cheaper than the arc_src gather.
+    if not state.informed[arcs // state.topo.degree].all():
         raise InvalidParameterError("only informed vertices may send")
 
 
@@ -311,10 +297,11 @@ def _deliver(state: NetworkState, report: DeliveryReport) -> None:
     passive[marked] = True
     dsts = topo.arc_dst[darr].astype(np.intp)
     receiver_informed = informed[dsts]
-    acks = batch.kinds[delivered_idx] == ACK
-    acks_delivered = int(np.count_nonzero(acks))
-    info_dsts = dsts[~acks] if acks_delivered else dsts
-    new_informed = distinct_vertices(dsts[~(acks | receiver_informed)], topo.n)
+    if batch.kind == ACK:  # acks inform nobody
+        report.acks_delivered, new_informed = int(dsts.size), _EMPTY
+    else:
+        report.info_dsts = dsts
+        new_informed = distinct_vertices(dsts[~receiver_informed], topo.n)
 
     counted = state._counts_version == state.version
     if counted:
@@ -340,9 +327,7 @@ def _deliver(state: NetworkState, report: DeliveryReport) -> None:
     if counted:
         state._counts = (k, h, b, active)
         state._counts_version = state.version
-    report.marked = marked
-    report.info_dsts, report.acks_delivered = info_dsts, acks_delivered
-    report.new_informed = new_informed
+    report.marked, report.new_informed = marked, new_informed
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,8 @@ class ExperimentConfig:
                     if not _has_type(getattr(self, name), kind)]
         if problems:
             return problems
+        problems.extend(f"{name} lists nothing" for name in ("size", "alpha", "adversary")
+                        if not getattr(self, name))
         if self.topology not in (COMPLETE, HYPERCUBE):
             problems.append(f"unknown topology {self.topology!r}")
         try:

@@ -25,9 +25,10 @@ block at the first round whose kill set spares such a message: the rounds
 before it are recorded as a block, and that round's step A is applied as a
 stepped one, its report going to the driver's ``absorb``.
 
-Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading) run as
-Sessions: a fresh per-arc mark array and a fresh "aware" set for the session
-payload, while global informed/passive bookkeeping continues underneath.
+Each step sends INFO or ACK on strictly ascending arcs; candidate sets travel
+as INFO.  Sub-broadcasts (sense-of-direction phases 3+, candidate-set spreading)
+run as Sessions: a fresh per-arc mark array and a fresh "aware" set, while
+global informed/passive bookkeeping continues underneath.
 
 Every schedule is a composition of phase drivers; only the combinators
 (SeqDriver, MultiplexDriver, LazyDriver) hold other drivers.  The schedule
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import bounds
 from .adversary import AdversaryPolicy
-from .engine import (ACK, INFO, INFO_CANDS, DeliveryReport, NetworkState, SendBatch,
+from .engine import (ACK, INFO, DeliveryReport, NetworkState, SendBatch,
                      StepContext, Trace, apply_kills, check_kill_rows, distinct_vertices,
                      execute_step, fault_budget, forced)
 from .errors import (AdversaryViolation, InvalidParameterError, ScheduleOverrun,
@@ -71,12 +72,12 @@ class Watched:
 
 
 class Session:
-    """One broadcast payload spreading through the network.
+    """One broadcast spreading through the network.
 
     The primary session aliases the global informed/passive arrays; secondary
     sessions (candidate-set broadcasts) keep their own aware set and arc marks,
-    because their round schedule must flood arcs that earlier payloads already
-    marked.  A secondary session may also copy its aware set into the
+    because their round schedule must flood arcs that earlier broadcasts
+    already marked.  A secondary session may also copy its aware set into the
     ``also_aware`` array.
 
     The session keeps its send frontier (the unmarked out-arcs of aware
@@ -86,11 +87,10 @@ class Session:
     other version it is rebuilt from scratch once.
     """
 
-    def __init__(self, topo: Topology, origin: int, payload=None, state: NetworkState = None,
+    def __init__(self, topo: Topology, origin: int, state: NetworkState = None,
                  also_aware: np.ndarray | None = None):
         self.topo = topo
         self.origin = origin
-        self.payload = payload
         self.primary = state is not None
         if self.primary and also_aware is not None:
             raise InvalidParameterError("a primary session is aware of exactly the informed set")
@@ -107,10 +107,6 @@ class Session:
             self.marks = np.zeros(topo.num_arcs, dtype=bool)
         if also_aware is not None:
             also_aware[origin] = True
-
-    @property
-    def payload_kind(self) -> int:
-        return INFO if self.payload is None else INFO_CANDS
 
     @property
     def frontier(self) -> np.ndarray | None:
@@ -161,7 +157,7 @@ class Session:
 
     def clone_primary(self, new_state: NetworkState) -> "Session":
         assert self.primary
-        other = Session(self.topo, self.origin, self.payload, state=new_state)
+        other = Session(self.topo, self.origin, state=new_state)
         other._frontier = self.frontier  # replaced, never modified, on update
         other.synced = self.synced
         return other
@@ -435,14 +431,10 @@ class GreedyCompleteDriver(Driver):
         return self.step >= 2
 
     def next(self, state, blocks):
-        topo = self.session.topo
         if self.trace is not None and self.step == 0:
             self.trace.mark("greedy", primary=self.session.primary)
-        if self.step == 0:
-            arcs = topo.out_arcs_of([self.session.origin])
-        else:
-            arcs = topo.out_arcs_of(np.flatnonzero(self.session.aware))
-        return BATCH, SendBatch.uniform(arcs, self.session.payload_kind)
+        senders = [self.session.origin] if self.step == 0 else np.flatnonzero(self.session.aware)
+        return BATCH, SendBatch(self.session.topo.out_arcs_of(senders), INFO)
 
     def absorb(self, state, report):
         self.session.absorb(state, report)
@@ -481,7 +473,7 @@ class GreedyHypercubeDriver(Driver):
             mask = state.informed[self.topo.arc_src] & ~(
                 (self.topo.arc_dst == 0) & (self.topo.arc_src != 0))
             arcs = np.flatnonzero(mask)
-        return BATCH, SendBatch.uniform(arcs, INFO)
+        return BATCH, SendBatch(arcs, INFO)
 
     def absorb(self, state, report):
         self.step += 1
@@ -544,9 +536,9 @@ class SimpleRoundsDriver(Driver):
                     self._speculated = (state.step_index, self.round_idx)
                 self.skip(run[1])
                 return BLOCK, [run]
-            return BATCH, SendBatch.uniform(self.session.sends(state), self.session.payload_kind)
+            return BATCH, SendBatch(self.session.sends(state), INFO)
         # Step B acks each delivery of step A on the opposite arc.
-        return BATCH, SendBatch.uniform(np.sort(self.pending), ACK)
+        return BATCH, SendBatch(np.sort(self.pending), ACK)
 
     def quiet_run(self, state):
         """The round every remaining round repeats, if none can change state."""
@@ -581,7 +573,7 @@ class SimpleRoundsDriver(Driver):
                 watch = None
             elif not (speculate and np.count_nonzero(watch) <= m - survivors):
                 return None
-        batch = SendBatch.uniform(arcs, session.payload_kind)
+        batch = SendBatch(arcs, INFO)
         return (batch if watch is None else Watched(batch, watch), survivors), steps
 
     def skip(self, count):
@@ -654,7 +646,7 @@ class Phase2CandidatesDriver(Driver):
         self.threshold = threshold
         self.fired = False
         self.total_steps = 1
-        self._payloads = None
+        self._sets = None  # the candidate set of each message of the batch
 
     def done(self):
         return self.fired
@@ -674,19 +666,17 @@ class Phase2CandidatesDriver(Driver):
             u_v = frozenset(int(x) for x in topo.arc_dst[out[~self.prev.marks[out]]])
             if v in (0, 1):
                 self.ctx.received[v].append(u_v)
-            for target in (0, 1):
-                if target != v:
-                    messages.append((topo.arc_id(v, target), u_v))
+            messages.extend((topo.arc_id(v, target), u_v) for target in (0, 1) if target != v)
         messages.sort()
         arcs = np.fromiter((a for a, _ in messages), dtype=np.int64, count=len(messages))
-        self._payloads = [u for _, u in messages]
-        return BATCH, SendBatch.uniform(arcs, INFO_CANDS, payloads=self._payloads)
+        self._sets = [u for _, u in messages]
+        return BATCH, SendBatch(arcs, INFO)
 
     def absorb(self, state, report):
         topo = self.prev.topo
         for i in report.delivered_idx:
             arc = int(report.batch.arcs[i])
-            self.ctx.received[int(topo.arc_dst[arc])].append(self._payloads[i])
+            self.ctx.received[int(topo.arc_dst[arc])].append(self._sets[i])
         self.prev.absorb(state, report)
         self.fired = True
 
@@ -721,7 +711,7 @@ class SweepDriver(Driver):
             return BATCH, SendBatch.empty()
         arcs = [_arcs_to(self.topo, self.senders, t) for t in self.groups[self.step]]
         self.step += 1
-        return BATCH, SendBatch.uniform(np.sort(np.concatenate(arcs)), INFO)
+        return BATCH, SendBatch(np.sort(np.concatenate(arcs)), INFO)
 
     def absorb(self, state, report):
         if self.knows_sink is not None:
@@ -739,17 +729,17 @@ class SweepDriver(Driver):
 class AllButOneDriver(SeqDriver):
     """Complete-graph broadcast with chordal sense of direction, all but one vertex.
 
-    Phase 1 spreads the payload almost-completely; phase 2 gathers candidate
+    Phase 1 spreads the broadcast almost-completely; phase 2 gathers candidate
     sets at vertices 0 and 1 in one step; phases 3-4 run time-multiplexed for
     the two possible collectors.  In phase 3 collector b broadcasts the
     intersection U of the candidate sets it received, or idles if it received
     none; in phase 4 every vertex aware of U sends the information to both
     members of each pair of U in lexicographic order.  ``knows`` tracks every
-    vertex that received this run's payload through any phase.
+    vertex that received this run's broadcast through any phase.
     """
 
     def __init__(self, topo: Topology, origin: int, alpha: float, eps: float,
-                 payload=None, state: NetworkState = None):
+                 state: NetworkState = None):
         if topo.labeling is None:
             raise UnsupportedTopologyError("sense-of-direction protocols need a chordal labeling")
         self.ctx = ctx = SodContext()
@@ -757,11 +747,11 @@ class AllButOneDriver(SeqDriver):
         threshold, cap = bounds.candidate_params(topo.n, alpha, eps)
         self.threshold, self.cap = threshold, cap
         if state is not None:
-            session = Session(topo, origin, payload=payload, state=state)
+            session = Session(topo, origin, state=state)
             knows = state.informed
         else:
             knows = np.zeros(topo.n, dtype=bool)
-            session = Session(topo, origin, payload=payload, also_aware=knows)
+            session = Session(topo, origin, also_aware=knows)
         self.knows = knows
 
         # The phase builders capture locals only, never self (see LazyDriver).
@@ -769,7 +759,7 @@ class AllButOneDriver(SeqDriver):
             if not ctx.received[b]:
                 return None
             u = ctx.u_final[b] = frozenset.intersection(*ctx.received[b])
-            sub = ctx.session[b] = Session(topo, b, payload=u, also_aware=knows)
+            sub = ctx.session[b] = Session(topo, b, also_aware=knows)
             return SeqDriver([GreedyCompleteDriver(sub),
                               SimpleRoundsDriver(sub, r_kn, alpha, label="sod_p3")])
 
@@ -834,7 +824,7 @@ class EliminationDriver(Driver):
                 return BLOCK, [((m,), remaining)]
             if self.trace is not None:
                 self.trace.mark("nosod_iter", l1=self.pass_idx, l2=self.i2, steps=self.l3)
-        return BATCH, SendBatch.uniform(np.flatnonzero(self.e_mask | self.p_mask), INFO)
+        return BATCH, SendBatch(np.flatnonzero(self.e_mask | self.p_mask), INFO)
 
     def absorb(self, state, report):
         self.p_mask[report.marked] = True
@@ -1018,15 +1008,15 @@ def _hypercube_driver(topo, alpha, eps, state, rounds):
 
 
 def _sod_complete_driver(topo, alpha, eps, state, rounds):
-    """All-but-one, then the collector holding U re-runs it with U as payload,
-    then every vertex that learnt U sends the information to each member."""
+    """All-but-one, then the collector holding U re-runs it from itself to
+    spread U, then every vertex that learnt U sends the information to each member."""
     stage_a = AllButOneDriver(topo, 0, alpha, eps, state=state)
     ctx = stage_a.ctx
     cap = stage_a.cap
 
     def rerun_of(b):
         u = ctx.u_final[b]
-        return None if u is None else AllButOneDriver(topo, b, alpha, eps, payload=u)
+        return None if u is None else AllButOneDriver(topo, b, alpha, eps)
 
     def lane(b):
         rerun = LazyDriver(stage_a.total_steps, lambda: rerun_of(b))

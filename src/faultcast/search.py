@@ -20,7 +20,7 @@ position, so every child the step completes has one value: its step index if
 it is at a checkpoint, else its settled value.  Before building any child,
 one matrix product over (kill sets x surviving messages) and (messages x
 what each one delivers) gives every child's post-step informed and passive
-arrays, by the rule of the engine: a surviving INFO or INFO_CANDS message
+arrays, by the rule of the engine: a surviving message of an INFO batch
 informs its destination, and every surviving message marks the opposite arc
 passive.  A child completes when no vertex is left uninformed.  Only the
 first completed child is built; its siblings take its value.  A built child
@@ -50,11 +50,10 @@ from itertools import chain, combinations, permutations
 import numpy as np
 
 from . import bounds
-from .engine import (INFO, INFO_CANDS, NetworkState, SendBatch, apply_kills, check_batch,
-                     fault_budget)
-from .errors import InvalidParameterError, TooLargeError, UnsupportedTopologyError
+from .engine import INFO, NetworkState, SendBatch, apply_kills, check_batch, fault_budget
+from .errors import InvalidParameterError, TooLargeError
 from .protocols import BATCH, build_topology, make_driver
-from .topology import COMPLETE, Topology, build_complete, complete_arc_id
+from .topology import COMPLETE, build_complete, complete_arc_id
 
 HORIZON_EXCEEDED = math.inf
 
@@ -114,14 +113,14 @@ def _children(state: NetworkState, batch: SendBatch, sizes, kill_sets: dict):
     order, one per row.
 
     The rows follow the rule of ``engine._deliver``: a surviving message marks
-    the opposite of its arc passive, and a surviving INFO or INFO_CANDS
-    message informs its destination.
+    the opposite of its arc passive, and a surviving message of an INFO batch
+    informs its destination.
     """
     topo = state.topo
     n, m = topo.n, batch.m
-    informing = (batch.kinds == INFO) | (batch.kinds == INFO_CANDS)
     effects = np.zeros((m, n + topo.num_arcs), dtype=np.float32)
-    effects[np.flatnonzero(informing), topo.arc_dst[batch.arcs[informing]]] = 1
+    if batch.kind == INFO:
+        effects[np.arange(m), topo.arc_dst[batch.arcs]] = 1
     effects[np.arange(m), n + topo.opp[batch.arcs]] = 1
     before = np.concatenate([state.informed, state.passive])
     for size in sizes:
@@ -138,21 +137,18 @@ def _children(state: NetworkState, batch: SendBatch, sizes, kill_sets: dict):
             yield alive == 0, after[:, :n].all(axis=1), after
 
 
-def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
-                      horizon: int | None = None, eps: float | None = None,
-                      all_sizes: bool = False) -> SearchResult:
-    """Maximum steps any budget-respecting adversary can force, or horizon excess.
+def worst_case_search(n: int, protocol: str, alpha: float, horizon: int | None = None,
+                      eps: float | None = None, all_sizes: bool = False) -> SearchResult:
+    """Maximum steps any budget-respecting adversary can force on the K_n that
+    ``protocol`` needs, or horizon excess.
 
-    eps defaults to ``bounds.default_eps`` of the complete graph."""
-    n = topo if isinstance(topo, int) else topo.n
+    eps defaults to ``bounds.default_eps`` of the complete graph.  A play
+    deeper than the recursion limit, one level per step, raises TooLargeError."""
     if n > _SIZE_CAP:  # checked before a size is built: K_n has n(n-1) arcs
         raise TooLargeError(f"search capped at n <= {_SIZE_CAP}, got n = {n}")
-    if isinstance(topo, int):
-        topo = build_topology(protocol, COMPLETE, topo)
-    if topo.kind != COMPLETE:
-        raise UnsupportedTopologyError("worst-case search supports complete graphs only")
-    eps = bounds.default_eps(topo.kind) if eps is None else eps
-    bounds.check_eps(topo.kind, eps)
+    topo = build_topology(protocol, COMPLETE, n)
+    eps = bounds.default_eps(COMPLETE) if eps is None else eps
+    bounds.check_eps(COMPLETE, eps)
     if horizon is not None and horizon < 0:
         raise InvalidParameterError(f"horizon {horizon} < 0")
 
@@ -161,7 +157,6 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
     driver0.attach(None)
     if horizon is None:
         horizon = driver0.total_steps
-    n = topo.n
     vmaps, arc_perms = _vertex_perms(n)
     identity = np.arange(topo.num_arcs)
     weights = _image_weights(vmaps, arc_perms)
@@ -293,5 +288,9 @@ def worst_case_search(topo: Topology | int, protocol: str, alpha: float,
 
     if state0.k == 0:
         return SearchResult(0.0, horizon, 0, 0)
-    worst = expand(state0, driver0)
+    try:
+        worst = expand(state0, driver0)
+    except RecursionError:
+        raise TooLargeError(f"a play of up to {horizon} steps is deeper than the search "
+                            "can recurse; give a smaller horizon") from None
     return SearchResult(worst, horizon, counters["nodes"], len(memo))

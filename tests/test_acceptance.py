@@ -281,6 +281,14 @@ def test_criterion_9_determinism(tmp_path, capsys):
         ("hypercube", dict(topology="hypercube", size=[5], alpha=[0.5],
                            protocol="hypercube", adversary=["ack_suppressor"],
                            seeds=2)),
+        # Phase 2's candidate sets and the secondary sessions of the SoD
+        # schedules, and the elimination passes without SoD.
+        ("sod-complete", dict(topology="complete", size=[16], alpha=[0.5],
+                              protocol="sod-complete", adversary=["random", "ack_suppressor"],
+                              seeds=2)),
+        ("nosod-complete", dict(topology="complete", size=[16], alpha=[0.5],
+                                protocol="nosod-complete",
+                                adversary=["random", "ack_suppressor"], seeds=2)),
     ):
         blobs = []
         for rep in ("x", "y"):

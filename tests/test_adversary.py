@@ -26,17 +26,17 @@ def test_random_kill_size():
     topo = build_complete(5)
     ctx = _ctx(topo, range(5))
     adv = RandomAdversary(3)
-    batch = SendBatch.uniform(np.arange(10), INFO)
+    batch = SendBatch(np.arange(10), INFO)
     assert len(adv.decide(ctx, batch, 0)) == 0
     assert len(adv.decide(ctx, batch, 4)) == 4
     # m <= budget kills everything
-    small = SendBatch.uniform(np.arange(2), INFO)
+    small = SendBatch(np.arange(2), INFO)
     assert sorted(adv.decide(ctx, small, 5)) == [0, 1]
 
 
 def test_random_deterministic_under_seed():
     topo = build_complete(5)
-    batch = SendBatch.uniform(np.arange(12), INFO)
+    batch = SendBatch(np.arange(12), INFO)
     seqs = []
     for _ in range(2):
         adv = RandomAdversary(42)
@@ -51,7 +51,7 @@ def test_victim_guard_priority():
     victim = 3
     arcs = np.sort([topo.arc_id(0, 3), topo.arc_id(1, 3), topo.arc_id(0, 1),
                     topo.arc_id(1, 0), topo.arc_id(2, 3)])
-    batch = SendBatch.uniform(arcs, INFO)
+    batch = SendBatch(arcs, INFO)
     adv = VictimGuard(victim)
     # budget 2 < 3 victim messages: exactly 2 victim-directed ones die.
     kills = adv.decide(ctx, batch, 2)
@@ -65,39 +65,44 @@ def test_victim_guard_priority():
 
 
 def test_victim_guard_then_acks():
+    """The single victim message dies first.  In an ack batch the acks go
+    next, lowest arc id first, and nothing is drawn; in an info batch a
+    random fill goes next."""
     topo = build_complete(4)
     ctx = _ctx(topo, range(4))
-    msgs = sorted([(topo.arc_id(0, 3), INFO), (topo.arc_id(1, 0), ACK),
-                   (topo.arc_id(2, 0), INFO)])
-    batch = SendBatch(arcs=np.array([a for a, _ in msgs], dtype=np.int64),
-                      kinds=np.array([k for _, k in msgs], dtype=np.int8))
-    # After the single victim message, the ack goes next.
-    kills = VictimGuard(3).decide(ctx, batch, 2)
-    killed_kinds = batch.kinds[kills].tolist()
-    assert sorted(killed_kinds) == sorted([INFO, ACK])
-    assert topo.arc_dst[batch.arcs[kills[0]]] == 3
+    arcs = np.sort([topo.arc_id(0, 3), topo.arc_id(2, 0), topo.arc_id(1, 0)])
+    adv = VictimGuard(3)
+    before = adv._rng.bit_generator.state
+    kills = adv.decide(ctx, SendBatch(arcs, ACK), 2)
+    assert arcs[kills].tolist() == [topo.arc_id(0, 3), topo.arc_id(1, 0)]
+    assert adv._rng.bit_generator.state == before
+    kills = adv.decide(ctx, SendBatch(arcs, INFO), 2)
+    assert arcs[kills[0]] == topo.arc_id(0, 3) and kills[1] in (1, 2)
 
 
 def test_ack_suppressor_priority():
+    """Acks die in arc-id order without a draw; info to uninformed vertices
+    dies before info to informed ones."""
     topo = build_complete(4)
     ctx = _ctx(topo, [0, 1])
-    ack_arcs = [topo.arc_id(0, 1), topo.arc_id(1, 0)]
-    info_arcs = [topo.arc_id(0, 2), topo.arc_id(1, 3)]
-    arcs = np.array(sorted(ack_arcs + info_arcs))
-    kinds = np.array([ACK if a in ack_arcs else INFO for a in arcs], dtype=np.int8)
-    batch = SendBatch(arcs=arcs, kinds=kinds)
     adv = AckSuppressor(0)
-    kills = adv.decide(ctx, batch, 2)
-    assert all(batch.kinds[i] == ACK for i in kills)
-    # budget 3: both acks plus one info-to-uninformed.
-    kills = adv.decide(ctx, batch, 3)
-    assert sorted(batch.kinds[kills].tolist()) == [INFO, ACK, ACK]
+    before = adv._rng.bit_generator.state
+    acks = SendBatch(np.sort([topo.arc_id(1, 0), topo.arc_id(0, 1),
+                                      topo.arc_id(1, 2)]), ACK)
+    assert adv.decide(ctx, acks, 2).tolist() == [0, 1]
+    assert adv._rng.bit_generator.state == before
+    # Arcs 0->1 (to an informed vertex), 0->2 and 1->3: budget 2 kills the
+    # last two, and budget 1 one of them.
+    info = SendBatch(np.sort([topo.arc_id(0, 1), topo.arc_id(0, 2),
+                                      topo.arc_id(1, 3)]), INFO)
+    assert sorted(adv.decide(ctx, info, 2).tolist()) == [1, 2]
+    assert adv.decide(ctx, info, 1).tolist() in ([1], [2])
 
 
 def test_ack_suppressor_all_info_random_fallback():
     topo = build_complete(6)
     ctx = _ctx(topo, range(6))
-    batch = SendBatch.uniform(np.arange(10), INFO)
+    batch = SendBatch(np.arange(10), INFO)
     kills = AckSuppressor(seed=5).decide(ctx, batch, 4)
     assert len(kills) == 4
     assert len(set(kills.tolist())) == 4
@@ -110,18 +115,16 @@ def test_forced_kill_set_draws_nothing(make_adv):
     returns it in index order and leaves its random stream where it was."""
     topo = build_complete(6)
     ctx = _ctx(topo, [0, 1])
-    msgs = sorted([(topo.arc_id(0, 3), INFO), (topo.arc_id(1, 0), ACK),
-                   (topo.arc_id(1, 4), INFO), (topo.arc_id(2, 5), INFO), (topo.arc_id(2, 3), INFO)])
-    batch = SendBatch(arcs=np.array([a for a, _ in msgs], dtype=np.int64),
-                      kinds=np.array([k for _, k in msgs], dtype=np.int8))
+    arcs = np.sort([topo.arc_id(0, 3), topo.arc_id(1, 0), topo.arc_id(1, 4),
+                    topo.arc_id(2, 5), topo.arc_id(2, 3)])
     adv = make_adv(7)
     before = adv._rng.bit_generator.state
-    for m, budget in [(5, 0), (5, 5), (5, 9), (3, 3), (0, 0), (0, 5)]:
-        small = SendBatch(arcs=batch.arcs[:m], kinds=batch.kinds[:m])
-        kills = adv.decide(ctx, small, budget)
-        assert kills.dtype == np.int64
-        assert kills.tolist() == list(range(min(m, budget)))
-        assert adv._rng.bit_generator.state == before
+    for kind in (INFO, ACK):
+        for m, budget in [(5, 0), (5, 5), (5, 9), (3, 3), (0, 0), (0, 5)]:
+            kills = adv.decide(ctx, SendBatch(arcs[:m], kind), budget)
+            assert kills.dtype == np.int64
+            assert kills.tolist() == list(range(min(m, budget)))
+            assert adv._rng.bit_generator.state == before
 
 
 def test_make_adversary_parsing():
@@ -161,28 +164,28 @@ def test_policies_pass_engine_validation_fuzz(seed, m, alpha):
     state.informed[:] = True
     arcs = rng.choice(topo.num_arcs, size=min(m, topo.num_arcs), replace=False)
     arcs = np.sort(arcs.astype(np.int64))
-    kinds = rng.choice([INFO, ACK], size=arcs.size).astype(np.int8)
+    kind = int(rng.choice([INFO, ACK]))
     for adv in (RandomAdversary(seed), VictimGuard(5, seed), AckSuppressor(seed)):
         st2 = state.clone()
-        batch = SendBatch(arcs=arcs.copy(), kinds=kinds.copy())
+        batch = SendBatch(arcs.copy(), kind)
         report = execute_step(st2, batch, adv, alpha)  # raises on any violation
         assert report.budget_used <= fault_budget(batch.m, topo.edge_connectivity, alpha)
         # exhaustive: kills exactly min(m, budget)
         assert report.budget_used == min(batch.m, report.budget)
 
 
-def _mixed_batch(topo, seed, m):
-    """m distinct arcs in ascending order, a random mix of INFO and ACK."""
+def _batch(topo, seed, m, kind):
+    """m random distinct arcs in ascending order, messages of ``kind``."""
     rng = np.random.default_rng(seed)
     arcs = np.sort(rng.choice(topo.num_arcs, size=m, replace=False)).astype(np.int64)
-    return SendBatch(arcs=arcs, kinds=rng.choice([INFO, ACK], size=m).astype(np.int8))
+    return SendBatch(arcs, kind)
 
 
 def _ack_suppressor_classes(ctx, batch):
-    """Sizes of AckSuppressor's two shuffled classes: info to uninformed, other info."""
-    info = batch.kinds == INFO
-    fresh = info & ~ctx.state.informed[ctx.topo.arc_dst[batch.arcs]]
-    return int(np.count_nonzero(fresh)), int(np.count_nonzero(info & ~fresh))
+    """Sizes of AckSuppressor's two shuffled classes of an info batch: info
+    to uninformed vertices, other info."""
+    fresh = ~ctx.state.informed[ctx.topo.arc_dst[batch.arcs]]
+    return int(np.count_nonzero(fresh)), int(np.count_nonzero(~fresh))
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 7])
@@ -192,11 +195,12 @@ def _ack_suppressor_classes(ctx, batch):
 def test_decide_rounds_equals_successive_decides(make_adv, topo, rounds):
     """Row r of ``decide_rounds`` is the r-th of as many ``decide`` calls, two
     steps apart, and the generator ends where those calls leave it.  On the
-    fully informed state AckSuppressor shuffles one class, as in a steady block."""
-    for ctx, (seed, m) in itertools.product(
+    fully informed state AckSuppressor shuffles one class of an info batch,
+    as in a steady block."""
+    for ctx, (seed, m), kind in itertools.product(
             [_ctx(topo, [0, 1, 2, 5]), _ctx(topo, range(topo.n))],
-            [(0, 12), (1, 20), (2, 2), (3, 1)]):
-        batch = _mixed_batch(topo, seed, m)
+            [(0, 12), (1, 20), (2, 2), (3, 1)], (INFO, ACK)):
+        batch = _batch(topo, seed, m, kind)
         for budget in sorted({0, 1, m // 2, m - 1, m, m + 3}):
             one, many = make_adv(seed), make_adv(seed)
             rows = [one.decide(replace(ctx, step_index=ctx.step_index + 2 * r), batch, budget)
@@ -213,7 +217,7 @@ def test_ack_suppressor_interleaved_classes_draw_round_by_round():
     rest, whether the two share one length or not."""
     topo = build_complete(8)
     ctx = _ctx(topo, [0, 1, 2, 5])
-    batch = _mixed_batch(topo, 1, 20)
+    batch = _batch(topo, 1, 20, INFO)
     assert min(_ack_suppressor_classes(ctx, batch)) >= 2
     one, many = AckSuppressor(4), AckSuppressor(4)
     budget = batch.m - 2
@@ -244,10 +248,10 @@ def test_decide_rounds_with_watch_stops_after_the_first_sparing_row(make_adv, to
     generator ends right after that row; so does the per-round default,
     called unbound as for a wrapper that defines only ``decide``."""
     stops = set()  # row counts that end before ``rounds``
-    for ctx, (seed, m) in itertools.product(
+    for ctx, (seed, m), kind in itertools.product(
             [_ctx(topo, [0, 1, 2, 5]), _ctx(topo, range(topo.n - 1))],
-            [(0, 12), (1, 20), (2, 2), (3, 1)]):
-        batch = _mixed_batch(topo, seed, m)
+            [(0, 12), (1, 20), (2, 2), (3, 1)], (INFO, ACK)):
+        batch = _batch(topo, seed, m, kind)
         to_uninformed = ~ctx.state.informed[topo.arc_dst[batch.arcs]]
         for watch in (to_uninformed, np.arange(m) == m // 2, np.zeros(m, dtype=bool)):
             for budget in sorted({0, 1, m // 2, m - 1, m, m + 3}):
@@ -266,33 +270,32 @@ def test_decide_rounds_with_watch_stops_after_the_first_sparing_row(make_adv, to
         assert stops - {1}  # past row 0, a chunk of 2, 4, ... rows is redrawn in part
 
 
-def _template(topo, seed, ms, acks=4):
-    """One all-informed context and a SendBatch of m messages per entry of
-    ``ms``, none to vertex 3, ``acks`` of them acks: each policy's one
-    shuffled class has one length across the batches exactly when their m do."""
+def _template(topo, seed, ms, kinds):
+    """One all-informed context and a SendBatch of m messages of the kind
+    per entry of ``ms`` and ``kinds``, none to vertex 3.  Every policy
+    shuffles an info batch whole; random shuffles an ack batch whole too,
+    and the others kill it in arc-id order."""
     rng = np.random.default_rng(seed)
     arcs = np.flatnonzero(topo.arc_dst != 3)
-    batches = []
-    for m in ms:
-        kinds = np.full(m, INFO, dtype=np.int8)
-        kinds[rng.choice(m, size=acks, replace=False)] = ACK
-        batches.append(SendBatch(arcs=np.sort(rng.choice(arcs, size=m, replace=False)),
-                                 kinds=kinds))
+    batches = [SendBatch(np.sort(rng.choice(arcs, size=m, replace=False)), kind)
+               for m, kind in zip(ms, kinds)]
     return _ctx(topo, range(topo.n)), batches
 
 
-@pytest.mark.parametrize("period, ms", [(4, [12, 12]), (8, [12, 12, 12, 12]), (4, [12, 9])],
+@pytest.mark.parametrize("period, ms, kinds", [(4, [12, 12], [INFO, ACK]),
+                                               (8, [12, 12, 12, 12], [INFO, ACK, INFO, ACK]),
+                                               (4, [12, 9], [INFO, INFO])],
                          ids=["two-lanes", "four-steps", "two-lengths"])
 @pytest.mark.parametrize("make_adv", [RandomAdversary, lambda seed: VictimGuard(3, seed),
                                       AckSuppressor], ids=["random", "victim_guard", "ack_suppressor"])
-def test_decide_rounds_of_a_template_equals_interleaved_decides(make_adv, period, ms):
+def test_decide_rounds_of_a_template_equals_interleaved_decides(make_adv, period, ms, kinds):
     """Row r of a drawn step's rows is ``decide`` at step first + r*p + its
     offset, asked step after step in step order, and the generator ends
     where those calls leave it.  Classes of one length across the steps, as
     in two merged lanes, are drawn without ``decide``; classes of two
     lengths take the per-round default."""
     topo = build_complete(16)
-    ctx, batches = _template(topo, len(ms), ms)
+    ctx, batches = _template(topo, len(ms), ms, kinds)
     first = 40
     ctx = replace(ctx, step_index=first)
     one, many = make_adv(5), make_adv(5)

@@ -155,6 +155,32 @@ def test_d_min_values():
         assert bounds.qd_inequalities_hold(d, 0.5, 0.5)
 
 
+def test_float_overflow_is_a_typed_error():
+    """A round count whose float arithmetic overflows raises
+    InvalidParameterError, and the largest sizes below keep their counts."""
+    assert bounds.rounds_kn(2**511, 0.5) == 10994
+    assert bounds.rounds_hypercube(1012, 0.5) == (2606101, 4907603)
+    assert bounds.l_params(2**511, 0.5, 2.0) == (8, 5510, 17, 10994)
+    for call, match in ((lambda: bounds.rounds_kn(2**512, 0.5), "n = 2\\^512 "),
+                        (lambda: bounds.rounds_kn(2**1100, 0.5), "n = 2\\^1100 "),
+                        (lambda: bounds.l_params(2**1100, 0.5, 2.0), "n = 2\\^1100 "),
+                        (lambda: bounds.rounds_hypercube(1013, 0.5), "d = 1013 "),
+                        (lambda: bounds.rounds_hypercube(2000, 0.5), "d = 2000 ")):
+        with pytest.raises(InvalidParameterError, match=match + "is beyond the float range"):
+            call()
+
+
+def test_d_min_scan_past_the_float_range():
+    """From 2^1024 on the d_min scan compares powers of 2 by their logarithms:
+    a small eps finds its d_min past d = 1024, and a tiny alpha ends the scan
+    with its typed error."""
+    assert bounds.qd_inequalities_hold(2048, 0.5, 0.5)
+    assert not bounds.qd_inequalities_hold(2048, 1e-300, 0.5)
+    assert bounds.d_min(0.5, 0.01) == 1310
+    with pytest.raises(InvalidParameterError, match="no reasonable d_min"):
+        bounds.d_min(1e-12, 0.5)
+
+
 def test_bound_set_json_shape():
     d = bounds.bound_set(0.5, 2.0, n=64)
     assert list(d) == ["alpha", "eps", "x", "beta", "c", "y", "n", "d", "r_kn", "t1", "t2",

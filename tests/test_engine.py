@@ -52,7 +52,7 @@ def _apply(state, batch, kills, alpha=0.5):
 def test_k2_message_always_delivered():
     topo = build_complete(2)
     state = NetworkState(topo)
-    batch = SendBatch.uniform(np.array([topo.arc_id(0, 1)]), INFO)
+    batch = SendBatch(np.array([topo.arc_id(0, 1)]), INFO)
     report = execute_step(state, batch, RandomAdversary(0), 0.9)
     assert report.budget == 0
     assert state.informed[1]
@@ -67,7 +67,7 @@ def test_k3_budget_formula():
     state.informed[:] = True
     arcs = np.sort([topo.arc_id(0, 1), topo.arc_id(0, 2), topo.arc_id(1, 0),
                     topo.arc_id(1, 2)])
-    report = _apply(state, SendBatch.uniform(np.array(arcs), INFO), [0, 1])
+    report = _apply(state, SendBatch(np.array(arcs), INFO), [0, 1])
     assert report.budget == 2  # max{1, 2}
     assert len(report.delivered_idx) == 2
 
@@ -77,7 +77,7 @@ def test_adversary_violations():
     state = NetworkState(topo)
     state.informed[:] = True
     arcs = np.arange(4)
-    batch = SendBatch.uniform(arcs, INFO)
+    batch = SendBatch(arcs, INFO)
     with pytest.raises(AdversaryViolation):
         _apply(state.clone(), batch, [0, 1, 2])
     with pytest.raises(AdversaryViolation):
@@ -117,9 +117,9 @@ def test_forced_kill_sets_are_not_asked():
     k4, k2 = build_complete(4), build_complete(2)  # c = 3 and c = 1
     from_0 = k4.out_arcs_of(np.array([0]))
     cases = [(k4, SendBatch.empty(), 2, []),
-             (k4, SendBatch.uniform(from_0[:1], INFO), 2, [0]),
-             (k4, SendBatch.uniform(from_0[:2], INFO), 2, [0, 1]),
-             (k2, SendBatch.uniform(np.array([k2.arc_id(0, 1)]), INFO), 0, [])]
+             (k4, SendBatch(from_0[:1], INFO), 2, [0]),
+             (k4, SendBatch(from_0[:2], INFO), 2, [0, 1]),
+             (k2, SendBatch(np.array([k2.arc_id(0, 1)]), INFO), 0, [])]
     for topo, batch, budget, lost in cases:
         state = NetworkState(topo)
         report = execute_step(state, batch, _NeverAsked(), 0.5)
@@ -139,7 +139,7 @@ def test_bad_kill_sets_raise_through_execute_step(kills, match, exhaustive):
     topo = build_complete(3)
     state = NetworkState(topo)
     state.informed[:] = True
-    batch = SendBatch.uniform(np.arange(4), INFO)  # budget 2 of 4: not forced
+    batch = SendBatch(np.arange(4), INFO)  # budget 2 of 4: not forced
     with pytest.raises(AdversaryViolation, match=match):
         execute_step(state, batch, _Gives(kills, exhaustive), 0.5)
 
@@ -163,18 +163,18 @@ def test_kill_rows_of_any_integer_dtype(dtype):
 def test_batch_validation():
     topo = build_complete(3)
     state = NetworkState(topo)  # only vertex 0 informed
-    bad_sender = SendBatch.uniform(np.array([topo.arc_id(1, 2)]), INFO)
+    bad_sender = SendBatch(np.array([topo.arc_id(1, 2)]), INFO)
     with pytest.raises(InvalidParameterError):
         _apply(state, bad_sender, [])
-    dup = SendBatch.uniform(np.array([0, 0]), INFO)
+    dup = SendBatch(np.array([0, 0]), INFO)
     with pytest.raises(InvalidParameterError):
         _apply(state, dup, [])
-    out_of_range = SendBatch.uniform(np.array([99]), INFO)
+    out_of_range = SendBatch(np.array([99]), INFO)
     with pytest.raises(InvalidParameterError):
         _apply(state, out_of_range, [])
-    # An ascending batch's senders are its arcs // degree; an unsorted one's
-    # come from arc_src.  Only vertex 3 is uninformed, and it sends on the
-    # first, a middle or the last of its out-arcs between vertices 2 and 4.
+    # A batch's senders are its arcs // degree.  Only vertex 3 is uninformed,
+    # and it sends on the first, a middle or the last of its out-arcs between
+    # vertices 2 and 4.
     for topo in (build_complete(8), build_hypercube(3)):
         state = NetworkState(topo)
         state.informed[:] = True
@@ -184,26 +184,26 @@ def test_batch_validation():
         for arc in (own[0], own[topo.degree // 2], own[-1]):
             arcs = np.concatenate([topo.out_arcs_of(np.array([2])), [arc],
                                    topo.out_arcs_of(np.array([4]))])
-            for order in (arcs, arcs[::-1]):
-                with pytest.raises(InvalidParameterError):
-                    _apply(state.clone(), SendBatch.uniform(order, INFO), [])
+            with pytest.raises(InvalidParameterError, match="informed"):
+                _apply(state.clone(), SendBatch(arcs, INFO), [])
         # Without vertex 3's arc the same batch is legal.
-        _apply(state.clone(), SendBatch.uniform(np.delete(arcs, topo.degree), INFO), [])
+        _apply(state.clone(), SendBatch(np.delete(arcs, topo.degree), INFO), [])
 
 
 def test_batch_validation_unsorted_and_ends():
+    """A batch's arcs ascend strictly: an unsorted or repeated arc raises
+    before anything else is checked, and the ends of an ascending batch
+    bound its range."""
     topo = build_complete(3)
     state = NetworkState(topo)  # vertex 0 sends on arcs 0 and 1
-    # Unsorted batches get the full range check, not just their ends.
-    for arcs in ([1, 99, 0], [1, -1, 0], [0, 1, -5, 1], [99, 0]):
-        with pytest.raises(InvalidParameterError):
-            _apply(state.clone(), SendBatch.uniform(np.array(arcs), INFO), [])
-    # Ascending batches are bounded by their ends.
+    for arcs in ([1, 0], [0, 0], [0, 1, 1], [1, 99, 0], [1, -1, 0], [0, 1, -5, 1], [99, 0]):
+        for kind in (INFO, ACK):
+            with pytest.raises(InvalidParameterError, match="ascend strictly"):
+                check_batch(state, SendBatch(np.array(arcs), kind))
     for arcs in ([-1, 0], [0, 1, 99]):
-        with pytest.raises(InvalidParameterError):
-            _apply(state.clone(), SendBatch.uniform(np.array(arcs), INFO), [])
-    # A duplicate-free unsorted batch is legal.
-    report = _apply(state, SendBatch.uniform(np.array([1, 0]), INFO), [])
+        with pytest.raises(InvalidParameterError, match="outside the topology"):
+            check_batch(state, SendBatch(np.array(arcs), INFO))
+    report = _apply(state, SendBatch(np.array([0, 1]), INFO), [])
     assert report.delivered_idx.tolist() == [0, 1]
     assert state.k == 0
 
@@ -246,7 +246,7 @@ def test_arc_partition_exhaustive():
 def test_ack_does_not_inform():
     topo = build_complete(2)
     state = NetworkState(topo)
-    batch = SendBatch.uniform(np.array([topo.arc_id(0, 1)]), ACK)
+    batch = SendBatch(np.array([topo.arc_id(0, 1)]), ACK)
     _apply(state, batch, [])
     assert not state.informed[1]
     assert state.passive[topo.arc_id(1, 0)]
@@ -257,8 +257,8 @@ def test_k2_simple_round_by_hand():
     topo = build_complete(2)
     state = NetworkState(topo)
     a01, a10 = topo.arc_id(0, 1), topo.arc_id(1, 0)
-    _apply(state, SendBatch.uniform(np.array([a01]), INFO), [])
-    _apply(state, SendBatch.uniform(np.array([a10]), ACK), [])
+    _apply(state, SendBatch(np.array([a01]), INFO), [])
+    _apply(state, SendBatch(np.array([a10]), ACK), [])
     assert state.informed.all()
     assert state.passive.all()
     assert state.k == 0
@@ -274,7 +274,7 @@ def test_k3_round_informs_third_for_every_kill_set():
         state.passive[topo.arc_id(0, 1)] = True
         state.passive[topo.arc_id(1, 0)] = True
         arcs = np.sort([topo.arc_id(0, 2), topo.arc_id(1, 2)])
-        _apply(state, SendBatch.uniform(np.array(arcs), INFO), kills)
+        _apply(state, SendBatch(np.array(arcs), INFO), kills)
         assert state.informed[2]
 
 
@@ -301,7 +301,7 @@ def test_informed_and_passive_monotone_under_steps():
         informed_before = state.informed.copy()
         passive_before = state.passive.copy()
         senders = np.flatnonzero(state.informed[topo.arc_src] & (rng.random(topo.num_arcs) < 0.5))
-        execute_step(state, SendBatch.uniform(senders, INFO), adv, 0.4)
+        execute_step(state, SendBatch(senders, INFO), adv, 0.4)
         assert np.all(state.informed >= informed_before)
         assert np.all(state.passive >= passive_before)
 
@@ -310,7 +310,7 @@ def test_trace_records_and_jsonl(tmp_path):
     topo = build_complete(3)
     state = NetworkState(topo)
     trace = Trace(topo)
-    batch = SendBatch.uniform(np.sort([topo.arc_id(0, 1), topo.arc_id(0, 2)]), INFO)
+    batch = SendBatch(np.sort([topo.arc_id(0, 1), topo.arc_id(0, 2)]), INFO)
     report = _apply(state, batch, [0])
     trace.record_step(state, report)
     trace.record_block(state, [(1, 1)], 3)
@@ -335,9 +335,9 @@ def test_trace_first_complete_step():
     state = NetworkState(topo)
     trace = Trace(topo)
     a01, a10 = topo.arc_id(0, 1), topo.arc_id(1, 0)
-    r = _apply(state, SendBatch.uniform(np.array([a01]), INFO), [])
+    r = _apply(state, SendBatch(np.array([a01]), INFO), [])
     trace.record_step(state, r)
-    r = _apply(state, SendBatch.uniform(np.array([a10]), ACK), [])
+    r = _apply(state, SendBatch(np.array([a10]), ACK), [])
     trace.record_step(state, r)
     assert trace.final_k == 0
     assert trace.first_complete_step() == 1
@@ -352,7 +352,7 @@ def test_execute_step_deterministic_replay():
         log = []
         for _ in range(6):
             arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
-            report = execute_step(state, SendBatch.uniform(arcs, INFO), adv, 0.5)
+            report = execute_step(state, SendBatch(arcs, INFO), adv, 0.5)
             log.append(report.batch.arcs[report.delivered_idx].tolist())
         runs.append(log)
     assert runs[0] == runs[1]
@@ -382,7 +382,7 @@ def _runs_trace():
     for stretch in (7, 0, 12, 1):
         for _ in range(stretch):
             arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
-            trace.record_step(state, execute_step(state, SendBatch.uniform(arcs, INFO),
+            trace.record_step(state, execute_step(state, SendBatch(arcs, INFO),
                                                   adv, 0.5))
         for count in (11, 1):
             trace.record_block(state, [(1, 1)], count)
@@ -412,7 +412,7 @@ def _digit_runs_trace(executed=True):
         if executed and state.step_index <= first - 2:
             state.step_index = first - 2
             arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
-            trace.record_step(state, execute_step(state, SendBatch.uniform(arcs, INFO),
+            trace.record_step(state, execute_step(state, SendBatch(arcs, INFO),
                                                   adv, 0.5))
         state.step_index = first - 1
         trace.record_block(state, [(2, 2)], count)
@@ -443,7 +443,7 @@ def _periodic_runs_trace(period):
     for first, repeats in _PERIODIC_RUNS:
         state.step_index = first - 2
         arcs = np.flatnonzero(state.informed[topo.arc_src] & ~state.passive)
-        trace.record_step(state, execute_step(state, SendBatch.uniform(arcs, INFO), adv, 0.5))
+        trace.record_step(state, execute_step(state, SendBatch(arcs, INFO), adv, 0.5))
         trace.record_block(state, rows, repeats)
         state.step_index += period * repeats
     trace.summary = {"protocol": "test", "alpha": 0.5}

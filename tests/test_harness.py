@@ -446,6 +446,39 @@ def test_cli_bad_input_exits_2(argv, regression_text, tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["bounds", "--alpha", "0.5", "--d", "2000"],
+                 "d = 2000 is beyond the float range", id="bounds-q2000"),
+    pytest.param(["run", "--topology", "hypercube", "--size", "1100", "--protocol",
+                  "simple-rounds", "--adversary", "random", "--seeds", "1"],
+                 "n = 2^1100 is beyond the float range", id="run-q1100-simple-rounds"),
+    pytest.param(["bounds", "--alpha", "1e-12", "--d", "40"], "no reasonable d_min",
+                 id="bounds-d-min-scan"),
+    pytest.param(["search", "--n", "4", "--alpha", "0.8"], "up to 1792 steps",
+                 id="search-deeper-than-recursion"),
+])
+def test_cli_sizes_past_float_or_recursion_range_exit_2(argv, message, capsys):
+    """A size whose closed forms overflow a float, a d_min scan that passes
+    2^1024, and a search whose plays outrun the recursion limit are typed
+    errors: exit 2 with ``error:`` and no traceback."""
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("name", ["size", "alpha", "adversary"])
+def test_cli_empty_config_list_writes_no_output(name, tmp_path, capsys):
+    """A config file's empty size, alpha or adversary list is a config error
+    before ``--out`` is made, not a summary without runs."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"size": [8], "seeds": 1, name: []}))
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{name} lists nothing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _cli_rows(tmp_path, *argv):
     out = tmp_path / "o"
     assert cli_main(["run", *argv, "--out", str(out)]) == 0

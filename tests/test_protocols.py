@@ -221,8 +221,8 @@ def test_phase4_pair_order():
     state = NetworkState(topo)
     driver = AllButOneDriver(topo, 0, 0.5, 2.0, state=state)
     _, sweep = _sod_lane(driver, 0)
-    u = driver.ctx.u_final[0] = frozenset({4, 2})
-    session = driver.ctx.session[0] = Session(topo, 0, payload=u)
+    driver.ctx.u_final[0] = frozenset({4, 2})
+    session = driver.ctx.session[0] = Session(topo, 0)
     session.aware[[1, 3]] = True
     sent = []
     while not sweep.done():
@@ -978,8 +978,7 @@ def test_almost_kn_vertex_locality_replay():
         report = execute_step(state, batch, adv, alpha)
         driver.absorb(state, report)
         step_log.append((batch.arcs.copy(),
-                         [(int(batch.arcs[i]), int(batch.kinds[i]))
-                          for i in report.delivered_idx]))
+                         [(int(batch.arcs[i]), batch.kind) for i in report.delivered_idx]))
 
     r = bounds.rounds_kn(8, alpha)
     for v in range(8):

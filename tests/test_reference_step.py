@@ -5,7 +5,7 @@ vertices and (u, v) pairs, delivers a batch one message at a time, takes the
 budget max{c-1, floor(alpha*m)} in ``Fraction`` arithmetic and scans the sets
 for k, h, b and the edge boundary.  Arc ids come from ``Topology.arc_id``
 alone, not from the arrays the engine indexes.  Hypothesis runs random
-ascending batches of INFO, ACK and INFO_CANDS messages, now and then with an
+strictly ascending batches, each all INFO or all ACK, now and then with an
 uninformed sender, under random kill sets through ``check_batch`` plus
 ``apply_kills`` and through the reference, and compares the carried counts,
 the boundary and every report field after each step.
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultcast.engine import (ACK, INFO, INFO_CANDS, NetworkState, SendBatch, apply_kills,
-                              check_batch, fault_budget)
+from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, apply_kills, check_batch,
+                              fault_budget)
 from faultcast.errors import InvalidParameterError
 from faultcast.topology import build_complete, build_hypercube
 
@@ -40,22 +40,23 @@ class ReferenceStep:
     def valid(self, batch: list[int]) -> bool:
         return all(self.arcs[a][0] in self.informed for a in batch)
 
-    def step(self, batch: list[int], kinds: list[int], killed: set[int]) -> dict:
-        """Deliver the survivors; return what the step's report must hold."""
+    def step(self, batch: list[int], kind: int, killed: set[int]) -> dict:
+        """Deliver the survivors of a batch of ``kind`` messages; return what
+        the step's report must hold."""
         delivered = [i for i in range(len(batch)) if i not in killed]
         newly, marked, info_dsts = set(), [], []
         for i in delivered:
             u, v = self.arcs[batch[i]]
             self.passive.add((v, u))  # v now knows that u is informed
             marked.append(self.ids[(v, u)])
-            if kinds[i] != ACK:
+            if kind != ACK:
                 info_dsts.append(v)
                 if v not in self.informed:
                     newly.add(v)
         self.informed |= newly
         return {"delivered_idx": delivered, "marked": marked,
                 "info_dsts": info_dsts, "new_informed": sorted(newly),
-                "acks_delivered": sum(kinds[i] == ACK for i in delivered)}
+                "acks_delivered": len(delivered) if kind == ACK else 0}
 
     def counts(self) -> tuple[int, int, int]:
         h = sum(u in self.informed and v in self.informed and (u, v) not in self.passive
@@ -96,10 +97,8 @@ def test_step_matches_reference(data, shape, alpha):
             batch.append(data.draw(st.sampled_from(stray), label="stray arc"))
         batch.sort()
         m = len(batch)
-        kinds = data.draw(st.lists(st.sampled_from([INFO, ACK, INFO_CANDS]),
-                                   min_size=m, max_size=m), label="kinds")
-        sends = SendBatch(arcs=np.array(batch, dtype=np.int64),
-                          kinds=np.array(kinds, dtype=np.int8))
+        kind = data.draw(st.sampled_from([INFO, ACK]), label="kind")
+        sends = SendBatch(arcs=np.array(batch, dtype=np.int64), kind=kind)
         if not ref.valid(batch):
             with pytest.raises(InvalidParameterError):
                 check_batch(state, sends)
@@ -113,7 +112,7 @@ def test_step_matches_reference(data, shape, alpha):
         mask[list(killed)] = True
         report = apply_kills(state, sends, mask, budget)
 
-        for name, value in ref.step(batch, kinds, killed).items():
+        for name, value in ref.step(batch, kind, killed).items():
             assert np.asarray(getattr(report, name)).tolist() == value, name
         assert np.all(np.diff(report.new_informed) > 0)
         assert report.budget == budget

@@ -14,7 +14,7 @@ from faultcast.protocols import (EliminationDriver, SeqDriver, Session, SimpleRo
 from faultcast import search
 from faultcast.search import (HORIZON_EXCEEDED, _children, _image_weights, _least_images,
                               _vertex_perms, worst_case_search)
-from faultcast.topology import build_complete, build_hypercube
+from faultcast.topology import build_complete
 from faultcast.errors import UnsupportedTopologyError
 
 
@@ -184,10 +184,12 @@ def test_all_sizes_equals_default(n, protocol, alpha, horizon):
 
 
 def test_size_cap_and_topology():
+    """The search caps n and plays on K_n only: a schedule for Q_d is refused."""
     with pytest.raises(TooLargeError):
         worst_case_search(7, "almost-kn", 0.5)
-    with pytest.raises(UnsupportedTopologyError):
-        worst_case_search(build_hypercube(2), "simple-rounds", 0.5)
+    for protocol in ("hypercube", "greedy-qd"):
+        with pytest.raises(UnsupportedTopologyError):
+            worst_case_search(4, protocol, 0.5)
 
 
 def test_size_cap_comes_before_the_build(monkeypatch):
@@ -202,11 +204,10 @@ def test_size_cap_comes_before_the_build(monkeypatch):
 
 @pytest.mark.parametrize("protocol", ["sod-all-but-one", "sod-complete"])
 def test_search_refuses_sod_schedules(protocol):
-    """A size builds the chordal K_n the schedule needs, as a given chordal
-    K_n does; either way its drivers refuse the search with a typed error."""
-    for topo in (4, build_complete(4, chordal=True)):
-        with pytest.raises(InvalidParameterError, match="does not support search"):
-            worst_case_search(topo, protocol, 0.5)
+    """A size builds the chordal K_n the schedule needs, and its drivers
+    refuse the search with a typed error."""
+    with pytest.raises(InvalidParameterError, match="does not support search"):
+        worst_case_search(4, protocol, 0.5)
 
 
 def test_heuristics_never_beat_oracle():

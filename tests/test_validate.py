@@ -189,7 +189,7 @@ def test_cheating_adversary_rejected():
     state.informed[:] = True
     arcs = np.arange(10, dtype=np.int64)
     with pytest.raises(AdversaryViolation):
-        execute_step(state, SendBatch.uniform(arcs, INFO), CheatingAdversary(), 0.5)
+        execute_step(state, SendBatch(arcs, INFO), CheatingAdversary(), 0.5)
 
 
 def test_cheating_adversary_rejected_mid_protocol():
