@@ -11,8 +11,8 @@ from .engine import (ACK, INFO, NetworkState, SendBatch, Trace, classify_arc,
 from .errors import (AdversaryViolation, ConfigError, InvalidParameterError,
                      PreconditionViolation, ScheduleOverrun, SimError,
                      TooLargeError, UnsupportedAlphaError, UnsupportedTopologyError)
-from .harness import ExperimentConfig, RunReport, run, verify_regressions
-from .protocols import make_driver, run_protocol, simulate
+from .harness import ExperimentConfig, RunReport, run, run_protocol, verify_regressions
+from .protocols import make_driver, simulate
 from .search import SearchResult, worst_case_search
 from .topology import (ChordalLabeling, Topology, build_complete,
                        build_hypercube, edge_boundary)

@@ -219,6 +219,8 @@ def adversary_id(spec: str, n: int | None = None, seed: int = 0) -> str:
     problem = adversary_problem(spec, n)
     if problem:
         raise InvalidParameterError(problem)
+    if seed < 0:
+        raise InvalidParameterError(f"adversary seed {seed} < 0")
     name, _, arg = spec.partition(":")
     if arg or name != "victim_guard":
         return f"{name}:{int(arg) if arg else seed}"

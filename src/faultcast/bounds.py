@@ -31,8 +31,13 @@ def _check_alpha(alpha: float) -> None:
 
 
 def constants(alpha: float) -> CoreConstants:
+    """The constants of alpha; an alpha in (0, 1) whose X overflows a float,
+    below about 5.6e-309, raises InvalidParameterError."""
     _check_alpha(alpha)
     x = 1.0 / (alpha * (1.0 - alpha))
+    if not math.isfinite(x):
+        raise InvalidParameterError(f"alpha={alpha} gives X = 1/(alpha(1-alpha)) beyond the "
+                                    "float range")
     beta = (1.0 - alpha) ** 2
     c = min(beta / 4.0, (1.0 - alpha) ** 3 / 2.0)
     y = 1.0 - alpha - 2.0 * alpha**2 + alpha**3
@@ -47,6 +52,14 @@ def _float_range(name: str, size: int):
     except OverflowError as exc:
         shown = size if size < 2**32 else f"2^{math.log2(size):.0f}"
         raise InvalidParameterError(f"{name} = {shown} is beyond the float range") from exc
+
+
+def _finite(name: str, value: float, alpha: float, eps: float) -> float:
+    """``value``, or InvalidParameterError where it overflowed a float."""
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} is beyond the float range at alpha={alpha}, "
+                                    f"eps={eps}")
+    return value
 
 
 def default_eps(kind: str) -> float:
@@ -109,7 +122,7 @@ def l_params(n: int, alpha: float, eps: float) -> tuple[int, int, int, int]:
         )
     if n < 3:
         raise InvalidParameterError(f"n must be >= 3, got {n}")
-    l1 = math.ceil(cc.x * eps)
+    l1 = math.ceil(_finite("L1 = X*eps", cc.x * eps, alpha, eps))
     with _float_range("n", n):
         l2 = math.ceil(math.log(cc.x * (n - 2)) / -math.log1p(-cc.y / 2.0))
     l3 = math.ceil(2.0 / cc.y) + 1
@@ -121,7 +134,8 @@ def candidate_params(n: int, alpha: float, eps: float) -> tuple[int, int]:
     """(threshold, cap) of the sense-of-direction phase 2: a vertex with at
     most threshold = floor(3X(1+eps)) unmarked out-arcs reports them, and the
     candidate sets' size bound, 3X(1+eps), is capped by the graph size."""
-    threshold = math.floor(3.0 * constants(alpha).x * (1.0 + eps))
+    threshold = math.floor(_finite("3X(1+eps)", 3.0 * constants(alpha).x * (1.0 + eps),
+                                   alpha, eps))
     return threshold, min(threshold, n - 1)
 
 
@@ -146,14 +160,33 @@ def kn_inequalities_hold(n: int, alpha: float, eps: float) -> bool:
 
 
 def n_min(alpha: float, eps: float) -> int:
-    """Smallest n for which the complete-graph bound analysis applies."""
+    """Smallest n for which the complete-graph bound analysis applies.
+
+    The scan for it starts just below the closed-form answer.  Every n below
+    ceil((eps + a2)/a2), a2 = alpha(1-alpha)^2, fails the third inequality of
+    ``kn_inequalities_hold``, in its own float expression.  In exact
+    arithmetic every n >= 3 below r = 2X + 2 sqrt(X^2 - 2X) fails the first,
+    and where 2X*eps < r, every n in [2X*eps, (X*eps^2 - 2)/(eps - 1)] fails
+    the second.  Float rounding moves those two boundaries by far less than
+    2%, so the scan starts at the third bound or 98% of the others, whichever
+    is larger, and steps at most about 2% of n.  A start past the 10^7 cap
+    raises at once.
+    """
     check_eps(COMPLETE, eps)
-    n = 2
-    while not kn_inequalities_hold(n, alpha, eps):
+    x = constants(alpha).x
+    a2 = alpha * (1.0 - alpha) ** 2
+    start = (eps + a2) / a2  # inf past the float range
+    if start <= 10**7:  # then x < start and eps < start * a2 are small below
+        r = 2.0 * x + 2.0 * math.sqrt(x * x - 2.0 * x)
+        start = max(math.ceil(start), math.floor(0.98 * r))
+        if 2.0 * x * eps < 0.96 * r:
+            start = max(start, math.floor(0.98 * (x * eps * eps - 2.0) / (eps - 1.0)))
+    n = start
+    while n <= 10**7:
+        if kn_inequalities_hold(n, alpha, eps):
+            return n
         n += 1
-        if n > 10**7:
-            raise InvalidParameterError(f"no reasonable n_min for alpha={alpha}, eps={eps}")
-    return n
+    raise InvalidParameterError(f"no reasonable n_min for alpha={alpha}, eps={eps}")
 
 
 def qd_inequalities_hold(d: int, alpha: float, eps: float) -> bool:

@@ -2,8 +2,9 @@
 
 A config (CLI flags or a JSON file with the same field names) expands into a
 sorted grid of (size, alpha, adversary, seed) runs.  Each run executes one
-protocol schedule, validates the trace, and contributes one CSV row; row order
-is the sorted grid order, so identical configs produce byte-identical outputs.
+protocol schedule through ``run_protocol``, the package's one run path,
+validates the trace, and contributes one CSV row; row order is the sorted
+grid order, so identical configs produce byte-identical outputs.
 """
 
 import csv
@@ -15,12 +16,12 @@ from itertools import product
 from pathlib import Path
 
 from . import bounds
-from .adversary import adversary_id, adversary_problem, make_adversary
-from .engine import NetworkState
+from .adversary import AdversaryPolicy, adversary_id, adversary_problem, make_adversary
+from .engine import NetworkState, Trace
 from .errors import ConfigError, InvalidParameterError
-from .protocols import _finalize, build_topology, make_driver, protocol_entry, simulate
+from .protocols import Driver, _finalize, build_topology, make_driver, protocol_entry, simulate
 from .search import worst_case_search
-from .topology import COMPLETE, HYPERCUBE
+from .topology import COMPLETE, HYPERCUBE, Topology
 from .validate import errors_only, validate_trace
 
 CSV_HEADER = ("topology", "size", "alpha", "eps", "protocol", "adversary", "seed",
@@ -163,6 +164,19 @@ def _json_fields(path) -> dict:
     return raw
 
 
+def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
+                 adversary: AdversaryPolicy,
+                 rounds: int | None = None) -> tuple[NetworkState, Driver, Trace]:
+    """Run a protocol's full schedule from vertex 0 and write the trace summary;
+    eps must pass ``bounds.check_eps``.  ``rounds`` is ``make_driver``'s."""
+    below = not bounds.asserted(topo, alpha, eps)
+    state = NetworkState(topo)
+    driver = make_driver(protocol, topo, alpha, eps, state, rounds=rounds)
+    _, trace = simulate(topo, driver, adversary, alpha, state=state)
+    _finalize(trace, state, protocol, adversary, alpha, eps, topo, below)
+    return state, driver, trace
+
+
 @dataclass
 class RunReport:
     rows: list[dict]
@@ -192,12 +206,8 @@ def run(config: ExperimentConfig) -> RunReport:
             for adv_id in config.adversary:
                 for seed in range(config.seeds):
                     adversary = make_adversary(adv_id, topo=topo, seed=seed)
-                    state = NetworkState(topo)
-                    driver = make_driver(config.protocol, topo, alpha, config.eps,
-                                         state, rounds=config.horizon)
-                    _, trace = simulate(topo, driver, adversary, alpha, state=state)
-                    _finalize(trace, state, config.protocol, adversary, alpha,
-                              config.eps, topo, not bounds.asserted(topo, alpha, config.eps))
+                    _, _, trace = run_protocol(config.protocol, topo, alpha, config.eps,
+                                               adversary, rounds=config.horizon)
                     violations = errors_only(validate_trace(trace, alpha, config.eps))
                     row = {
                         "topology": config.topology,

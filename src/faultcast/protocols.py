@@ -3,7 +3,8 @@
 Every protocol is a Driver: a deterministic schedule that emits one SendBatch
 per time step and absorbs the delivery report.  Schedule lengths are computed
 up front from (n or d, alpha, eps) alone, because vertices cannot observe
-global progress; runs always execute their full schedule.
+global progress; runs always execute their full schedule, in ``simulate``,
+which ``harness.run_protocol`` alone calls.
 
 Under an exhaustive adversary a driver may instead emit a *block* of steps
 it can prove will change nothing; ``next`` is told whether the run loop takes
@@ -849,20 +850,17 @@ class EliminationDriver(Driver):
 
 
 # ---------------------------------------------------------------------------
-# Run loop and public protocol entry points
+# Run loop and protocol table
 
 
 def simulate(topo: Topology, driver: Driver, adversary: AdversaryPolicy, alpha: float,
-             state: NetworkState | None = None,
-             trace: Trace | None = None) -> tuple[NetworkState, Trace]:
+             state: NetworkState, trace: Trace | None = None) -> tuple[NetworkState, Trace]:
     """Execute a driver's full schedule against one adversary.
 
-    The run starts from ``state``, or from a fresh state informed at vertex 0.
+    The run starts from ``state``, whose arrays the driver was built on.
     Only under an exhaustive adversary may the driver reply with blocks.  A
     driver that runs past its ``total_steps`` raises ScheduleOverrun.
     """
-    if state is None:
-        state = NetworkState(topo)
     if trace is None:
         trace = Trace(topo, track_boundary=(topo.kind == HYPERCUBE))
     driver.attach(trace)
@@ -1032,10 +1030,18 @@ def _sod_complete_driver(topo, alpha, eps, state, rounds):
     return SeqDriver([stage_a, MultiplexDriver(lane(0), lane(1))])
 
 
+def _nosod_params(n, alpha, eps):
+    """``bounds.l_params``, refusing an L1 past 10^4: the passes are built up front."""
+    l1, l2, l3, l4 = bounds.l_params(n, alpha, eps)
+    if l1 > 10**4:
+        raise InvalidParameterError(f"L1 = {l1} elimination passes, more than 10^4")
+    return l1, l2, l3, l4
+
+
 def _nosod_driver(topo, alpha, eps, state, rounds):
     """The almost-kn schedule, then L1 extended rounds, each an elimination
     pass then L4 simple rounds."""
-    l1, l2, l3, l4 = bounds.l_params(topo.n, alpha, eps)
+    l1, l2, l3, l4 = _nosod_params(topo.n, alpha, eps)
     session = Session(topo, 0, state=state)
     passes = [driver for i in range(l1)
               for driver in (EliminationDriver(topo, l2, l3, i),
@@ -1060,7 +1066,7 @@ def _sod_complete_steps(n, d, alpha, eps, rounds):
 
 
 def _nosod_steps(n, d, alpha, eps, rounds):
-    l1, l2, l3, l4 = bounds.l_params(n, alpha, eps)
+    l1, l2, l3, l4 = _nosod_params(n, alpha, eps)
     return 2 + 2 * bounds.rounds_kn(n, alpha) + l1 * (l2 * l3 + 2 * l4)
 
 
@@ -1118,20 +1124,9 @@ def make_driver(protocol: str, topo: Topology, alpha: float, eps: float,
     return entry.build(topo, alpha, eps, state, rounds)
 
 
-def run_protocol(protocol: str, topo: Topology, alpha: float, eps: float,
-                 adversary: AdversaryPolicy) -> tuple[NetworkState, Driver, Trace]:
-    """Run a protocol's full schedule from vertex 0 and write the trace summary;
-    eps must pass ``bounds.check_eps``."""
-    below = not bounds.asserted(topo, alpha, eps)
-    state = NetworkState(topo)
-    driver = make_driver(protocol, topo, alpha, eps, state)
-    _, trace = simulate(topo, driver, adversary, alpha, state=state)
-    _finalize(trace, state, protocol, adversary, alpha, eps, topo, below)
-    return state, driver, trace
-
-
 def almost_complete_kn(n: int, alpha: float, eps: float, adversary: AdversaryPolicy,
                        port_seed: None = None) -> Trace:
     """Theorem-2 schedule: greedy init plus R_kn(n, alpha) simple rounds."""
+    from .harness import run_protocol  # harness imports this module
     topo = build_complete(n, port_seed=port_seed)
     return run_protocol("almost-kn", topo, alpha, eps, adversary)[2]

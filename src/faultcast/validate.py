@@ -130,13 +130,16 @@ def check_kn_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     While k > X*eps or h > X(n-2) (``bounds.almost_complete_limits``): the
     round's step B must deliver at least (1-alpha)^2 (k(n-k) + h) acks, and
     the measure M = 2(n-1)k + h must contract by a factor (1-c).  Both are
-    Theorem 2's guarantees, errors where ``_level`` says so.
+    Theorem 2's guarantees, errors where ``_level`` says so.  Both bounds are
+    exact rationals in alpha, so a count that meets one exactly passes: the
+    full budget often does.
     """
     if trace.topo.kind != COMPLETE:
         return []
     n = trace.topo.n
-    cc = bounds.constants(alpha)
     k_limit, h_limit = bounds.almost_complete_limits(trace.topo, alpha, eps)
+    q = 1 - Fraction(str(alpha))  # alpha read as check_budget reads it
+    beta, shrink = q**2, 1 - min(q**2 / 4, q**3 / 2)  # (1-alpha)^2 and 1 - c
     level = _level(trace, alpha, eps)
     cols, row_of = _stored_columns(trace)
     k_col, h_col, m_col, acks_col = cols["k"], cols["h"], cols["M"], cols["acks"]
@@ -145,15 +148,15 @@ def check_kn_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
         k, h = int(k_col[pre_row]), int(h_col[pre_row])
         if not (k > k_limit or h > h_limit):
             continue
-        need_acks = (1.0 - alpha) ** 2 * (k * (n - k) + h)
-        if acks_col[b_row] < need_acks - _TOL:
+        need_acks = beta * (k * (n - k) + h)
+        if int(acks_col[b_row]) < need_acks:
             out.append(Violation("thm2_acks", b_rec,
-                                 f"{acks_col[b_row]} acks < {need_acks:.3f} "
+                                 f"{acks_col[b_row]} acks < {float(need_acks):.3f} "
                                  f"(k={k}, h={h})", level))
-        if m_col[b_row] > (1.0 - cc.c) * m_col[pre_row] + _TOL:
+        if int(m_col[b_row]) > shrink * int(m_col[pre_row]):
             out.append(Violation("thm2_measure", b_rec,
                                  f"M {m_col[pre_row]} -> {m_col[b_row]} exceeds "
-                                 f"factor {1.0 - cc.c:.6f}", level))
+                                 f"factor {float(shrink):.6f}", level))
     return out
 
 
@@ -165,7 +168,8 @@ def check_qd_rounds(trace: Trace, alpha: float, eps: float) -> list[Violation]:
     (k >= (2/3)2^d): passive count grows by beta*boundary per round, and
     multiplicatively by (1 + beta*lg3/d) once b >= d.  Measure contraction
     (ack-bound gate and k <= (2/3)2^d): M = 2dk + h shrinks by factor
-    1 + beta*lg(2/3)/d.
+    1 + beta*lg(2/3)/d.  lg 3 is irrational, so these bounds are computed in
+    floats and met within ``_TOL``, unlike the exact K_n checks.
     """
     if trace.topo.kind != HYPERCUBE:
         return []
@@ -215,13 +219,15 @@ def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Viola
     trace's start has none and is skipped.  Applicable when that state has
     h' <= X(n-2) and at least one uninformed vertex; iterations skipped in a
     block of dead steps start from a frozen state with k = 0 and are not
-    applicable by construction.
+    applicable by construction.  The shrink factor is an exact rational in
+    alpha, so an h that meets it exactly passes.
     """
     if trace.topo.kind != COMPLETE:
         return []
-    cc = bounds.constants(alpha)
-    if cc.y <= 0.0:
+    if bounds.constants(alpha).y <= 0.0:
         return []
+    r = Fraction(str(alpha))  # alpha read as check_budget reads it
+    shrink = 1 - (1 - r - 2 * r**2 + r**3) / 2  # 1 - Y/2
     _, h_limit = bounds.almost_complete_limits(trace.topo, alpha, eps)
     level = _level(trace, alpha, eps)
     cols, row_of = _stored_columns(trace)
@@ -238,7 +244,7 @@ def check_nosod_iterations(trace: Trace, alpha: float, eps: float) -> list[Viola
         if k0 < 1 or h0 > h_limit:
             continue
         informed_new = k_col[row] < k0
-        shrunk = h_col[row] <= (1.0 - cc.y / 2.0) * h0 + _TOL
+        shrunk = int(h_col[row]) <= shrink * h0
         if not (informed_new or shrunk):
             out.append(Violation("nosod_iteration", seg.start,
                                  f"iteration (l1={seg.meta['l1']}, l2={seg.meta['l2']}) "

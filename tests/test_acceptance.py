@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from faultcast import bounds, protocols, topology, validate
+from faultcast import bounds, harness, protocols, topology, validate
 from faultcast.adversary import AckSuppressor, RandomAdversary, VictimGuard
 from faultcast.engine import NetworkState
 from faultcast.errors import AdversaryViolation, UnsupportedAlphaError
@@ -100,7 +100,7 @@ def test_criterion_2_theorem3_hypercube(capsys):
         k_limit, h_limit = bounds.almost_complete_limits(topo, alpha, eps)
         steps = protocols.PROTOCOLS["hypercube"].steps(topo.n, d, alpha, eps, None)
         for adv in _adversaries(topo, random_seeds=random_seeds):
-            trace = protocols.run_protocol("hypercube", topo, alpha, eps, adv)[2]
+            trace = harness.run_protocol("hypercube", topo, alpha, eps, adv)[2]
             _audit(trace, alpha)
             domain.setdefault(alpha, []).append(d >= bounds.d_min(alpha, eps))
             tag = f"d={d} a={alpha} {adv.id}"
@@ -125,7 +125,7 @@ def test_criterion_3_theorem8_sod(capsys):
             topo = protocols.build_topology("sod-complete", topology.COMPLETE, n)
             steps = protocols.PROTOCOLS["sod-complete"].steps(n, None, alpha, eps, None)
             for adv in _adversaries(topo, random_seeds=2):
-                trace = protocols.run_protocol("sod-complete", topo, alpha, eps, adv)[2]
+                trace = harness.run_protocol("sod-complete", topo, alpha, eps, adv)[2]
                 _audit(trace, alpha)
                 domain.setdefault(alpha, []).append(n >= bounds.n_min(alpha, eps))
                 tag = f"n={n} a={alpha} {adv.id}"
@@ -154,7 +154,7 @@ def test_criterion_4_theorem9_nosod(capsys):
             steps = protocols.PROTOCOLS["nosod-complete"].steps(n, None, alpha, eps, None)
             topo = topology.build_complete(n)
             for adv in _adversaries(topo, random_seeds=2):
-                trace = protocols.run_protocol("nosod-complete", topo, alpha, eps, adv)[2]
+                trace = harness.run_protocol("nosod-complete", topo, alpha, eps, adv)[2]
                 _audit(trace, alpha)
                 domain.setdefault(alpha, []).append(n >= bounds.n_min(alpha, eps))
                 tag = f"n={n} a={alpha} {adv.id}"
@@ -167,8 +167,8 @@ def test_criterion_4_theorem9_nosod(capsys):
                 bad = validate.errors_only(validate.validate_trace(trace, alpha, eps))
                 problems.extend(f"{tag}: {v}" for v in bad)
     with pytest.raises(UnsupportedAlphaError):
-        protocols.run_protocol("nosod-complete", topology.build_complete(64), 0.6, eps,
-                               RandomAdversary(0))
+        harness.run_protocol("nosod-complete", topology.build_complete(64), 0.6, eps,
+                             RandomAdversary(0))
     _finish(4, "Theorem 9, Algorithm 1 without SoD", t0, 120.0, problems, capsys, domain)
 
 
@@ -265,7 +265,7 @@ def test_criterion_8_oracle_regression(capsys):
             problems.append(f"K_3 heuristic {adv.id} beat or missed the oracle")
     k4 = topology.build_complete(4)
     for adv in (RandomAdversary(0), VictimGuard(3), AckSuppressor(3)):
-        tr = protocols.run_protocol("nosod-complete", k4, 0.5, 2.0, adv)[2]
+        tr = harness.run_protocol("nosod-complete", k4, 0.5, 2.0, adv)[2]
         if tr.final_k != 0 or tr.first_complete_step() > w4:
             problems.append(f"K_4 heuristic {adv.id} beat or missed the oracle")
     _finish(8, "worst-case oracle regression", t0, 300.0, problems, capsys)

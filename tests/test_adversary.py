@@ -151,6 +151,9 @@ def test_make_adversary_parsing():
     for spec in ("random:-5", "ack_suppressor:-1"):  # a generator seed must be >= 0
         with pytest.raises(InvalidParameterError, match="seed"):
             make_adversary(spec)
+    for spec in ("random", "victim_guard:2", "ack_suppressor"):  # so must the default seed
+        with pytest.raises(InvalidParameterError, match="seed -1 < 0"):
+            make_adversary(spec, topo, seed=-1)
 
 
 @settings(max_examples=60, deadline=None)

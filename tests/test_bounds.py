@@ -2,6 +2,7 @@
 high-precision evaluation and hand-frozen values."""
 
 import math
+import time
 from decimal import Decimal, getcontext
 
 import pytest
@@ -132,6 +133,36 @@ def test_n_min_frozen(alpha, eps, expected):
     assert bounds.n_min(alpha, eps) == expected
 
 
+@pytest.mark.parametrize("alpha, eps, expected", [
+    (0.5, 1e6, 8_000_001),  # the third inequality's bound
+    (1e-6, 2.0, 4_000_003),  # the first's: 2X + 2 sqrt(X^2 - 2X)
+    (0.5, 1.000001, 2_000_022),  # the second's: (X eps^2 - 2)/(eps - 1)
+    (0.5, 1.25e6, None), (0.5, 1e308, None), (0.5, math.nextafter(1.0, 2.0), None),
+])
+def test_n_min_scan_starts_at_the_closed_form(alpha, eps, expected):
+    """The scan starts just below the closed-form n_min, so a large n_min is
+    found, and one past the 10^7 cap rejected, at once."""
+    start = time.perf_counter()
+    if expected is None:
+        with pytest.raises(InvalidParameterError, match="no reasonable n_min"):
+            bounds.n_min(alpha, eps)
+    else:
+        assert bounds.n_min(alpha, eps) == expected
+        assert not bounds.kn_inequalities_hold(expected - 1, alpha, eps)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("alpha", [1e-309, 5e-324])
+def test_alpha_whose_x_overflows_is_a_typed_error(alpha):
+    """Below about 5.6e-309, X = 1/(alpha(1-alpha)) is not a float; every
+    closed form that reads it raises InvalidParameterError, not OverflowError."""
+    for call in (bounds.constants, lambda a: bounds.l_params(16, a, 2.0),
+                 lambda a: bounds.candidate_params(16, a, 2.0),
+                 lambda a: bounds.n_min(a, 2.0), lambda a: bounds.rounds_kn(16, a)):
+        with pytest.raises(InvalidParameterError, match="beyond the float range"):
+            call(alpha)
+
+
 @pytest.mark.parametrize("eps", [math.inf, math.nan, 1.0])
 def test_n_min_rejects_eps_outside_its_domain(eps):
     """An infinite or NaN eps fails at once, not after the search for n_min."""
@@ -168,6 +199,15 @@ def test_float_overflow_is_a_typed_error():
                         (lambda: bounds.rounds_hypercube(2000, 0.5), "d = 2000 ")):
         with pytest.raises(InvalidParameterError, match=match + "is beyond the float range"):
             call()
+
+
+def test_eps_whose_loop_lengths_overflow_is_a_typed_error():
+    """L1 = ceil(X*eps) and the phase-2 threshold floor(3X(1+eps)) of an eps
+    near the float range are not integers: InvalidParameterError, not
+    OverflowError."""
+    for call in (bounds.l_params, bounds.candidate_params):
+        with pytest.raises(InvalidParameterError, match="beyond the float range"):
+            call(16, 0.5, 1e308)
 
 
 def test_d_min_scan_past_the_float_range():

@@ -19,7 +19,8 @@ from faultcast.engine import (ACK, INFO, NetworkState, SendBatch, Trace, apply_k
                               fault_budget)
 from faultcast.errors import (AdversaryViolation, InvalidParameterError,
                               PreconditionViolation)
-from faultcast.protocols import almost_complete_kn, make_driver, run_protocol, simulate
+from faultcast.harness import run_protocol
+from faultcast.protocols import almost_complete_kn, make_driver, simulate
 from faultcast.topology import build_complete, build_hypercube
 from faultcast.validate import validate_trace
 

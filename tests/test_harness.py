@@ -11,7 +11,7 @@ from faultcast.adversary import make_adversary
 from faultcast.cli import main as cli_main
 from faultcast.engine import NetworkState
 from faultcast.errors import ConfigError, InvalidParameterError, SimError
-from faultcast.harness import (CSV_HEADER, ExperimentConfig, run,
+from faultcast.harness import (CSV_HEADER, ExperimentConfig, run, run_protocol,
                                verify_regressions)
 from faultcast.search import worst_case_search
 from faultcast.topology import COMPLETE, HYPERCUBE, build_complete, build_hypercube
@@ -42,8 +42,8 @@ def test_config_rejects_a_non_finite_eps():
         assert _small_config(eps=eps).check() == [
             f"complete-graph eps must be in (1, inf), got {eps}"]
         with pytest.raises(InvalidParameterError, match="eps"):
-            protocols.run_protocol("almost-kn", build_complete(8), 0.5, eps,
-                                   make_adversary("random:0"))
+            run_protocol("almost-kn", build_complete(8), 0.5, eps,
+                         make_adversary("random:0"))
 
 
 @pytest.mark.parametrize("topology, eps", [
@@ -64,9 +64,9 @@ def test_every_entry_point_applies_one_eps_rule(topology, eps, capsys):
     for protocol in schedules:
         config = _small_config(topology=topology, size=[size], protocol=protocol, eps=eps)
         assert config.check() == [message], protocol
-    _, _, trace = protocols.run_protocol(schedules[1], topo, 0.5, bounds.default_eps(topology),
-                                         make_adversary("random:0"))
-    calls = [*(lambda p=p: protocols.run_protocol(p, topo, 0.5, eps, make_adversary("random:0"))
+    _, _, trace = run_protocol(schedules[1], topo, 0.5, bounds.default_eps(topology),
+                               make_adversary("random:0"))
+    calls = [*(lambda p=p: run_protocol(p, topo, 0.5, eps, make_adversary("random:0"))
                for p in schedules),
              lambda: validate_trace(trace, 0.5, eps),
              lambda: (bounds.n_min if complete else bounds.d_min)(0.5, eps)]
@@ -189,7 +189,7 @@ def test_protocol_table_agrees_with_drivers_and_runs(protocol, kind):
                                         protocol=protocol, adversary=["random:0"],
                                         seeds=1).check()
             try:
-                protocols.run_protocol(protocol, topo, alpha, eps, make_adversary("random:0"))
+                run_protocol(protocol, topo, alpha, eps, make_adversary("random:0"))
                 assert problems == [], where
             except SimError:
                 assert problems, where
@@ -206,8 +206,8 @@ def test_bare_simple_rounds_claims_no_theorem(kind, size, eps, check):
     assert report.ok and [r["violations"] for r in report.rows] == [0] * 6
     topo = protocols.build_topology("simple-rounds", kind, size)
     assert bounds.asserted(topo, 0.5, eps)
-    _, _, trace = protocols.run_protocol("simple-rounds", topo, 0.5, eps,
-                                         make_adversary("ack_suppressor:0"))
+    _, _, trace = run_protocol("simple-rounds", topo, 0.5, eps,
+                               make_adversary("ack_suppressor:0"))
     found = validate_trace(trace)
     assert errors_only(found) == []
     assert check in {v.check for v in found if v.level == INFO}
@@ -456,11 +456,16 @@ def test_cli_bad_input_exits_2(argv, regression_text, tmp_path, capsys):
                  id="bounds-d-min-scan"),
     pytest.param(["search", "--n", "4", "--alpha", "0.8"], "up to 1792 steps",
                  id="search-deeper-than-recursion"),
+    *(pytest.param(["run", "--topology", "complete", "--size", "8", "--alpha", "1e-309",
+                    "--protocol", protocol, "--adversary", "random", "--seeds", "1"],
+                   "X = 1/(alpha(1-alpha)) beyond the float range", id=f"run-{protocol}-x-inf")
+      for protocol in ("nosod-complete", "sod-complete", "almost-kn")),
 ])
 def test_cli_sizes_past_float_or_recursion_range_exit_2(argv, message, capsys):
     """A size whose closed forms overflow a float, a d_min scan that passes
-    2^1024, and a search whose plays outrun the recursion limit are typed
-    errors: exit 2 with ``error:`` and no traceback."""
+    2^1024, a search whose plays outrun the recursion limit and an alpha
+    whose X overflows are typed errors: exit 2 with ``error:`` and no
+    traceback."""
     assert cli_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
@@ -520,13 +525,13 @@ def test_cli_config_error_exit_code(capsys):
     ("complete", "nosod-complete", 16, 2.0),
 ], ids=["kn16", "q5", "sod16", "nosod16"])
 def test_public_runner_matches_harness_jsonl(tmp_path, topology, protocol, size, eps):
-    # harness.run repeats the run sequence of run_protocol; both must write the same
+    # harness.run runs each config through run_protocol; both must write the same
     # steps and the same summary line, below_min included.
     out = tmp_path / "harness"
     run(ExperimentConfig(topology=topology, size=[size], alpha=[0.5], eps=eps,
                          protocol=protocol, adversary=["random:0"], seeds=1, out=str(out)))
     (harness_jsonl,) = out.glob("*.jsonl")
     topo = protocols.build_topology(protocol, topology, size)
-    _, _, trace = protocols.run_protocol(protocol, topo, 0.5, eps, make_adversary("random:0"))
+    _, _, trace = run_protocol(protocol, topo, 0.5, eps, make_adversary("random:0"))
     trace.to_jsonl(tmp_path / "runner.jsonl")
     assert (tmp_path / "runner.jsonl").read_bytes() == harness_jsonl.read_bytes()

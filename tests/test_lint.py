@@ -23,6 +23,10 @@ One protocol table: ``faultcast.protocols.PROTOCOLS`` alone states what each
 protocol id runs on and claims.  Outside it, no module compares a string that
 names a protocol id or calls ``startswith`` on a prefix of one.
 
+One run path: ``faultcast.harness.run_protocol`` alone calls ``simulate``,
+so the public call and every run of ``harness.run`` build, step and
+summarise a schedule the same way.
+
 One import set: ``import faultcast`` loads no top-level package outside the
 standard library but faultcast and numpy.
 """
@@ -192,6 +196,12 @@ def _eps_defaults(node: ast.AST) -> list[ast.AST]:
     return values
 
 
+def _called(node: ast.Call) -> str | None:
+    """The name a call calls: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _domain_leaks(path: Path, root: Path = ROOT) -> list[str]:
     """Places where ``path`` decides the analysed domain itself."""
     found = []
@@ -200,11 +210,8 @@ def _domain_leaks(path: Path, root: Path = ROOT) -> list[str]:
             operands = [node.left, *node.comparators]
             if any(map(_bare_eps, operands)) and any(map(_number, operands)):
                 found.append((node.lineno, "eps compared with a number"))
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("n_min", "d_min"):
-                found.append((node.lineno, f"call to {name}"))
+        if isinstance(node, ast.Call) and _called(node) in ("n_min", "d_min"):
+            found.append((node.lineno, f"call to {_called(node)}"))
         found += [(value.lineno, "a number as default eps")
                   for value in _eps_defaults(node) if _number(value)]
     return [f"{path.relative_to(root)}:{line}: {what}" for line, what in sorted(found)]
@@ -252,6 +259,18 @@ def _protocol_leaks(path: Path, root: Path = ROOT, ids=tuple(PROTOCOLS)) -> list
             found.append((node.lineno, "startswith on a protocol id"))
     return [f"{path.relative_to(root)}:{line}: {what}" for line, what in sorted(found)
             if not any(line in lines for lines in table)]
+
+
+def _run_path_leaks(path: Path, root: Path = ROOT) -> list[str]:
+    """Calls to ``simulate`` in ``path`` outside the module-level
+    ``run_protocol`` of a ``harness.py``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    runner = [node for node in tree.body if path.name == "harness.py"
+              and isinstance(node, ast.FunctionDef) and node.name == "run_protocol"]
+    inside = {id(node) for func in runner for node in ast.walk(func)}
+    return [f"{path.relative_to(root)}:{node.lineno}: call to simulate"
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and _called(node) == "simulate" and id(node) not in inside]
 
 
 def test_scan_finds_modules():
@@ -391,6 +410,29 @@ def test_protocol_rule(tmp_path, source, leaks):
     path = tmp_path / "mod.py"
     path.write_text(source)
     assert [entry.rsplit(": ", 1)[1] for entry in _protocol_leaks(path, tmp_path)] == leaks
+
+
+def test_one_run_path():
+    package = ROOT / "src" / "faultcast"
+    leaks = [entry for path in sorted(package.rglob("*.py")) for entry in _run_path_leaks(path)]
+    assert not leaks, "simulate called outside harness.run_protocol:\n" + "\n".join(leaks)
+
+
+@pytest.mark.parametrize("name, source, leaks", [
+    ("harness.py", "def run_protocol(p):\n    simulate(t, d, a, x, state=s)\n", []),
+    ("harness.py", "def run(c):\n    _, trace = simulate(t, d, a, x, state=s)\n",
+     ["call to simulate"]),
+    ("harness.py", "def run_protocol(p):\n    pass\nprotocols.simulate(t)\n",
+     ["call to simulate"]),
+    ("cli.py", "def run_protocol(p):\n    simulate(t)\n", ["call to simulate"]),
+    ("harness.py", "class A:\n    def run_protocol(self):\n        simulate(t)\n",
+     ["call to simulate"]),
+    ("protocols.py", "def f():\n    return run_protocol(p)[2]\ng = simulate\n", []),
+])
+def test_run_path_rule(tmp_path, name, source, leaks):
+    path = tmp_path / name
+    path.write_text(source)
+    assert [entry.rsplit(": ", 1)[1] for entry in _run_path_leaks(path, tmp_path)] == leaks
 
 
 def test_import_set():

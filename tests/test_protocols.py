@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from faultcast import bounds, protocols
+from faultcast import bounds, harness, protocols
 from faultcast.adversary import (AckSuppressor, AdversaryPolicy, RandomAdversary, VictimGuard,
                                  make_adversary)
 from faultcast.engine import (INFO, NetworkState, SendBatch, Trace, execute_step,
@@ -41,8 +41,8 @@ ADVERSARY_IDS = ["random", "victim_guard", "ack_suppressor"]
 ])
 def test_greedy_complete_examples(n, alpha, minimum):
     for seed in range(5):
-        state = protocols.run_protocol("greedy-kn", build_complete(n), alpha, 2.0,
-                                       RandomAdversary(seed))[0]
+        state = harness.run_protocol("greedy-kn", build_complete(n), alpha, 2.0,
+                                     RandomAdversary(seed))[0]
         assert int(np.count_nonzero(state.informed)) >= minimum
 
 
@@ -53,15 +53,15 @@ def test_greedy_complete_examples(n, alpha, minimum):
 ])
 def test_greedy_hypercube_examples(d, alpha, minimum):
     for seed in range(5):
-        state = protocols.run_protocol("greedy-qd", build_hypercube(d), alpha, 0.5,
-                                       RandomAdversary(seed))[0]
+        state = harness.run_protocol("greedy-qd", build_hypercube(d), alpha, 0.5,
+                                     RandomAdversary(seed))[0]
         assert int(np.count_nonzero(state.informed)) >= minimum
 
 
 def test_greedy_bounds_hold_for_adversarial_policies():
     for make in ADVERSARIES:
         topo = build_complete(12)
-        state = protocols.run_protocol("greedy-kn", topo, 0.6, 2.0, make(topo, 0))[0]
+        state = harness.run_protocol("greedy-kn", topo, 0.6, 2.0, make(topo, 0))[0]
         lower = 1 + min(12 / 2.0, 11 * 0.4)
         assert np.count_nonzero(state.informed) >= math.ceil(lower - 1e-9)
 
@@ -76,12 +76,12 @@ def test_schedule_lengths_exact():
     assert tr.total_steps == 2 + 2 * r
 
     t1, t2 = bounds.rounds_hypercube(5, 0.5, 0.5)
-    tr = protocols.run_protocol("hypercube", build_hypercube(5), 0.5, 0.5, RandomAdversary(0))[2]
+    tr = harness.run_protocol("hypercube", build_hypercube(5), 0.5, 0.5, RandomAdversary(0))[2]
     assert tr.total_steps == 2 + 2 * (t1 + t2)
 
     l1, l2, l3, l4 = bounds.l_params(16, 0.5, 2.0)
-    tr = protocols.run_protocol("nosod-complete", build_complete(16), 0.5, 2.0,
-                                RandomAdversary(0))[2]
+    tr = harness.run_protocol("nosod-complete", build_complete(16), 0.5, 2.0,
+                              RandomAdversary(0))[2]
     assert tr.total_steps == 2 + 2 * r + l1 * (l2 * l3 + 2 * l4)
 
 
@@ -114,13 +114,29 @@ def test_eps_domains():
     with pytest.raises(InvalidParameterError):
         protocols.almost_complete_kn(16, 0.5, 0.5, RandomAdversary(0))
     with pytest.raises(InvalidParameterError):
-        protocols.run_protocol("hypercube", build_hypercube(4), 0.5, 2.0, RandomAdversary(0))
+        harness.run_protocol("hypercube", build_hypercube(4), 0.5, 2.0, RandomAdversary(0))
 
 
 def test_nosod_rejects_alpha_06():
     with pytest.raises(UnsupportedAlphaError):
-        protocols.run_protocol("nosod-complete", build_complete(16), 0.6, 2.0,
-                               RandomAdversary(0))
+        harness.run_protocol("nosod-complete", build_complete(16), 0.6, 2.0,
+                             RandomAdversary(0))
+
+
+def test_nosod_refuses_more_than_10_4_passes():
+    """The 2 L1 passes are built up front, so an L1 = ceil(X*eps) past 10^4
+    is refused at once, by the closed form and by the builder.  At alpha 0.5,
+    X = 4."""
+    topo = build_complete(3)
+    entry = protocols.PROTOCOLS["nosod-complete"]
+    assert bounds.l_params(3, 0.5, 2500.0)[0] == 10**4
+    assert entry.steps(3, None, 0.5, 2500.0, None)
+    for alpha, eps, l1 in ((0.5, 2500.25, 10_001), (1e-5, 2.0, 200_003)):
+        for call in (lambda: entry.steps(3, None, alpha, eps, None),
+                     lambda: protocols.make_driver("nosod-complete", topo, alpha, eps,
+                                                   NetworkState(topo))):
+            with pytest.raises(InvalidParameterError, match=f"L1 = {l1} elimination passes"):
+                call()
 
 
 def test_make_driver_topology_mismatch():
@@ -159,7 +175,7 @@ def test_hypercube_final_bounds():
     x = 4.0
     for make in ADVERSARIES:
         topo = build_hypercube(6)
-        tr = protocols.run_protocol("hypercube", topo, 0.5, 0.5, make(topo, 1))[2]
+        tr = harness.run_protocol("hypercube", topo, 0.5, 0.5, make(topo, 1))[2]
         assert tr.final_k <= x / 0.5
         assert tr.final_h <= x * 5
         assert not errors_only(validate_trace(tr, 0.5, 0.5))
@@ -167,8 +183,8 @@ def test_hypercube_final_bounds():
 
 def test_hypercube_round_lemmas_above_d_min():
     # d = 13 >= d_min(0.5, 0.5): the Lemma 4/5/6 per-round checks are strict.
-    tr = protocols.run_protocol("hypercube", build_hypercube(13), 0.5, 0.5,
-                                RandomAdversary(0))[2]
+    tr = harness.run_protocol("hypercube", build_hypercube(13), 0.5, 0.5,
+                              RandomAdversary(0))[2]
     assert tr.final_k <= 8
     assert not errors_only(validate_trace(tr, 0.5, 0.5))
 
@@ -176,7 +192,7 @@ def test_hypercube_round_lemmas_above_d_min():
 def test_sod_complete_all_adversaries():
     for make in ADVERSARIES:
         topo = protocols.build_topology("sod-complete", COMPLETE, 24)
-        tr = protocols.run_protocol("sod-complete", topo, 0.5, 2.0, make(topo, 2))[2]
+        tr = harness.run_protocol("sod-complete", topo, 0.5, 2.0, make(topo, 2))[2]
         assert tr.final_k == 0
         assert not errors_only(validate_trace(tr, 0.5, 2.0))
 
@@ -184,7 +200,7 @@ def test_sod_complete_all_adversaries():
 def test_nosod_complete_all_adversaries():
     for make in ADVERSARIES:
         topo = build_complete(24)
-        tr = protocols.run_protocol("nosod-complete", topo, 0.5, 2.0, make(topo, 2))[2]
+        tr = harness.run_protocol("nosod-complete", topo, 0.5, 2.0, make(topo, 2))[2]
         assert tr.final_k == 0
         assert not errors_only(validate_trace(tr, 0.5, 2.0))
 
@@ -194,8 +210,8 @@ def test_sod_candidate_set_covers_uninformed():
     # |U| stays within 3X(1+eps).
     topo = protocols.build_topology("sod-all-but-one", COMPLETE, 32)
     for seed in range(4):
-        _, driver, tr = protocols.run_protocol("sod-all-but-one", topo, 0.5, 2.0,
-                                               VictimGuard(31, seed))
+        _, driver, tr = harness.run_protocol("sod-all-but-one", topo, 0.5, 2.0,
+                                             VictimGuard(31, seed))
         assert tr.final_k <= 1
         u = next((u for u in driver.ctx.u_final.values() if u is not None), None)
         assert u is not None
@@ -328,14 +344,14 @@ _SOD_COMPLETE_DIGESTS = {
 @pytest.mark.parametrize("n,alpha,adversary", list(_SOD_COMPLETE_DIGESTS))
 def test_sod_complete_digest_unchanged(tmp_path, n, alpha, adversary):
     topo = protocols.build_topology("sod-complete", COMPLETE, n)
-    trace = protocols.run_protocol("sod-complete", topo, alpha, 2.0, make_adversary(adversary))[2]
+    trace = harness.run_protocol("sod-complete", topo, alpha, 2.0, make_adversary(adversary))[2]
     assert _jsonl_digest(trace, tmp_path) == _SOD_COMPLETE_DIGESTS[n, alpha, adversary]
 
 
 def test_sod_all_but_one_digest_unchanged(tmp_path):
     topo = protocols.build_topology("sod-all-but-one", COMPLETE, 24)
-    _, driver, trace = protocols.run_protocol("sod-all-but-one", topo, 0.7, 2.0,
-                                              make_adversary("ack_suppressor:2"))
+    _, driver, trace = harness.run_protocol("sod-all-but-one", topo, 0.7, 2.0,
+                                            make_adversary("ack_suppressor:2"))
     assert driver.ctx.u_final == {0: frozenset({22, 23}), 1: frozenset({22, 23})}
     assert _jsonl_digest(trace, tmp_path) == (
         "526f6f160c8968d5d8801a1f4e39350e9449ca350269d03b223777774ff612d9")
@@ -351,8 +367,8 @@ def test_finished_run_freed_by_refcount(protocol):
     gc.collect()
     gc.disable()
     try:
-        state, driver, trace = protocols.run_protocol(protocol, topo, 0.5, eps,
-                                                      RandomAdversary(0))
+        state, driver, trace = harness.run_protocol(protocol, topo, 0.5, eps,
+                                                    RandomAdversary(0))
         refs = [weakref.ref(driver), weakref.ref(trace)]
         del state, driver, trace
         assert [r() for r in refs] == [None, None]
@@ -361,8 +377,8 @@ def test_finished_run_freed_by_refcount(protocol):
 
 
 def test_nosod_iteration_segments_present():
-    tr = protocols.run_protocol("nosod-complete", build_complete(16), 0.5, 2.0,
-                                RandomAdversary(0))[2]
+    tr = harness.run_protocol("nosod-complete", build_complete(16), 0.5, 2.0,
+                              RandomAdversary(0))[2]
     kinds = {s.kind for s in tr.segments}
     assert "nosod_iter" in kinds or "nosod_inert_tail" in kinds
     assert "simple_rounds" in kinds and "greedy" in kinds
@@ -627,7 +643,7 @@ def test_merged_lane_block_rejects_a_bad_row_mid_chunk(fault, match):
     are reported, not cut short by pairing the steps with the rows."""
     topo = protocols.build_topology("sod-complete", COMPLETE, 64)
     with pytest.raises(AdversaryViolation, match=match):
-        protocols.run_protocol("sod-complete", topo, 0.5, 2.0, _BreaksBlock(fault, lanes=True))
+        harness.run_protocol("sod-complete", topo, 0.5, 2.0, _BreaksBlock(fault, lanes=True))
 
 
 class _AsksAt(RandomAdversary):
@@ -955,7 +971,8 @@ def test_simulate_stops_a_driver_past_its_schedule():
     topo = build_complete(4)
     trace = Trace(topo)
     with pytest.raises(ScheduleOverrun) as err:
-        protocols.simulate(topo, _NeverDone(), RandomAdversary(0), 0.5, trace=trace)
+        protocols.simulate(topo, _NeverDone(), RandomAdversary(0), 0.5, state=NetworkState(topo),
+                           trace=trace)
     assert isinstance(err.value, SimError)
     assert len(trace) == 4
 

@@ -1,6 +1,8 @@
 """Trace validator: each check fires on doctored traces and stays quiet on
 honest ones."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from faultcast.adversary import AdversaryPolicy, RandomAdversary
 from faultcast import bounds, engine
 from faultcast.engine import INFO, NetworkState, SendBatch, Trace, execute_step
 from faultcast.errors import AdversaryViolation, InvalidParameterError
-from faultcast.protocols import almost_complete_kn, run_protocol
+from faultcast.harness import run_protocol
+from faultcast.protocols import almost_complete_kn
 from faultcast import validate
 from faultcast.topology import COMPLETE, HYPERCUBE, build_complete, build_hypercube
 
@@ -107,6 +110,49 @@ def test_nosod_iteration_check_fires_on_stalled_iteration():
 def test_nosod_iteration_quiet_on_honest_run():
     trace = run_protocol("nosod-complete", build_complete(20), 0.5, 2.0, RandomAdversary(1))[2]
     assert validate.check_nosod_iterations(trace, 0.5, 2.0) == []
+
+
+def _kn_round_trace(acks, m_after):
+    """One primary simple round on K_4096 at alpha 0.2 from k = 100 and
+    h = 10,841,600, whose step B delivers ``acks`` and leaves M = ``m_after``.
+    The arcs are K_8's: the round checks read only n and the columns."""
+    topo = dataclasses.replace(build_complete(8), n=4096)
+    trace = Trace(topo)
+    state = NetworkState(build_complete(8))
+    trace.record(state, 0, 0, 0)
+    trace.mark("simple_rounds", rounds=1, primary=True)
+    trace.record(state, 0, 0, 0)
+    trace.record(state, 0, 0, 0)
+    trace._data[0, 1:3] = 100, 10_841_600
+    trace._data[0, 7] = 2 * 4095 * 100 + 10_841_600
+    trace._data[2, 6:8] = acks, m_after
+    trace.summary = {"protocol": "almost-kn"}
+    return trace
+
+
+@pytest.mark.parametrize("acks, m_after, found", [
+    (7_194_368, 9_794_904, []),
+    (7_194_367, 9_794_904, ["thm2_acks"]),
+    (7_194_368, 9_794_905, ["thm2_measure"]),
+])
+def test_kn_round_checks_are_exact(acks, m_after, found):
+    """(1-alpha)^2 (k(n-k) + h) = 0.64 * 11,241,200 = 7,194,368 acks and
+    (1-c) M = 0.84 * 11,660,600 = 9,794,904 exactly: a count that meets its
+    bound passes, one past it fails, whatever a float product rounds to."""
+    bad = validate.check_kn_rounds(_kn_round_trace(acks, m_after), 0.2, 2.0)
+    assert [(v.check, v.where, v.level) for v in bad] == [(c, 2, validate.ERROR) for c in found]
+
+
+@pytest.mark.parametrize("h_after, found", [(15_900, []), (15_901, ["nosod_iteration"])])
+def test_nosod_iteration_shrink_is_exact(h_after, found):
+    """At alpha 0.2, Y = 0.728 and an iteration from h = 25,000 that informs
+    nobody must leave h <= (1 - Y/2) 25,000 = 15,900."""
+    trace = _stalled_iteration_trace()
+    trace.topo = dataclasses.replace(trace.topo, n=4096)  # X(n-2) = 25,587.5
+    trace._data[:, 2] = 25_000
+    trace._data[-1, 2] = h_after
+    bad = validate.check_nosod_iterations(trace, 0.2, 2.0)
+    assert [v.check for v in bad] == found
 
 
 def _thin_quorum_trace():
